@@ -28,6 +28,7 @@ from .graph import (
     Graph,
     GraphError,
     NegativeWeightError,
+    TreeMismatchError,
     UnreachableNodeError,
     gen_complete,
     gen_layered,
@@ -75,6 +76,7 @@ __all__ = [
     "SearchStats",
     "ShortestPathResult",
     "SptCheck",
+    "TreeMismatchError",
     "UnreachableNodeError",
     "ac_to_nesting_family",
     "brute_force_dominated_set",

@@ -10,6 +10,8 @@ drives the recursive shortest-path search.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 
 from .dominators import DominatorTree, compute_dominator_tree
@@ -37,11 +39,26 @@ class AcTree:
     of its dominance graph in topological order. ``component_of`` locates
     each non-source node as ``(owner, index)``. ``width`` is one more than
     the largest component (1 for a single-node graph).
+
+    The remaining fields are the same decomposition flattened for the
+    search, built once with the tree: components are numbered densely,
+    owner by owner in ascending node id and each owner's sequence in
+    topological order. ``comp_id[v]`` is the number of ``v``'s component
+    (-1 for the source); ``comp_members[c]`` is the member set of
+    component ``c`` (the same frozenset as in ``components``); the
+    components of owner ``a`` are numbered ``comp_offsets[a]`` up to
+    ``comp_offsets[a + 1] - 1``, in topological order; ``comp_sizes`` maps
+    each component size to the number of components of that size, in
+    ascending size. The two arrays are read-only by contract.
     """
 
     components: dict[int, tuple[frozenset[int], ...]]
     component_of: dict[int, tuple[int, int]]
     width: int
+    comp_id: array
+    comp_members: tuple[frozenset[int], ...]
+    comp_offsets: array
+    comp_sizes: dict[int, int]
 
 
 def dominance_graphs(g: Graph, t: DominatorTree) -> dict[int, DominanceGraph]:
@@ -188,26 +205,42 @@ def build_ac_tree(g: Graph) -> AcTree:
     """Construct the A-C tree of a pruned graph.
 
     Dominator tree, then one dominance-graph pass, then an SCC pass per
-    node with children. Near-linear overall; the decomposition does not
-    depend on arc weights.
+    node with children, which also numbers the components for the search.
+    Near-linear overall; the decomposition does not depend on arc weights.
     """
+    n = g.node_count
     t = compute_dominator_tree(g)
     graphs = dominance_graphs(g, t)
     components: dict[int, tuple[frozenset[int], ...]] = {}
     component_of: dict[int, tuple[int, int]] = {}
-    widest = 0
-    for a in range(g.node_count):
+    comp_id = array("i", [-1]) * n
+    comp_offsets = array("i", [0]) * (n + 1)
+    comp_members: list[frozenset[int]] = []
+    for a in range(n):
+        first = len(comp_members)
+        comp_offsets[a] = first
         dg = graphs[a]
         if not dg.nodes:
             continue
         comps = scc_topological(dg)
         components[a] = comps
+        comp_members.extend(comps)
         for i, comp in enumerate(comps):
-            if len(comp) > widest:
-                widest = len(comp)
+            cid = first + i
             for v in comp:
                 component_of[v] = (a, i)
-    return AcTree(components, component_of, widest + 1)
+                comp_id[v] = cid
+    comp_offsets[n] = len(comp_members)
+    sizes = dict(sorted(Counter(map(len, comp_members)).items()))
+    return AcTree(
+        components,
+        component_of,
+        max(sizes, default=0) + 1,
+        comp_id,
+        tuple(comp_members),
+        comp_offsets,
+        sizes,
+    )
 
 
 def ac_to_nesting_family(tree: AcTree, t: DominatorTree) -> NestingFamily:

@@ -45,6 +45,10 @@ class CycleError(GraphError):
     """An acyclic-only operation was handed a graph with a directed cycle."""
 
 
+class TreeMismatchError(GraphError, ValueError):
+    """An A-C tree was handed to a search over a graph it was not built for."""
+
+
 Arc = tuple[int, float]
 
 
@@ -53,8 +57,9 @@ class Graph:
     """Immutable weighted digraph with a distinguished source node.
 
     ``out_arcs[u]`` holds ``(target, weight)`` pairs in insertion order.
-    Parallel arcs and self-loops are kept as given; weights are non-negative
-    floats (parsers normalise a missing weight to 1.0).
+    Parallel arcs and self-loops are kept as given; weights are finite
+    non-negative floats (parsers normalise a missing weight to 1.0), so the
+    search engines need no per-arc weight checks.
     """
 
     node_count: int
@@ -70,13 +75,16 @@ class Graph:
             raise GraphError(f"source {self.source} out of range for {n} nodes")
         if len(self.out_arcs) != n:
             raise GraphError("adjacency length does not match node_count")
+        inf = math.inf
         count = 0
         for u, arcs in enumerate(self.out_arcs):
             for v, w in arcs:
                 if not 0 <= v < n:
                     raise GraphError(f"arc {u}->{v}: target out of range")
-                if w < 0:
-                    raise NegativeWeightError(f"arc {u}->{v} has weight {w}")
+                if not 0 <= w < inf:
+                    if math.isfinite(w):
+                        raise NegativeWeightError(f"arc {u}->{v} has weight {w}")
+                    raise GraphError(f"arc {u}->{v} has non-finite weight {w}")
                 count += 1
         if count != self.arc_count:
             raise GraphError(

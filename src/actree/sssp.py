@@ -3,17 +3,24 @@
 Three engines produce the same distances on the same graph: textbook
 Dijkstra over one all-nodes queue (the oracle), topological relaxation for
 DAGs, and the recursive engine that drains one small queue per A-C tree
-component in topological order. All three finalise every node exactly once
-and relax each arc exactly once from a finalised tail, so equal inputs give
-bit-equal distances.
+component in topological order. Both queue engines use a ``heapq`` binary
+heap of ``(dist, node)`` entries with lazy deletion: an improvement pushes
+a new entry, and an entry whose distance is no longer current is skipped
+when it surfaces. Ties on distance therefore break by node id. A component
+queue is filled when its turn to drain comes, so it holds at most |C| +
+(arcs into C) entries for a component C. All three engines finalise every
+node exactly once and relax each arc exactly once from a finalised tail,
+so equal inputs give bit-equal distances. ``Graph`` guarantees finite
+non-negative weights, so no engine checks them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .ac_tree import AcTree
-from .graph import CycleError, Graph, NegativeWeightError
+from .graph import CycleError, Graph, TreeMismatchError
 
 INF = float("inf")
 
@@ -23,10 +30,12 @@ class SearchStats:
     """Operation counts for one search.
 
     ``pops`` counts node finalisations (equals the node count on pruned
-    input). ``max_queue_len`` is the largest number of entries any single
-    priority queue held at once. ``component_sizes`` is a size histogram of
-    the component queues used (empty for the single-queue and queueless
-    engines).
+    input). ``key_decreases`` counts tentative-distance improvements.
+    ``max_queue_len`` is the size of the largest component a queue served:
+    the node count for the single-queue engine, 0 for the queueless one.
+    It does not count the stale entries lazy deletion leaves behind.
+    ``component_sizes`` is a size histogram of the component queues used
+    (empty for the single-queue and queueless engines).
     """
 
     pops: int = 0
@@ -59,90 +68,10 @@ class ShortestPathResult:
         }
 
 
-class _IndexedHeap:
-    """Binary min-heap with decrease-key, keyed by (priority, node id).
-
-    Ties on priority break toward the smaller node id, so extraction order
-    is deterministic. ``decrease`` on a node that was already extracted
-    raises KeyError on purpose: a correct search never lowers a finalised
-    key.
-    """
-
-    __slots__ = ("_key", "_nodes", "_pos")
-
-    def __init__(self, keys: dict[int, float]):
-        self._key = keys
-        self._nodes = sorted(keys)
-        self._pos = {v: i for i, v in enumerate(self._nodes)}
-        for i in reversed(range(len(self._nodes) // 2)):
-            self._sift_down(i)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def extract_min(self) -> tuple[float, int]:
-        nodes = self._nodes
-        top = nodes[0]
-        key = self._key[top]
-        del self._pos[top]
-        last = nodes.pop()
-        if nodes:
-            nodes[0] = last
-            self._pos[last] = 0
-            self._sift_down(0)
-        return key, top
-
-    def decrease(self, node: int, key: float) -> None:
-        if key < self._key[node]:
-            self._key[node] = key
-            self._sift_up(self._pos[node])
-
-    def _less(self, a: int, b: int) -> bool:
-        ka = self._key[a]
-        kb = self._key[b]
-        return ka < kb or (ka == kb and a < b)
-
-    def _sift_up(self, i: int) -> None:
-        nodes = self._nodes
-        pos = self._pos
-        node = nodes[i]
-        while i > 0:
-            up = (i - 1) >> 1
-            other = nodes[up]
-            if not self._less(node, other):
-                break
-            nodes[i] = other
-            pos[other] = i
-            i = up
-        nodes[i] = node
-        pos[node] = i
-
-    def _sift_down(self, i: int) -> None:
-        nodes = self._nodes
-        pos = self._pos
-        size = len(nodes)
-        node = nodes[i]
-        while True:
-            child = 2 * i + 1
-            if child >= size:
-                break
-            right = child + 1
-            if right < size and self._less(nodes[right], nodes[child]):
-                child = right
-            if not self._less(nodes[child], node):
-                break
-            nodes[i] = nodes[child]
-            pos[nodes[i]] = i
-            i = child
-        nodes[i] = node
-        pos[node] = i
-
-
 def dijkstra(g: Graph) -> ShortestPathResult:
     """Textbook Dijkstra over a single all-nodes queue; the baseline oracle.
 
-    Requires non-negative weights and a pruned graph. Ties on distance
-    break by node id.
+    Requires a pruned graph. Ties on distance break by node id.
     """
     n = g.node_count
     s = g.source
@@ -150,22 +79,20 @@ def dijkstra(g: Graph) -> ShortestPathResult:
     dist = [INF] * n
     dist[s] = 0.0
     parent: list[int | None] = [None] * n
-    keys = dict.fromkeys(range(n), INF)
-    keys[s] = 0.0
-    heap = _IndexedHeap(keys)
+    heap = [(0.0, s)]
     pops = 0
     decreases = 0
-    while len(heap):
-        d, v = heap.extract_min()
+    while heap:
+        d, v = heappop(heap)
+        if d > dist[v]:
+            continue
         pops += 1
         for w, wt in out[v]:
-            if wt < 0:
-                raise NegativeWeightError(f"arc {v}->{w} has weight {wt}")
             nd = d + wt
             if nd < dist[w]:
                 dist[w] = nd
                 parent[w] = v
-                heap.decrease(w, nd)
+                heappush(heap, (nd, w))
                 decreases += 1
     stats = SearchStats(pops, decreases, n, {})
     return ShortestPathResult(tuple(dist), tuple(parent), stats)
@@ -203,8 +130,6 @@ def dag_sssp(g: Graph) -> ShortestPathResult:
         if d == INF:
             continue
         for w, wt in out[v]:
-            if wt < 0:
-                raise NegativeWeightError(f"arc {v}->{w} has weight {wt}")
             nd = d + wt
             if nd < dist[w]:
                 dist[w] = nd
@@ -217,85 +142,106 @@ def dag_sssp(g: Graph) -> ShortestPathResult:
 def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     """Dijkstra driven by the A-C tree: one queue per component.
 
-    Finalising a node relaxes its out-arcs into the owning component
-    queues, then descends into the node's own component sequence; each
-    owner's components are drained in topological order. Every queue holds
-    at most one component, so no queue ever exceeds ``width - 1`` entries
-    and each extraction costs O(log width).
+    Finalising a node relaxes its out-arcs, then descends into the node's
+    own component sequence; each owner's components are drained in
+    topological order. A component's queue is heapified from the current
+    tentative distances when its turn comes; before that an improvement is
+    a plain distance write, and a singleton component needs no queue at
+    all. Every queue serves one component C, so it serves at most
+    ``width - 1`` nodes and holds at most |C| + (arcs into C) entries, and
+    a heap operation costs the logarithm of that rather than of n.
+
+    Raises :class:`TreeMismatchError` when ``tree`` was not built for the
+    topology of ``g``: different node counts, the source inside a
+    component, an improvement to a node already finalised, or a node left
+    unfinalised. The last two checks cost O(1) per improvement and at the
+    end, so a tree built under other weights of the same arcs is accepted.
     """
     n = g.node_count
     s = g.source
     out = g.out_arcs
-    if len(tree.component_of) != n - 1 or s in tree.component_of:
-        raise ValueError("A-C tree does not match graph")
-
-    # flatten components to dense queue ids
-    comp_members: list[tuple[int, ...]] = []
-    comp_of_node = [-1] * n
-    owner_comps: dict[int, list[int]] = {}
-    for a, comps in tree.components.items():
-        cids = []
-        for comp in comps:
-            cid = len(comp_members)
-            comp_members.append(tuple(comp))
-            cids.append(cid)
-            for v in comp:
-                if not 0 <= v < n or comp_of_node[v] != -1 or v == s:
-                    raise ValueError("A-C tree does not match graph")
-                comp_of_node[v] = cid
-        owner_comps[a] = cids
+    comp_id = tree.comp_id
+    members = tree.comp_members
+    offsets = tree.comp_offsets
+    if len(comp_id) != n:
+        raise TreeMismatchError(
+            f"A-C tree covers {len(comp_id)} nodes, the graph has {n}"
+        )
+    if comp_id[s] != -1:
+        raise TreeMismatchError(
+            f"source {s} sits in component {comp_id[s]} of the A-C tree"
+        )
 
     dist = [INF] * n
     dist[s] = 0.0
     parent: list[int | None] = [None] * n
-    queues: list[_IndexedHeap | None] = [None] * len(comp_members)
-    state = SearchStats(pops=1)  # the source finalises outside any queue
-
-    def queue_for(cid: int) -> _IndexedHeap:
-        q = queues[cid]
-        if q is None:
-            members = comp_members[cid]
-            q = _IndexedHeap({u: dist[u] for u in members})
-            queues[cid] = q
-            if len(members) > state.max_queue_len:
-                state.max_queue_len = len(members)
-        return q
-
-    def relax(v: int) -> None:
-        dv = dist[v]
-        for w, wt in out[v]:
-            if wt < 0:
-                raise NegativeWeightError(f"arc {v}->{w} has weight {wt}")
-            nd = dv + wt
+    final = [False] * n
+    queues: list[list[tuple[float, int]] | None] = [None] * len(members)
+    pops = 0
+    decreases = 0
+    widest = 0
+    # the owner being drained: its next component, its end, the open queue;
+    # owners interrupted by a descent wait in ``suspended``
+    cid = end = 0
+    heap: list[tuple[float, int]] | None = None
+    suspended: list[tuple[int, int, list[tuple[float, int]] | None]] = []
+    u = s
+    while u >= 0:
+        final[u] = True
+        pops += 1
+        du = dist[u]
+        for w, wt in out[u]:
+            nd = du + wt
             if nd < dist[w]:
+                if final[w]:
+                    raise TreeMismatchError(
+                        f"arc {u}->{w} improves node {w} after it was finalised:"
+                        " the A-C tree was built for another graph"
+                    )
                 dist[w] = nd
-                parent[w] = v
-                queue_for(comp_of_node[w]).decrease(w, nd)
-                state.key_decreases += 1
+                parent[w] = u
+                decreases += 1
+                q = queues[comp_id[w]]
+                if q is not None:
+                    heappush(q, (nd, w))
+        first = offsets[u]
+        if first < offsets[u + 1]:
+            suspended.append((cid, end, heap))
+            cid = first
+            end = offsets[u + 1]
+            heap = None
+        # choose the next node to finalise; u < 0 when every queue is drained
+        while True:
+            if heap:
+                d, u = heappop(heap)
+                if d > dist[u]:
+                    continue  # stale entry left by an improvement
+                break
+            if cid == end:
+                if not suspended:
+                    u = -1
+                    break
+                cid, end, heap = suspended.pop()
+                continue
+            mem = members[cid]
+            size = len(mem)
+            if size > widest:
+                widest = size
+            if size == 1:
+                (u,) = mem
+                cid += 1
+                break
+            heap = [(dist[v], v) for v in mem]
+            heapify(heap)
+            queues[cid] = heap
+            cid += 1
 
-    relax(s)
-    stack: list[tuple[int, int]] = [(s, 0)]
-    empty: list[int] = []
-    while stack:
-        v, ci = stack[-1]
-        comps = owner_comps.get(v, empty)
-        if ci == len(comps):
-            stack.pop()
-            continue
-        q = queue_for(comps[ci])
-        if not len(q):
-            stack[-1] = (v, ci + 1)
-            continue
-        _, u = q.extract_min()
-        state.pops += 1
-        relax(u)
-        stack.append((u, 0))
-
-    sizes: dict[int, int] = {}
-    for members in comp_members:
-        k = len(members)
-        sizes[k] = sizes.get(k, 0) + 1
-    state.component_sizes = dict(sorted(sizes.items()))
+    if pops != n:
+        raise TreeMismatchError(
+            f"the search finalised {pops} of {n} nodes:"
+            " the A-C tree was built for another graph"
+        )
+    state = SearchStats(pops, decreases, widest, dict(tree.comp_sizes))
     return ShortestPathResult(tuple(dist), tuple(parent), state)
 
 

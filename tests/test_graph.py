@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from actree import (
@@ -114,6 +116,23 @@ def test_graph_invariants_enforced():
         Graph.from_arcs(2, 0, [(0, 1, -1.0)])
     with pytest.raises(GraphError):
         Graph.from_arcs(0, 0, [])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_graph_rejects_non_finite_weights(bad):
+    with pytest.raises(GraphError, match=r"arc 1->2 has non-finite weight"):
+        Graph.from_arcs(3, 0, [(0, 1, 1.0), (1, 2, bad)])
+    with pytest.raises(GraphError, match=r"arc 0->1"):
+        Graph(2, 0, (((1, bad),), ()), 1)
+
+
+def test_parsers_report_non_finite_weights_by_line():
+    with pytest.raises(FormatError) as exc:
+        parse_edge_list("2 1 0\n0 1 nan")
+    assert exc.value.line == 2
+    with pytest.raises(FormatError) as exc:
+        parse_dimacs_sp("p sp 2 1\na 1 2 inf")
+    assert exc.value.line == 2
 
 
 def test_prune_identity_on_reachable(diamond):

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+from array import array
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actree import (
     CycleError,
     Graph,
     ShortestPathResult,
+    TreeMismatchError,
     build_ac_tree,
     dag_sssp,
     dijkstra,
@@ -19,17 +25,47 @@ from actree import (
     recursive_dijkstra,
     verify_spt,
 )
-from actree.sssp import _IndexedHeap
+
+WEIGHTS = st.sampled_from((0.0, 1.0, 2.0))
 
 
-def test_indexed_heap_orders_and_breaks_ties_by_id():
-    heap = _IndexedHeap({3: 5.0, 1: 5.0, 2: 1.0, 7: 0.5})
-    heap.decrease(3, 0.5)
-    heap.decrease(2, 9.0)  # increases are ignored; 2 must still pop at 1.0
-    popped = [heap.extract_min() for _ in range(len(heap))]
-    assert popped == [(0.5, 3), (0.5, 7), (1.0, 2), (5.0, 1)]
-    with pytest.raises(KeyError):
-        heap.decrease(3, 0.0)
+@st.composite
+def small_graphs(draw) -> Graph:
+    """Up to 9 nodes: a random arborescence from node 0 plus random arcs.
+
+    Weights come from {0, 1, 2}, so ties and zero-weight cycles are common.
+    """
+    n = draw(st.integers(1, 9))
+    arcs = [(draw(st.integers(0, v - 1)), v, draw(WEIGHTS)) for v in range(1, n)]
+    node = st.integers(0, n - 1)
+    arcs += draw(st.lists(st.tuples(node, node, WEIGHTS), max_size=3 * n))
+    order = draw(st.permutations(range(len(arcs))))
+    return Graph.from_arcs(n, 0, [arcs[i] for i in order])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_engines_agree_and_recursive_keeps_its_op_counts(g):
+    n = g.node_count
+    ref = dijkstra(g)
+    assert verify_spt(g, ref)
+    results = [ref]
+    try:
+        results.append(dag_sssp(g))
+    except CycleError:
+        pass
+    tree = build_ac_tree(g)
+    rec = recursive_dijkstra(g, tree)
+    results.append(rec)
+    for r in results:
+        assert r.dist == ref.dist
+        assert verify_spt(g, r)
+    largest = max(
+        (len(c) for comps in tree.components.values() for c in comps), default=0
+    )
+    assert rec.stats.pops == n
+    assert rec.stats.key_decreases <= g.arc_count
+    assert rec.stats.max_queue_len == largest <= tree.width - 1
 
 
 def test_dijkstra_diamond(diamond):
@@ -129,6 +165,46 @@ def test_recursive_rejects_mismatched_tree(diamond, cycle3):
     tree = build_ac_tree(diamond)
     with pytest.raises(ValueError):
         recursive_dijkstra(cycle3, tree)
+
+
+def test_recursive_rejects_the_source_inside_a_component():
+    g = Graph.from_arcs(3, 0, [(0, 1), (1, 2), (2, 0)])
+    tree = build_ac_tree(Graph.from_arcs(3, 1, [(1, 0), (0, 2)]))
+    with pytest.raises(TreeMismatchError, match="source 0"):
+        recursive_dijkstra(g, tree)
+
+
+def test_recursive_rejects_a_tree_that_leaves_nodes_unfinalised():
+    g = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])
+    tree = build_ac_tree(g)
+    assert list(tree.comp_offsets) == [0, 1, 2, 2]
+    cut = replace(tree, comp_offsets=array("i", [0, 1, 1, 1]))  # drops node 2
+    with pytest.raises(TreeMismatchError, match="finalised 2 of 3"):
+        recursive_dijkstra(g, cut)
+
+
+def test_mismatched_trees_give_right_answers_or_typed_errors():
+    rejected = 0
+    for i in range(3000):
+        n = 2 + i % 40
+        g = gen_random_digraph(n, n + i % (3 * n), seed=i)
+        other = gen_random_digraph(n, n + (i * 7) % (3 * n), seed=10**6 + i)
+        tree = build_ac_tree(other)
+        try:
+            r = recursive_dijkstra(g, tree)
+        except TreeMismatchError:
+            rejected += 1
+            continue
+        assert r.dist == dijkstra(g).dist, i
+    assert 0 < rejected < 3000
+
+
+def test_recursive_accepts_a_tree_built_under_other_weights():
+    for seed in range(20):
+        g = gen_random_digraph(60, 150, seed=seed)
+        reweighted = gen_random_digraph(60, 150, seed=seed, weight_range=(0.0, 50.0))
+        tree = build_ac_tree(g)
+        assert recursive_dijkstra(reweighted, tree).dist == dijkstra(reweighted).dist
 
 
 def test_verify_spt_flags_perturbed_distance(diamond):
