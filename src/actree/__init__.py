@@ -12,9 +12,7 @@ from .ac_tree import (
     DominanceGraph,
     ac_to_nesting_family,
     build_ac_tree,
-    dominance_graphs,
     naive_dominance_graph,
-    scc_topological,
 )
 from .dominators import (
     DominatorTree,
@@ -86,7 +84,6 @@ __all__ = [
     "compute_dominator_tree",
     "dag_sssp",
     "dijkstra",
-    "dominance_graphs",
     "family_width",
     "gen_complete",
     "gen_layered",
@@ -101,7 +98,6 @@ __all__ = [
     "parse_edge_list",
     "prune_unreachable",
     "recursive_dijkstra",
-    "scc_topological",
     "serialize_dimacs_sp",
     "serialize_edge_list",
     "verify_spt",

@@ -6,6 +6,12 @@ and enters ``v``. The A-C tree maps every node to the strongly connected
 components of its dominance graph in topological order; its width equals
 the nesting width of the graph, which makes it the decomposition that
 drives the recursive shortest-path search.
+
+The tree is built in two flat passes after the dominator tree. One walk of
+the dominator tree collects the arcs of every dominance graph at once as
+sibling arcs, with no per-node graph objects. One iterative Tarjan pass
+then finds the strongly connected components of all dominance graphs
+together: no arc links two owners, so no component crosses owners.
 """
 
 from __future__ import annotations
@@ -18,13 +24,13 @@ from .dominators import DominatorTree, compute_dominator_tree
 from .graph import Graph
 from .nesting import NestingFamily
 
-_NO_ARCS: frozenset[tuple[int, int]] = frozenset()
-_NO_NODES: frozenset[int] = frozenset()
-
 
 @dataclass(frozen=True)
 class DominanceGraph:
-    """Arcs among the dominator children of ``owner`` induced by subtree reach."""
+    """Arcs among the dominator children of ``owner`` induced by subtree reach.
+
+    The form :func:`naive_dominance_graph`, the definitional oracle, returns.
+    """
 
     owner: int
     nodes: frozenset[int]
@@ -33,61 +39,59 @@ class DominanceGraph:
 
 @dataclass(frozen=True)
 class AcTree:
-    """Per-node ordered component sequences plus the decomposition width.
+    """The A-C tree in flat form, with the immediate dominators it refines.
 
-    ``components`` lists, for every node with dominator children, the SCCs
-    of its dominance graph in topological order. ``component_of`` locates
-    each non-source node as ``(owner, index)``. ``width`` is one more than
-    the largest component (1 for a single-node graph).
-
-    The remaining fields are the same decomposition flattened for the
-    search, built once with the tree: components are numbered densely,
-    owner by owner in ascending node id and each owner's sequence in
-    topological order. ``comp_id[v]`` is the number of ``v``'s component
-    (-1 for the source); ``comp_members[c]`` is the member set of
-    component ``c`` (the same frozenset as in ``components``); the
+    Components are numbered densely, owner by owner in ascending node id,
+    and each owner's sequence in topological order. ``idom[v]`` is the
+    immediate dominator of ``v`` (the source maps to itself);
+    ``comp_id[v]`` is the number of ``v``'s component (-1 for the source);
+    ``comp_members[c]`` is the member set of component ``c``; the
     components of owner ``a`` are numbered ``comp_offsets[a]`` up to
-    ``comp_offsets[a + 1] - 1``, in topological order; ``comp_sizes`` maps
-    each component size to the number of components of that size, in
-    ascending size. The two arrays are read-only by contract.
+    ``comp_offsets[a + 1] - 1``; ``comp_sizes`` maps each component size
+    to the number of components of that size, in ascending size.
+    ``width`` is one more than the largest component (1 for a single-node
+    graph). The two arrays are read-only by contract.
     """
 
-    components: dict[int, tuple[frozenset[int], ...]]
-    component_of: dict[int, tuple[int, int]]
+    idom: tuple[int, ...]
     width: int
     comp_id: array
     comp_members: tuple[frozenset[int], ...]
     comp_offsets: array
     comp_sizes: dict[int, int]
 
+    @property
+    def components(self) -> dict[int, tuple[frozenset[int], ...]]:
+        """Each node with dominator children mapped to its component sequence."""
+        off = self.comp_offsets
+        members = self.comp_members
+        return {
+            a: members[off[a] : off[a + 1]]
+            for a in range(len(off) - 1)
+            if off[a] < off[a + 1]
+        }
 
-def dominance_graphs(g: Graph, t: DominatorTree) -> dict[int, DominanceGraph]:
-    """Build the dominance graph of every node in one pass over ``g``.
+
+def _sibling_arcs(g: Graph, t: DominatorTree) -> tuple[list[list[int]], int]:
+    """Arcs of every dominance graph, as sorted duplicate-free head lists.
 
     A DFS that walks the dominator tree keeps, for each node on the current
     path, which child subtree the walk is inside (``current``). Scanning the
     stored arcs of each visited node then attributes every arc to the right
-    owner in O(1): an arc ``(v, w)`` lands in the graph of ``idom(w)`` as
-    ``(current[idom(w)], w)``. Arcs onto the global source and arcs that
-    coincide with dominator-tree arcs contribute nothing and are skipped,
-    as are arcs from ``w``'s own subtree back to ``w``.
+    dominance graph in O(1): an arc ``(v, w)`` becomes the sibling arc
+    ``(current[idom(w)], w)``, stored as ``w`` in ``succ[current[idom(w)]]``;
+    both ends are children of ``idom(w)``. Arcs onto the global source and
+    arcs that coincide with dominator-tree arcs contribute nothing and are
+    skipped, as are arcs from ``w``'s own subtree back to ``w``. Also
+    returns the number of arcs examined, which is the arc count of ``g``.
     """
-    graphs, _ = _dominance_graphs_counted(g, t)
-    return graphs
-
-
-def _dominance_graphs_counted(
-    g: Graph, t: DominatorTree
-) -> tuple[dict[int, DominanceGraph], int]:
     n = g.node_count
     s = g.source
-    if len(t.idom) != n or t.idom[s] != s:
-        raise ValueError("dominator tree does not match graph")
     adj = g.out_arcs
     idom = t.idom
     children = t.children
     current = [-1] * n
-    arcs_of: dict[int, set[tuple[int, int]]] = {}
+    succ: list[list[int]] = [[] for _ in range(n)]
     examined = 0
 
     stack = [(s, iter(children[s]))]
@@ -102,25 +106,15 @@ def _dominance_graphs_counted(
             examined += 1
             if w == s or idom[w] == v:
                 continue
-            p = idom[w]
-            c = current[p]
+            c = current[idom[w]]
             if c != w:
-                try:
-                    arcs_of[p].add((c, w))
-                except KeyError:
-                    arcs_of[p] = {(c, w)}
+                succ[c].append(w)
         stack.pop()
 
-    graphs = {}
-    for a in range(n):
-        kids = children[a]
-        arcs = arcs_of.get(a)
-        graphs[a] = DominanceGraph(
-            a,
-            frozenset(kids) if kids else _NO_NODES,
-            frozenset(arcs) if arcs else _NO_ARCS,
-        )
-    return graphs, examined
+    for c, heads in enumerate(succ):
+        if len(heads) > 1:
+            succ[c] = sorted(set(heads))
+    return succ, examined
 
 
 def naive_dominance_graph(g: Graph, t: DominatorTree, a: int) -> DominanceGraph:
@@ -138,106 +132,86 @@ def naive_dominance_graph(g: Graph, t: DominatorTree, a: int) -> DominanceGraph:
     return DominanceGraph(a, frozenset(t.children[a]), frozenset(arcs))
 
 
-def scc_topological(dg: DominanceGraph) -> tuple[frozenset[int], ...]:
-    """Strongly connected components of ``dg`` in topological order.
+def build_ac_tree(g: Graph) -> AcTree:
+    """Construct the A-C tree of a pruned graph.
 
-    Tarjan's algorithm emits components in reverse topological order; the
-    emission sequence is reversed before returning. Roots are tried in
-    ascending node id and adjacency is scanned in ascending id, which pins
-    down one deterministic order among the valid ones.
+    Dominator tree, then the sibling-arc pass, then one iterative Tarjan
+    pass over all non-source nodes. Roots are tried and heads scanned in
+    ascending id, which pins down one deterministic topological order per
+    owner. Tarjan emits each owner's components in reverse topological
+    order, so after one counting pass each owner's number range is filled
+    from its end. Near-linear overall; the decomposition does not depend on
+    arc weights.
     """
-    if not dg.nodes:
-        return ()
-    succ: dict[int, list[int]] = {v: [] for v in dg.nodes}
-    for u, v in sorted(dg.arcs):
-        succ[u].append(v)
+    n = g.node_count
+    s = g.source
+    t = compute_dominator_tree(g)
+    idom = t.idom
+    succ, _ = _sibling_arcs(g, t)
 
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     comp_stack: list[int] = []
-    emitted: list[frozenset[int]] = []
+    emitted: list[list[int]] = []
     counter = 0
-
-    for root in sorted(dg.nodes):
-        if root in index:
+    for root in range(n):
+        if root == s or index[root] >= 0:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
         index[root] = low[root] = counter
         counter += 1
         comp_stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
-            v, i = work[-1]
-            heads = succ[v]
-            if i < len(heads):
-                work[-1] = (v, i + 1)
-                w = heads[i]
-                if w not in index:
+            v, it = work[-1]
+            w = next(it, -1)
+            if w >= 0:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     comp_stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, 0))
-                elif w in on_stack:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
                 continue
             work.pop()
             if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
+                p = work[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
             if low[v] == index[v]:
                 comp = []
                 while True:
                     w = comp_stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     comp.append(w)
                     if w == v:
                         break
-                emitted.append(frozenset(comp))
-    emitted.reverse()
-    return tuple(emitted)
+                emitted.append(comp)
 
-
-def build_ac_tree(g: Graph) -> AcTree:
-    """Construct the A-C tree of a pruned graph.
-
-    Dominator tree, then one dominance-graph pass, then an SCC pass per
-    node with children, which also numbers the components for the search.
-    Near-linear overall; the decomposition does not depend on arc weights.
-    """
-    n = g.node_count
-    t = compute_dominator_tree(g)
-    graphs = dominance_graphs(g, t)
-    components: dict[int, tuple[frozenset[int], ...]] = {}
-    component_of: dict[int, tuple[int, int]] = {}
-    comp_id = array("i", [-1]) * n
     comp_offsets = array("i", [0]) * (n + 1)
-    comp_members: list[frozenset[int]] = []
+    for comp in emitted:
+        comp_offsets[idom[comp[0]] + 1] += 1
     for a in range(n):
-        first = len(comp_members)
-        comp_offsets[a] = first
-        dg = graphs[a]
-        if not dg.nodes:
-            continue
-        comps = scc_topological(dg)
-        components[a] = comps
-        comp_members.extend(comps)
-        for i, comp in enumerate(comps):
-            cid = first + i
-            for v in comp:
-                component_of[v] = (a, i)
-                comp_id[v] = cid
-    comp_offsets[n] = len(comp_members)
-    sizes = dict(sorted(Counter(map(len, comp_members)).items()))
+        comp_offsets[a + 1] += comp_offsets[a]
+    end = comp_offsets[1:]
+    comp_id = array("i", [-1]) * n
+    members: list[frozenset[int]] = [frozenset()] * len(emitted)
+    for comp in emitted:
+        a = idom[comp[0]]
+        cid = end[a] - 1
+        end[a] = cid
+        members[cid] = frozenset(comp)
+        for v in comp:
+            comp_id[v] = cid
+    sizes = dict(sorted(Counter(map(len, emitted)).items()))
     return AcTree(
-        components,
-        component_of,
+        idom,
         max(sizes, default=0) + 1,
         comp_id,
-        tuple(comp_members),
+        tuple(members),
         comp_offsets,
         sizes,
     )
@@ -255,9 +229,9 @@ def ac_to_nesting_family(tree: AcTree, t: DominatorTree) -> NestingFamily:
     sets = {frozenset(range(n))}
     for v in range(n):
         sets.add(frozenset((v,)))
-    for a in sorted(tree.components):
+    for a, comps in sorted(tree.components.items()):
         prefix = {a}
-        for comp in tree.components[a]:
+        for comp in comps:
             for v in comp:
                 prefix.update(t.descendants(v))
             sets.add(frozenset(prefix))

@@ -1,8 +1,9 @@
 """Command-line front end: decompose, sssp, width, bench.
 
 Exit codes: 0 ok, 2 parse or usage error, 3 contract violation (cycle,
-negative weight), 4 internal invariant failure (a failed --verify or a
-width disagreement, which would falsify the decomposition).
+negative weight), 4 internal failure (a failed --verify or a width
+disagreement, which would falsify the decomposition, or any unexpected
+exception, reported as one line instead of a traceback).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import sys
 
 from .ac_tree import build_ac_tree
 from .bench import FAMILIES, run_grid, write_csv
-from .dominators import compute_dominator_tree
 from .graph import (
     CycleError,
     FormatError,
@@ -44,8 +44,11 @@ def _detect_format(path: str, fmt: str | None) -> str:
 
 
 def _load_graph(args) -> Graph:
-    with open(args.input, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(args.input, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        raise FormatError(f"{args.input}: not UTF-8 text") from None
     if _detect_format(args.input, args.format) == "dimacs":
         return parse_dimacs_sp(text, source=getattr(args, "source", 1))
     return parse_edge_list(text)
@@ -71,15 +74,15 @@ def _dump(doc) -> None:
 def cmd_decompose(args) -> int:
     g = _load_pruned(args)
     tree = build_ac_tree(g)
+    components = tree.components
     doc = {
         "components": {
-            str(a): [sorted(c) for c in tree.components[a]]
-            for a in sorted(tree.components)
+            str(a): [sorted(c) for c in components[a]] for a in sorted(components)
         },
         "width": tree.width,
     }
     if args.json:
-        doc["idom"] = list(compute_dominator_tree(g).idom)
+        doc["idom"] = list(tree.idom)
     _dump(doc)
     return EXIT_OK
 
@@ -273,6 +276,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -414,24 +414,30 @@ def gen_nested(spec, seed: int) -> Graph:
     meaning "substitute the graph described by ``inner`` for node ``at`` of
     the graph described by ``outer``".
     """
+    if spec is None or spec == ():
+        raise ValueError("empty nesting spec")
     rng = random.Random(seed)
-
-    def build(s):
-        if isinstance(s, Graph):
-            return s
-        if isinstance(s, int):
+    # post-order with an explicit stack, so nesting depth is not bounded by
+    # the interpreter's recursion limit; a triple's outer part is built (and
+    # draws its weights) before its inner part
+    todo: list[tuple[object, bool]] = [(spec, False)]
+    built: list[Graph] = []
+    while todo:
+        s, ready = todo.pop()
+        if ready:
+            inner = built.pop()
+            built.append(nest(built.pop(), s[1], inner))
+        elif isinstance(s, Graph):
+            built.append(s)
+        elif isinstance(s, int):
             if s < 1:
                 raise ValueError("component size must be >= 1")
             arcs = [
                 (u, v, rng.random()) for u in range(s) for v in range(s) if u != v
             ]
-            return Graph.from_arcs(s, 0, arcs)
-        if isinstance(s, tuple) and len(s) == 3:
-            outer = build(s[0])
-            inner = build(s[2])
-            return nest(outer, s[1], inner)
-        raise ValueError(f"empty or malformed nesting spec: {s!r}")
-
-    if spec is None or spec == ():
-        raise ValueError("empty nesting spec")
-    return build(spec)
+            built.append(Graph.from_arcs(s, 0, arcs))
+        elif isinstance(s, tuple) and len(s) == 3:
+            todo += ((s, True), (s[2], False), (s[0], False))
+        else:
+            raise ValueError(f"empty or malformed nesting spec: {s!r}")
+    return built.pop()

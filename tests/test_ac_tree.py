@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from actree import (
-    DominanceGraph,
     ac_to_nesting_family,
     brute_force_nesting_width,
     build_ac_tree,
     compute_dominator_tree,
-    dominance_graphs,
     family_width,
     gen_layered,
     gen_nested,
@@ -16,30 +14,38 @@ from actree import (
     gen_random_digraph,
     is_module,
     naive_dominance_graph,
-    scc_topological,
 )
-from actree.ac_tree import _dominance_graphs_counted
+from actree.ac_tree import _sibling_arcs
+
+
+def arcs_by_owner(g, t) -> dict[int, set[tuple[int, int]]]:
+    """The sibling arcs of ``_sibling_arcs``, grouped into dominance graphs."""
+    succ, _ = _sibling_arcs(g, t)
+    graphs = {a: set() for a in range(g.node_count)}
+    for c, heads in enumerate(succ):
+        for w in heads:
+            graphs[t.idom[w]].add((c, w))
+    return graphs
 
 
 def test_dominance_graph_diamond(diamond):
     t = compute_dominator_tree(diamond)
-    gs = dominance_graphs(diamond, t)
-    assert gs[0].nodes == frozenset({1, 2, 3})
-    assert gs[0].arcs == frozenset({(1, 3), (2, 3)})
-    assert all(not gs[a].arcs for a in (1, 2, 3))
+    gs = arcs_by_owner(diamond, t)
+    assert set(t.children[0]) == {1, 2, 3}
+    assert gs[0] == {(1, 3), (2, 3)}
+    assert all(not gs[a] for a in (1, 2, 3))
 
 
 def test_dominance_graph_cycle(cycle3):
     t = compute_dominator_tree(cycle3)
-    gs = dominance_graphs(cycle3, t)
-    assert gs[0] == DominanceGraph(0, frozenset({1}), frozenset())
-    assert gs[1] == DominanceGraph(1, frozenset({2}), frozenset())
+    gs = arcs_by_owner(cycle3, t)
+    assert t.children[:2] == ((1,), (2,))
+    assert gs == {0: set(), 1: set(), 2: set()}
 
 
 def test_dominance_graph_complete(complete3):
     t = compute_dominator_tree(complete3)
-    gs = dominance_graphs(complete3, t)
-    assert gs[0].arcs == frozenset({(1, 2), (2, 1)})
+    assert arcs_by_owner(complete3, t)[0] == {(1, 2), (2, 1)}
 
 
 def test_dominance_graphs_match_naive_oracle():
@@ -47,29 +53,27 @@ def test_dominance_graphs_match_naive_oracle():
         n = 2 + (i * 5) % 29
         g = gen_random_digraph(n, n + (i * 11) % (3 * n), seed=400 + i)
         t = compute_dominator_tree(g)
-        fast = dominance_graphs(g, t)
+        fast = arcs_by_owner(g, t)
         for a in range(n):
-            assert fast[a] == naive_dominance_graph(g, t, a), (i, a)
+            assert fast[a] == naive_dominance_graph(g, t, a).arcs, (i, a)
 
 
 def test_every_arc_examined_exactly_once():
     for i in range(10):
         g = gen_random_digraph(5 + 9 * i, 10 + 20 * i, seed=500 + i)
         t = compute_dominator_tree(g)
-        _, examined = _dominance_graphs_counted(g, t)
+        _, examined = _sibling_arcs(g, t)
         assert examined == g.arc_count
 
 
-def test_scc_topological_cases():
-    two_cycle = DominanceGraph(0, frozenset({1, 2}), frozenset({(1, 2), (2, 1)}))
-    assert scc_topological(two_cycle) == (frozenset({1, 2}),)
+def test_scc_topological_cases(complete3, diamond, single):
+    assert build_ac_tree(complete3).components[0] == (frozenset({1, 2}),)
 
-    join = DominanceGraph(0, frozenset({1, 2, 3}), frozenset({(1, 3), (2, 3)}))
-    comps = scc_topological(join)
+    comps = build_ac_tree(diamond).components[0]
     assert comps[-1] == frozenset({3})
     assert {comps[0], comps[1]} == {frozenset({1}), frozenset({2})}
 
-    assert scc_topological(DominanceGraph(0, frozenset(), frozenset())) == ()
+    assert build_ac_tree(single).components == {}
 
 
 def test_scc_order_is_topological():
@@ -77,11 +81,12 @@ def test_scc_order_is_topological():
         n = 2 + (i * 7) % 40
         g = gen_random_digraph(n, n + (i * 3) % (3 * n), seed=600 + i)
         t = compute_dominator_tree(g)
-        for a, dg in dominance_graphs(g, t).items():
-            comps = scc_topological(dg)
+        components = build_ac_tree(g).components
+        for a, arcs in arcs_by_owner(g, t).items():
+            comps = components.get(a, ())
             rank = {v: k for k, comp in enumerate(comps) for v in comp}
-            assert set(rank) == set(dg.nodes)
-            for u, v in dg.arcs:
+            assert set(rank) == set(t.children[a])
+            for u, v in arcs:
                 assert rank[u] <= rank[v], (i, a, u, v)
 
 
@@ -107,7 +112,7 @@ def test_complete_actree(complete3):
 def test_single_node_actree(single):
     tree = build_ac_tree(single)
     assert tree.components == {}
-    assert tree.component_of == {}
+    assert list(tree.comp_id) == [-1]
     assert tree.width == 1
 
 
@@ -128,13 +133,14 @@ def test_components_partition_children_and_are_strongly_connected():
         n = 2 + (i * 9) % 35
         g = gen_random_digraph(n, n + (i * 7) % (3 * n), seed=800 + i)
         t = compute_dominator_tree(g)
-        graphs = dominance_graphs(g, t)
+        graphs = arcs_by_owner(g, t)
         tree = build_ac_tree(g)
+        assert tree.idom == t.idom
         for a, comps in tree.components.items():
             flat = [v for comp in comps for v in comp]
             assert sorted(flat) == sorted(t.children[a])
-            succ = {v: set() for v in graphs[a].nodes}
-            for u, v in graphs[a].arcs:
+            succ = {v: set() for v in t.children[a]}
+            for u, v in graphs[a]:
                 succ[u].add(v)
             for comp in comps:
                 if len(comp) < 2:

@@ -18,7 +18,6 @@ from actree import (
     build_ac_tree,
     compute_dominator_tree,
     dijkstra,
-    dominance_graphs,
     family_width,
     gen_complete,
     gen_layered,
@@ -31,7 +30,7 @@ from actree import (
     recursive_dijkstra,
     verify_spt,
 )
-from actree.ac_tree import _dominance_graphs_counted
+from actree.ac_tree import _sibling_arcs
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -114,15 +113,50 @@ def test_criterion_3_dominator_correctness():
     _report("3 dominators", True, "200 graphs, all pairs")
 
 
+def _mutual_reach_classes(nodes, arcs) -> set[frozenset[int]]:
+    """Classes of nodes that reach each other, by one search per node."""
+    succ = {v: [] for v in nodes}
+    for u, v in arcs:
+        succ[u].append(v)
+    reach = {}
+    for start in nodes:
+        seen = {start}
+        stack = [start]
+        while stack:
+            for v in succ[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        reach[start] = seen
+    return {frozenset(u for u in reach[v] if v in reach[u]) for v in nodes}
+
+
 def test_criterion_4_dominance_graphs():
-    """Linear-time dominance graphs equal the per-definition oracle."""
+    """Linear-time dominance arcs and components equal the per-definition oracle.
+
+    The sibling arcs, grouped by owner, are the oracle's dominance graphs;
+    each owner's components are the mutual-reachability classes of its
+    oracle graph, in an order every oracle arc respects.
+    """
     for i in range(200):
         n = 2 + i % 29
         g = gen_random_digraph(n, (n - 1) + i % (3 * n), seed=40_000 + i)
         t = compute_dominator_tree(g)
-        fast = dominance_graphs(g, t)
+        succ, _ = _sibling_arcs(g, t)
+        fast = {a: set() for a in range(n)}
+        for c, heads in enumerate(succ):
+            for w in heads:
+                fast[t.idom[w]].add((c, w))
+        components = build_ac_tree(g).components
         for a in range(n):
-            if fast[a] != naive_dominance_graph(g, t, a):
+            naive = naive_dominance_graph(g, t, a)
+            comps = components.get(a, ())
+            rank = {v: k for k, comp in enumerate(comps) for v in comp}
+            if (
+                fast[a] != naive.arcs
+                or set(comps) != _mutual_reach_classes(naive.nodes, naive.arcs)
+                or any(rank[u] > rank[v] for u, v in naive.arcs)
+            ):
                 _report("4 dominance graphs", False, f"seed={40_000 + i} node={a}")
     _report("4 dominance graphs", True, "200 graphs, every node")
 
@@ -223,7 +257,7 @@ def test_criterion_8_scaling_report():
         assert tree.width >= 2
         if n <= sizes[1]:
             t = compute_dominator_tree(g)
-            _, examined = _dominance_graphs_counted(g, t)
+            _, examined = _sibling_arcs(g, t)
             assert examined == g.arc_count, "dominance pass must touch each arc once"
 
     recursive_times = []

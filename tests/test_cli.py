@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 
-from actree import gen_complete, gen_layered, serialize_edge_list
+from actree import cli, gen_complete, gen_layered, serialize_edge_list
 
 DIAMOND = "4 4 0\n0 1 1\n0 2 4\n1 3 2\n2 3 1\n"
 
@@ -70,6 +70,26 @@ def test_decompose_prunes_with_warning(tmp_path):
 def test_missing_file_exits_2():
     proc = run_cli("decompose", "/no/such/file.edges")
     assert proc.returncode == 2
+
+
+def test_non_utf8_input_exits_2(tmp_path):
+    path = tmp_path / "bin.edges"
+    path.write_bytes(b"\xff\xfe\x00bin")
+    proc = run_cli("decompose", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}: not UTF-8 text\n"
+
+
+def test_unexpected_exception_exits_4_without_traceback(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "d.edges"
+    path.write_text(DIAMOND)
+
+    def fail(g):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "build_ac_tree", fail)
+    assert cli.main(["decompose", str(path)]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 def test_negative_weight_exits_3(tmp_path):

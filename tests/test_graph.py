@@ -7,11 +7,12 @@ import math
 import pytest
 
 from actree import (
-    DominanceGraph,
     FormatError,
     Graph,
     GraphError,
     NegativeWeightError,
+    build_ac_tree,
+    dijkstra,
     gen_complete,
     gen_layered,
     gen_nested,
@@ -21,7 +22,7 @@ from actree import (
     parse_dimacs_sp,
     parse_edge_list,
     prune_unreachable,
-    scc_topological,
+    recursive_dijkstra,
     serialize_dimacs_sp,
     serialize_edge_list,
 )
@@ -185,12 +186,7 @@ def test_gen_random_digraph_reachable_and_deterministic():
 
 def test_gen_random_dag_is_acyclic():
     g = gen_random_dag(10, 20, 3)
-    arcs = {(u, v) for u, v, _ in g.arcs() if u != v}
     assert all(u != v for u, v, _ in g.arcs())
-    comps = scc_topological(
-        DominanceGraph(0, frozenset(range(g.node_count)), frozenset(arcs))
-    )
-    assert all(len(c) == 1 for c in comps)
     assert all(u < v for u, v, _ in g.arcs())
     pruned, _ = prune_unreachable(g)
     assert pruned == g
@@ -215,6 +211,17 @@ def test_nested_shape():
     # after renumbering), and the inner clique occupies nodes 2..4
     heads_from_0 = {v for u, v, _ in g.arcs() if u == 0}
     assert heads_from_0 == {1, 2}
+
+
+def test_nested_deep_spec_builds_without_recursion():
+    spec = 2
+    for _ in range(2000):
+        spec = (2, 1, spec)
+    g = gen_nested(spec, seed=5)
+    assert g.node_count == 2002
+    tree = build_ac_tree(g)
+    assert tree.width == 2
+    assert recursive_dijkstra(g, tree).dist == dijkstra(g).dist
 
 
 def test_nested_replacing_the_source():
