@@ -9,7 +9,6 @@ priority queue per component in O(e + n log w) for nesting width w.
 
 from .ac_tree import (
     AcTree,
-    DominanceGraph,
     ac_to_nesting_family,
     build_ac_tree,
     naive_dominance_graph,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AcTree",
     "CycleError",
-    "DominanceGraph",
     "DominatorTree",
     "FormatError",
     "Graph",

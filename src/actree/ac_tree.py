@@ -7,11 +7,13 @@ components of its dominance graph in topological order; its width equals
 the nesting width of the graph, which makes it the decomposition that
 drives the recursive shortest-path search.
 
-The tree is built in two flat passes after the dominator tree. One walk of
-the dominator tree collects the arcs of every dominance graph at once as
-sibling arcs, with no per-node graph objects. One iterative Tarjan pass
-then finds the strongly connected components of all dominance graphs
-together: no arc links two owners, so no component crosses owners.
+The tree is built in two flat passes after the dominator tree. One loop over
+the dominator tree's preorder collects the arcs of every dominance graph at
+once as sibling arcs, with no per-node graph objects. One iterative Tarjan
+pass then finds the strongly connected components of all dominance graphs
+together: no arc links two owners, so no component crosses owners. The
+resulting :class:`AcTree` is the whole decomposition: the nesting family is
+expanded from it alone.
 """
 
 from __future__ import annotations
@@ -23,18 +25,6 @@ from dataclasses import dataclass
 from .dominators import DominatorTree, compute_dominator_tree
 from .graph import Graph
 from .nesting import NestingFamily
-
-
-@dataclass(frozen=True)
-class DominanceGraph:
-    """Arcs among the dominator children of ``owner`` induced by subtree reach.
-
-    The form :func:`naive_dominance_graph`, the definitional oracle, returns.
-    """
-
-    owner: int
-    nodes: frozenset[int]
-    arcs: frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -75,33 +65,27 @@ class AcTree:
 def _sibling_arcs(g: Graph, t: DominatorTree) -> tuple[list[list[int]], int]:
     """Arcs of every dominance graph, as sorted duplicate-free head lists.
 
-    A DFS that walks the dominator tree keeps, for each node on the current
-    path, which child subtree the walk is inside (``current``). Scanning the
-    stored arcs of each visited node then attributes every arc to the right
-    dominance graph in O(1): an arc ``(v, w)`` becomes the sibling arc
-    ``(current[idom(w)], w)``, stored as ``w`` in ``succ[current[idom(w)]]``;
-    both ends are children of ``idom(w)``. Arcs onto the global source and
-    arcs that coincide with dominator-tree arcs contribute nothing and are
-    skipped, as are arcs from ``w``'s own subtree back to ``w``. Also
-    returns the number of arcs examined, which is the arc count of ``g``.
+    One loop over the dominator tree in preorder keeps, for each node, its
+    child whose subtree the loop is inside (``current``), then scans the
+    stored arcs of the visited node ``v``. For an arc ``(v, w)``, ``idom(w)``
+    is ``v`` itself or a proper ancestor of ``v``, whose ``current`` entry
+    is already the child on the path to ``v``. So the arc becomes the
+    sibling arc ``(current[idom(w)], w)`` in O(1), stored as ``w`` in
+    ``succ[current[idom(w)]]``; both ends are children of ``idom(w)``. Arcs
+    onto the global source and arcs that coincide with dominator-tree arcs
+    contribute nothing and are skipped, as are arcs from ``w``'s own subtree
+    back to ``w``. Also returns the number of arcs examined, which is the
+    arc count of ``g``.
     """
     n = g.node_count
     s = g.source
     adj = g.out_arcs
     idom = t.idom
-    children = t.children
     current = [-1] * n
     succ: list[list[int]] = [[] for _ in range(n)]
     examined = 0
-
-    stack = [(s, iter(children[s]))]
-    while stack:
-        v, it = stack[-1]
-        child = next(it, None)
-        if child is not None:
-            current[v] = child
-            stack.append((child, iter(children[child])))
-            continue
+    for v in t.order:
+        current[idom[v]] = v
         for w, _ in adj[v]:
             examined += 1
             if w == s or idom[w] == v:
@@ -109,7 +93,6 @@ def _sibling_arcs(g: Graph, t: DominatorTree) -> tuple[list[list[int]], int]:
             c = current[idom[w]]
             if c != w:
                 succ[c].append(w)
-        stack.pop()
 
     for c, heads in enumerate(succ):
         if len(heads) > 1:
@@ -117,8 +100,15 @@ def _sibling_arcs(g: Graph, t: DominatorTree) -> tuple[list[list[int]], int]:
     return succ, examined
 
 
-def naive_dominance_graph(g: Graph, t: DominatorTree, a: int) -> DominanceGraph:
-    """Definition-level dominance graph of ``a`` (test oracle, O(n + e))."""
+def naive_dominance_graph(
+    g: Graph, t: DominatorTree, a: int
+) -> frozenset[tuple[int, int]]:
+    """Definition-level dominance graph of ``a`` (test oracle, O(n + e)).
+
+    Returns the arcs ``(u, v)`` between distinct dominator children of ``a``
+    such that some arc leaves the subtree of ``u`` and enters the subtree of
+    ``v``. The nodes of the graph are ``t.children[a]``.
+    """
     subtree_of: dict[int, int] = {}
     for c in t.children[a]:
         for v in t.descendants(c):
@@ -129,7 +119,7 @@ def naive_dominance_graph(g: Graph, t: DominatorTree, a: int) -> DominanceGraph:
         cv = subtree_of.get(v)
         if cu is not None and cv is not None and cu != cv:
             arcs.add((cu, cv))
-    return DominanceGraph(a, frozenset(t.children[a]), frozenset(arcs))
+    return frozenset(arcs)
 
 
 def build_ac_tree(g: Graph) -> AcTree:
@@ -217,23 +207,30 @@ def build_ac_tree(g: Graph) -> AcTree:
     )
 
 
-def ac_to_nesting_family(tree: AcTree, t: DominatorTree) -> NestingFamily:
+def ac_to_nesting_family(tree: AcTree) -> NestingFamily:
     """Expand an A-C tree into the nesting family it certifies.
 
     For every node ``a`` the family holds each prefix of its component
     sequence, closed under dominator descendants and rooted at ``a``, plus
-    the trivial modules. The result is laminar and its width equals the
-    tree's width.
+    the trivial modules. Owner ``a``'s components partition its dominator
+    children, so a subtree is walked through the components alone. The
+    result is laminar and its width equals the tree's width.
     """
-    n = len(t.idom)
+    off = tree.comp_offsets
+    members = tree.comp_members
+    n = len(tree.idom)
     sets = {frozenset(range(n))}
-    for v in range(n):
-        sets.add(frozenset((v,)))
-    for a, comps in sorted(tree.components.items()):
-        prefix = {a}
-        for comp in comps:
-            for v in comp:
-                prefix.update(t.descendants(v))
+    sets.update(frozenset((v,)) for v in range(n))
+    for a in range(n):
+        prefix = [a]
+        for comp in members[off[a] : off[a + 1]]:
+            i = len(prefix)
+            prefix.extend(comp)
+            while i < len(prefix):  # append the subtrees of comp's members
+                v = prefix[i]
+                i += 1
+                for sub in members[off[v] : off[v + 1]]:
+                    prefix.extend(sub)
             sets.add(frozenset(prefix))
     ordered = tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
     return NestingFamily(ordered, tree.width)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .ac_tree import build_ac_tree
@@ -167,18 +166,10 @@ def parse_sizes(spec: str) -> list[int]:
     return sizes
 
 
-def _default_seeds() -> list[int]:
-    return [int(os.environ.get("ACTREE_SEED", "0"))]
-
-
 def cmd_bench(args) -> int:
     try:
         sizes = parse_sizes(args.sizes)
-        seeds = (
-            [int(t) for t in args.seeds.split(",") if t.strip()]
-            if args.seeds
-            else _default_seeds()
-        )
+        seeds = [int(t) for t in args.seeds.split(",") if t.strip()]
         if not seeds:
             raise ValueError("empty seed list")
         if args.family not in FAMILIES:
@@ -252,9 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the benchmark grid, CSV output")
     p.add_argument("--family", required=True, help="|".join(FAMILIES))
     p.add_argument("--sizes", required=True, help="e.g. 2^10..2^16 or 100,200")
-    p.add_argument(
-        "--seeds", help="comma list of seeds (default: ACTREE_SEED or 0)"
-    )
+    p.add_argument("--seeds", default="0", help="comma list of seeds (default: 0)")
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_bench)
     return parser

@@ -3,7 +3,9 @@
 A node ``a`` dominates ``b`` when every path from the source to ``b``
 passes through ``a``. The dominance order is tree-structured, and the tree
 is computed here with the Lengauer-Tarjan algorithm (simple eval/link
-variant, O(e log n)). A path-removal oracle is provided for testing.
+variant, O(e log n)) and then walked once in preorder. The stored preorder
+makes dominance an O(1) interval test and every subtree a slice of it. A
+path-removal oracle is provided for testing.
 """
 
 from __future__ import annotations
@@ -15,38 +17,27 @@ from .graph import Graph, UnreachableNodeError
 
 @dataclass(frozen=True)
 class DominatorTree:
-    """Immediate-dominator tree with preorder intervals.
+    """Immediate-dominator tree with its preorder.
 
     ``idom[v]`` is the parent of ``v`` (the source maps to itself).
-    ``dfs_in``/``dfs_out`` come from a preorder walk of the tree, so
-    dominance is an O(1) interval test.
+    ``order`` lists the nodes in preorder, children in ascending id;
+    ``dfs_in`` is its inverse and ``dfs_out[v]`` the largest preorder number
+    in ``v``'s subtree, so dominance is an O(1) interval test.
     """
 
     idom: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
     dfs_in: tuple[int, ...]
     dfs_out: tuple[int, ...]
-
-    @property
-    def root(self) -> int:
-        for v, p in enumerate(self.idom):
-            if p == v:
-                return v
-        raise ValueError("dominator tree has no root")
 
     def dominates(self, a: int, b: int) -> bool:
         """True when every source-to-``b`` path contains ``a`` (a >= b)."""
         return self.dfs_in[a] <= self.dfs_in[b] and self.dfs_out[b] <= self.dfs_out[a]
 
-    def descendants(self, a: int) -> list[int]:
-        """All nodes dominated by ``a``, including ``a`` itself."""
-        out = []
-        stack = [a]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(self.children[v])
-        return out
+    def descendants(self, a: int) -> tuple[int, ...]:
+        """All nodes dominated by ``a``, including ``a`` itself, in preorder."""
+        return self.order[self.dfs_in[a] : self.dfs_out[a] + 1]
 
 
 def compute_dominator_tree(g: Graph) -> DominatorTree:
@@ -140,19 +131,19 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
         if v != s:
             children[idom[v]].append(v)
 
-    # Preorder intervals over the dominator tree; dfs_out is the largest
-    # entry number in the subtree, so containment is interval containment.
+    # Preorder over the dominator tree; dfs_out is the largest entry number
+    # in the subtree, so containment is interval containment.
+    order: list[int] = []
     dfs_in = [0] * n
     dfs_out = [0] * n
-    tick = 0
     walk: list[tuple[int, bool]] = [(s, False)]
     while walk:
         v, done = walk.pop()
         if done:
-            dfs_out[v] = tick - 1
+            dfs_out[v] = len(order) - 1
             continue
-        dfs_in[v] = tick
-        tick += 1
+        dfs_in[v] = len(order)
+        order.append(v)
         walk.append((v, True))
         for c in reversed(children[v]):
             walk.append((c, False))
@@ -160,6 +151,7 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     return DominatorTree(
         tuple(idom),
         tuple(tuple(c) for c in children),
+        tuple(order),
         tuple(dfs_in),
         tuple(dfs_out),
     )

@@ -79,8 +79,8 @@ class Graph:
         count = 0
         for u, arcs in enumerate(self.out_arcs):
             for v, w in arcs:
-                if not 0 <= v < n:
-                    raise GraphError(f"arc {u}->{v}: target out of range")
+                if type(v) is not int or not 0 <= v < n:
+                    raise GraphError(f"arc {u}->{v!r}: target is not a node id")
                 if not 0 <= w < inf:
                     if math.isfinite(w):
                         raise NegativeWeightError(f"arc {u}->{v} has weight {w}")
@@ -92,27 +92,32 @@ class Graph:
             )
 
     @classmethod
-    def from_arcs(
-        cls,
-        node_count: int,
-        source: int,
-        arcs: Iterable[tuple],
-        default_weight: float = 1.0,
-    ) -> "Graph":
-        """Build a graph from ``(u, v)`` or ``(u, v, w)`` tuples, in order."""
+    def from_arcs(cls, node_count: int, source: int, arcs: Iterable[tuple]) -> "Graph":
+        """Build a graph from ``(u, v)`` or ``(u, v, w)`` tuples, in order.
+
+        Node ids are ``int``; a missing weight is 1.0 and a given one goes
+        through ``float``. A malformed arc raises :class:`GraphError` naming it.
+        """
         if node_count < 1:
             raise GraphError("a graph needs at least one node")
         adj: list[list[Arc]] = [[] for _ in range(node_count)]
         count = 0
         for arc in arcs:
-            if len(arc) == 2:
-                u, v = arc
-                w = default_weight
-            else:
-                u, v, w = arc
-            if not 0 <= u < node_count:
-                raise GraphError(f"arc {u}->{v}: tail out of range")
-            adj[u].append((v, float(w)))
+            try:
+                if len(arc) == 2:
+                    u, v = arc
+                    w = 1.0
+                else:
+                    u, v, w = arc
+                    w = float(w)
+                if not 0 <= u < node_count:
+                    raise GraphError(f"arc {arc!r}: tail is not a node id")
+                adj[u].append((v, w))  # a non-integer u fails to index
+            except (TypeError, ValueError, OverflowError):
+                raise GraphError(
+                    f"arc {arc!r}: expected (u, v) or (u, v, w) with integer"
+                    " node ids and a numeric weight"
+                ) from None
             count += 1
         return cls(node_count, source, tuple(tuple(a) for a in adj), count)
 
@@ -317,30 +322,24 @@ def gen_layered(depth: int, seed: int) -> Graph:
     return Graph.from_arcs(2 * depth + 1, 0, arcs)
 
 
-def gen_random_digraph(
-    n: int,
-    e: int,
-    seed: int,
-    weight_range: tuple[float, float] = (0.0, 1.0),
-) -> Graph:
+def gen_random_digraph(n: int, e: int, seed: int) -> Graph:
     """Random digraph with every node reachable from node 0.
 
     A random arborescence rooted at the source is laid down first, then
     ``e - (n - 1)`` uniform arcs (self-loops and parallels allowed). Fewer
-    than ``n - 1`` requested arcs still yields the arborescence.
+    than ``n - 1`` requested arcs still yields the arborescence. Weights are
+    uniform in [0, 1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
-    lo, hi = weight_range
-    span = hi - lo
     arcs = []
     for v in range(1, n):
-        arcs.append((rng.randrange(v), v, lo + span * rng.random()))
+        arcs.append((rng.randrange(v), v, rng.random()))
     for _ in range(max(0, e - (n - 1))):
         u = rng.randrange(n)
         v = rng.randrange(n)
-        arcs.append((u, v, lo + span * rng.random()))
+        arcs.append((u, v, rng.random()))
     return Graph.from_arcs(n, 0, arcs)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 
@@ -12,15 +11,9 @@ from actree import cli, gen_complete, gen_layered, serialize_edge_list
 DIAMOND = "4 4 0\n0 1 1\n0 2 4\n1 3 2\n2 3 1\n"
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "actree", *args],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-m", "actree", *args], capture_output=True, text=True
     )
 
 
@@ -193,13 +186,11 @@ def test_bench_is_deterministic_apart_from_timing(tmp_path):
     assert strip_ns(first) == strip_ns(second)
 
 
-def test_bench_seed_defaults_to_env(tmp_path):
-    proc = run_cli(
-        "bench", "--family", "dag", "--sizes", "16",
-        env_extra={"ACTREE_SEED": "77"},
-    )
+def test_bench_seed_defaults_to_zero():
+    proc = run_cli("bench", "--family", "dag", "--sizes", "16")
     assert proc.returncode == 0
-    assert all(line.split(",")[3] == "77" for line in proc.stdout.splitlines()[1:])
+    rows = proc.stdout.splitlines()[1:]
+    assert rows and all(line.split(",")[3] == "0" for line in rows)
 
 
 def test_bench_size_exponent_syntax():

@@ -65,6 +65,8 @@ def test_interval_test_matches_oracle_on_random_graphs():
         t = compute_dominator_tree(g)
         for a in range(n):
             dominated = brute_force_dominated_set(g, a)
+            assert set(t.descendants(a)) == dominated, (i, a)
+            assert t.order[t.dfs_in[a]] == a, (i, a)
             for b in range(n):
                 assert t.dominates(a, b) == (b in dominated), (i, a, b)
 

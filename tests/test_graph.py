@@ -127,6 +127,26 @@ def test_graph_rejects_non_finite_weights(bad):
         Graph(2, 0, (((1, bad),), ()), 1)
 
 
+def test_from_arcs_rejects_malformed_arcs_naming_them():
+    cases = [  # a list: (0.0, 1), (0, 1.0) and (0, True) are equal keys
+        ((0,), "(0,)"),  # wrong tuple length
+        ((0, 1, 2, 3), "(0, 1, 2, 3)"),
+        ((0, 1, "x"), "(0, 1, 'x')"),  # weight float() cannot read
+        ((0, 1, None), "(0, 1, None)"),
+        ((0, 1, 10**400), "(0, 1, 1000"),  # weight too large for a float
+        ((0.0, 1), "(0.0, 1)"),  # tail not an integer
+        (("0", 1), "('0', 1)"),
+        ((0, 1.0), "0->1.0"),  # target not an integer
+        ((0, True), "0->True"),
+        ((0, "1"), "0->'1'"),
+    ]
+    for arc, named in cases:
+        with pytest.raises(GraphError) as info:
+            Graph.from_arcs(2, 0, [(1, 0), arc])
+        assert type(info.value) is GraphError, arc
+        assert str(info.value).startswith("arc " + named), (arc, str(info.value))
+
+
 def test_parsers_report_non_finite_weights_by_line():
     with pytest.raises(FormatError) as exc:
         parse_edge_list("2 1 0\n0 1 nan")

@@ -1,0 +1,21 @@
+"""The package's ``__all__`` is its whole public surface, and nothing more."""
+
+from __future__ import annotations
+
+import types
+
+import actree
+
+
+def test_all_is_sorted_resolves_and_lists_every_public_attribute():
+    names = actree.__all__
+    assert names == sorted(set(names))
+    for name in names:
+        assert hasattr(actree, name), name
+    public = {
+        name
+        for name, value in vars(actree).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public <= set(names), sorted(public - set(names))
+    assert "DominanceGraph" not in names
