@@ -79,24 +79,25 @@ def _sibling_arcs(g: Graph, t: DominatorTree) -> tuple[list[list[int]], int]:
     """
     n = g.node_count
     s = g.source
-    adj = g.out_arcs
+    off, heads = g.offsets, g.heads
     idom = t.idom
     current = [-1] * n
     succ: list[list[int]] = [[] for _ in range(n)]
     examined = 0
     for v in t.order:
         current[idom[v]] = v
-        for w, _ in adj[v]:
-            examined += 1
+        row = heads[off[v] : off[v + 1]]
+        examined += len(row)
+        for w in row:
             if w == s or idom[w] == v:
                 continue
             c = current[idom[w]]
             if c != w:
                 succ[c].append(w)
 
-    for c, heads in enumerate(succ):
-        if len(heads) > 1:
-            succ[c] = sorted(set(heads))
+    for c, targets in enumerate(succ):
+        if len(targets) > 1:
+            succ[c] = sorted(set(targets))
     return succ, examined
 
 

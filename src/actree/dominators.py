@@ -44,15 +44,15 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     """Build the dominator tree of ``g`` rooted at its source.
 
     Requires every node to be reachable from the source (prune first).
-    DFS numbering follows adjacency-list order, so the result is
+    DFS numbering follows the stored arc order, so the result is
     deterministic for a given graph.
     """
     n = g.node_count
     s = g.source
-    adj = g.out_arcs
+    off, heads = g.offsets, g.heads
 
-    # Iterative DFS: numbers nodes in adjacency order and records
-    # predecessors while each arc is scanned exactly once.
+    # Iterative DFS: numbers nodes in arc order and records predecessors
+    # while each arc is scanned exactly once; nxt[v] is v's next arc.
     semi = [-1] * n  # dfs number, reused below as semidominator number
     vertex = [0] * n  # dfs number -> node
     parent = [0] * n  # node -> dfs tree parent
@@ -60,21 +60,27 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     semi[s] = 0
     vertex[0] = s
     count = 1
-    stack = [(s, iter(adj[s]))]
+    nxt = list(off)
+    stack = [s]
     while stack:
-        v, it = stack[-1]
-        arc = next(it, None)
-        if arc is None:
+        v = stack[-1]
+        i = nxt[v]
+        end = off[v + 1]
+        while i < end:
+            w = heads[i]
+            i += 1
+            pred[w].append(v)
+            if semi[w] < 0:
+                semi[w] = count
+                vertex[count] = w
+                count += 1
+                parent[w] = v
+                stack.append(w)
+                break
+        else:
             stack.pop()
-            continue
-        w = arc[0]
-        pred[w].append(v)
-        if semi[w] < 0:
-            semi[w] = count
-            vertex[count] = w
-            count += 1
-            parent[w] = v
-            stack.append((w, iter(adj[w])))
+            i = end  # the int offsets holds, so a finished node keeps none
+        nxt[v] = i
     if count < n:
         raise UnreachableNodeError(
             f"{n - count} nodes unreachable from source {s}; prune first"
@@ -173,7 +179,7 @@ def brute_force_dominated_set(g: Graph, a: int) -> frozenset[int]:
             u = stack.pop()
             if u == a:
                 continue  # do not traverse out of the removed node
-            for v, _ in g.out_arcs[u]:
+            for v in g.heads[g.offsets[u] : g.offsets[u + 1]]:
                 if not reached[v]:
                     reached[v] = True
                     stack.append(v)

@@ -2,7 +2,13 @@
 
 Everything downstream (dominators, decomposition, shortest paths) works on
 the immutable :class:`Graph` defined here: a weighted digraph with dense
-0-based node ids and one distinguished source node.
+0-based node ids and one distinguished source node, stored as three CSR
+tuples (``offsets``, ``heads``, ``weights``) that every layer reads directly.
+The topology (``offsets``, ``heads``) and the weights are separate columns.
+``Graph.from_arcs``, the parsers and ``gen_nested`` fill the columns with
+a counting sort by tail and create no per-arc object;
+``Graph.__post_init__`` validates them once, column by column, and names
+the offending arc or field when a check fails.
 """
 
 from __future__ import annotations
@@ -10,6 +16,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import le
 from typing import Iterable, Iterator
 
 
@@ -49,47 +57,84 @@ class TreeMismatchError(GraphError, ValueError):
     """An A-C tree was handed to a search over a graph it was not built for."""
 
 
-Arc = tuple[int, float]
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable weighted digraph with a distinguished source node.
 
-    ``out_arcs[u]`` holds ``(target, weight)`` pairs in insertion order.
-    Parallel arcs and self-loops are kept as given; weights are finite
-    non-negative floats (parsers normalise a missing weight to 1.0), so the
-    search engines need no per-arc weight checks.
+    The arcs are stored in compressed sparse rows: node ``u``'s arcs are
+    ``heads[offsets[u]:offsets[u + 1]]`` with the matching ``weights``, in
+    insertion order. ``offsets`` has ``node_count + 1`` entries. All three
+    are tuples, so a graph costs about 16 B per arc plus one offset per
+    node, and no per-arc object. Parallel arcs and self-loops are kept as
+    given; heads are ``int`` node ids and weights finite non-negative
+    ``float`` values (parsers normalise a missing weight to 1.0), so the
+    search engines need no per-arc checks.
     """
 
     node_count: int
     source: int
-    out_arcs: tuple[tuple[Arc, ...], ...]
+    offsets: tuple[int, ...]
+    heads: tuple[int, ...]
+    weights: tuple[float, ...]
     arc_count: int
 
     def __post_init__(self) -> None:
         n = self.node_count
+        if type(n) is not int:
+            raise GraphError(f"node_count {n!r} is not an integer")
         if n < 1:
             raise GraphError("a graph needs at least one node")
-        if not 0 <= self.source < n:
-            raise GraphError(f"source {self.source} out of range for {n} nodes")
-        if len(self.out_arcs) != n:
-            raise GraphError("adjacency length does not match node_count")
-        inf = math.inf
-        count = 0
-        for u, arcs in enumerate(self.out_arcs):
-            for v, w in arcs:
-                if type(v) is not int or not 0 <= v < n:
-                    raise GraphError(f"arc {u}->{v!r}: target is not a node id")
-                if not 0 <= w < inf:
-                    if math.isfinite(w):
-                        raise NegativeWeightError(f"arc {u}->{v} has weight {w}")
-                    raise GraphError(f"arc {u}->{v} has non-finite weight {w}")
-                count += 1
-        if count != self.arc_count:
+        if type(self.source) is not int or not 0 <= self.source < n:
+            raise GraphError(f"source {self.source!r} out of range for {n} nodes")
+        off, heads, weights, m = self.offsets, self.heads, self.weights, self.arc_count
+        for name in ("offsets", "heads", "weights"):
+            if type(getattr(self, name)) is not tuple:
+                raise GraphError(f"{name} is not a tuple")
+        if type(m) is not int or not len(heads) == len(weights) == m:
             raise GraphError(
-                f"arc_count {self.arc_count} does not match adjacency ({count} arcs)"
+                f"arc_count {m!r} does not match heads ({len(heads)} entries)"
+                f" and weights ({len(weights)} entries)"
             )
+        if len(off) != n + 1:
+            raise GraphError(f"offsets has {len(off)} entries, expected {n + 1}")
+        # whole-column checks in C; when one fails, the arcs are scanned one by
+        # one to name the offending arc
+        if not (
+            set(map(type, off)) <= {int}
+            and off[0] == 0
+            and off[n] == m
+            and all(map(le, off, off[1:]))
+        ):
+            raise GraphError(
+                f"offsets must be integers rising from 0 to arc_count {m}"
+                f" (offsets[{_first_bad_offset(off)}] is not)"
+            )
+        if m and not (
+            set(map(type, heads)) <= {int}
+            and 0 <= min(heads)
+            and max(heads) < n
+            and set(map(type, weights)) <= {float}
+            and 0 <= min(weights)
+            and sum(weights) < math.inf  # false for a NaN or inf weight
+        ):
+            self._check_arcs()
+
+    def _check_arcs(self) -> None:
+        """Raise the error naming the first malformed arc in storage order.
+
+        Returns when every arc is well formed, which happens only when the
+        weights are so large that their sum overflows to inf.
+        """
+        n = self.node_count
+        for u, v, w in self.arcs():
+            if type(v) is not int or not 0 <= v < n:
+                raise GraphError(f"arc {u}->{v!r}: target is not a node id")
+            if type(w) is not float:
+                raise GraphError(f"arc {u}->{v} has weight {w!r}, not a float")
+            if not 0 <= w < math.inf:
+                if math.isfinite(w):
+                    raise NegativeWeightError(f"arc {u}->{v} has weight {w}")
+                raise GraphError(f"arc {u}->{v} has non-finite weight {w}")
 
     @classmethod
     def from_arcs(cls, node_count: int, source: int, arcs: Iterable[tuple]) -> "Graph":
@@ -98,10 +143,20 @@ class Graph:
         Node ids are ``int``; a missing weight is 1.0 and a given one goes
         through ``float``. A malformed arc raises :class:`GraphError` naming it.
         """
+        if type(node_count) is not int:
+            raise GraphError(f"node_count {node_count!r} is not an integer")
         if node_count < 1:
             raise GraphError("a graph needs at least one node")
-        adj: list[list[Arc]] = [[] for _ in range(node_count)]
-        count = 0
+        try:
+            arcs = iter(arcs)
+        except TypeError:
+            raise GraphError(
+                f"arcs must be an iterable of tuples, not {type(arcs).__name__}"
+            ) from None
+        degree = [0] * node_count
+        tails: list[int] = []
+        heads: list[int] = []
+        weights: list[float] = []
         for arc in arcs:
             try:
                 if len(arc) == 2:
@@ -112,20 +167,58 @@ class Graph:
                     w = float(w)
                 if not 0 <= u < node_count:
                     raise GraphError(f"arc {arc!r}: tail is not a node id")
-                adj[u].append((v, w))  # a non-integer u fails to index
+                degree[u] += 1  # a non-integer u fails to index
             except (TypeError, ValueError, OverflowError):
                 raise GraphError(
                     f"arc {arc!r}: expected (u, v) or (u, v, w) with integer"
                     " node ids and a numeric weight"
                 ) from None
-            count += 1
-        return cls(node_count, source, tuple(tuple(a) for a in adj), count)
+            tails.append(u)
+            heads.append(v)
+            weights.append(w)
+        return _csr(node_count, source, degree, tails, heads, weights)
 
     def arcs(self) -> Iterator[tuple[int, int, float]]:
         """Yield every arc as ``(u, v, w)`` in storage order."""
-        for u, out in enumerate(self.out_arcs):
-            for v, w in out:
-                yield u, v, w
+        off, heads, weights = self.offsets, self.heads, self.weights
+        for u in range(self.node_count):
+            for i in range(off[u], off[u + 1]):
+                yield u, heads[i], weights[i]
+
+
+def _first_bad_offset(off: tuple) -> int:
+    """Index of the first entry of ``off`` that breaks the offsets contract."""
+    for i, x in enumerate(off):
+        if type(x) is not int or (i == 0 and x != 0) or (i and x < off[i - 1]):
+            return i
+    return len(off) - 1  # every entry rises, so the last one is not m
+
+
+def _csr(
+    n: int,
+    source: int,
+    degree: list[int],
+    tails: list[int],
+    heads: list[int],
+    weights: list[float],
+) -> Graph:
+    """Graph from arc columns in input order; ``degree[u]`` counts tail ``u``.
+
+    A counting sort by tail: the offsets are the running sums of the
+    degrees, and one placing pass puts each arc at its tail's next free
+    slot, so every tail keeps its arcs in input order.
+    """
+    offsets = tuple(accumulate(degree, initial=0))
+    free = list(offsets)
+    m = len(tails)
+    h: list = [None] * m
+    wt: list = [None] * m
+    for u, v, w in zip(tails, heads, weights):
+        i = free[u]
+        free[u] = i + 1
+        h[i] = v
+        wt[i] = w
+    return Graph(n, source, offsets, tuple(h), tuple(wt), m)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +233,11 @@ def parse_edge_list(text: str) -> Graph:
     weight (default 1.0). ``#`` starts a comment line.
     """
     header: tuple[int, int, int] | None = None
-    arcs: list[tuple[int, int, float]] = []
+    ids: list[int] = []  # one int object per node id, shared by its arcs
+    degree: list[int] = []
+    tails: list[int] = []
+    heads: list[int] = []
+    weights: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -160,6 +257,8 @@ def parse_edge_list(text: str) -> Graph:
             if not 0 <= s < n:
                 raise FormatError(f"source {s} out of range", lineno)
             header = (n, m, s)
+            ids = list(range(n))
+            degree = [0] * n
             continue
         if len(fields) not in (2, 3):
             raise FormatError("expected arc 'u v [w]'", lineno)
@@ -175,13 +274,16 @@ def parse_edge_list(text: str) -> Graph:
         n = header[0]
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"arc {u}->{v}: node id out of range", lineno)
-        arcs.append((u, v, w))
+        degree[u] += 1
+        tails.append(u)
+        heads.append(ids[v])
+        weights.append(w)
     if header is None:
         raise FormatError("missing header line 'n m s'")
     n, m, s = header
-    if len(arcs) != m:
-        raise FormatError(f"header declares {m} arcs, file has {len(arcs)}")
-    return Graph.from_arcs(n, s, arcs)
+    if len(tails) != m:
+        raise FormatError(f"header declares {m} arcs, file has {len(tails)}")
+    return _csr(n, s, degree, tails, heads, weights)
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -199,7 +301,11 @@ def parse_dimacs_sp(text: str, source: int = 1) -> Graph:
     (default: node 1).
     """
     header: tuple[int, int] | None = None
-    arcs: list[tuple[int, int, float]] = []
+    ids: list[int] = []  # one int object per node id, shared by its arcs
+    degree: list[int] = []
+    tails: list[int] = []
+    heads: list[int] = []
+    weights: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -220,6 +326,8 @@ def parse_dimacs_sp(text: str, source: int = 1) -> Graph:
             if n < 1:
                 raise FormatError("node count must be positive", lineno)
             header = (n, m)
+            ids = list(range(n))
+            degree = [0] * n
         elif tag == "a":
             if header is None:
                 raise FormatError("arc descriptor before problem line", lineno)
@@ -237,17 +345,20 @@ def parse_dimacs_sp(text: str, source: int = 1) -> Graph:
                 raise FormatError(f"weight {fields[3]} is not finite", lineno)
             if w < 0:
                 raise NegativeWeightError(f"negative weight {w}", lineno)
-            arcs.append((u - 1, v - 1, w))
+            degree[u - 1] += 1
+            tails.append(u - 1)
+            heads.append(ids[v - 1])
+            weights.append(w)
         else:
             raise FormatError(f"unknown line tag {tag!r}", lineno)
     if header is None:
         raise FormatError("missing problem line 'p sp <n> <m>'")
     n, m = header
-    if len(arcs) != m:
-        raise FormatError(f"problem line declares {m} arcs, file has {len(arcs)}")
+    if len(tails) != m:
+        raise FormatError(f"problem line declares {m} arcs, file has {len(tails)}")
     if not 1 <= source <= n:
         raise FormatError(f"source {source} out of range (1..{n})")
-    return Graph.from_arcs(n, source - 1, arcs)
+    return _csr(n, source - 1, degree, tails, heads, weights)
 
 
 def serialize_dimacs_sp(g: Graph) -> str:
@@ -269,13 +380,13 @@ def prune_unreachable(g: Graph) -> tuple[Graph, list[int | None]]:
     storage order, so pruning an already-pruned graph is the identity.
     """
     n = g.node_count
+    off, heads, weights = g.offsets, g.heads, g.weights
     reached = [False] * n
     reached[g.source] = True
     stack = [g.source]
-    out = g.out_arcs
     while stack:
         u = stack.pop()
-        for v, _ in out[u]:
+        for v in heads[off[u] : off[u + 1]]:
             if not reached[v]:
                 reached[v] = True
                 stack.append(v)
@@ -287,15 +398,24 @@ def prune_unreachable(g: Graph) -> tuple[Graph, list[int | None]]:
         if reached[v]:
             remap[v] = new_id
             new_id += 1
-    arcs = []
+    # retained tails keep their order, so the rows are copied in place; a
+    # reachable tail implies a reachable head
+    new_offsets = [0]
+    new_heads: list[int] = []
+    new_weights: list[float] = []
     for u in range(n):
-        if not reached[u]:
-            continue
-        nu = remap[u]
-        for v, w in out[u]:
-            # a reachable tail implies a reachable head
-            arcs.append((nu, remap[v], w))
-    pruned = Graph.from_arcs(new_id, remap[g.source], arcs)
+        if reached[u]:
+            new_heads.extend(map(remap.__getitem__, heads[off[u] : off[u + 1]]))
+            new_weights.extend(weights[off[u] : off[u + 1]])
+            new_offsets.append(len(new_heads))
+    pruned = Graph(
+        new_id,
+        remap[g.source],
+        tuple(new_offsets),
+        tuple(new_heads),
+        tuple(new_weights),
+        len(new_heads),
+    )
     return pruned, remap
 
 
@@ -385,24 +505,11 @@ def nest(outer: Graph, at: int, inner: Graph) -> Graph:
     """Substitute ``inner`` for node ``at`` of ``outer``.
 
     Arcs into ``at`` are redirected to the inner source; arcs out of ``at``
-    leave from the inner source. Retained outer nodes keep their relative
-    order, inner nodes follow. Nesting a graph into a single-node outer
-    graph returns that graph unchanged.
+    leave from the inner source, ahead of the inner source's own arcs.
+    Retained outer nodes keep their relative order, inner nodes follow.
+    Nesting a graph into a single-node outer graph returns an equal graph.
     """
-    if not 0 <= at < outer.node_count:
-        raise ValueError(f"node {at} out of range")
-    shift = outer.node_count - 1
-    inner_src = shift + inner.source
-
-    def omap(v: int) -> int:
-        if v == at:
-            return inner_src
-        return v if v < at else v - 1
-
-    arcs = [(omap(u), omap(v), w) for u, v, w in outer.arcs()]
-    arcs.extend((shift + u, shift + v, w) for u, v, w in inner.arcs())
-    source = inner_src if at == outer.source else omap(outer.source)
-    return Graph.from_arcs(shift + inner.node_count, source, arcs)
+    return gen_nested((outer, at, inner), seed=0)
 
 
 def gen_nested(spec, seed: int) -> Graph:
@@ -411,32 +518,77 @@ def gen_nested(spec, seed: int) -> Graph:
     A spec is either an ``int`` k (complete digraph on k nodes, seeded
     weights), a ready :class:`Graph`, or a triple ``(outer, at, inner)``
     meaning "substitute the graph described by ``inner`` for node ``at`` of
-    the graph described by ``outer``".
+    the graph described by ``outer``" (see :func:`nest`).
     """
     if spec is None or spec == ():
         raise ValueError("empty nesting spec")
     rng = random.Random(seed)
-    # post-order with an explicit stack, so nesting depth is not bounded by
-    # the interpreter's recursion limit; a triple's outer part is built (and
-    # draws its weights) before its inner part
+    # The nodes of the leaf graphs get consecutive handles, leaves in spec
+    # order (outer before inner). A built part is its node sequence (the
+    # handles in id order) and its source handle. A substitution drops node
+    # ``at`` from the outer sequence, appends the inner one and aliases the
+    # dropped handle to the inner source. The final ids are the positions in
+    # the last sequence, so the arcs are renumbered once, at the end, and not
+    # at every level: the cost is linear in the output plus list copies.
+    # Post-order runs on an explicit stack, so nesting depth is not bounded
+    # by the interpreter's recursion limit; a triple's outer part is built
+    # (and draws its weights) before its inner part.
+    leaves: list[tuple[int, Graph]] = []
+    aliases: list[tuple[int, int]] = []
+    handles = 0
     todo: list[tuple[object, bool]] = [(spec, False)]
-    built: list[Graph] = []
+    built: list[tuple[list[int], int]] = []
     while todo:
         s, ready = todo.pop()
         if ready:
-            inner = built.pop()
-            built.append(nest(built.pop(), s[1], inner))
-        elif isinstance(s, Graph):
-            built.append(s)
+            inner_seq, inner_src = built.pop()
+            seq, src = built[-1]
+            at = s[1]
+            if type(at) is not int or not 0 <= at < len(seq):
+                raise ValueError(f"node {at!r} out of range")
+            dropped = seq.pop(at)
+            aliases.append((dropped, inner_src))
+            seq += inner_seq
+            built[-1] = (seq, inner_src if dropped == src else src)
+            continue
+        if isinstance(s, Graph):
+            leaf = s
         elif isinstance(s, int):
             if s < 1:
                 raise ValueError("component size must be >= 1")
             arcs = [
                 (u, v, rng.random()) for u in range(s) for v in range(s) if u != v
             ]
-            built.append(Graph.from_arcs(s, 0, arcs))
+            leaf = Graph.from_arcs(s, 0, arcs)
         elif isinstance(s, tuple) and len(s) == 3:
             todo += ((s, True), (s[2], False), (s[0], False))
+            continue
         else:
             raise ValueError(f"empty or malformed nesting spec: {s!r}")
-    return built.pop()
+        leaves.append((handles, leaf))
+        first = handles
+        handles += leaf.node_count
+        built.append((list(range(first, handles)), first + leaf.source))
+
+    seq, src = built.pop()
+    final = [0] * handles
+    for i, h in enumerate(seq):
+        final[h] = i
+    for dropped, h in reversed(aliases):  # h is kept, or dropped later
+        final[dropped] = final[h]
+    # concatenating the leaves' arcs in spec order and sorting stably by
+    # tail puts each node's arcs in the order repeated nesting gives them
+    degree = [0] * len(seq)
+    tails: list[int] = []
+    heads: list[int] = []
+    weights: list[float] = []
+    for base, leaf in leaves:
+        ids = final[base : base + leaf.node_count]
+        off = leaf.offsets
+        for u, t in enumerate(ids):
+            d = off[u + 1] - off[u]
+            degree[t] += d
+            tails.extend(repeat(t, d))
+        heads.extend(map(ids.__getitem__, leaf.heads))
+        weights.extend(leaf.weights)
+    return _csr(len(seq), final[src], degree, tails, heads, weights)

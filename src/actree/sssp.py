@@ -10,8 +10,10 @@ when it surfaces. Ties on distance therefore break by node id. A component
 queue is filled when its turn to drain comes, so it holds at most |C| +
 (arcs into C) entries for a component C. All three engines finalise every
 node exactly once and relax each arc exactly once from a finalised tail,
-so equal inputs give bit-equal distances. ``Graph`` guarantees finite
-non-negative weights, so no engine checks them again.
+so equal inputs give bit-equal distances. Every engine scans node ``u``'s
+arcs as the index range ``offsets[u]:offsets[u + 1]`` of the graph's
+``heads`` and ``weights`` tuples. ``Graph`` guarantees in-range heads and
+finite non-negative weights, so no engine checks them again.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def dijkstra(g: Graph) -> ShortestPathResult:
     """
     n = g.node_count
     s = g.source
-    out = g.out_arcs
+    off, heads, weights = g.offsets, g.heads, g.weights
     dist = [INF] * n
     dist[s] = 0.0
     parent: list[int | None] = [None] * n
@@ -87,8 +89,9 @@ def dijkstra(g: Graph) -> ShortestPathResult:
         if d > dist[v]:
             continue
         pops += 1
-        for w, wt in out[v]:
-            nd = d + wt
+        for i in range(off[v], off[v + 1]):
+            w = heads[i]
+            nd = d + weights[i]
             if nd < dist[w]:
                 dist[w] = nd
                 parent[w] = v
@@ -104,17 +107,16 @@ def dag_sssp(g: Graph) -> ShortestPathResult:
     Raises :class:`CycleError` when the graph has a directed cycle.
     """
     n = g.node_count
-    out = g.out_arcs
+    off, heads, weights = g.offsets, g.heads, g.weights
     indegree = [0] * n
-    for u in range(n):
-        for v, _ in out[u]:
-            indegree[v] += 1
+    for v in heads:
+        indegree[v] += 1
     frontier = [v for v in range(n) if indegree[v] == 0]
     order = []
     while frontier:
         v = frontier.pop()
         order.append(v)
-        for w, _ in out[v]:
+        for w in heads[off[v] : off[v + 1]]:
             indegree[w] -= 1
             if indegree[w] == 0:
                 frontier.append(w)
@@ -129,8 +131,9 @@ def dag_sssp(g: Graph) -> ShortestPathResult:
         d = dist[v]
         if d == INF:
             continue
-        for w, wt in out[v]:
-            nd = d + wt
+        for i in range(off[v], off[v + 1]):
+            w = heads[i]
+            nd = d + weights[i]
             if nd < dist[w]:
                 dist[w] = nd
                 parent[w] = v
@@ -159,10 +162,10 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     """
     n = g.node_count
     s = g.source
-    out = g.out_arcs
+    off, heads, weights = g.offsets, g.heads, g.weights
     comp_id = tree.comp_id
     members = tree.comp_members
-    offsets = tree.comp_offsets
+    comp_off = tree.comp_offsets
     if len(comp_id) != n:
         raise TreeMismatchError(
             f"A-C tree covers {len(comp_id)} nodes, the graph has {n}"
@@ -190,8 +193,9 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
         final[u] = True
         pops += 1
         du = dist[u]
-        for w, wt in out[u]:
-            nd = du + wt
+        for i in range(off[u], off[u + 1]):
+            w = heads[i]
+            nd = du + weights[i]
             if nd < dist[w]:
                 if final[w]:
                     raise TreeMismatchError(
@@ -204,11 +208,11 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
                 q = queues[comp_id[w]]
                 if q is not None:
                     heappush(q, (nd, w))
-        first = offsets[u]
-        if first < offsets[u + 1]:
+        first = comp_off[u]
+        if first < comp_off[u + 1]:
             suspended.append((cid, end, heap))
             cid = first
-            end = offsets[u + 1]
+            end = comp_off[u + 1]
             heap = None
         # choose the next node to finalise; u < 0 when every queue is drained
         while True:
@@ -277,18 +281,24 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
             bad.append(f"node {v} has no parent")
         if not r.dist[v] >= 0 or r.dist[v] == INF:
             bad.append(f"dist[{v}]={r.dist[v]!r} is not a finite non-negative value")
+    dist, parent = r.dist, r.parent
+    off, heads, weights = g.offsets, g.heads, g.weights
     tight = [False] * n
     seen_parent_arc = [False] * n
-    for u, v, w in g.arcs():
-        if r.dist[u] + w < r.dist[v]:
-            bad.append(
-                f"improving arc {u}->{v} (w={w!r}): "
-                f"{r.dist[u]!r} + {w!r} < {r.dist[v]!r}"
-            )
-        if r.parent[v] == u:
-            seen_parent_arc[v] = True
-            if r.dist[u] + w == r.dist[v]:
-                tight[v] = True
+    for u in range(n):
+        du = dist[u]
+        for i in range(off[u], off[u + 1]):
+            v = heads[i]
+            w = weights[i]
+            if du + w < dist[v]:
+                bad.append(
+                    f"improving arc {u}->{v} (w={w!r}): "
+                    f"{du!r} + {w!r} < {dist[v]!r}"
+                )
+            if parent[v] == u:
+                seen_parent_arc[v] = True
+                if du + w == dist[v]:
+                    tight[v] = True
     for v in range(n):
         if v == s or r.parent[v] is None:
             continue

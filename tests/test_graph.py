@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import random
+import tracemalloc
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actree import (
     FormatError,
@@ -124,7 +130,40 @@ def test_graph_rejects_non_finite_weights(bad):
     with pytest.raises(GraphError, match=r"arc 1->2 has non-finite weight"):
         Graph.from_arcs(3, 0, [(0, 1, 1.0), (1, 2, bad)])
     with pytest.raises(GraphError, match=r"arc 0->1"):
-        Graph(2, 0, (((1, bad),), ()), 1)
+        Graph(2, 0, (0, 1, 1), (1,), (bad,), 1)
+
+
+def test_malformed_fields_raise_graph_error_not_type_error():
+    with pytest.raises(GraphError, match=r"arc 0->1 has weight 'x', not a float"):
+        Graph(2, 0, (0, 1, 1), (1,), ("x",), 1)
+    with pytest.raises(GraphError, match=r"node_count '3' is not an integer"):
+        Graph.from_arcs("3", 0, [])
+    with pytest.raises(GraphError, match=r"arcs must be an iterable"):
+        Graph.from_arcs(2, 0, None)
+    with pytest.raises(GraphError, match=r"source '0' out of range"):
+        Graph(2, "0", (0, 0, 0), (), (), 0)
+    with pytest.raises(GraphError, match=r"heads is not a tuple"):
+        Graph(2, 0, (0, 1, 1), [1], (1.0,), 1)
+
+
+def test_from_arcs_holds_no_per_arc_objects():
+    rng = random.Random(0)
+    n, m = 1 << 10, 1 << 12
+    arcs = [(rng.randrange(n), rng.randrange(n), rng.random()) for _ in range(m)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = Graph.from_arcs(n, 0, arcs)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert g.arc_count == m
+    # the arcs' ints and floats belong to the input; the graph adds one 8 B
+    # slot in heads and one in weights per arc, and per node an offsets slot
+    # and an int object of at most 32 B (26 B per arc here; a tuple per arc
+    # costs at least 56 B more)
+    assert held <= 16 * m + 40 * (n + 1) + 1024, held / m
 
 
 def test_from_arcs_rejects_malformed_arcs_naming_them():
@@ -233,6 +272,15 @@ def test_nested_shape():
     assert heads_from_0 == {1, 2}
 
 
+def test_nested_source_substituted_twice():
+    # the outer source a0 becomes b0, and b0 in turn becomes c0 (node 2), so
+    # arcs of all three cliques meet there, in spec order
+    g = gen_nested(((2, 0, 2), 1, 2), seed=3)
+    assert g.source == 2
+    arcs = [(0, 2), (1, 2), (2, 0), (2, 1), (2, 3), (3, 2)]
+    assert [(u, v) for u, v, _ in g.arcs()] == arcs
+
+
 def test_nested_deep_spec_builds_without_recursion():
     spec = 2
     for _ in range(2000):
@@ -254,3 +302,63 @@ def test_nested_replacing_the_source():
         gen_nested(None, 0)
     with pytest.raises(ValueError):
         gen_nested((), 0)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the CSR layout (n <= 12, a mix of 2- and 3-tuples)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def arc_inputs(draw) -> tuple[int, int, list[tuple]]:
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    weight = st.one_of(st.integers(0, 3), st.floats(0, 8, allow_nan=False))
+    arc = st.one_of(st.tuples(node, node), st.tuples(node, node, weight))
+    return n, draw(node), draw(st.lists(arc, max_size=3 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arc_inputs())
+def test_csr_layout_properties(case):
+    n, s, arcs = case
+    g = Graph.from_arcs(n, s, arcs)
+    normalised = [(a[0], a[1], float(a[2]) if len(a) == 3 else 1.0) for a in arcs]
+    stored = list(g.arcs())
+    assert stored == sorted(normalised, key=lambda arc: arc[0])
+    assert all(type(w) is float for _, _, w in stored)
+    assert Graph(n, s, g.offsets, g.heads, g.weights, g.arc_count) == g
+    assert parse_edge_list(serialize_edge_list(g)) == g
+    assert parse_dimacs_sp(serialize_dimacs_sp(g), source=s + 1) == g
+    pruned, _ = prune_unreachable(g)
+    again, remap = prune_unreachable(pruned)
+    assert again == pruned and remap == list(range(pruned.node_count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arc_inputs(), st.data())
+def test_malformed_csr_fields_name_the_arc_or_the_field(case, data):
+    n, s, arcs = case
+    g = Graph.from_arcs(n, s, arcs)
+    off, heads, weights, m = g.offsets, g.heads, g.weights, g.arc_count
+
+    def build(offsets=off, hs=heads, ws=weights, count=m):
+        return Graph(n, s, offsets, hs, ws, count)
+
+    with pytest.raises(GraphError, match=r"offsets has"):
+        build(offsets=off[:-1])
+    if m:
+        with pytest.raises(GraphError, match=r"arc_count"):
+            build(hs=heads[:-1])
+        i = data.draw(st.integers(0, m - 1))
+        u, v = bisect_right(off, i) - 1, heads[i]
+        for head in (n, True):
+            with pytest.raises(GraphError, match=rf"^arc {u}->{head}: target is not"):
+                build(hs=heads[:i] + (head,) + heads[i + 1 :])
+        with pytest.raises(GraphError, match=rf"^arc {u}->{v} has non-finite weight"):
+            build(ws=weights[:i] + (math.nan,) + weights[i + 1 :])
+    if n >= 2 and m:
+        k = data.draw(st.integers(1, n - 1))
+        raised = off[:k] + (off[k + 1] + 1,) + off[k + 1 :]
+        names_k = rf"offsets must .* \(offsets\[{k + 1}\] is not\)"
+        with pytest.raises(GraphError, match=names_k):
+            build(offsets=raised)
