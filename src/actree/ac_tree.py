@@ -21,8 +21,9 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
-from .dominators import DominatorTree, compute_dominator_tree
+from .dominators import DominatorTree, _idom_preorder
 from .graph import Graph
 from .nesting import NestingFamily
 
@@ -34,19 +35,22 @@ class AcTree:
     Components are numbered densely, owner by owner in ascending node id,
     and each owner's sequence in topological order. ``idom[v]`` is the
     immediate dominator of ``v`` (the source maps to itself);
-    ``comp_id[v]`` is the number of ``v``'s component (-1 for the source);
-    ``comp_members[c]`` is the member set of component ``c``; the
-    components of owner ``a`` are numbered ``comp_offsets[a]`` up to
-    ``comp_offsets[a + 1] - 1``; ``comp_sizes`` maps each component size
-    to the number of components of that size, in ascending size.
-    ``width`` is one more than the largest component (1 for a single-node
-    graph). The two arrays are read-only by contract.
+    ``comp_id[v]`` is the number of ``v``'s component (-1 for the source).
+    The components are stored as compressed rows: the members of component
+    ``c`` are ``comp_nodes[comp_start[c] : comp_start[c + 1]]``, in
+    ascending id, so ``comp_nodes`` lists every node but the source once,
+    component by component. The components of owner ``a`` are numbered
+    ``comp_offsets[a]`` up to ``comp_offsets[a + 1] - 1``; ``comp_sizes``
+    maps each component size to the number of components of that size, in
+    ascending size. ``width`` is one more than the largest component (1 for
+    a single-node graph). The arrays are read-only by contract.
     """
 
     idom: tuple[int, ...]
     width: int
     comp_id: array
-    comp_members: tuple[frozenset[int], ...]
+    comp_start: array
+    comp_nodes: tuple[int, ...]
     comp_offsets: array
     comp_sizes: dict[int, int]
 
@@ -54,37 +58,42 @@ class AcTree:
     def components(self) -> dict[int, tuple[frozenset[int], ...]]:
         """Each node with dominator children mapped to its component sequence."""
         off = self.comp_offsets
-        members = self.comp_members
+        start = self.comp_start
+        nodes = self.comp_nodes
         return {
-            a: members[off[a] : off[a + 1]]
+            a: tuple(
+                frozenset(nodes[start[c] : start[c + 1]])
+                for c in range(off[a], off[a + 1])
+            )
             for a in range(len(off) - 1)
             if off[a] < off[a + 1]
         }
 
 
-def _sibling_arcs(g: Graph, t: DominatorTree) -> tuple[list[list[int]], int]:
+def _sibling_arcs(
+    g: Graph, idom: tuple[int, ...], order: tuple[int, ...]
+) -> tuple[list[list[int]], int]:
     """Arcs of every dominance graph, as sorted duplicate-free head lists.
 
-    One loop over the dominator tree in preorder keeps, for each node, its
-    child whose subtree the loop is inside (``current``), then scans the
-    stored arcs of the visited node ``v``. For an arc ``(v, w)``, ``idom(w)``
-    is ``v`` itself or a proper ancestor of ``v``, whose ``current`` entry
-    is already the child on the path to ``v``. So the arc becomes the
-    sibling arc ``(current[idom(w)], w)`` in O(1), stored as ``w`` in
-    ``succ[current[idom(w)]]``; both ends are children of ``idom(w)``. Arcs
-    onto the global source and arcs that coincide with dominator-tree arcs
-    contribute nothing and are skipped, as are arcs from ``w``'s own subtree
-    back to ``w``. Also returns the number of arcs examined, which is the
-    arc count of ``g``.
+    One loop over the dominator tree's preorder ``order`` keeps, for each
+    node, its child whose subtree the loop is inside (``current``), then
+    scans the stored arcs of the visited node ``v``. For an arc ``(v, w)``,
+    ``idom(w)`` is ``v`` itself or a proper ancestor of ``v``, whose
+    ``current`` entry is already the child on the path to ``v``. So the arc
+    becomes the sibling arc ``(current[idom(w)], w)`` in O(1), stored as
+    ``w`` in ``succ[current[idom(w)]]``; both ends are children of
+    ``idom(w)``. Arcs onto the global source and arcs that coincide with
+    dominator-tree arcs contribute nothing and are skipped, as are arcs from
+    ``w``'s own subtree back to ``w``. Also returns the number of arcs
+    examined, which is the arc count of ``g``.
     """
     n = g.node_count
     s = g.source
     off, heads = g.offsets, g.heads
-    idom = t.idom
     current = [-1] * n
     succ: list[list[int]] = [[] for _ in range(n)]
     examined = 0
-    for v in t.order:
+    for v in order:
         current[idom[v]] = v
         row = heads[off[v] : off[v + 1]]
         examined += len(row)
@@ -126,8 +135,8 @@ def naive_dominance_graph(
 def build_ac_tree(g: Graph) -> AcTree:
     """Construct the A-C tree of a pruned graph.
 
-    Dominator tree, then the sibling-arc pass, then one iterative Tarjan
-    pass over all non-source nodes. Roots are tried and heads scanned in
+    Dominators, then the sibling-arc pass, then one iterative Tarjan pass
+    over all non-source nodes. Roots are tried and heads scanned in
     ascending id, which pins down one deterministic topological order per
     owner. Tarjan emits each owner's components in reverse topological
     order, so after one counting pass each owner's number range is filled
@@ -136,74 +145,81 @@ def build_ac_tree(g: Graph) -> AcTree:
     """
     n = g.node_count
     s = g.source
-    t = compute_dominator_tree(g)
-    idom = t.idom
-    succ, _ = _sibling_arcs(g, t)
+    idom, order = _idom_preorder(g)
+    succ, _ = _sibling_arcs(g, idom, order)
 
+    # Tarjan with low-link propagation. index[v] is v's position on
+    # comp_stack, so a component is the stack's tail from its root; a
+    # finished node gets low = n, which no comparison can take. A node with
+    # no sibling arcs out is a component on its own and is emitted at once.
     index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
+    low = [n] * n
     comp_stack: list[int] = []
     emitted: list[list[int]] = []
-    counter = 0
     for root in range(n):
         if root == s or index[root] >= 0:
             continue
-        index[root] = low[root] = counter
-        counter += 1
+        if not succ[root]:
+            index[root] = 0
+            emitted.append([root])
+            continue
+        index[root] = low[root] = 0  # the stack is empty between roots
         comp_stack.append(root)
-        on_stack[root] = True
         work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            w = next(it, -1)
-            if w >= 0:
+            for w in it:
                 if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
+                    if not succ[w]:
+                        index[w] = 0
+                        emitted.append([w])
+                        continue
+                    index[w] = low[w] = len(comp_stack)
                     comp_stack.append(w)
-                    on_stack[w] = True
                     work.append((w, iter(succ[w])))
-                elif on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-                continue
-            work.pop()
-            if work:
-                p = work[-1][0]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = comp_stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                emitted.append(comp)
+                    break
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                work.pop()
+                lv = low[v]
+                if lv == index[v]:
+                    comp = comp_stack[lv:]
+                    del comp_stack[lv:]
+                    for w in comp:
+                        low[w] = n
+                    emitted.append(comp)
+                elif lv < low[work[-1][0]]:
+                    low[work[-1][0]] = lv
+    del index, low, succ  # freed before the numbering allocates: a lower peak
 
-    comp_offsets = array("i", [0]) * (n + 1)
-    for comp in emitted:
-        comp_offsets[idom[comp[0]] + 1] += 1
-    for a in range(n):
-        comp_offsets[a + 1] += comp_offsets[a]
-    end = comp_offsets[1:]
-    comp_id = array("i", [-1]) * n
-    members: list[frozenset[int]] = [frozenset()] * len(emitted)
-    for comp in emitted:
-        a = idom[comp[0]]
+    # Number the components: each owner's range is filled from its end.
+    owners = [idom[comp[0]] for comp in emitted]
+    count = [0] * (n + 1)
+    for a in owners:
+        count[a + 1] += 1
+    offsets = list(accumulate(count))
+    end = offsets[1:]
+    comp_id = [-1] * n
+    by_number: list[list[int]] = [[]] * len(emitted)
+    for a, comp in zip(owners, emitted):
         cid = end[a] - 1
         end[a] = cid
-        members[cid] = frozenset(comp)
+        if len(comp) > 1:
+            comp.sort()
+        by_number[cid] = comp
         for v in comp:
             comp_id[v] = cid
-    sizes = dict(sorted(Counter(map(len, emitted)).items()))
+    del emitted
+    comp_start = array("i", accumulate(map(len, by_number), initial=0))
+    sizes = dict(sorted(Counter(map(len, by_number)).items()))
     return AcTree(
         idom,
         max(sizes, default=0) + 1,
-        comp_id,
-        tuple(members),
-        comp_offsets,
+        array("i", comp_id),
+        comp_start,
+        tuple(chain.from_iterable(by_number)),
+        array("i", offsets),
         sizes,
     )
 
@@ -218,20 +234,21 @@ def ac_to_nesting_family(tree: AcTree) -> NestingFamily:
     result is laminar and its width equals the tree's width.
     """
     off = tree.comp_offsets
-    members = tree.comp_members
+    start = tree.comp_start
+    nodes = tree.comp_nodes
     n = len(tree.idom)
     sets = {frozenset(range(n))}
     sets.update(frozenset((v,)) for v in range(n))
     for a in range(n):
         prefix = [a]
-        for comp in members[off[a] : off[a + 1]]:
+        for c in range(off[a], off[a + 1]):
             i = len(prefix)
-            prefix.extend(comp)
-            while i < len(prefix):  # append the subtrees of comp's members
+            prefix.extend(nodes[start[c] : start[c + 1]])
+            while i < len(prefix):  # append the subtrees of the new members
                 v = prefix[i]
                 i += 1
-                for sub in members[off[v] : off[v + 1]]:
-                    prefix.extend(sub)
+                # v's components are numbered contiguously: one slice
+                prefix.extend(nodes[start[off[v]] : start[off[v + 1]]])
             sets.add(frozenset(prefix))
     ordered = tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
     return NestingFamily(ordered, tree.width)

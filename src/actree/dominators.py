@@ -2,10 +2,14 @@
 
 A node ``a`` dominates ``b`` when every path from the source to ``b``
 passes through ``a``. The dominance order is tree-structured, and the tree
-is computed here with the Lengauer-Tarjan algorithm (simple eval/link
-variant, O(e log n)) and then walked once in preorder. The stored preorder
-makes dominance an O(1) interval test and every subtree a slice of it. A
-path-removal oracle is provided for testing.
+is computed here with the semi-NCA algorithm of Georgiadis, Tarjan and
+Werneck ("Finding Dominators in Practice", JGAA 2006), the fastest they
+measured in practice: Lengauer-Tarjan's semidominator pass with path
+compression (O(e log n)), no buckets, and each immediate dominator found by
+a short walk up the dominator tree built so far. Everything runs over flat
+arrays indexed by DFS number. The tree is then walked once in preorder.
+The stored preorder makes dominance an O(1) interval test and every subtree
+a slice of it. A path-removal oracle is provided for testing.
 """
 
 from __future__ import annotations
@@ -44,39 +48,77 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     """Build the dominator tree of ``g`` rooted at its source.
 
     Requires every node to be reachable from the source (prune first).
-    DFS numbering follows the stored arc order, so the result is
-    deterministic for a given graph.
+    The tree and its preorder do not depend on the arc order.
+    """
+    idom, order = _idom_preorder(g)
+    n = g.node_count
+    s = g.source
+    children: list[list[int]] = [[] for _ in range(n)]
+    dfs_in = [0] * n
+    for i, v in enumerate(order):
+        dfs_in[v] = i
+        if v != s:
+            children[idom[v]].append(v)
+    # subtree sizes, children before parents; dfs_out closes each interval
+    size = [1] * n
+    for v in reversed(order):
+        if v != s:
+            size[idom[v]] += size[v]
+    dfs_out = [i + k - 1 for i, k in zip(dfs_in, size)]
+    return DominatorTree(
+        idom,
+        tuple(map(tuple, children)),
+        order,
+        tuple(dfs_in),
+        tuple(dfs_out),
+    )
+
+
+def _idom_preorder(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Immediate dominators of ``g`` and the dominator tree's preorder.
+
+    Semi-NCA over DFS numbers. A DFS in stored arc order numbers the nodes
+    and records each node's predecessors by number. Then, in decreasing
+    number ``w``: a predecessor numbered ``<= w`` (a self-loop included)
+    is its own semidominator candidate; a larger one is already linked, and
+    its candidate is the least semidominator number on its forest path,
+    found by path compression with ``label`` holding that minimum. Finally,
+    in increasing number, ``idom[w]`` is the nearest ancestor of ``parent[w]``
+    in the dominator tree numbered ``<= semi[w]``. The preorder lists
+    children in ascending id, from one counting sort over ``idom``.
     """
     n = g.node_count
     s = g.source
     off, heads = g.offsets, g.heads
 
-    # Iterative DFS: numbers nodes in arc order and records predecessors
-    # while each arc is scanned exactly once; nxt[v] is v's next arc.
-    semi = [-1] * n  # dfs number, reused below as semidominator number
+    # Iterative DFS; nxt[v] is v's next arc, and every arc is scanned once.
+    num = [-1] * n  # node -> dfs number
     vertex = [0] * n  # dfs number -> node
-    parent = [0] * n  # node -> dfs tree parent
-    pred: list[list[int]] = [[] for _ in range(n)]
-    semi[s] = 0
+    parent = [0] * n  # dfs number -> dfs number of its DFS-tree parent
+    pred: list[list[int]] = [[] for _ in range(n)]  # dfs number -> preds' numbers
+    num[s] = 0
     vertex[0] = s
     count = 1
     nxt = list(off)
     stack = [s]
     while stack:
         v = stack[-1]
+        nv = num[v]
         i = nxt[v]
         end = off[v + 1]
         while i < end:
             w = heads[i]
             i += 1
-            pred[w].append(v)
-            if semi[w] < 0:
-                semi[w] = count
+            x = num[w]
+            if x < 0:
+                num[w] = count
                 vertex[count] = w
+                parent[count] = nv
+                pred[count].append(nv)
                 count += 1
-                parent[w] = v
                 stack.append(w)
                 break
+            pred[x].append(nv)
         else:
             stack.pop()
             i = end  # the int offsets holds, so a finished node keeps none
@@ -85,82 +127,78 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
         raise UnreachableNodeError(
             f"{n - count} nodes unreachable from source {s}; prune first"
         )
+    del num, nxt  # each pass frees what it no longer reads: a lower peak
 
-    # Forest for eval/link with path compression. label[v] tracks the node
-    # of minimum semidominator number on the path to the forest root.
-    ancestor = [-1] * n
+    # Semidominators. Numbers above w are linked into the forest, with
+    # anc[] as their (compressed) forest parent.
+    semi = list(range(n))
     label = list(range(n))
-    idom = [0] * n
-    bucket: list[list[int]] = [[] for _ in range(n)]
-
-    def compress(v: int) -> None:
-        # iterative equivalent of the classic recursive compression
-        path = []
-        while ancestor[ancestor[v]] != -1:
-            path.append(v)
-            v = ancestor[v]
-        for u in reversed(path):
-            a = ancestor[u]
-            if semi[label[a]] < semi[label[u]]:
-                label[u] = label[a]
-            ancestor[u] = ancestor[a]
-
-    def eval_(v: int) -> int:
-        if ancestor[v] == -1:
-            return v
-        compress(v)
-        return label[v]
-
-    for i in range(count - 1, 0, -1):
-        w = vertex[i]
-        sw = semi[w]
+    anc = parent[:]
+    for w in range(n - 1, 0, -1):
+        sw = w
         for v in pred[w]:
-            u = eval_(v)
-            if semi[u] < sw:
-                sw = semi[u]
-        semi[w] = sw
-        bucket[vertex[sw]].append(w)
-        p = parent[w]
-        ancestor[w] = p  # link
-        for v in bucket[p]:
-            u = eval_(v)
-            idom[v] = u if semi[u] < semi[v] else p
-        bucket[p].clear()
-    for i in range(1, count):
-        w = vertex[i]
-        if idom[w] != vertex[semi[w]]:
-            idom[w] = idom[idom[w]]
-    idom[s] = s
+            if v <= w:
+                if v < sw:
+                    sw = v
+                continue
+            a = anc[v]
+            if a > w:
+                path = []
+                x = v
+                while a > w:
+                    path.append(x)
+                    x = a
+                    a = anc[x]
+                lx = label[x]
+                for u in reversed(path):
+                    lu = label[u]
+                    if lx < lu:
+                        label[u] = lx
+                    else:
+                        lx = lu
+                    anc[u] = a
+            else:
+                lx = label[v]
+            if lx < sw:
+                sw = lx
+        semi[w] = label[w] = sw
+    del pred, label, anc
 
-    children: list[list[int]] = [[] for _ in range(n)]
+    # idom[w] = NCA(parent[w], semi[w]): climb from the parent.
+    inum = semi  # reused: semi[w] is read before inum[w] is written
+    for w in range(1, n):
+        x = parent[w]
+        sw = semi[w]
+        while x > sw:
+            x = inum[x]
+        inum[w] = x
+    idom = [s] * n
+    for w in range(1, n):
+        idom[vertex[w]] = vertex[inum[w]]
+
+    # Children grouped by idom in descending id (counting sort), then a
+    # preorder that pops them in ascending id.
+    start = [0] * (n + 1)
+    for p in idom:
+        start[p] += 1
+    start[s] -= 1  # the source is no child of itself
+    for a in range(n):
+        start[a + 1] += start[a]
+    kids = [0] * (n - 1)
     for v in range(n):
         if v != s:
-            children[idom[v]].append(v)
-
-    # Preorder over the dominator tree; dfs_out is the largest entry number
-    # in the subtree, so containment is interval containment.
-    order: list[int] = []
-    dfs_in = [0] * n
-    dfs_out = [0] * n
-    walk: list[tuple[int, bool]] = [(s, False)]
-    while walk:
-        v, done = walk.pop()
-        if done:
-            dfs_out[v] = len(order) - 1
-            continue
-        dfs_in[v] = len(order)
+            p = idom[v]
+            k = start[p] - 1
+            start[p] = k
+            kids[k] = v
+    # now a's children are kids[start[a]:start[a + 1]]
+    order = []
+    stack = [s]
+    while stack:
+        v = stack.pop()
         order.append(v)
-        walk.append((v, True))
-        for c in reversed(children[v]):
-            walk.append((c, False))
-
-    return DominatorTree(
-        tuple(idom),
-        tuple(tuple(c) for c in children),
-        tuple(order),
-        tuple(dfs_in),
-        tuple(dfs_out),
-    )
+        stack.extend(kids[start[v] : start[v + 1]])
+    return tuple(idom), tuple(order)
 
 
 def brute_force_dominated_set(g: Graph, a: int) -> frozenset[int]:

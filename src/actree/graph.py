@@ -356,8 +356,8 @@ def parse_dimacs_sp(text: str, source: int = 1) -> Graph:
     n, m = header
     if len(tails) != m:
         raise FormatError(f"problem line declares {m} arcs, file has {len(tails)}")
-    if not 1 <= source <= n:
-        raise FormatError(f"source {source} out of range (1..{n})")
+    if type(source) is not int or not 1 <= source <= n:
+        raise FormatError(f"source {source!r} out of range (1..{n})")
     return _csr(n, source - 1, degree, tails, heads, weights)
 
 

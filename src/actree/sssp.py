@@ -12,7 +12,9 @@ queue is filled when its turn to drain comes, so it holds at most |C| +
 node exactly once and relax each arc exactly once from a finalised tail,
 so equal inputs give bit-equal distances. Every engine scans node ``u``'s
 arcs as the index range ``offsets[u]:offsets[u + 1]`` of the graph's
-``heads`` and ``weights`` tuples. ``Graph`` guarantees in-range heads and
+``heads`` and ``weights`` tuples, and the recursive engine reads component
+``c``'s members as the range ``comp_start[c]:comp_start[c + 1]`` of the
+tree's ``comp_nodes`` tuple. ``Graph`` guarantees in-range heads and
 finite non-negative weights, so no engine checks them again.
 """
 
@@ -149,10 +151,11 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     own component sequence; each owner's components are drained in
     topological order. A component's queue is heapified from the current
     tentative distances when its turn comes; before that an improvement is
-    a plain distance write, and a singleton component needs no queue at
-    all. Every queue serves one component C, so it serves at most
-    ``width - 1`` nodes and holds at most |C| + (arcs into C) entries, and
-    a heap operation costs the logarithm of that rather than of n.
+    a plain distance write, and a singleton component is one read of
+    ``comp_nodes`` and needs no queue at all. Every queue serves one
+    component C, so it serves at most ``width - 1`` nodes and holds at most
+    |C| + (arcs into C) entries, and a heap operation costs the logarithm
+    of that rather than of n.
 
     Raises :class:`TreeMismatchError` when ``tree`` was not built for the
     topology of ``g``: different node counts, the source inside a
@@ -164,7 +167,8 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     s = g.source
     off, heads, weights = g.offsets, g.heads, g.weights
     comp_id = tree.comp_id
-    members = tree.comp_members
+    start = tree.comp_start
+    nodes = tree.comp_nodes
     comp_off = tree.comp_offsets
     if len(comp_id) != n:
         raise TreeMismatchError(
@@ -179,7 +183,7 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     dist[s] = 0.0
     parent: list[int | None] = [None] * n
     final = [False] * n
-    queues: list[list[tuple[float, int]] | None] = [None] * len(members)
+    queues: list[list[tuple[float, int]] | None] = [None] * (len(start) - 1)
     pops = 0
     decreases = 0
     widest = 0
@@ -227,15 +231,16 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
                     break
                 cid, end, heap = suspended.pop()
                 continue
-            mem = members[cid]
-            size = len(mem)
+            lo = start[cid]
+            hi = start[cid + 1]
+            size = hi - lo
             if size > widest:
                 widest = size
             if size == 1:
-                (u,) = mem
+                u = nodes[lo]
                 cid += 1
                 break
-            heap = [(dist[v], v) for v in mem]
+            heap = [(dist[v], v) for v in nodes[lo:hi]]
             heapify(heap)
             queues[cid] = heap
             cid += 1

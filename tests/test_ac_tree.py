@@ -20,7 +20,7 @@ from actree.ac_tree import _sibling_arcs
 
 def arcs_by_owner(g, t) -> dict[int, set[tuple[int, int]]]:
     """The sibling arcs of ``_sibling_arcs``, grouped into dominance graphs."""
-    succ, _ = _sibling_arcs(g, t)
+    succ, _ = _sibling_arcs(g, t.idom, t.order)
     graphs = {a: set() for a in range(g.node_count)}
     for c, heads in enumerate(succ):
         for w in heads:
@@ -62,7 +62,7 @@ def test_every_arc_examined_exactly_once():
     for i in range(10):
         g = gen_random_digraph(5 + 9 * i, 10 + 20 * i, seed=500 + i)
         t = compute_dominator_tree(g)
-        _, examined = _sibling_arcs(g, t)
+        _, examined = _sibling_arcs(g, t.idom, t.order)
         assert examined == g.arc_count
 
 
@@ -204,3 +204,24 @@ def test_nested_clique_width_matches_oracle():
     g = gen_nested((3, 2, 3), seed=11)
     assert brute_force_nesting_width(g) == 3
     assert build_ac_tree(g).width == 3
+
+
+def test_components_are_stored_as_compressed_rows(single, diamond, complete3):
+    graphs = [single, diamond, complete3, gen_nested((3, 2, 3), seed=11)]
+    graphs += [gen_random_digraph(2 + 9 * i, 6 * i, seed=1000 + i) for i in range(12)]
+    graphs += [gen_random_dag(2 + 9 * i, 6 * i, seed=1100 + i) for i in range(6)]
+    for g in graphs:
+        tree = build_ac_tree(g)
+        n = g.node_count
+        nodes, start = tree.comp_nodes, tree.comp_start
+        k = tree.comp_offsets[n]
+        assert type(nodes) is tuple and all(type(v) is int for v in nodes)
+        assert len(nodes) == n - 1
+        assert sorted(nodes) == sorted(set(range(n)) - {g.source})
+        assert len(start) == k + 1 and start[0] == 0 and start[k] == n - 1
+        assert all(start[c] < start[c + 1] for c in range(k))
+        for c in range(k):
+            members = nodes[start[c] : start[c + 1]]
+            assert list(members) == sorted(members)
+            assert all(tree.comp_id[v] == c for v in members)
+        assert not hasattr(tree, "comp_members")

@@ -141,7 +141,7 @@ def test_criterion_4_dominance_graphs():
         n = 2 + i % 29
         g = gen_random_digraph(n, (n - 1) + i % (3 * n), seed=40_000 + i)
         t = compute_dominator_tree(g)
-        succ, _ = _sibling_arcs(g, t)
+        succ, _ = _sibling_arcs(g, t.idom, t.order)
         fast = {a: set() for a in range(n)}
         for c, heads in enumerate(succ):
             for w in heads:
@@ -256,7 +256,7 @@ def test_criterion_8_scaling_report():
         assert tree.width >= 2
         if n <= sizes[1]:
             t = compute_dominator_tree(g)
-            _, examined = _sibling_arcs(g, t)
+            _, examined = _sibling_arcs(g, t.idom, t.order)
             assert examined == g.arc_count, "dominance pass must touch each arc once"
 
     recursive_times = []

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actree import (
     Graph,
@@ -107,3 +111,72 @@ def test_idom_is_the_minimal_strict_dominator():
             assert p in strict[v]
             for other in strict[v]:
                 assert brute_force_dominates(g, other, p)
+
+
+def _random_arcs_with_loops(
+    n: int, m: int, rng: random.Random
+) -> list[tuple[int, int]]:
+    """A random arborescence from node 0, then uniform arcs, self-loops and
+    repeated arcs, shuffled so the DFS meets them in no particular order."""
+    arcs = [(rng.randrange(v), v) for v in range(1, n)]
+    arcs.extend((rng.randrange(n), rng.randrange(n)) for _ in range(m))
+    arcs.extend((v, v) for v in rng.sample(range(n), n // 8))
+    arcs.extend(rng.sample(arcs, len(arcs) // 8))
+    rng.shuffle(arcs)
+    return arcs
+
+
+@pytest.mark.parametrize("log2n", [10, 12, 14])
+def test_idom_matches_networkx(log2n):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(log2n)
+    n = 1 << log2n
+    for m in (n // 2, 3 * n):  # sparse and dense extra arcs
+        arcs = _random_arcs_with_loops(n, m, rng)
+        g = Graph.from_arcs(n, 0, arcs)
+        ref = nx.DiGraph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(arcs)
+        expected = nx.immediate_dominators(ref, 0)
+        expected[0] = 0  # networkx 3.6 leaves the source out; here it maps to itself
+        t = compute_dominator_tree(g)
+        assert list(t.idom) == [expected[v] for v in range(n)]
+        children = [[] for _ in range(n)]
+        for v in range(1, n):
+            children[t.idom[v]].append(v)
+        assert t.children == tuple(map(tuple, children))
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on at most 12 nodes reaching every node from a random source,
+    with self-loops and repeated arcs drawn on purpose."""
+    n = draw(st.integers(1, 12))
+    s = draw(st.integers(0, n - 1))
+    seq = [s, *draw(st.permutations([v for v in range(n) if v != s]))]
+    # each node gets an arc from one earlier in seq, so the source reaches all
+    arcs = [(seq[draw(st.integers(0, i - 1))], seq[i]) for i in range(1, n)]
+    node = st.integers(0, n - 1)
+    arcs += draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    arcs += [(v, v) for v in draw(st.lists(node, max_size=n))]
+    arcs += draw(st.lists(st.sampled_from(arcs), max_size=n)) if arcs else []
+    return Graph.from_arcs(n, s, draw(st.permutations(arcs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_dominator_tree_matches_removal_oracle(g):
+    t = compute_dominator_tree(g)
+    n = g.node_count
+    dominated = [brute_force_dominated_set(g, a) for a in range(n)]
+    assert sorted(t.order) == list(range(n)) and t.order[0] == g.source
+    for a in range(n):
+        assert set(t.descendants(a)) == dominated[a]
+        assert t.order[t.dfs_in[a]] == a
+        assert list(t.children[a]) == sorted(t.children[a])
+        if a != g.source:
+            # idom[a] is the strict dominator of a that every other one dominates
+            strict = [d for d in range(n) if d != a and a in dominated[d]]
+            p = t.idom[a]
+            assert p in strict
+            assert all(p in dominated[d] for d in strict)

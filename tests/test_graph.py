@@ -105,6 +105,12 @@ def test_parse_dimacs_errors():
         parse_dimacs_sp("p sp 2 1\na 1 2 1", source=3)
 
 
+@pytest.mark.parametrize("source", [0, 3, -1, "1", 1.0, True, None])
+def test_parse_dimacs_bad_source_is_a_format_error(source):
+    with pytest.raises(FormatError, match=r"^source .* out of range \(1\.\.2\)"):
+        parse_dimacs_sp("p sp 2 1\na 1 2 1", source=source)
+
+
 def test_round_trip_both_formats():
     for seed in range(8):
         g = gen_random_digraph(2 + 7 * seed, 4 + 10 * seed, seed)
