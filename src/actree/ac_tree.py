@@ -43,7 +43,12 @@ class AcTree:
     ``comp_offsets[a]`` up to ``comp_offsets[a + 1] - 1``; ``comp_sizes``
     maps each component size to the number of components of that size, in
     ascending size. ``width`` is one more than the largest component (1 for
-    a single-node graph). The arrays are read-only by contract.
+    a single-node graph). ``offsets`` and ``heads`` are the topology the
+    tree was built from: the graph's own tuples, held by reference, not
+    copied. The tree does not depend on weights, so it serves any graph
+    with equal ``offsets``, ``heads`` and source, and
+    :func:`~actree.recursive_dijkstra` rejects any other. The arrays are
+    read-only by contract.
     """
 
     idom: tuple[int, ...]
@@ -53,6 +58,8 @@ class AcTree:
     comp_nodes: tuple[int, ...]
     comp_offsets: array
     comp_sizes: dict[int, int]
+    offsets: tuple[int, ...]
+    heads: tuple[int, ...]
 
     @property
     def components(self) -> dict[int, tuple[frozenset[int], ...]]:
@@ -221,6 +228,8 @@ def build_ac_tree(g: Graph) -> AcTree:
         tuple(chain.from_iterable(by_number)),
         array("i", offsets),
         sizes,
+        g.offsets,
+        g.heads,
     )
 
 
@@ -232,6 +241,10 @@ def ac_to_nesting_family(tree: AcTree) -> NestingFamily:
     the trivial modules. Owner ``a``'s components partition its dominator
     children, so a subtree is walked through the components alone. The
     result is laminar and its width equals the tree's width.
+
+    This is a test-scale certificate: every prefix is its own frozenset, so
+    on a wide dominator tree the family holds a number of elements
+    quadratic in n (about 8M at n = 4096 on a random DAG).
     """
     off = tree.comp_offsets
     start = tree.comp_start

@@ -1,4 +1,8 @@
-"""Command-line front end: decompose, sssp, width, bench.
+"""Command-line front end: decompose, sssp, width.
+
+Each command parses one graph file, prunes unreachable nodes and prints one
+result. The CLI does no timing: ``perfbench/run.py`` at the repository root
+measures the library end to end and layer by layer.
 
 Exit codes: 0 ok, 2 parse or usage error, 3 contract violation (cycle,
 negative weight), 4 internal failure (a failed --verify or a width
@@ -13,7 +17,6 @@ import json
 import sys
 
 from .ac_tree import build_ac_tree
-from .bench import FAMILIES, run_grid, write_csv
 from .graph import (
     CycleError,
     FormatError,
@@ -135,57 +138,6 @@ def cmd_width(args) -> int:
     return EXIT_OK
 
 
-def _parse_count(token: str) -> int:
-    if "^" in token:
-        base, _, exp = token.partition("^")
-        return int(base) ** int(exp)
-    return int(token)
-
-
-def parse_sizes(spec: str) -> list[int]:
-    """Comma list of sizes; ``a..b`` expands by doubling, ``2^k`` works."""
-    sizes: list[int] = []
-    for token in (t.strip() for t in spec.split(",")):
-        if not token:
-            continue
-        if ".." in token:
-            lo_s, _, hi_s = token.partition("..")
-            lo, hi = _parse_count(lo_s), _parse_count(hi_s)
-            if lo < 1 or hi < lo:
-                raise ValueError(f"bad size range {token!r}")
-            while lo <= hi:
-                sizes.append(lo)
-                lo *= 2
-        else:
-            value = _parse_count(token)
-            if value < 1:
-                raise ValueError(f"bad size {token!r}")
-            sizes.append(value)
-    if not sizes:
-        raise ValueError("empty size list")
-    return sizes
-
-
-def cmd_bench(args) -> int:
-    try:
-        sizes = parse_sizes(args.sizes)
-        seeds = [int(t) for t in args.seeds.split(",") if t.strip()]
-        if not seeds:
-            raise ValueError("empty seed list")
-        if args.family not in FAMILIES:
-            raise ValueError(f"unknown graph family {args.family!r}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    records = run_grid(args.family, sizes, seeds)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            write_csv(records, handle)
-    else:
-        write_csv(records, sys.stdout)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="actree",
@@ -239,13 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"cross-check with the exhaustive oracle (n <= {EXACT_WIDTH_LIMIT})",
     )
     p.set_defaults(func=cmd_width)
-
-    p = sub.add_parser("bench", help="run the benchmark grid, CSV output")
-    p.add_argument("--family", required=True, help="|".join(FAMILIES))
-    p.add_argument("--sizes", required=True, help="e.g. 2^10..2^16 or 100,200")
-    p.add_argument("--seeds", default="0", help="comma list of seeds (default: 0)")
-    p.add_argument("--out", help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -7,15 +7,18 @@ component in topological order. Both queue engines use a ``heapq`` binary
 heap of ``(dist, node)`` entries with lazy deletion: an improvement pushes
 a new entry, and an entry whose distance is no longer current is skipped
 when it surfaces. Ties on distance therefore break by node id. A component
-queue is filled when its turn to drain comes, so it holds at most |C| +
-(arcs into C) entries for a component C. All three engines finalise every
-node exactly once and relax each arc exactly once from a finalised tail,
-so equal inputs give bit-equal distances. Every engine scans node ``u``'s
-arcs as the index range ``offsets[u]:offsets[u + 1]`` of the graph's
-``heads`` and ``weights`` tuples, and the recursive engine reads component
-``c``'s members as the range ``comp_start[c]:comp_start[c + 1]`` of the
-tree's ``comp_nodes`` tuple. ``Graph`` guarantees in-range heads and
-finite non-negative weights, so no engine checks them again.
+queue is filled with the members' finite distances when its turn to drain
+comes, so it holds at most |C| + (arcs into C) entries for a component C.
+The recursive engine checks once, before it starts, that the tree was built
+from the graph's topology, so its loop carries no per-node guard. All three
+engines finalise every node exactly once and relax each arc exactly once
+from a finalised tail, so equal inputs give bit-equal distances. Every
+engine scans node ``u``'s arcs as the index range
+``offsets[u]:offsets[u + 1]`` of the graph's ``heads`` and ``weights``
+tuples, and the recursive engine reads component ``c``'s members as the
+range ``comp_start[c]:comp_start[c + 1]`` of the tree's ``comp_nodes``
+tuple. ``Graph`` guarantees in-range heads and finite non-negative
+weights, so no engine checks them again.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ class SearchStats:
     ``pops`` counts node finalisations (equals the node count on pruned
     input). ``key_decreases`` counts tentative-distance improvements.
     ``max_queue_len`` is the size of the largest component a queue served:
-    the node count for the single-queue engine, 0 for the queueless one.
-    It does not count the stale entries lazy deletion leaves behind.
+    the largest component of the A-C tree for the recursive engine (every
+    component is opened once all nodes are finalised), the node count for
+    the single-queue engine, 0 for the queueless one. It does not count
+    the stale entries lazy deletion leaves behind.
     ``component_sizes`` is a size histogram of the component queues used
     (empty for the single-queue and queueless engines).
     """
@@ -149,19 +154,23 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
 
     Finalising a node relaxes its out-arcs, then descends into the node's
     own component sequence; each owner's components are drained in
-    topological order. A component's queue is heapified from the current
-    tentative distances when its turn comes; before that an improvement is
-    a plain distance write, and a singleton component is one read of
-    ``comp_nodes`` and needs no queue at all. Every queue serves one
+    topological order. A component's queue is heapified from its members'
+    finite tentative distances when its turn comes; before that an
+    improvement is a plain distance write, and a singleton component is one
+    read of ``comp_nodes`` and needs no queue at all. Every queue serves one
     component C, so it serves at most ``width - 1`` nodes and holds at most
     |C| + (arcs into C) entries, and a heap operation costs the logarithm
     of that rather than of n.
 
-    Raises :class:`TreeMismatchError` when ``tree`` was not built for the
-    topology of ``g``: different node counts, the source inside a
-    component, an improvement to a node already finalised, or a node left
-    unfinalised. The last two checks cost O(1) per improvement and at the
-    end, so a tree built under other weights of the same arcs is accepted.
+    ``tree`` serves ``g`` exactly when they share the topology and the
+    source: ``g.offsets`` and ``g.heads`` equal the tuples the tree was
+    built from (an identity check first, then one O(e) compare), and the
+    source is the tree's root. Weights may differ, so one tree serves any
+    reweighting of the same arcs in the same order. Anything else raises
+    :class:`TreeMismatchError` before the search starts: a different node
+    count, the source inside a component, or another topology, the same
+    arcs reordered within a row included. A tree altered after its build
+    that leaves a node unfinalised raises it at the end.
     """
     n = g.node_count
     s = g.source
@@ -178,15 +187,21 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
         raise TreeMismatchError(
             f"source {s} sits in component {comp_id[s]} of the A-C tree"
         )
+    if not (
+        (off is tree.offsets or off == tree.offsets)
+        and (heads is tree.heads or heads == tree.heads)
+    ):
+        raise TreeMismatchError(
+            "the A-C tree was built for another topology:"
+            " its offsets or heads differ from the graph's"
+        )
 
     dist = [INF] * n
     dist[s] = 0.0
     parent: list[int | None] = [None] * n
-    final = [False] * n
     queues: list[list[tuple[float, int]] | None] = [None] * (len(start) - 1)
     pops = 0
     decreases = 0
-    widest = 0
     # the owner being drained: its next component, its end, the open queue;
     # owners interrupted by a descent wait in ``suspended``
     cid = end = 0
@@ -194,18 +209,12 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     suspended: list[tuple[int, int, list[tuple[float, int]] | None]] = []
     u = s
     while u >= 0:
-        final[u] = True
         pops += 1
         du = dist[u]
         for i in range(off[u], off[u + 1]):
             w = heads[i]
             nd = du + weights[i]
             if nd < dist[w]:
-                if final[w]:
-                    raise TreeMismatchError(
-                        f"arc {u}->{w} improves node {w} after it was finalised:"
-                        " the A-C tree was built for another graph"
-                    )
                 dist[w] = nd
                 parent[w] = u
                 decreases += 1
@@ -233,14 +242,11 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
                 continue
             lo = start[cid]
             hi = start[cid + 1]
-            size = hi - lo
-            if size > widest:
-                widest = size
-            if size == 1:
+            if hi - lo == 1:
                 u = nodes[lo]
                 cid += 1
                 break
-            heap = [(dist[v], v) for v in nodes[lo:hi]]
+            heap = [(d, v) for v in nodes[lo:hi] if (d := dist[v]) < INF]
             heapify(heap)
             queues[cid] = heap
             cid += 1
@@ -248,9 +254,10 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     if pops != n:
         raise TreeMismatchError(
             f"the search finalised {pops} of {n} nodes:"
-            " the A-C tree was built for another graph"
+            " the A-C tree was altered after its build"
         )
-    state = SearchStats(pops, decreases, widest, dict(tree.comp_sizes))
+    sizes = tree.comp_sizes
+    state = SearchStats(pops, decreases, max(sizes, default=0), dict(sizes))
     return ShortestPathResult(tuple(dist), tuple(parent), state)
 
 

@@ -225,3 +225,4 @@ def test_components_are_stored_as_compressed_rows(single, diamond, complete3):
             assert list(members) == sorted(members)
             assert all(tree.comp_id[v] == c for v in members)
         assert not hasattr(tree, "comp_members")
+        assert tree.offsets is g.offsets and tree.heads is g.heads  # no copies

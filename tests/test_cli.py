@@ -151,55 +151,3 @@ def test_dimacs_autodetect(tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dist"] == [0.0, 7.0]
 
-
-def test_bench_dag_family(tmp_path):
-    out = tmp_path / "bench.csv"
-    proc = run_cli(
-        "bench", "--family", "dag", "--sizes", "32,64", "--seeds", "1,2",
-        "--out", str(out),
-    )
-    assert proc.returncode == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "family,n,e,seed,algo,ns,pops,decreases,max_queue,width"
-    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
-    assert {r["algo"] for r in rows} == {"actree", "dijkstra", "recursive", "dag"}
-    for r in rows:
-        assert int(r["ns"]) >= 0
-        assert r["width"] == "2"
-        if r["algo"] == "recursive":
-            assert int(r["max_queue"]) <= 1
-            assert int(r["pops"]) == int(r["n"])
-            assert int(r["decreases"]) <= int(r["e"])
-
-
-def test_bench_is_deterministic_apart_from_timing(tmp_path):
-    args = ("bench", "--family", "random", "--sizes", "64", "--seeds", "5")
-    first = run_cli(*args).stdout.splitlines()
-    second = run_cli(*args).stdout.splitlines()
-
-    def strip_ns(lines):
-        return [
-            ",".join(f for i, f in enumerate(line.split(",")) if i != 5)
-            for line in lines
-        ]
-
-    assert strip_ns(first) == strip_ns(second)
-
-
-def test_bench_seed_defaults_to_zero():
-    proc = run_cli("bench", "--family", "dag", "--sizes", "16")
-    assert proc.returncode == 0
-    rows = proc.stdout.splitlines()[1:]
-    assert rows and all(line.split(",")[3] == "0" for line in rows)
-
-
-def test_bench_size_exponent_syntax():
-    proc = run_cli("bench", "--family", "dag", "--sizes", "2^4..2^5")
-    assert proc.returncode == 0
-    sizes = {line.split(",")[1] for line in proc.stdout.splitlines()[1:]}
-    assert sizes == {"16", "32"}
-
-
-def test_bench_usage_errors():
-    assert run_cli("bench", "--family", "dag", "--sizes", "").returncode == 2
-    assert run_cli("bench", "--family", "nope", "--sizes", "8").returncode == 2

@@ -184,19 +184,44 @@ def test_recursive_rejects_a_tree_that_leaves_nodes_unfinalised():
 
 
 def test_mismatched_trees_give_right_answers_or_typed_errors():
-    rejected = 0
+    # a tree serves a graph iff their offsets, heads and source are equal
+    accepted = 0
     for i in range(3000):
         n = 2 + i % 40
         g = gen_random_digraph(n, n + i % (3 * n), seed=i)
         other = gen_random_digraph(n, n + (i * 7) % (3 * n), seed=10**6 + i)
         tree = build_ac_tree(other)
-        try:
-            r = recursive_dijkstra(g, tree)
-        except TreeMismatchError:
-            rejected += 1
+        if (g.offsets, g.heads, g.source) != (other.offsets, other.heads, other.source):
+            with pytest.raises(TreeMismatchError):
+                recursive_dijkstra(g, tree)
             continue
-        assert r.dist == dijkstra(g).dist, i
-    assert 0 < rejected < 3000
+        accepted += 1
+        assert recursive_dijkstra(g, tree).dist == dijkstra(g).dist, i
+    assert accepted == 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.data())
+def test_a_tree_serves_its_arcs_under_any_weights_and_no_reordering(g, data):
+    """The contract: equal offsets, heads and source, whatever the weights."""
+    n, off, heads = g.node_count, g.offsets, g.heads
+    tree = build_ac_tree(g)
+    arcs = list(g.arcs())
+    new = data.draw(st.lists(WEIGHTS | st.floats(0.0, 1e3), min_size=len(arcs),
+                             max_size=len(arcs)))
+    reweighted = Graph.from_arcs(n, 0, [(u, v, x) for (u, v, _), x in zip(arcs, new)])
+    assert recursive_dijkstra(reweighted, tree).dist == dijkstra(reweighted).dist
+
+    mixed = [u for u in range(n) if len(set(heads[off[u] : off[u + 1]])) > 1]
+    if mixed:
+        u = data.draw(st.sampled_from(mixed))
+        row = arcs[off[u] : off[u + 1]]
+        moved = sorted(row, key=lambda a: a[1])
+        if moved == row:
+            moved.reverse()
+        reordered = Graph.from_arcs(n, 0, arcs[: off[u]] + moved + arcs[off[u + 1] :])
+        with pytest.raises(TreeMismatchError, match="another topology"):
+            recursive_dijkstra(reordered, tree)
 
 
 def test_recursive_accepts_a_tree_built_under_other_weights():
