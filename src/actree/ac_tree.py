@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
 from .dominators import DominatorTree, _idom_preorder
@@ -48,18 +48,19 @@ class AcTree:
     copied. The tree does not depend on weights, so it serves any graph
     with equal ``offsets``, ``heads`` and source, and
     :func:`~actree.recursive_dijkstra` rejects any other. The arrays are
-    read-only by contract.
+    read-only by contract. The repr shows ``width`` and ``comp_sizes`` only,
+    so printing a tree costs the same at any size.
     """
 
-    idom: tuple[int, ...]
+    idom: tuple[int, ...] = field(repr=False)
     width: int
-    comp_id: array
-    comp_start: array
-    comp_nodes: tuple[int, ...]
-    comp_offsets: array
+    comp_id: array = field(repr=False)
+    comp_start: array = field(repr=False)
+    comp_nodes: tuple[int, ...] = field(repr=False)
+    comp_offsets: array = field(repr=False)
     comp_sizes: dict[int, int]
-    offsets: tuple[int, ...]
-    heads: tuple[int, ...]
+    offsets: tuple[int, ...] = field(repr=False)
+    heads: tuple[int, ...] = field(repr=False)
 
     @property
     def components(self) -> dict[int, tuple[frozenset[int], ...]]:

@@ -9,6 +9,18 @@ The topology (``offsets``, ``heads``) and the weights are separate columns.
 a counting sort by tail and create no per-arc object;
 ``Graph.__post_init__`` validates them once, column by column, and names
 the offending arc or field when a check fails.
+
+Both parsers convert a text laid out as the serializers write it a column
+at a time: the body is cut into slices of about 64K characters, each slice
+is checked to hold one fixed number of single-spaced fields per line and
+split once, and its tail, head and weight columns are converted whole,
+each id token by one dict lookup and the weights by ``map(float)``. Any
+deviation (a comment or blank line, tabs, CR, doubled spaces, non-ASCII
+text, a missing or extra field, a bad token, a wrong arc count, an id out
+of range, or a weight ``Graph`` rejects) sends the whole text to the line
+parser instead, which is the specification of both formats and the only
+code that raises :class:`FormatError` or :class:`NegativeWeightError`,
+naming the line.
 """
 
 from __future__ import annotations
@@ -230,8 +242,23 @@ def parse_edge_list(text: str) -> Graph:
 
     First significant line is a header ``n m s``; each following line is an
     arc ``u v [w]`` with 0-based ids and an optional non-negative decimal
-    weight (default 1.0). ``#`` starts a comment line.
+    weight (default 1.0). ``#`` starts a comment line. A text laid out as
+    :func:`serialize_edge_list` writes it is converted column by column;
+    any other text, and every malformed one, goes through the line parser,
+    whose errors name the offending line.
     """
+    header = _header(text, "", 3)
+    if header is not None:
+        n, m, s = header
+        if 0 <= s < n:
+            g = _parse_columns(text, n, m, s, "")
+            if g is not None:
+                return g
+    return _parse_edge_list_lines(text)
+
+
+def _parse_edge_list_lines(text: str) -> Graph:
+    """:func:`parse_edge_list` one line at a time: the format's specification."""
     header: tuple[int, int, int] | None = None
     ids: list[int] = []  # one int object per node id, shared by its arcs
     degree: list[int] = []
@@ -298,8 +325,21 @@ def parse_dimacs_sp(text: str, source: int = 1) -> Graph:
 
     DIMACS ids are 1-based and are shifted to 0-based. The format carries no
     source node, so the caller supplies one in the file's 1-based id space
-    (default: node 1).
+    (default: node 1). A text laid out as :func:`serialize_dimacs_sp`
+    writes it is converted column by column, like :func:`parse_edge_list`.
     """
+    header = _header(text, "p sp ", 2)
+    if header is not None and type(source) is int:
+        n, m = header
+        if 1 <= source <= n:
+            g = _parse_columns(text, n, m, source - 1, "a")
+            if g is not None:
+                return g
+    return _parse_dimacs_lines(text, source)
+
+
+def _parse_dimacs_lines(text: str, source: int) -> Graph:
+    """:func:`parse_dimacs_sp` one line at a time: the format's specification."""
     header: tuple[int, int] | None = None
     ids: list[int] = []  # one int object per node id, shared by its arcs
     degree: list[int] = []
@@ -366,6 +406,99 @@ def serialize_dimacs_sp(g: Graph) -> str:
     lines = [f"p sp {g.node_count} {g.arc_count}"]
     lines.extend(f"a {u + 1} {v + 1} {w!r}" for u, v, w in g.arcs())
     return "\n".join(lines) + "\n"
+
+
+# The column-at-a-time fast path. The body is cut into slices of about
+# _CHUNK characters, each ending at a newline, so the tokens of only one
+# slice are alive at a time. A slice is accepted when every line holds the
+# same number of fields separated by single spaces: deleting every ASCII
+# character but whitespace from it must leave exactly that many spaces and
+# one newline per line (any other whitespace, and any non-ASCII character,
+# is left in and fails the check). Its columns are then strided slices of
+# its tokens: the ids are looked up in a dict of the node ids' decimal
+# strings and the weights converted with ``map(float)``; both reject the
+# empty token that an empty field leaves.
+_CHUNK = 1 << 16
+_SPACES_ONLY = dict.fromkeys(c for c in range(128) if not chr(c).isspace())
+
+
+def _header(text: str, prefix: str, fields: int) -> list[int] | None:
+    """The integers of the first line ``prefix`` + ``fields`` single-spaced
+    integers, or ``None`` if the first line is anything else."""
+    end = text.find("\n")
+    head = text[len(prefix) : end if end >= 0 else len(text)]
+    if not (
+        text.startswith(prefix)
+        and head.translate(_SPACES_ONLY) == " " * (fields - 1)
+    ):
+        return None
+    try:
+        return list(map(int, head.split(" ")))
+    except ValueError:
+        return None
+
+
+def _parse_columns(text: str, n: int, m: int, s: int, tag: str) -> Graph | None:
+    """The graph of a canonically laid out text, or ``None`` on any mismatch.
+
+    After the first line (the header, already read as ``n``, ``m`` and the
+    0-based source ``s``) every line must be ``u v w``, or ``a u v w`` with
+    1-based ids when ``tag`` is ``"a"``, and there must be exactly ``m`` of
+    them. ``None`` sends the caller to its line parser, so this function
+    raises no format error of its own: a bad token, an id out of range, a
+    negative or non-finite weight (left to ``Graph``'s column checks) all
+    return ``None``. An id is looked up by its token among the ``n`` ids
+    written in decimal, which range-checks and converts it at once; any
+    other spelling (``+3``, ``07``, ``1_0``) is left to the line parser.
+    """
+    if not n - 1 <= m <= len(text):
+        # the dict of ids is built only for at least n - 1 arcs (fewer leave
+        # a node unreachable), so it stays within a multiple of the text's
+        # size whatever the header claims
+        return None
+    width = 4 if tag else 3
+    base = 1 if tag else 0
+    # each node's id as the serializers write it -> one shared int per node
+    ids = {str(v + base): v for v in range(n)}
+    layout = " " * (width - 1) + "\n"  # a line with all but whitespace deleted
+    first = width - 3  # the tail column
+    tails: list[int] = []
+    heads: list[int] = []
+    weights: list[float] = []
+    start = text.find("\n") + 1 or len(text)
+    end = len(text)
+    while start < end:
+        cut = (
+            text.rfind("\n", start, start + _CHUNK) + 1
+            or text.find("\n", start + _CHUNK) + 1
+            or end
+        )
+        chunk = text[start:cut]
+        start = cut
+        if not chunk.endswith("\n"):
+            chunk += "\n"
+        lines = chunk.count("\n")
+        if chunk.translate(_SPACES_ONLY) != layout * lines:
+            return None
+        # width * lines tokens, an empty one where a field is empty
+        tok = chunk[:-1].replace("\n", " ").split(" ")
+        if tag and tok[0::width].count(tag) != lines:
+            return None
+        try:
+            tails.extend(map(ids.__getitem__, tok[first::width]))
+            heads.extend(map(ids.__getitem__, tok[first + 1 :: width]))
+            weights.extend(map(float, tok[first + 2 :: width]))
+        except (KeyError, ValueError):
+            return None
+    if len(tails) != m:
+        return None
+    degree = [0] * n
+    for u in tails:
+        degree[u] += 1
+    try:
+        return _csr(n, s, degree, tails, heads, weights)
+    except GraphError:  # a negative or non-finite weight
+        return None
 
 
 # ---------------------------------------------------------------------------

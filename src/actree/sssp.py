@@ -87,7 +87,7 @@ def dijkstra(g: Graph) -> ShortestPathResult:
     off, heads, weights = g.offsets, g.heads, g.weights
     dist = [INF] * n
     dist[s] = 0.0
-    parent: list[int | None] = [None] * n
+    parent = [None] * n
     heap = [(0.0, s)]
     pops = 0
     decreases = 0
@@ -105,7 +105,9 @@ def dijkstra(g: Graph) -> ShortestPathResult:
                 heappush(heap, (nd, w))
                 decreases += 1
     stats = SearchStats(pops, decreases, n, {})
-    return ShortestPathResult(tuple(dist), tuple(parent), stats)
+    dist = tuple(dist)  # each list is freed as soon as its tuple exists
+    parent = tuple(parent)
+    return ShortestPathResult(dist, parent, stats)
 
 
 def dag_sssp(g: Graph) -> ShortestPathResult:
@@ -132,7 +134,7 @@ def dag_sssp(g: Graph) -> ShortestPathResult:
 
     dist = [INF] * n
     dist[g.source] = 0.0
-    parent: list[int | None] = [None] * n
+    parent = [None] * n
     decreases = 0
     for v in order:
         d = dist[v]
@@ -146,7 +148,9 @@ def dag_sssp(g: Graph) -> ShortestPathResult:
                 parent[w] = v
                 decreases += 1
     stats = SearchStats(n, decreases, 0, {})
-    return ShortestPathResult(tuple(dist), tuple(parent), stats)
+    dist = tuple(dist)  # each list is freed as soon as its tuple exists
+    parent = tuple(parent)
+    return ShortestPathResult(dist, parent, stats)
 
 
 def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
@@ -169,8 +173,9 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     reweighting of the same arcs in the same order. Anything else raises
     :class:`TreeMismatchError` before the search starts: a different node
     count, the source inside a component, or another topology, the same
-    arcs reordered within a row included. A tree altered after its build
-    that leaves a node unfinalised raises it at the end.
+    arcs reordered within a row included; for another topology the error
+    names the first node whose out-arcs differ. A tree altered after its
+    build that leaves a node unfinalised raises it at the end.
     """
     n = g.node_count
     s = g.source
@@ -191,14 +196,15 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
         (off is tree.offsets or off == tree.offsets)
         and (heads is tree.heads or heads == tree.heads)
     ):
+        u = _first_differing_row(off, heads, tree.offsets, tree.heads)
         raise TreeMismatchError(
             "the A-C tree was built for another topology:"
-            " its offsets or heads differ from the graph's"
+            f" the arcs out of node {u} differ from the graph's"
         )
 
     dist = [INF] * n
     dist[s] = 0.0
-    parent: list[int | None] = [None] * n
+    parent = [None] * n
     queues: list[list[tuple[float, int]] | None] = [None] * (len(start) - 1)
     pops = 0
     decreases = 0
@@ -258,7 +264,23 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
         )
     sizes = tree.comp_sizes
     state = SearchStats(pops, decreases, max(sizes, default=0), dict(sizes))
-    return ShortestPathResult(tuple(dist), tuple(parent), state)
+    dist = tuple(dist)  # each list is freed as soon as its tuple exists
+    parent = tuple(parent)
+    return ShortestPathResult(dist, parent, state)
+
+
+def _first_differing_row(off: tuple, heads: tuple, t_off: tuple, t_heads: tuple) -> int:
+    """The first node whose heads differ between two CSR topologies.
+
+    Runs on the failure path only. If every common row is equal, the
+    topologies differ in length and the first node past the shorter one is
+    returned.
+    """
+    rows = min(len(off), len(t_off)) - 1
+    for u in range(rows):
+        if heads[off[u] : off[u + 1]] != t_heads[t_off[u] : t_off[u + 1]]:
+            return u
+    return max(rows, 0)
 
 
 @dataclass(frozen=True)

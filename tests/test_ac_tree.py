@@ -128,6 +128,16 @@ def test_actree_is_deterministic():
     assert build_ac_tree(g) == build_ac_tree(g)
 
 
+def test_repr_leaves_out_the_columns():
+    for log2n in (4, 15):
+        n = 1 << log2n
+        tree = build_ac_tree(gen_random_digraph(n, 3 * n, seed=log2n))
+        text = repr(tree)
+        assert text.startswith(f"AcTree(width={tree.width}, comp_sizes={{")
+        assert len(text) <= 60 + 12 * len(tree.comp_sizes), text
+        assert len(text) < 2000
+
+
 def test_components_partition_children_and_are_strongly_connected():
     for i in range(20):
         n = 2 + (i * 9) % 35

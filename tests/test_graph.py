@@ -7,11 +7,13 @@ import math
 import random
 import tracemalloc
 from bisect import bisect_right
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import actree.graph
 from actree import (
     FormatError,
     Graph,
@@ -32,6 +34,7 @@ from actree import (
     serialize_dimacs_sp,
     serialize_edge_list,
 )
+from actree.graph import _parse_dimacs_lines, _parse_edge_list_lines
 
 
 def test_parse_edge_list_basic():
@@ -199,6 +202,165 @@ def test_parsers_report_non_finite_weights_by_line():
     with pytest.raises(FormatError) as exc:
         parse_dimacs_sp("p sp 2 1\na 1 2 inf")
     assert exc.value.line == 2
+
+
+# ---------------------------------------------------------------------------
+# Column-at-a-time parsing against the line parsers
+# ---------------------------------------------------------------------------
+
+class _LineParserCalled(Exception):
+    pass
+
+
+def _column_path(parse, line_parser: str, *args):
+    """``parse``'s result when its line parser is never called, else None."""
+    with mock.patch.object(actree.graph, line_parser, side_effect=_LineParserCalled):
+        try:
+            return parse(*args)
+        except _LineParserCalled:
+            return None
+
+
+def _edge_list_columns(text: str):
+    return _column_path(parse_edge_list, "_parse_edge_list_lines", text)
+
+
+def _dimacs_columns(text: str, source: int):
+    return _column_path(parse_dimacs_sp, "_parse_dimacs_lines", text, source)
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except GraphError as exc:
+        return type(exc), exc.line if isinstance(exc, FormatError) else None, str(exc)
+
+
+def _assert_paths_agree(parse, columns, spec_parser, *args):
+    spec = _outcome(spec_parser, *args)
+    assert _outcome(parse, *args) == spec
+    fast = columns(*args)
+    if fast is not None:
+        assert type(spec) is Graph, (fast, spec)
+        assert fast == spec
+        assert list(map(repr, fast.weights)) == list(map(repr, spec.weights))
+
+
+_BAD_TOKENS = (
+    st.sampled_from(["-1", "-2", "+1", "01", "1_0", "1.0", "x", ""]),  # ids
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", "+3", "1_0", "-1", "x"]),
+)
+
+
+@st.composite
+def _graph_texts(draw, dimacs: bool):
+    """A canonical graph text with up to two deviations of every kind."""
+    n = draw(st.integers(1, 5))
+    base = 1 if dimacs else 0
+    node = st.integers(base, n - 1 + base).map(str)
+    m = draw(st.integers(max(n - 1, 0), n + 3))
+    rows = draw(st.lists(st.tuples(node, node, st.floats(0, 100).map(repr)),
+                         min_size=m, max_size=m))
+    arcs = [[list(row), " ", "\n"] for row in rows]
+    lines: list = arcs[:]  # arcs, and other lines as strings
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if arcs else 0):
+        line = draw(st.sampled_from(arcs))
+        kind = draw(st.sampled_from(["token", "count", "sep", "eol", "insert"]))
+        if kind == "token":
+            j = draw(st.integers(0, len(line[0]) - 1))
+            line[0][j] = draw(_BAD_TOKENS[j >= 2])
+        elif kind == "count":  # a 2-field or a 4-field arc
+            line[0] = line[0][:2] if draw(st.booleans()) else line[0] + ["1"]
+        elif kind == "sep":
+            line[1] = draw(st.sampled_from(["  ", "\t"]))
+        elif kind == "eol":
+            line[2] = draw(st.sampled_from(["\r\n", " \n", "\n\n"]))
+        else:
+            other = ["c 1 2 3", "p sp 2 1"] if dimacs else ["# 1 2", " "]
+            lines.insert(lines.index(line), draw(st.sampled_from(other)) + "\n")
+    body = "".join(
+        line if isinstance(line, str)
+        else line[1].join(["a", *line[0]] if dimacs else line[0]) + line[2]
+        for line in lines
+    )
+    m += draw(st.sampled_from([0] * 8 + [-1, 1]))
+    s = draw(st.sampled_from([0] * 6 + [n - 1, n]))
+    head = f"p sp {n} {m}" if dimacs else f"{n} {m} {s}"
+    text = head + draw(st.sampled_from(["\n"] * 8 + ["\r\n", " \n"])) + body
+    if draw(st.booleans()) and text.endswith("\n"):
+        text = text[:-1]
+    return text, s + 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graph_texts(dimacs=False))
+@example(("3 2 0\n0 1 2.5\n1 2 0.5\n", 1))
+@example(("# c\n3 2 0\n\n0 1 2.5\r\n1\t2 0.5\n", 1))
+@example(("3 2 0\n0  1 2.5\n1 2 0.5", 1))
+@example(("3 3 0\n0 1 nan\n0 2 inf\n1 2 1e400\n", 1))
+@example(("3 2 0\n0 1 -0.0\n+1 1_0 +3\n", 1))
+@example(("3 2 0\n0 1 \u0663.\u0665\n1 2\u00a01\n", 1))
+@example(("3 2 0\n0 1 1_0\n-1 2 1\n", 1))
+@example(("3 2 0\n0 -1 1\n1 2 1\n", 1))
+@example(("3 3 0\n0 1\n1 2 3\n0 2\n", 1))
+@example(("5 2 0\n0 1 2 3\n1 2\n", 1))
+@example(("3 2 0\n0 1 -2\n1 2 1\n", 1))
+def test_column_and_line_parsers_agree_on_edge_lists(case):
+    text, _ = case
+    _assert_paths_agree(
+        parse_edge_list, _edge_list_columns, _parse_edge_list_lines, text
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graph_texts(dimacs=True))
+@example(("p sp 3 2\na 1 2 2.5\na 2 3 0.5\n", 1))
+@example(("c x\np sp 3 2\n\na 1 2 2.5\r\na 2\t3 0.5\n", 1))
+@example(("p sp 3 2\na 1  2 2.5\na 2 3 0.5", 2))
+@example(("p sp 3 3\na 1 2 nan\na 1 3 inf\na 2 3 1e400\n", 1))
+@example(("p sp 3 2\na 1 2 -0.0\na +2 1_0 +3\n", 1))
+@example(("p sp 3 2\na 1 0 1\na -1 2 1\n", 1))
+@example(("p sp 3 2\na 1 2 1 1\na 2 3\n", 1))
+@example(("p sp 3 2\na 1 2 3 a 2 3 1\n\n", 1))
+@example(("p sp 3 2\nc 1 2 3\na 1 2 1\na 2 3 1\n", 1))
+@example(("p sp 2 1\nc 1 2 3\n", 1))
+@example(("p sp 3 2\na 1 2 -2\na 2 3 1\n", 4))
+def test_column_and_line_parsers_agree_on_dimacs(case):
+    text, source = case
+    _assert_paths_agree(
+        parse_dimacs_sp, _dimacs_columns, _parse_dimacs_lines, text, source
+    )
+
+
+@pytest.mark.parametrize("seed", range(-1, 6))
+def test_canonical_serializations_take_the_column_path(seed):
+    if seed < 0:
+        g = Graph.from_arcs(1, 0, [])
+    else:
+        g = gen_random_digraph(1 + 9 * seed, 1 + 30 * seed, seed)
+        m = g.arc_count
+        k = min(3, m)
+        ws = g.weights[: m - k] + (0.0, -0.0, 1e300)[:k]
+        g = Graph(g.node_count, seed % g.node_count, g.offsets, g.heads, ws, m)
+    assert _edge_list_columns(serialize_edge_list(g)) == g
+    assert _dimacs_columns(serialize_dimacs_sp(g), g.source + 1) == g
+
+
+def test_column_path_declines_fewer_arcs_than_nodes_or_than_the_text_holds():
+    for text in ("3 1 0\n0 1 1.0\n", "2 50 0\n0 1 1.0\n"):
+        assert _edge_list_columns(text) is None
+    assert parse_edge_list("3 1 0\n0 1 1.0\n") == Graph.from_arcs(3, 0, [(0, 1)])
+    assert _dimacs_columns("p sp 3 1\na 1 2 1.0\n", 1) is None
+
+
+def test_column_path_spans_many_slices():
+    g = gen_random_digraph(3000, 12000, 5)
+    text = serialize_edge_list(g)
+    assert len(text) > 4 * actree.graph._CHUNK
+    assert _edge_list_columns(text) == g
+    assert _edge_list_columns(text.rstrip("\n")) == g
+    bad = text[: len(text) // 2] + "#" + text[len(text) // 2 :]
+    assert _edge_list_columns(bad) is None
 
 
 def test_prune_identity_on_reachable(diamond):

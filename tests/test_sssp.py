@@ -183,6 +183,21 @@ def test_recursive_rejects_a_tree_that_leaves_nodes_unfinalised():
         recursive_dijkstra(g, cut)
 
 
+@pytest.mark.parametrize("k", [0, 7, 29])
+def test_topology_mismatch_names_the_first_differing_node(k):
+    g = gen_random_digraph(30, 90, seed=k)
+    arcs = list(g.arcs())
+    i = g.offsets[k]
+    u, v, w = arcs[i]
+    assert u == k
+    arcs[i] = (u, (v + 1) % 30, w)  # one head changed in node k's row
+    if k == 29:
+        arcs.append((29, 0, 1.0))  # a longer last row: offsets differ too
+    other = Graph.from_arcs(30, 0, arcs)
+    with pytest.raises(TreeMismatchError, match=rf"the arcs out of node {k} differ"):
+        recursive_dijkstra(other, build_ac_tree(g))
+
+
 def test_mismatched_trees_give_right_answers_or_typed_errors():
     # a tree serves a graph iff their offsets, heads and source are equal
     accepted = 0
@@ -220,7 +235,7 @@ def test_a_tree_serves_its_arcs_under_any_weights_and_no_reordering(g, data):
         if moved == row:
             moved.reverse()
         reordered = Graph.from_arcs(n, 0, arcs[: off[u]] + moved + arcs[off[u + 1] :])
-        with pytest.raises(TreeMismatchError, match="another topology"):
+        with pytest.raises(TreeMismatchError, match=rf"another topology: .* node {u} "):
             recursive_dijkstra(reordered, tree)
 
 
