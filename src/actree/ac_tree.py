@@ -20,16 +20,14 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
 from .dominators import DominatorTree, _idom_preorder
-from .graph import Graph
+from .graph import Graph, _Record
 from .nesting import NestingFamily
 
 
-@dataclass(frozen=True)
-class AcTree:
+class AcTree(_Record):
     """The A-C tree in flat form, with the immediate dominators it refines.
 
     Components are numbered densely, owner by owner in ascending node id,
@@ -52,15 +50,11 @@ class AcTree:
     so printing a tree costs the same at any size.
     """
 
-    idom: tuple[int, ...] = field(repr=False)
-    width: int
-    comp_id: array = field(repr=False)
-    comp_start: array = field(repr=False)
-    comp_nodes: tuple[int, ...] = field(repr=False)
-    comp_offsets: array = field(repr=False)
-    comp_sizes: dict[int, int]
-    offsets: tuple[int, ...] = field(repr=False)
-    heads: tuple[int, ...] = field(repr=False)
+    __slots__ = (
+        "idom", "width", "comp_id", "comp_start", "comp_nodes",
+        "comp_offsets", "comp_sizes", "offsets", "heads",
+    )
+    _shown = ("width", "comp_sizes")
 
     @property
     def components(self) -> dict[int, tuple[frozenset[int], ...]]:

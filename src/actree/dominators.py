@@ -14,13 +14,10 @@ a slice of it. A path-removal oracle is provided for testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import Graph, UnreachableNodeError
+from .graph import Graph, UnreachableNodeError, _Record
 
 
-@dataclass(frozen=True)
-class DominatorTree:
+class DominatorTree(_Record):
     """Immediate-dominator tree with its preorder.
 
     ``idom[v]`` is the parent of ``v`` (the source maps to itself).
@@ -29,11 +26,7 @@ class DominatorTree:
     in ``v``'s subtree, so dominance is an O(1) interval test.
     """
 
-    idom: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
-    order: tuple[int, ...]
-    dfs_in: tuple[int, ...]
-    dfs_out: tuple[int, ...]
+    __slots__ = ("idom", "children", "order", "dfs_in", "dfs_out")
 
     def dominates(self, a: int, b: int) -> bool:
         """True when every source-to-``b`` path contains ``a`` (a >= b)."""

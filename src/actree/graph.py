@@ -7,7 +7,7 @@ tuples (``offsets``, ``heads``, ``weights``) that every layer reads directly.
 The topology (``offsets``, ``heads``) and the weights are separate columns.
 ``Graph.from_arcs``, the parsers and ``gen_nested`` fill the columns with
 a counting sort by tail and create no per-arc object;
-``Graph.__post_init__`` validates them once, column by column, and names
+``Graph.__init__`` validates them once, column by column, and names
 the offending arc or field when a check fails.
 
 Both parsers convert a text laid out as the serializers write it a column
@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, repeat
 from operator import le
-from typing import Iterable, Iterator
 
 
 class GraphError(Exception):
@@ -69,8 +68,48 @@ class TreeMismatchError(GraphError, ValueError):
     """An A-C tree was handed to a search over a graph it was not built for."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """Read-only record over ``__slots__``, built from its fields in order.
+
+    Records of one class are equal, and hash alike, when their fields are;
+    ``pickle`` and ``copy`` rebuild them through the constructor. The repr
+    shows the fields named in ``_shown``, or all of them.
+    """
+
+    __slots__ = ()
+    _shown: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot change {name!r}: {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._shown or self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+
+class Graph(_Record):
     """Immutable weighted digraph with a distinguished source node.
 
     The arcs are stored in compressed sparse rows: node ``u``'s arcs are
@@ -80,17 +119,18 @@ class Graph:
     node, and no per-arc object. Parallel arcs and self-loops are kept as
     given; heads are ``int`` node ids and weights finite non-negative
     ``float`` values (parsers normalise a missing weight to 1.0), so the
-    search engines need no per-arc checks.
+    search engines need no per-arc checks. The repr shows the node count,
+    source and arc count only.
     """
 
-    node_count: int
-    source: int
-    offsets: tuple[int, ...]
-    heads: tuple[int, ...]
-    weights: tuple[float, ...]
-    arc_count: int
+    __slots__ = ("node_count", "source", "offsets", "heads", "weights", "arc_count")
+    _shown = ("node_count", "source", "arc_count")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, node_count: int, source: int, offsets: tuple[int, ...],
+        heads: tuple[int, ...], weights: tuple[float, ...], arc_count: int,
+    ) -> None:
+        super().__init__(node_count, source, offsets, heads, weights, arc_count)
         n = self.node_count
         if type(n) is not int:
             raise GraphError(f"node_count {n!r} is not an integer")
@@ -284,8 +324,7 @@ def _parse_edge_list_lines(text: str) -> Graph:
             if not 0 <= s < n:
                 raise FormatError(f"source {s} out of range", lineno)
             header = (n, m, s)
-            ids = list(range(n))
-            degree = [0] * n
+            ids, degree = _node_columns(n, lineno)
             continue
         if len(fields) not in (2, 3):
             raise FormatError("expected arc 'u v [w]'", lineno)
@@ -311,6 +350,15 @@ def _parse_edge_list_lines(text: str) -> Graph:
     if len(tails) != m:
         raise FormatError(f"header declares {m} arcs, file has {len(tails)}")
     return _csr(n, s, degree, tails, heads, weights)
+
+
+def _node_columns(n: int, lineno: int) -> tuple[list[int], list[int]]:
+    """One shared int per node id and a zero degree per node, for the header
+    on line ``lineno``; a node count too large to allocate is a format error."""
+    try:
+        return list(range(n)), [0] * n
+    except (OverflowError, MemoryError):
+        raise FormatError(f"node count {n} is too large to allocate", lineno) from None
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -366,8 +414,7 @@ def _parse_dimacs_lines(text: str, source: int) -> Graph:
             if n < 1:
                 raise FormatError("node count must be positive", lineno)
             header = (n, m)
-            ids = list(range(n))
-            degree = [0] * n
+            ids, degree = _node_columns(n, lineno)
         elif tag == "a":
             if header is None:
                 raise FormatError("arc descriptor before problem line", lineno)
@@ -505,12 +552,13 @@ def _parse_columns(text: str, n: int, m: int, s: int, tag: str) -> Graph | None:
 # Pruning
 # ---------------------------------------------------------------------------
 
-def prune_unreachable(g: Graph) -> tuple[Graph, list[int | None]]:
+def prune_unreachable(g: Graph) -> tuple[Graph, Sequence[int | None]]:
     """Drop nodes with no path from the source and re-densify ids.
 
     Returns ``(pruned, remap)`` where ``remap[old_id]`` is the new id or
-    ``None`` for dropped nodes. All arcs among retained nodes survive in
-    storage order, so pruning an already-pruned graph is the identity.
+    ``None`` for dropped nodes, as a read-only sequence. All arcs among
+    retained nodes survive in storage order, so pruning an already-pruned
+    graph is the identity, with ``range(node_count)`` as ``remap``.
     """
     n = g.node_count
     off, heads, weights = g.offsets, g.heads, g.weights
@@ -524,7 +572,7 @@ def prune_unreachable(g: Graph) -> tuple[Graph, list[int | None]]:
                 reached[v] = True
                 stack.append(v)
     if all(reached):
-        return g, list(range(n))
+        return g, range(n)
     remap: list[int | None] = [None] * n
     new_id = 0
     for v in range(n):

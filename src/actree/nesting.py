@@ -11,10 +11,9 @@ linear-time decomposition at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
-from .graph import Graph
+from .graph import Graph, _Record
 
 NodeSet = frozenset[int]
 
@@ -23,12 +22,10 @@ class InvalidFamilyError(ValueError):
     """A nesting-family invariant does not hold; the message names the culprit."""
 
 
-@dataclass(frozen=True)
-class NestingFamily:
+class NestingFamily(_Record):
     """A laminar family of modules with its width."""
 
-    sets: tuple[NodeSet, ...]
-    width: int
+    __slots__ = ("sets", "width")
 
 
 def is_module(g: Graph, nodes: Iterable[int]) -> int | None:

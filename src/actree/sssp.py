@@ -23,17 +23,15 @@ weights, so no engine checks them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 from .ac_tree import AcTree
-from .graph import CycleError, Graph, TreeMismatchError
+from .graph import CycleError, Graph, TreeMismatchError, _Record
 
 INF = float("inf")
 
 
-@dataclass
-class SearchStats:
+class SearchStats(_Record):
     """Operation counts for one search.
 
     ``pops`` counts node finalisations (equals the node count on pruned
@@ -47,10 +45,7 @@ class SearchStats:
     (empty for the single-queue and queueless engines).
     """
 
-    pops: int = 0
-    key_decreases: int = 0
-    max_queue_len: int = 0
-    component_sizes: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("pops", "key_decreases", "max_queue_len", "component_sizes")
 
     def as_dict(self) -> dict:
         return {
@@ -61,13 +56,10 @@ class SearchStats:
         }
 
 
-@dataclass(frozen=True)
-class ShortestPathResult:
+class ShortestPathResult(_Record):
     """Distances, parent tree, and search statistics."""
 
-    dist: tuple[float, ...]
-    parent: tuple[int | None, ...]
-    stats: SearchStats
+    __slots__ = ("dist", "parent", "stats")
 
     def as_dict(self) -> dict:
         return {
@@ -283,12 +275,10 @@ def _first_differing_row(off: tuple, heads: tuple, t_off: tuple, t_heads: tuple)
     return max(rows, 0)
 
 
-@dataclass(frozen=True)
-class SptCheck:
+class SptCheck(_Record):
     """Outcome of a shortest-path-tree verification; falsy when violated."""
 
-    ok: bool
-    violations: tuple[str, ...]
+    __slots__ = ("ok", "violations")
 
     def __bool__(self) -> bool:
         return self.ok
@@ -303,19 +293,19 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
     """
     n = g.node_count
     s = g.source
-    bad: list[str] = []
-    if len(r.dist) != n or len(r.parent) != n:
-        return SptCheck(False, ("result arrays do not match the graph size",))
-    if r.dist[s] != 0:
-        bad.append(f"dist[source]={r.dist[s]!r}, expected 0")
-    if r.parent[s] is not None:
-        bad.append(f"source has parent {r.parent[s]}")
-    for v in range(n):
-        if v != s and r.parent[v] is None:
-            bad.append(f"node {v} has no parent")
-        if not r.dist[v] >= 0 or r.dist[v] == INF:
-            bad.append(f"dist[{v}]={r.dist[v]!r} is not a finite non-negative value")
     dist, parent = r.dist, r.parent
+    bad: list[str] = []
+    if len(dist) != n or len(parent) != n:
+        return SptCheck(False, ("result arrays do not match the graph size",))
+    if dist[s] != 0:
+        bad.append(f"dist[source]={dist[s]!r}, expected 0")
+    if parent[s] is not None:
+        bad.append(f"source has parent {parent[s]}")
+    for v in range(n):
+        if v != s and parent[v] is None:
+            bad.append(f"node {v} has no parent")
+        if not dist[v] >= 0 or dist[v] == INF:
+            bad.append(f"dist[{v}]={dist[v]!r} is not a finite non-negative value")
     off, heads, weights = g.offsets, g.heads, g.weights
     tight = [False] * n
     seen_parent_arc = [False] * n
@@ -334,12 +324,10 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
                 if du + w == dist[v]:
                     tight[v] = True
     for v in range(n):
-        if v == s or r.parent[v] is None:
+        if v == s or parent[v] is None:
             continue
         if not seen_parent_arc[v]:
-            bad.append(f"parent arc {r.parent[v]}->{v} does not exist")
+            bad.append(f"parent arc {parent[v]}->{v} does not exist")
         elif not tight[v]:
-            bad.append(
-                f"parent arc {r.parent[v]}->{v} is not tight for dist {r.dist[v]!r}"
-            )
+            bad.append(f"parent arc {parent[v]}->{v} is not tight for dist {dist[v]!r}")
     return SptCheck(not bad, tuple(bad))

@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from actree import cli, gen_complete, gen_layered, serialize_edge_list
 
 DIAMOND = "4 4 0\n0 1 1\n0 2 4\n1 3 2\n2 3 1\n"
@@ -83,6 +85,23 @@ def test_unexpected_exception_exits_4_without_traceback(tmp_path, monkeypatch, c
     monkeypatch.setattr(cli, "build_ac_tree", fail)
     assert cli.main(["decompose", str(path)]) == 4
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize(
+    "name, header",
+    [
+        ("huge.edges", "10000000000000000000 0 0"),
+        ("huge.gr", "p sp 10000000000000000000 0"),
+    ],
+)
+def test_node_count_too_large_to_allocate_exits_2(tmp_path, name, header):
+    path = tmp_path / name
+    path.write_text(header + "\n")
+    proc = run_cli("decompose", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: line 1: node count 10000000000000000000 is too large to allocate\n"
+    )
 
 
 def test_negative_weight_exits_3(tmp_path):

@@ -1,0 +1,152 @@
+"""The seven result and graph records: read-only, compared by fields, picklable.
+
+``Graph``, ``DominatorTree``, ``AcTree``, ``NestingFamily``, ``SearchStats``,
+``ShortestPathResult`` and ``SptCheck`` are ``__slots__`` classes on one
+small read-only base, so importing the package pulls in no ``dataclasses``.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import actree
+from actree import (
+    AcTree,
+    DominatorTree,
+    Graph,
+    NestingFamily,
+    SearchStats,
+    ShortestPathResult,
+    SptCheck,
+    ac_to_nesting_family,
+    build_ac_tree,
+    compute_dominator_tree,
+    gen_nested,
+    gen_random_digraph,
+    recursive_dijkstra,
+    verify_spt,
+)
+
+CLASSES = (
+    Graph,
+    DominatorTree,
+    AcTree,
+    NestingFamily,
+    SearchStats,
+    ShortestPathResult,
+    SptCheck,
+)
+# a dict or array field makes a record unhashable, as it made the dataclass
+UNHASHABLE = (AcTree, SearchStats, ShortestPathResult)
+
+
+def records() -> dict[type, object]:
+    """One freshly built record of each class, all from the same graph."""
+    g = gen_nested((3, 1, (4, 2, 3)), seed=5)
+    tree = build_ac_tree(g)
+    r = recursive_dijkstra(g, tree)
+    return {
+        Graph: g,
+        DominatorTree: compute_dominator_tree(g),
+        AcTree: tree,
+        NestingFamily: ac_to_nesting_family(tree),
+        SearchStats: r.stats,
+        ShortestPathResult: r,
+        SptCheck: verify_spt(g, r),
+    }
+
+
+def fields(record) -> tuple:
+    return tuple(getattr(record, name) for name in type(record).__slots__)
+
+
+def test_importing_the_package_loads_no_dataclasses_inspect_or_typing():
+    src = str(Path(actree.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+        "import actree; print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    added = set(out.stdout.split())
+    assert "actree.sssp" in added
+    assert not added & {"dataclasses", "inspect", "typing"}, sorted(added)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_records_are_equal_by_fields_and_hash_alike(cls):
+    a, b = records()[cls], records()[cls]
+    assert a is not b and a == b and not a != b
+    assert type(a) is cls and not hasattr(a, "__dict__")
+    assert cls(*fields(a)) == a
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(cls(*fields(a)))
+
+
+def test_records_differ_across_classes_even_with_equal_fields():
+    built = records()
+    for cls, record in built.items():
+        for other_cls, other in built.items():
+            assert (record == other) == (cls is other_cls)
+        assert record != fields(record)
+        assert record.__eq__(fields(record)) is NotImplemented
+    family = NestingFamily((frozenset({0}),), 1)
+    check = SptCheck((frozenset({0}),), 1)
+    assert fields(family) == fields(check) and family != check
+    g = built[Graph]
+    heavier = g.weights[:-1] + (g.weights[-1] + 1.0,)
+    assert g != Graph(g.node_count, g.source, g.offsets, g.heads, heavier, g.arc_count)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_records_are_read_only(cls):
+    record = records()[cls]
+    before = fields(record)
+    for name in (*cls.__slots__, "extra"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(record, name)
+    assert fields(record) == before
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_records_survive_pickle_and_copy(cls):
+    record = records()[cls]
+    for clone in (
+        pickle.loads(pickle.dumps(record)),
+        copy.copy(record),
+        copy.deepcopy(record),
+    ):
+        assert type(clone) is cls and clone == record
+
+
+def test_records_are_built_from_all_their_fields_in_order():
+    with pytest.raises(TypeError, match="SptCheck takes 2 fields"):
+        SptCheck(True)
+    with pytest.raises(TypeError):
+        SearchStats()
+    stats = SearchStats(3, 2, 1, {1: 2})
+    assert (stats.pops, stats.key_decreases, stats.max_queue_len) == (3, 2, 1)
+    assert repr(stats) == (
+        "SearchStats(pops=3, key_decreases=2, max_queue_len=1, component_sizes={1: 2})"
+    )
+    assert repr(SptCheck(True, ())) == "SptCheck(ok=True, violations=())"
+
+
+def test_graph_repr_is_bounded():
+    g = gen_random_digraph(1 << 14, 1 << 15, seed=3)
+    assert g.arc_count == 1 << 15
+    text = repr(g)
+    assert text == "Graph(node_count=16384, source=0, arc_count=32768)"
+    assert len(text) < 200

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from array import array
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actree import (
+    AcTree,
     CycleError,
     Graph,
     ShortestPathResult,
@@ -178,7 +178,17 @@ def test_recursive_rejects_a_tree_that_leaves_nodes_unfinalised():
     g = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])
     tree = build_ac_tree(g)
     assert list(tree.comp_offsets) == [0, 1, 2, 2]
-    cut = replace(tree, comp_offsets=array("i", [0, 1, 1, 1]))  # drops node 2
+    cut = AcTree(
+        tree.idom,
+        tree.width,
+        tree.comp_id,
+        tree.comp_start,
+        tree.comp_nodes,
+        array("i", [0, 1, 1, 1]),  # comp_offsets without node 2's component
+        tree.comp_sizes,
+        tree.offsets,
+        tree.heads,
+    )
     with pytest.raises(TreeMismatchError, match="finalised 2 of 3"):
         recursive_dijkstra(g, cut)
 
