@@ -31,13 +31,14 @@ class AcTree(_Record):
     """The A-C tree in flat form, with the immediate dominators it refines.
 
     Components are numbered densely, owner by owner in ascending node id,
-    and each owner's sequence in topological order. ``idom[v]`` is the
-    immediate dominator of ``v`` (the source maps to itself);
-    ``comp_id[v]`` is the number of ``v``'s component (-1 for the source).
-    The components are stored as compressed rows: the members of component
-    ``c`` are ``comp_nodes[comp_start[c] : comp_start[c + 1]]``, in
-    ascending id, so ``comp_nodes`` lists every node but the source once,
-    component by component. The components of owner ``a`` are numbered
+    and each owner's sequence in a topological order fixed by the graph,
+    arc order included. ``idom[v]`` is the immediate dominator of ``v``
+    (the source maps to itself); ``comp_id[v]`` is the number of ``v``'s
+    component (-1 for the source). The components are stored as compressed
+    rows: the members of component ``c`` are
+    ``comp_nodes[comp_start[c] : comp_start[c + 1]]``, in ascending id, so
+    ``comp_nodes`` lists every node but the source once, component by
+    component. The components of owner ``a`` are numbered
     ``comp_offsets[a]`` up to ``comp_offsets[a + 1] - 1``; ``comp_sizes``
     maps each component size to the number of components of that size, in
     ascending size. ``width`` is one more than the largest component (1 for
@@ -75,7 +76,7 @@ class AcTree(_Record):
 def _sibling_arcs(
     g: Graph, idom: tuple[int, ...], order: tuple[int, ...]
 ) -> tuple[list[list[int]], int]:
-    """Arcs of every dominance graph, as sorted duplicate-free head lists.
+    """Arcs of every dominance graph, as head lists in scan order.
 
     One loop over the dominator tree's preorder ``order`` keeps, for each
     node, its child whose subtree the loop is inside (``current``), then
@@ -86,8 +87,8 @@ def _sibling_arcs(
     ``w`` in ``succ[current[idom(w)]]``; both ends are children of
     ``idom(w)``. Arcs onto the global source and arcs that coincide with
     dominator-tree arcs contribute nothing and are skipped, as are arcs from
-    ``w``'s own subtree back to ``w``. Also returns the number of arcs
-    examined, which is the arc count of ``g``.
+    ``w``'s own subtree back to ``w``. A head may repeat. Also returns the
+    number of arcs examined, which is the arc count of ``g``.
     """
     n = g.node_count
     s = g.source
@@ -105,10 +106,6 @@ def _sibling_arcs(
             c = current[idom[w]]
             if c != w:
                 succ[c].append(w)
-
-    for c, targets in enumerate(succ):
-        if len(targets) > 1:
-            succ[c] = sorted(set(targets))
     return succ, examined
 
 
@@ -138,12 +135,11 @@ def build_ac_tree(g: Graph) -> AcTree:
     """Construct the A-C tree of a pruned graph.
 
     Dominators, then the sibling-arc pass, then one iterative Tarjan pass
-    over all non-source nodes. Roots are tried and heads scanned in
-    ascending id, which pins down one deterministic topological order per
-    owner. Tarjan emits each owner's components in reverse topological
-    order, so after one counting pass each owner's number range is filled
-    from its end. Near-linear overall; the decomposition does not depend on
-    arc weights.
+    over all non-source nodes. Roots are tried in ascending id, heads in
+    stored arc order. Tarjan emits each owner's components in reverse
+    topological order whatever the head order, repeats included, so after
+    one counting pass each owner's number range is filled from its end.
+    Near-linear overall; the decomposition does not depend on arc weights.
     """
     n = g.node_count
     s = g.source

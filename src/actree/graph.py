@@ -36,24 +36,22 @@ class GraphError(Exception):
     """Base class for graph construction and ingest failures."""
 
 
-class FormatError(GraphError):
+class _LineError(GraphError):
+    """A graph error naming ``line``, the 1-based offending input line, if known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class FormatError(_LineError):
     """Malformed graph file. ``line`` is the 1-based offending line, if known."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
-
-class NegativeWeightError(GraphError):
+class NegativeWeightError(_LineError):
     """An arc carries a negative weight."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class UnreachableNodeError(GraphError):
@@ -205,7 +203,10 @@ class Graph(_Record):
             raise GraphError(
                 f"arcs must be an iterable of tuples, not {type(arcs).__name__}"
             ) from None
-        degree = [0] * node_count
+        try:
+            degree = [0] * node_count
+        except (OverflowError, MemoryError):
+            raise GraphError(f"node count {node_count} is too large to allocate") from None
         tails: list[int] = []
         heads: list[int] = []
         weights: list[float] = []

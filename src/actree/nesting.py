@@ -135,8 +135,6 @@ def brute_force_nesting_width(g: Graph, max_nodes: int = 12) -> int:
             modules.append(mask)
     full = (1 << n) - 1
 
-    by_lowbit_cache: dict[int, dict[int, list[int]]] = {}
-
     def parts_by_lowbit(m: int, cap: int, f: dict[int, int]) -> dict[int, list[int]]:
         # proper submodules of m with settled width <= cap, keyed by low bit
         table: dict[int, list[int]] = {}

@@ -289,7 +289,9 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
 
     Checks that the source sits at distance 0 with no parent, every other
     node has a parent whose arc exists and is tight, and no arc of the
-    graph improves any distance. Comparisons are exact.
+    graph improves any distance. Comparisons are exact. When a distance
+    breaks them (``None``), each one that is not an ``int`` or ``float`` is
+    named and no arc is checked.
     """
     n = g.node_count
     s = g.source
@@ -301,32 +303,34 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
         bad.append(f"dist[source]={dist[s]!r}, expected 0")
     if parent[s] is not None:
         bad.append(f"source has parent {parent[s]}")
-    for v in range(n):
-        if v != s and parent[v] is None:
-            bad.append(f"node {v} has no parent")
-        if not dist[v] >= 0 or dist[v] == INF:
-            bad.append(f"dist[{v}]={dist[v]!r} is not a finite non-negative value")
     off, heads, weights = g.offsets, g.heads, g.weights
-    tight = [False] * n
-    seen_parent_arc = [False] * n
-    for u in range(n):
-        du = dist[u]
-        for i in range(off[u], off[u + 1]):
-            v = heads[i]
-            w = weights[i]
-            if du + w < dist[v]:
-                bad.append(
-                    f"improving arc {u}->{v} (w={w!r}): "
-                    f"{du!r} + {w!r} < {dist[v]!r}"
-                )
-            if parent[v] == u:
-                seen_parent_arc[v] = True
-                if du + w == dist[v]:
-                    tight[v] = True
+    tight: list[bool | None] = [None] * n  # None until a parent arc is seen
+    try:
+        for v in range(n):
+            if v != s and parent[v] is None:
+                bad.append(f"node {v} has no parent")
+            if not dist[v] >= 0 or dist[v] == INF:
+                bad.append(f"dist[{v}]={dist[v]!r} is not a finite non-negative value")
+        for u in range(n):
+            du = dist[u]
+            for i in range(off[u], off[u + 1]):
+                v = heads[i]
+                w = weights[i]
+                if du + w < dist[v]:
+                    bad.append(
+                        f"improving arc {u}->{v} (w={w!r}): "
+                        f"{du!r} + {w!r} < {dist[v]!r}"
+                    )
+                if parent[v] == u and not tight[v]:
+                    tight[v] = du + w == dist[v]
+    except TypeError:  # a distance that is not a number
+        bad = [f"dist[{v}]={d!r} is not an int or float" for v, d in enumerate(dist)
+               if not isinstance(d, (int, float))]
+        return SptCheck(False, tuple(bad))
     for v in range(n):
         if v == s or parent[v] is None:
             continue
-        if not seen_parent_arc[v]:
+        if tight[v] is None:
             bad.append(f"parent arc {parent[v]}->{v} does not exist")
         elif not tight[v]:
             bad.append(f"parent arc {parent[v]}->{v} is not tight for dist {dist[v]!r}")

@@ -1,0 +1,41 @@
+"""Random graphs with self-loops and repeated arcs, shared by the test modules."""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import strategies as st
+
+from actree import Graph
+
+
+def random_arcs_with_loops(
+    n: int, m: int, rng: random.Random, acyclic: bool = False
+) -> list[tuple[int, int]]:
+    """A random arborescence from node 0 and ``m`` uniform arcs (from the
+    lower id to the higher one when ``acyclic``), then self-loops and
+    repeated arcs, shuffled so a search meets them in no particular order."""
+    arcs = [(rng.randrange(v), v) for v in range(1, n)]
+    for _ in range(m):
+        u, v = rng.randrange(n), rng.randrange(n)
+        arcs.append((min(u, v), max(u, v)) if acyclic else (u, v))
+    arcs.extend((v, v) for v in rng.sample(range(n), n // 8))
+    arcs.extend(rng.sample(arcs, len(arcs) // 8))
+    rng.shuffle(arcs)
+    return arcs
+
+
+@st.composite
+def small_graphs(draw) -> Graph:
+    """A graph on at most 12 nodes reaching every node from a random source,
+    with self-loops and repeated arcs drawn on purpose."""
+    n = draw(st.integers(1, 12))
+    s = draw(st.integers(0, n - 1))
+    seq = [s, *draw(st.permutations([v for v in range(n) if v != s]))]
+    # each node gets an arc from one earlier in seq, so the source reaches all
+    arcs = [(seq[draw(st.integers(0, i - 1))], seq[i]) for i in range(1, n)]
+    node = st.integers(0, n - 1)
+    arcs += draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    arcs += [(v, v) for v in draw(st.lists(node, max_size=n))]
+    arcs += draw(st.lists(st.sampled_from(arcs), max_size=n)) if arcs else []
+    return Graph.from_arcs(n, s, draw(st.permutations(arcs)))

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from actree import (
+    Graph,
     ac_to_nesting_family,
     brute_force_nesting_width,
     build_ac_tree,
@@ -16,6 +23,7 @@ from actree import (
     naive_dominance_graph,
 )
 from actree.ac_tree import _sibling_arcs
+from random_graphs import random_arcs_with_loops, small_graphs
 
 
 def arcs_by_owner(g, t) -> dict[int, set[tuple[int, int]]]:
@@ -236,3 +244,103 @@ def test_components_are_stored_as_compressed_rows(single, diamond, complete3):
             assert all(tree.comp_id[v] == c for v in members)
         assert not hasattr(tree, "comp_members")
         assert tree.offsets is g.offsets and tree.heads is g.heads  # no copies
+
+
+def _lifted_sibling_arcs(g, idom) -> list[tuple[int, int]]:
+    """The sibling arcs of ``g``, derived by binary lifting over ``idom``.
+
+    For an arc ``(u, v)`` into a non-source node, ``idom(v)`` dominates
+    ``u``; the arc becomes ``(c, v)`` for the child ``c`` of ``idom(v)``
+    above ``u``, unless ``u`` is ``idom(v)`` itself or ``c`` is ``v``.
+    """
+    n, s = g.node_count, g.source
+    depth = [-1] * n
+    depth[s] = 0
+    for v in range(n):
+        path = []
+        while depth[v] < 0:
+            path.append(v)
+            v = idom[v]
+        for x in reversed(path):
+            depth[x] = depth[idom[x]] + 1
+    up = [list(idom)]
+    while (1 << len(up)) < n:
+        prev = up[-1]
+        up.append([prev[prev[x]] for x in range(n)])
+
+    def ancestor(x: int, d: int) -> int:
+        k = depth[x] - d
+        for j, row in enumerate(up):
+            if k >> j & 1:
+                x = row[x]
+        return x
+
+    arcs = []
+    for u, v, _ in g.arcs():
+        a = idom[v]
+        if v == s or u == a:
+            continue
+        assert depth[u] > depth[a] and ancestor(u, depth[a]) == a, (u, v)
+        c = ancestor(u, depth[a] + 1)
+        if c != v:
+            arcs.append((c, v))
+    return arcs
+
+
+@pytest.mark.parametrize("acyclic", [False, True], ids=["digraph", "dag"])
+@pytest.mark.parametrize("log2n", [10, 12, 14])
+def test_components_match_networkx_sccs_in_topological_order(log2n, acyclic):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(log2n + 100 * acyclic)
+    n = 1 << log2n
+    g = Graph.from_arcs(n, 0, random_arcs_with_loops(n, 3 * n, rng, acyclic))
+    tree = build_ac_tree(g)
+    idom = tree.idom
+    siblings = nx.DiGraph()
+    siblings.add_nodes_from(range(1, n))
+    siblings.add_edges_from(_lifted_sibling_arcs(g, idom))
+    sccs = list(nx.strongly_connected_components(siblings))
+    expected = {}
+    for scc in sccs:
+        owners = {idom[v] for v in scc}
+        assert len(owners) == 1, scc  # no sibling arc links two owners
+        expected.setdefault(owners.pop(), set()).add(frozenset(scc))
+    components = tree.components
+    assert {a: set(comps) for a, comps in components.items()} == expected
+    # each owner's sequence is a topological order of its condensation
+    dag = nx.condensation(siblings, sccs)
+    position = {
+        v: k for comps in components.values() for k, comp in enumerate(comps) for v in comp
+    }
+    for x, y in dag.edges:
+        u, v = next(iter(sccs[x])), next(iter(sccs[y]))
+        assert position[u] < position[v], (u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.data())
+def test_reordering_a_rows_arcs_keeps_each_owners_components(g, data):
+    """The sequence may change with the arc order; the decomposition may not."""
+    n, off = g.node_count, g.offsets
+    arcs = list(g.arcs())
+    moved = []
+    for u in range(n):
+        moved += data.draw(st.permutations(arcs[off[u] : off[u + 1]]))
+    h = Graph.from_arcs(n, g.source, moved)
+    t = compute_dominator_tree(g)  # the dominator tree ignores the arc order
+    trees = build_ac_tree(g), build_ac_tree(h)
+    for tree in trees:
+        assert tree.idom == t.idom
+        components = tree.components
+        for a in range(n):
+            comps = components.get(a, ())
+            rank = {v: k for k, comp in enumerate(comps) for v in comp}
+            assert set(rank) == set(t.children[a])
+            for u, v in naive_dominance_graph(g, t, a):
+                assert rank[u] <= rank[v], (a, u, v)
+    a, b = trees
+    assert (a.width, a.comp_sizes) == (b.width, b.comp_sizes)
+    assert a.comp_offsets == b.comp_offsets
+    assert {k: set(c) for k, c in a.components.items()} == {
+        k: set(c) for k, c in b.components.items()
+    }

@@ -6,7 +6,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from actree import (
     Graph,
@@ -17,6 +16,7 @@ from actree import (
     gen_layered,
     gen_random_digraph,
 )
+from random_graphs import random_arcs_with_loops, small_graphs
 
 
 def test_diamond_idoms(diamond):
@@ -113,26 +113,13 @@ def test_idom_is_the_minimal_strict_dominator():
                 assert brute_force_dominates(g, other, p)
 
 
-def _random_arcs_with_loops(
-    n: int, m: int, rng: random.Random
-) -> list[tuple[int, int]]:
-    """A random arborescence from node 0, then uniform arcs, self-loops and
-    repeated arcs, shuffled so the DFS meets them in no particular order."""
-    arcs = [(rng.randrange(v), v) for v in range(1, n)]
-    arcs.extend((rng.randrange(n), rng.randrange(n)) for _ in range(m))
-    arcs.extend((v, v) for v in rng.sample(range(n), n // 8))
-    arcs.extend(rng.sample(arcs, len(arcs) // 8))
-    rng.shuffle(arcs)
-    return arcs
-
-
 @pytest.mark.parametrize("log2n", [10, 12, 14])
 def test_idom_matches_networkx(log2n):
     nx = pytest.importorskip("networkx")
     rng = random.Random(log2n)
     n = 1 << log2n
     for m in (n // 2, 3 * n):  # sparse and dense extra arcs
-        arcs = _random_arcs_with_loops(n, m, rng)
+        arcs = random_arcs_with_loops(n, m, rng)
         g = Graph.from_arcs(n, 0, arcs)
         ref = nx.DiGraph()
         ref.add_nodes_from(range(n))
@@ -145,22 +132,6 @@ def test_idom_matches_networkx(log2n):
         for v in range(1, n):
             children[t.idom[v]].append(v)
         assert t.children == tuple(map(tuple, children))
-
-
-@st.composite
-def small_graphs(draw):
-    """A graph on at most 12 nodes reaching every node from a random source,
-    with self-loops and repeated arcs drawn on purpose."""
-    n = draw(st.integers(1, 12))
-    s = draw(st.integers(0, n - 1))
-    seq = [s, *draw(st.permutations([v for v in range(n) if v != s]))]
-    # each node gets an arc from one earlier in seq, so the source reaches all
-    arcs = [(seq[draw(st.integers(0, i - 1))], seq[i]) for i in range(1, n)]
-    node = st.integers(0, n - 1)
-    arcs += draw(st.lists(st.tuples(node, node), max_size=3 * n))
-    arcs += [(v, v) for v in draw(st.lists(node, max_size=n))]
-    arcs += draw(st.lists(st.sampled_from(arcs), max_size=n)) if arcs else []
-    return Graph.from_arcs(n, s, draw(st.permutations(arcs)))
 
 
 @settings(max_examples=300, deadline=None)

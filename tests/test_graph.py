@@ -108,6 +108,11 @@ def test_a_node_count_too_large_to_allocate_is_a_format_error(parse, text):
     assert exc.value.line == 2
 
 
+def test_from_arcs_names_a_node_count_too_large_to_allocate():
+    with pytest.raises(GraphError, match="node count 100000000000000000000 is too large"):
+        Graph.from_arcs(10**20, 0, [])
+
+
 def test_parse_dimacs_errors():
     with pytest.raises(FormatError):
         parse_dimacs_sp("a 1 2 1")  # missing problem line

@@ -283,3 +283,29 @@ def test_verify_spt_flags_missing_parent(diamond):
     parents[2] = None
     broken = ShortestPathResult(r.dist, tuple(parents), r.stats)
     assert not verify_spt(diamond, broken)
+
+
+@pytest.mark.parametrize("odd", [None, "2.0", 2j])
+def test_verify_spt_names_a_distance_that_is_not_a_number(odd):
+    g = Graph.from_arcs(3, 0, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.0)])
+    broken = ShortestPathResult((0.0, odd, 2.0), (None, 0, 1), dijkstra(g).stats)
+    check = verify_spt(g, broken)
+    assert not check
+    assert check.violations == (f"dist[1]={odd!r} is not an int or float",)
+
+
+def test_verify_spt_lists_violations_in_check_order():
+    # three parallel arcs 0 -> 1, the middle one tight
+    arcs = [(0, 1, 2.0), (0, 1, 1.0), (0, 1, 3.0), (1, 2, 1.0), (0, 2, 5.0), (2, 3, 1.0)]
+    g = Graph.from_arcs(4, 0, arcs)
+    assert verify_spt(g, ShortestPathResult((0.0, 1.0, 2.0, 3.0), (None, 0, 1, 2), None))
+    broken = ShortestPathResult((1.0, 1.0, 3.0, -1.0), (0, 0, 0, None), None)
+    assert verify_spt(g, broken).violations == (
+        "dist[source]=1.0, expected 0",
+        "source has parent 0",
+        "node 3 has no parent",
+        "dist[3]=-1.0 is not a finite non-negative value",
+        "improving arc 1->2 (w=1.0): 1.0 + 1.0 < 3.0",
+        "parent arc 0->1 is not tight for dist 1.0",
+        "parent arc 0->2 is not tight for dist 3.0",
+    )
