@@ -16,7 +16,6 @@ from .ac_tree import (
 from .dominators import (
     DominatorTree,
     brute_force_dominated_set,
-    brute_force_dominates,
     compute_dominator_tree,
 )
 from .graph import (
@@ -32,7 +31,6 @@ from .graph import (
     gen_nested,
     gen_random_dag,
     gen_random_digraph,
-    nest,
     parse_dimacs_sp,
     parse_edge_list,
     prune_unreachable,
@@ -76,7 +74,6 @@ __all__ = [
     "UnreachableNodeError",
     "ac_to_nesting_family",
     "brute_force_dominated_set",
-    "brute_force_dominates",
     "brute_force_nesting_width",
     "build_ac_tree",
     "compute_dominator_tree",
@@ -91,7 +88,6 @@ __all__ = [
     "is_module",
     "module_closure_check",
     "naive_dominance_graph",
-    "nest",
     "parse_dimacs_sp",
     "parse_edge_list",
     "prune_unreachable",

@@ -26,15 +26,13 @@ from .graph import (
     parse_edge_list,
     prune_unreachable,
 )
-from .nesting import brute_force_nesting_width
+from .nesting import EXACT_WIDTH_LIMIT, brute_force_nesting_width
 from .sssp import dag_sssp, dijkstra, recursive_dijkstra, verify_spt
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONTRACT = 3
 EXIT_INTERNAL = 4
-
-EXACT_WIDTH_LIMIT = 12
 
 _DIMACS_EXTENSIONS = (".gr", ".dimacs")
 
@@ -52,7 +50,7 @@ def _load_graph(args) -> Graph:
     except UnicodeDecodeError:
         raise FormatError(f"{args.input}: not UTF-8 text") from None
     if _detect_format(args.input, args.format) == "dimacs":
-        return parse_dimacs_sp(text, source=getattr(args, "source", 1))
+        return parse_dimacs_sp(text, source=1 if args.source is None else args.source)
     return parse_edge_list(text)
 
 
@@ -155,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--source",
             type=int,
-            default=1,
             help="1-based source node for DIMACS input (default 1)",
         )
 
@@ -195,7 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.source is not None and _detect_format(args.input, args.format) != "dimacs":
+        parser.error("--source applies to DIMACS input only")
     try:
         return args.func(args)
     except FormatError as exc:

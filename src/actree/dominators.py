@@ -215,8 +215,3 @@ def brute_force_dominated_set(g: Graph, a: int) -> frozenset[int]:
                     reached[v] = True
                     stack.append(v)
     return frozenset(b for b in range(n) if b == a or not reached[b])
-
-
-def brute_force_dominates(g: Graph, a: int, b: int) -> bool:
-    """Definition-level dominance oracle (test-only, one search per call)."""
-    return b in brute_force_dominated_set(g, a)

@@ -674,24 +674,15 @@ def gen_complete(n: int, seed: int | None = None) -> Graph:
     """Complete digraph on ``n`` nodes; unit weights unless a seed is given."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = random.Random(seed) if seed is not None else None
-    arcs = []
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                arcs.append((u, v, rng.random() if rng else 1.0))
-    return Graph.from_arcs(n, 0, arcs)
+    return _complete(n, random.Random(seed) if seed is not None else None)
 
 
-def nest(outer: Graph, at: int, inner: Graph) -> Graph:
-    """Substitute ``inner`` for node ``at`` of ``outer``.
-
-    Arcs into ``at`` are redirected to the inner source; arcs out of ``at``
-    leave from the inner source, ahead of the inner source's own arcs.
-    Retained outer nodes keep their relative order, inner nodes follow.
-    Nesting a graph into a single-node outer graph returns an equal graph.
-    """
-    return gen_nested((outer, at, inner), seed=0)
+def _complete(k: int, rng: random.Random | None) -> Graph:
+    """Complete digraph on ``k`` nodes; weights from ``rng`` in arc order, else 1.0."""
+    arcs = [(u, v) for u in range(k) for v in range(k) if u != v]
+    if rng is not None:
+        arcs = [(u, v, rng.random()) for u, v in arcs]
+    return Graph.from_arcs(k, 0, arcs)
 
 
 def gen_nested(spec, seed: int) -> Graph:
@@ -700,7 +691,15 @@ def gen_nested(spec, seed: int) -> Graph:
     A spec is either an ``int`` k (complete digraph on k nodes, seeded
     weights), a ready :class:`Graph`, or a triple ``(outer, at, inner)``
     meaning "substitute the graph described by ``inner`` for node ``at`` of
-    the graph described by ``outer``" (see :func:`nest`).
+    the graph described by ``outer``". Weights are drawn from one generator
+    seeded with ``seed``, leaf by leaf in spec order (outer before inner),
+    so ``gen_nested(k, seed)`` equals ``gen_complete(k, seed)``.
+
+    A substitution redirects the arcs into ``at`` to the inner source, and
+    the arcs out of ``at`` leave from the inner source, ahead of the inner
+    source's own arcs. Retained outer nodes keep their relative order, and
+    the inner nodes follow them. Substituting a graph for the only node of a
+    one-node outer graph gives an equal graph.
     """
     if spec is None or spec == ():
         raise ValueError("empty nesting spec")
@@ -738,10 +737,7 @@ def gen_nested(spec, seed: int) -> Graph:
         elif isinstance(s, int):
             if s < 1:
                 raise ValueError("component size must be >= 1")
-            arcs = [
-                (u, v, rng.random()) for u in range(s) for v in range(s) if u != v
-            ]
-            leaf = Graph.from_arcs(s, 0, arcs)
+            leaf = _complete(s, rng)
         elif isinstance(s, tuple) and len(s) == 3:
             todo += ((s, True), (s[2], False), (s[0], False))
             continue

@@ -17,6 +17,10 @@ from .graph import Graph, _Record
 
 NodeSet = frozenset[int]
 
+# Largest graph brute_force_nesting_width (and the CLI's ``width --exact``)
+# accepts: the search enumerates all 2^n node subsets.
+EXACT_WIDTH_LIMIT = 12
+
 
 class InvalidFamilyError(ValueError):
     """A nesting-family invariant does not hold; the message names the culprit."""
@@ -115,17 +119,18 @@ def family_width(g: Graph, family: NestingFamily | Iterable[Iterable[int]]) -> i
     return max(widths, default=1)
 
 
-def brute_force_nesting_width(g: Graph, max_nodes: int = 12) -> int:
+def brute_force_nesting_width(g: Graph) -> int:
     """Exact nesting width by exhaustive search (test oracle).
 
     Enumerates every module as a bitmask, then minimises, over recursive
     exact partitions of each module into at least two proper modules, the
     largest partition size encountered. Singletons contribute nothing.
-    Guarded to ``max_nodes`` because the search is exponential.
+    The search is exponential, so a graph of more than
+    :data:`EXACT_WIDTH_LIMIT` nodes raises ``ValueError``.
     """
     n = g.node_count
-    if n > max_nodes:
-        raise ValueError(f"brute-force width guard: {n} nodes > {max_nodes}")
+    if n > EXACT_WIDTH_LIMIT:
+        raise ValueError(f"brute-force width guard: {n} nodes > {EXACT_WIDTH_LIMIT}")
     if n == 1:
         return 1
 

@@ -291,13 +291,18 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
     node has a parent whose arc exists and is tight, and no arc of the
     graph improves any distance. Comparisons are exact. When a distance
     breaks them (``None``), each one that is not an ``int`` or ``float`` is
-    named and no arc is checked.
+    named and no arc is checked. A column with no length, or the wrong one,
+    is reported as a size mismatch.
     """
     n = g.node_count
     s = g.source
     dist, parent = r.dist, r.parent
     bad: list[str] = []
-    if len(dist) != n or len(parent) != n:
+    try:
+        sized = len(dist) == n and len(parent) == n
+    except TypeError:  # a column with no length
+        sized = False
+    if not sized:
         return SptCheck(False, ("result arrays do not match the graph size",))
     if dist[s] != 0:
         bad.append(f"dist[source]={dist[s]!r}, expected 0")

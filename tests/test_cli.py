@@ -170,3 +170,23 @@ def test_dimacs_autodetect(tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dist"] == [0.0, 7.0]
 
+
+@pytest.mark.parametrize("command, source", [("sssp", "3"), ("width", "99"), ("sssp", "0")])
+def test_source_on_edge_list_input_is_a_usage_error(tmp_path, command, source):
+    path = tmp_path / "d.edges"
+    path.write_text(DIAMOND)
+    proc = run_cli(command, str(path), "--source", source)
+    assert proc.returncode == 2
+    assert "--source applies to DIMACS input only" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_dimacs_source_zero_is_not_the_default(tmp_path):
+    path = tmp_path / "g.gr"
+    path.write_text("p sp 2 1\na 1 2 7\n")
+    proc = run_cli("sssp", str(path), "--source", "0")
+    assert proc.returncode == 2
+    assert "source 0 out of range" in proc.stderr
+    proc = run_cli("sssp", str(path), "--source", "1", "--algo", "dijkstra")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["dist"] == [0.0, 7.0]

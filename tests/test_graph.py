@@ -26,7 +26,6 @@ from actree import (
     gen_nested,
     gen_random_dag,
     gen_random_digraph,
-    nest,
     parse_dimacs_sp,
     parse_edge_list,
     prune_unreachable,
@@ -443,6 +442,14 @@ def test_gen_complete():
     assert all(w == 1.0 for _, _, w in g.arcs())
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_gen_complete_with_a_seed_is_the_int_nesting_spec(seed):
+    for k in range(1, 9):
+        a, b = gen_complete(k, seed), gen_nested(k, seed)
+        assert a == b
+        assert list(map(repr, a.weights)) == list(map(repr, b.weights))
+
+
 def test_nested_identity_composition():
     inner = gen_complete(4, seed=5)
     assert gen_nested((1, 0, inner), seed=0) == inner
@@ -481,7 +488,7 @@ def test_nested_deep_spec_builds_without_recursion():
 def test_nested_replacing_the_source():
     outer = Graph.from_arcs(2, 0, [(0, 1)])
     inner = Graph.from_arcs(2, 0, [(0, 1), (1, 0)])
-    g = nest(outer, 0, inner)
+    g = gen_nested((outer, 0, inner), seed=0)
     assert g.node_count == 3
     assert g.source == 1  # inner source, shifted past the surviving outer node
     with pytest.raises(ValueError):

@@ -285,6 +285,17 @@ def test_verify_spt_flags_missing_parent(diamond):
     assert not verify_spt(diamond, broken)
 
 
+@pytest.mark.parametrize(
+    "dist, parent",
+    [(None, (None, 0, 1)), ((0.0, 1.0, 2.0), 5), ((0.0, 1.0), (None, 0, 1))],
+)
+def test_verify_spt_rejects_columns_of_the_wrong_size(dist, parent):
+    g = Graph.from_arcs(3, 0, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.0)])
+    check = verify_spt(g, ShortestPathResult(dist, parent, None))
+    assert not check
+    assert check.violations == ("result arrays do not match the graph size",)
+
+
 @pytest.mark.parametrize("odd", [None, "2.0", 2j])
 def test_verify_spt_names_a_distance_that_is_not_a_number(odd):
     g = Graph.from_arcs(3, 0, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.0)])
