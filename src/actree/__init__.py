@@ -39,7 +39,6 @@ from .graph import (
 )
 from .nesting import (
     InvalidFamilyError,
-    NestingFamily,
     brute_force_nesting_width,
     family_width,
     is_module,
@@ -66,7 +65,6 @@ __all__ = [
     "GraphError",
     "InvalidFamilyError",
     "NegativeWeightError",
-    "NestingFamily",
     "SearchStats",
     "ShortestPathResult",
     "SptCheck",

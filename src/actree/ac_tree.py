@@ -11,9 +11,11 @@ The tree is built in two flat passes after the dominator tree. One loop over
 the dominator tree's preorder collects the arcs of every dominance graph at
 once as sibling arcs, with no per-node graph objects. One iterative Tarjan
 pass then finds the strongly connected components of all dominance graphs
-together: no arc links two owners, so no component crosses owners. The
-resulting :class:`AcTree` is the whole decomposition: the nesting family is
-expanded from it alone.
+together, its roots taken owner by owner: no arc links two owners, so no
+component crosses owners and each owner's components are emitted together,
+and one reversal numbers them all in topological order. The resulting
+:class:`AcTree` is the whole decomposition: the nesting family is expanded
+from it alone.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from array import array
 from collections import Counter
 from itertools import accumulate, chain
 
-from .dominators import DominatorTree, _idom_preorder
+from .dominators import DominatorTree, _check_node, _idom_preorder
 from .graph import Graph, _Record
-from .nesting import NestingFamily
 
 
 class AcTree(_Record):
@@ -118,6 +119,7 @@ def naive_dominance_graph(
     such that some arc leaves the subtree of ``u`` and enters the subtree of
     ``v``. The nodes of the graph are ``t.children[a]``.
     """
+    _check_node(a, g.node_count)
     subtree_of: dict[int, int] = {}
     for c in t.children[a]:
         for v in t.descendants(c):
@@ -135,16 +137,18 @@ def build_ac_tree(g: Graph) -> AcTree:
     """Construct the A-C tree of a pruned graph.
 
     Dominators, then the sibling-arc pass, then one iterative Tarjan pass
-    over all non-source nodes. Roots are tried in ascending id, heads in
-    stored arc order. Tarjan emits each owner's components in reverse
-    topological order whatever the head order, repeats included, so after
-    one counting pass each owner's number range is filled from its end.
-    Near-linear overall; the decomposition does not depend on arc weights.
+    over all non-source nodes. Roots are tried owner by owner, owners in
+    descending id and each owner's children in ascending id, heads in
+    stored arc order. No sibling arc crosses owners, so each owner's
+    components are emitted together, in reverse topological order whatever
+    the head order, repeats included; one reversal then numbers every
+    component, owner by owner in ascending id. Near-linear overall; the
+    decomposition does not depend on arc weights.
     """
     n = g.node_count
-    s = g.source
-    idom, order = _idom_preorder(g)
+    idom, order, kids = _idom_preorder(g)
     succ, _ = _sibling_arcs(g, idom, order)
+    del order
 
     # Tarjan with low-link propagation. index[v] is v's position on
     # comp_stack, so a component is the stack's tail from its root; a
@@ -154,8 +158,8 @@ def build_ac_tree(g: Graph) -> AcTree:
     low = [n] * n
     comp_stack: list[int] = []
     emitted: list[list[int]] = []
-    for root in range(n):
-        if root == s or index[root] >= 0:
+    for root in reversed(kids):
+        if index[root] >= 0:
             continue
         if not succ[root]:
             index[root] = 0
@@ -189,49 +193,42 @@ def build_ac_tree(g: Graph) -> AcTree:
                     emitted.append(comp)
                 elif lv < low[work[-1][0]]:
                     low[work[-1][0]] = lv
-    del index, low, succ  # freed before the numbering allocates: a lower peak
+    del index, low, succ, kids  # freed before the numbering allocates: a lower peak
 
-    # Number the components: each owner's range is filled from its end.
-    owners = [idom[comp[0]] for comp in emitted]
-    count = [0] * (n + 1)
-    for a in owners:
-        count[a + 1] += 1
-    offsets = list(accumulate(count))
-    end = offsets[1:]
+    # Number the components in topological order, owner by owner.
+    emitted.reverse()
     comp_id = [-1] * n
-    by_number: list[list[int]] = [[]] * len(emitted)
-    for a, comp in zip(owners, emitted):
-        cid = end[a] - 1
-        end[a] = cid
+    count = [0] * (n + 1)
+    for cid, comp in enumerate(emitted):
         if len(comp) > 1:
             comp.sort()
-        by_number[cid] = comp
+        count[idom[comp[0]] + 1] += 1
         for v in comp:
             comp_id[v] = cid
-    del emitted
-    comp_start = array("i", accumulate(map(len, by_number), initial=0))
-    sizes = dict(sorted(Counter(map(len, by_number)).items()))
+    comp_start = array("i", accumulate(map(len, emitted), initial=0))
+    sizes = dict(sorted(Counter(map(len, emitted)).items()))
     return AcTree(
         idom,
         max(sizes, default=0) + 1,
         array("i", comp_id),
         comp_start,
-        tuple(chain.from_iterable(by_number)),
-        array("i", offsets),
+        tuple(chain.from_iterable(emitted)),
+        array("i", accumulate(count)),
         sizes,
         g.offsets,
         g.heads,
     )
 
 
-def ac_to_nesting_family(tree: AcTree) -> NestingFamily:
+def ac_to_nesting_family(tree: AcTree) -> tuple[frozenset[int], ...]:
     """Expand an A-C tree into the nesting family it certifies.
 
     For every node ``a`` the family holds each prefix of its component
     sequence, closed under dominator descendants and rooted at ``a``, plus
     the trivial modules. Owner ``a``'s components partition its dominator
     children, so a subtree is walked through the components alone. The
-    result is laminar and its width equals the tree's width.
+    result, sorted by size and then by members, is laminar, and its width
+    (:func:`~actree.family_width`) equals ``tree.width``.
 
     This is a test-scale certificate: every prefix is its own frozenset, so
     on a wide dominator tree the family holds a number of elements
@@ -254,5 +251,4 @@ def ac_to_nesting_family(tree: AcTree) -> NestingFamily:
                 # v's components are numbered contiguously: one slice
                 prefix.extend(nodes[start[off[v]] : start[off[v + 1]]])
             sets.add(frozenset(prefix))
-    ordered = tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
-    return NestingFamily(ordered, tree.width)
+    return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))

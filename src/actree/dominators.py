@@ -14,7 +14,9 @@ a slice of it. A path-removal oracle is provided for testing.
 
 from __future__ import annotations
 
-from .graph import Graph, UnreachableNodeError, _Record
+from array import array
+
+from .graph import Graph, GraphError, UnreachableNodeError, _Record
 
 
 class DominatorTree(_Record):
@@ -30,11 +32,21 @@ class DominatorTree(_Record):
 
     def dominates(self, a: int, b: int) -> bool:
         """True when every source-to-``b`` path contains ``a`` (a >= b)."""
+        n = len(self.idom)
+        _check_node(a, n)
+        _check_node(b, n)
         return self.dfs_in[a] <= self.dfs_in[b] and self.dfs_out[b] <= self.dfs_out[a]
 
     def descendants(self, a: int) -> tuple[int, ...]:
         """All nodes dominated by ``a``, including ``a`` itself, in preorder."""
+        _check_node(a, len(self.idom))
         return self.order[self.dfs_in[a] : self.dfs_out[a] + 1]
+
+
+def _check_node(v: int, n: int) -> None:
+    """Raise :class:`GraphError` unless ``v`` is a node id below ``n``."""
+    if type(v) is not int or not 0 <= v < n:
+        raise GraphError(f"node {v!r} is not a node id of a {n}-node graph")
 
 
 def compute_dominator_tree(g: Graph) -> DominatorTree:
@@ -43,7 +55,7 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     Requires every node to be reachable from the source (prune first).
     The tree and its preorder do not depend on the arc order.
     """
-    idom, order = _idom_preorder(g)
+    idom, order, _ = _idom_preorder(g)
     n = g.node_count
     s = g.source
     children: list[list[int]] = [[] for _ in range(n)]
@@ -67,8 +79,9 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     )
 
 
-def _idom_preorder(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Immediate dominators of ``g`` and the dominator tree's preorder.
+def _idom_preorder(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], array]:
+    """Immediate dominators of ``g``, the dominator tree's preorder, and the
+    non-source nodes grouped by immediate dominator, as an int array.
 
     Semi-NCA over DFS numbers. A DFS in stored arc order numbers the nodes
     and records each node's predecessors by number. Then, in decreasing
@@ -77,8 +90,10 @@ def _idom_preorder(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     its candidate is the least semidominator number on its forest path,
     found by path compression with ``label`` holding that minimum. Finally,
     in increasing number, ``idom[w]`` is the nearest ancestor of ``parent[w]``
-    in the dominator tree numbered ``<= semi[w]``. The preorder lists
-    children in ascending id, from one counting sort over ``idom``.
+    in the dominator tree numbered ``<= semi[w]``. One counting sort over
+    ``idom`` groups the children: owners in ascending id, each owner's
+    children in descending id, so the preorder lists children in ascending
+    id.
     """
     n = g.node_count
     s = g.source
@@ -177,7 +192,7 @@ def _idom_preorder(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     start[s] -= 1  # the source is no child of itself
     for a in range(n):
         start[a + 1] += start[a]
-    kids = [0] * (n - 1)
+    kids = array("i", [0]) * (n - 1)
     for v in range(n):
         if v != s:
             p = idom[v]
@@ -191,7 +206,7 @@ def _idom_preorder(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
         v = stack.pop()
         order.append(v)
         stack.extend(kids[start[v] : start[v + 1]])
-    return tuple(idom), tuple(order)
+    return tuple(idom), tuple(order), kids
 
 
 def brute_force_dominated_set(g: Graph, a: int) -> frozenset[int]:
@@ -202,6 +217,7 @@ def brute_force_dominated_set(g: Graph, a: int) -> frozenset[int]:
     all ``b`` at once.
     """
     n = g.node_count
+    _check_node(a, n)
     reached = [False] * n
     if a != g.source:
         reached[g.source] = True

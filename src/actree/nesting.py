@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .graph import Graph, _Record
+from .graph import Graph, GraphError
 
 NodeSet = frozenset[int]
 
@@ -22,14 +22,8 @@ NodeSet = frozenset[int]
 EXACT_WIDTH_LIMIT = 12
 
 
-class InvalidFamilyError(ValueError):
+class InvalidFamilyError(GraphError, ValueError):
     """A nesting-family invariant does not hold; the message names the culprit."""
-
-
-class NestingFamily(_Record):
-    """A laminar family of modules with its width."""
-
-    __slots__ = ("sets", "width")
 
 
 def is_module(g: Graph, nodes: Iterable[int]) -> int | None:
@@ -74,7 +68,7 @@ def module_closure_check(g: Graph, m: Iterable[int], h: Iterable[int]) -> bool:
     return is_module(g, ms | hs) is not None and is_module(g, ms & hs) is not None
 
 
-def family_width(g: Graph, family: NestingFamily | Iterable[Iterable[int]]) -> int:
+def family_width(g: Graph, family: Iterable[Iterable[int]]) -> int:
     """Validate a nesting family and return its width.
 
     Raises :class:`InvalidFamilyError` naming the offending set or pair when
@@ -82,8 +76,7 @@ def family_width(g: Graph, family: NestingFamily | Iterable[Iterable[int]]) -> i
     overlap. Width is the largest count of inclusion-maximal members
     strictly inside any non-singleton member (1 for a single-node graph).
     """
-    raw = family.sets if isinstance(family, NestingFamily) else family
-    sets = sorted({frozenset(s) for s in raw}, key=lambda s: (-len(s), sorted(s)))
+    sets = sorted({frozenset(s) for s in family}, key=lambda s: (-len(s), sorted(s)))
     n = g.node_count
     everything = frozenset(range(n))
     as_set = set(sets)

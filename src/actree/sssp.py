@@ -275,6 +275,22 @@ def _first_differing_row(off: tuple, heads: tuple, t_off: tuple, t_heads: tuple)
     return max(rows, 0)
 
 
+def _unreadable(dist, parent, n: int) -> tuple[str, ...]:
+    """Why a result could not be read: the first column that some node id
+    ``0..n-1`` does not index, or else every distance that is not a number.
+
+    Runs on the failure path only.
+    """
+    for name, column in (("dist", dist), ("parent", parent)):
+        for v in range(n):
+            try:
+                column[v]
+            except (TypeError, LookupError):
+                return (f"the {name} column cannot be indexed by node id {v}",)
+    return tuple(f"dist[{v}]={d!r} is not an int or float" for v, d in enumerate(dist)
+                 if not isinstance(d, (int, float)))
+
+
 class SptCheck(_Record):
     """Outcome of a shortest-path-tree verification; falsy when violated."""
 
@@ -292,7 +308,8 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
     graph improves any distance. Comparisons are exact. When a distance
     breaks them (``None``), each one that is not an ``int`` or ``float`` is
     named and no arc is checked. A column with no length, or the wrong one,
-    is reported as a size mismatch.
+    is reported as a size mismatch; a column that some node id does not
+    index (a ``set``, or a ``dict`` with a missing key) is named on its own.
     """
     n = g.node_count
     s = g.source
@@ -304,13 +321,13 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
         sized = False
     if not sized:
         return SptCheck(False, ("result arrays do not match the graph size",))
-    if dist[s] != 0:
-        bad.append(f"dist[source]={dist[s]!r}, expected 0")
-    if parent[s] is not None:
-        bad.append(f"source has parent {parent[s]}")
     off, heads, weights = g.offsets, g.heads, g.weights
     tight: list[bool | None] = [None] * n  # None until a parent arc is seen
     try:
+        if dist[s] != 0:
+            bad.append(f"dist[source]={dist[s]!r}, expected 0")
+        if parent[s] is not None:
+            bad.append(f"source has parent {parent[s]}")
         for v in range(n):
             if v != s and parent[v] is None:
                 bad.append(f"node {v} has no parent")
@@ -328,10 +345,8 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
                     )
                 if parent[v] == u and not tight[v]:
                     tight[v] = du + w == dist[v]
-    except TypeError:  # a distance that is not a number
-        bad = [f"dist[{v}]={d!r} is not an int or float" for v, d in enumerate(dist)
-               if not isinstance(d, (int, float))]
-        return SptCheck(False, tuple(bad))
+    except (TypeError, LookupError):  # a column or a distance it cannot read
+        return SptCheck(False, _unreadable(dist, parent, n))
     for v in range(n):
         if v == s or parent[v] is None:
             continue

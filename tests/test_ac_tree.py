@@ -178,32 +178,31 @@ def test_components_partition_children_and_are_strongly_connected():
 
 def test_family_cycle(cycle3):
     fam = ac_to_nesting_family(build_ac_tree(cycle3))
-    assert set(fam.sets) == {
+    assert set(fam) == {
         frozenset({0}),
         frozenset({1}),
         frozenset({2}),
         frozenset({1, 2}),
         frozenset({0, 1, 2}),
     }
-    assert fam.width == 2
+    assert family_width(cycle3, fam) == 2
 
 
 def test_family_single(single):
     fam = ac_to_nesting_family(build_ac_tree(single))
-    assert fam.sets == (frozenset({0}),)
-    assert fam.width == 1
+    assert fam == (frozenset({0}),)
     assert family_width(single, fam) == 1
 
 
 def test_family_complete(complete3):
     fam = ac_to_nesting_family(build_ac_tree(complete3))
-    assert set(fam.sets) == {
+    assert set(fam) == {
         frozenset({0}),
         frozenset({1}),
         frozenset({2}),
         frozenset({0, 1, 2}),
     }
-    assert fam.width == 3
+    assert family_width(complete3, fam) == 3
 
 
 def test_family_members_are_modules_and_laminar():
@@ -212,7 +211,7 @@ def test_family_members_are_modules_and_laminar():
         g = gen_random_digraph(n, n + (i * 5) % (2 * n), seed=900 + i)
         tree = build_ac_tree(g)
         fam = ac_to_nesting_family(tree)
-        for s in fam.sets:
+        for s in fam:
             assert is_module(g, s) is not None
         # family_width re-validates laminarity and trivial modules
         assert family_width(g, fam) == tree.width
@@ -244,6 +243,46 @@ def test_components_are_stored_as_compressed_rows(single, diamond, complete3):
             assert all(tree.comp_id[v] == c for v in members)
         assert not hasattr(tree, "comp_members")
         assert tree.offsets is g.offsets and tree.heads is g.heads  # no copies
+
+
+# Components that no sibling arc orders still get one fixed number each.
+# Owner 0 of the first graph has {1, 2} and {3, 4} unordered, {3, 4} before
+# {5}; owner 3 of the second has {0, 5}, {1, 4} and 2 unordered, 6 before 2.
+PINNED_NUMBERING = [
+    (
+        Graph.from_arcs(7, 0, [(0, 3), (0, 4), (3, 4), (4, 3), (0, 1), (0, 2),
+                               (1, 2), (2, 1), (0, 5), (4, 5), (5, 6)]),
+        [-1, 2, 2, 0, 0, 1, 3],
+        [0, 2, 3, 5, 6],
+        (3, 4, 5, 1, 2, 6),
+        [0, 3, 3, 3, 3, 3, 4, 4],
+    ),
+    (
+        Graph.from_arcs(7, 3, [(3, 6), (3, 5), (3, 0), (0, 5), (5, 0), (3, 4),
+                               (3, 1), (1, 4), (4, 1), (3, 2), (6, 2)]),
+        [3, 2, 1, -1, 2, 3, 0],
+        [0, 1, 2, 4, 6],
+        (6, 2, 1, 4, 0, 5),
+        [0, 0, 0, 0, 4, 4, 4, 4],
+    ),
+    (
+        gen_nested((3, 1, (4, 2, 3)), seed=5),
+        [-1, 0, 0, 1, 1, 1, 2, 2],
+        [0, 2, 5, 7],
+        (1, 2, 3, 4, 5, 6, 7),
+        [0, 1, 1, 2, 2, 2, 3, 3, 3],
+    ),
+]
+
+
+@pytest.mark.parametrize("g, comp_id, comp_start, comp_nodes, comp_offsets",
+                         PINNED_NUMBERING)
+def test_component_numbering_is_pinned(g, comp_id, comp_start, comp_nodes, comp_offsets):
+    tree = build_ac_tree(g)
+    assert list(tree.comp_id) == comp_id
+    assert list(tree.comp_start) == comp_start
+    assert tree.comp_nodes == comp_nodes
+    assert list(tree.comp_offsets) == comp_offsets
 
 
 def _lifted_sibling_arcs(g, idom) -> list[tuple[int, int]]:

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 
 from actree import (
     Graph,
+    GraphError,
     UnreachableNodeError,
     brute_force_dominated_set,
     compute_dominator_tree,
     gen_layered,
     gen_random_digraph,
+    naive_dominance_graph,
 )
 from random_graphs import random_arcs_with_loops, small_graphs
 
@@ -59,6 +61,24 @@ def test_unreachable_rejected():
     g = Graph.from_arcs(3, 0, [(0, 1)])
     with pytest.raises(UnreachableNodeError):
         compute_dominator_tree(g)
+
+
+@pytest.mark.parametrize(
+    "query, node",
+    [
+        (lambda g, t: t.descendants(-1), -1),
+        (lambda g, t: t.descendants(3), 3),
+        (lambda g, t: t.dominates(-1, 2), -1),
+        (lambda g, t: t.dominates(0, 3), 3),
+        (lambda g, t: naive_dominance_graph(g, t, -1), -1),
+        (lambda g, t: brute_force_dominated_set(g, -1), -1),
+        (lambda g, t: brute_force_dominated_set(g, 3), 3),
+    ],
+)
+def test_dominance_queries_reject_ids_outside_the_graph(query, node):
+    g = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])
+    with pytest.raises(GraphError, match=f"node {node} is not a node id"):
+        query(g, compute_dominator_tree(g))
 
 
 def test_interval_test_matches_oracle_on_random_graphs():

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from actree import (
+    GraphError,
     InvalidFamilyError,
-    NestingFamily,
     brute_force_nesting_width,
     build_ac_tree,
     family_width,
@@ -90,11 +90,15 @@ def test_family_width_cycle(cycle3):
         frozenset({0, 1, 2}),
     ]
     assert family_width(cycle3, sets) == 2
-    assert family_width(cycle3, NestingFamily(tuple(sets), 2)) == 2
+    assert family_width(cycle3, tuple(sets)) == 2
 
 
 def test_family_width_single(single):
     assert family_width(single, [frozenset({0})]) == 1
+
+
+def test_invalid_family_error_is_a_typed_graph_error():
+    assert InvalidFamilyError.__bases__ == (GraphError, ValueError)
 
 
 def test_family_width_reports_violations(cycle3, diamond):

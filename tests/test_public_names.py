@@ -20,6 +20,8 @@ def test_all_is_sorted_resolves_and_lists_every_public_attribute():
     assert public <= set(names), sorted(public - set(names))
     assert "DominanceGraph" not in names
     # one name per job: gen_nested substitutes, brute_force_dominated_set
-    # is the dominance oracle
-    for gone in ("nest", "brute_force_dominates"):
+    # is the dominance oracle, and ac_to_nesting_family returns plain sets
+    # whose width is the tree's own
+    for gone in ("nest", "brute_force_dominates", "NestingFamily"):
         assert gone not in names and not hasattr(actree, gone), gone
+    assert len(names) == 36

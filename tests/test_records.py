@@ -1,6 +1,6 @@
-"""The seven result and graph records: read-only, compared by fields, picklable.
+"""The six result and graph records: read-only, compared by fields, picklable.
 
-``Graph``, ``DominatorTree``, ``AcTree``, ``NestingFamily``, ``SearchStats``,
+``Graph``, ``DominatorTree``, ``AcTree``, ``SearchStats``,
 ``ShortestPathResult`` and ``SptCheck`` are ``__slots__`` classes on one
 small read-only base, so importing the package pulls in no ``dataclasses``.
 """
@@ -20,11 +20,9 @@ from actree import (
     AcTree,
     DominatorTree,
     Graph,
-    NestingFamily,
     SearchStats,
     ShortestPathResult,
     SptCheck,
-    ac_to_nesting_family,
     build_ac_tree,
     compute_dominator_tree,
     gen_nested,
@@ -32,12 +30,12 @@ from actree import (
     recursive_dijkstra,
     verify_spt,
 )
+from actree.graph import _Record
 
 CLASSES = (
     Graph,
     DominatorTree,
     AcTree,
-    NestingFamily,
     SearchStats,
     ShortestPathResult,
     SptCheck,
@@ -55,11 +53,16 @@ def records() -> dict[type, object]:
         Graph: g,
         DominatorTree: compute_dominator_tree(g),
         AcTree: tree,
-        NestingFamily: ac_to_nesting_family(tree),
         SearchStats: r.stats,
         ShortestPathResult: r,
         SptCheck: verify_spt(g, r),
     }
+
+
+class _Twin(_Record):
+    """A record class with the same fields as ``SptCheck``."""
+
+    __slots__ = ("ok", "violations")
 
 
 def fields(record) -> tuple:
@@ -100,9 +103,9 @@ def test_records_differ_across_classes_even_with_equal_fields():
             assert (record == other) == (cls is other_cls)
         assert record != fields(record)
         assert record.__eq__(fields(record)) is NotImplemented
-    family = NestingFamily((frozenset({0}),), 1)
-    check = SptCheck((frozenset({0}),), 1)
-    assert fields(family) == fields(check) and family != check
+    twin = _Twin(True, ())
+    check = SptCheck(True, ())
+    assert fields(twin) == fields(check) and twin != check and check != twin
     g = built[Graph]
     heavier = g.weights[:-1] + (g.weights[-1] + 1.0,)
     assert g != Graph(g.node_count, g.source, g.offsets, g.heads, heavier, g.arc_count)

@@ -296,6 +296,21 @@ def test_verify_spt_rejects_columns_of_the_wrong_size(dist, parent):
     assert check.violations == ("result arrays do not match the graph size",)
 
 
+@pytest.mark.parametrize(
+    "dist, parent, column",
+    [
+        ((0.0, 1.0, 2.0), {None, 0, 1}, "parent"),
+        ((0.0, 1.0, 2.0), {1: 0, 2: 1, 3: None}, "parent"),
+        ({1: 1.0, 2: 2.0, 3: 0.0}, (None, 0, 1), "dist"),
+    ],
+)
+def test_verify_spt_names_a_column_it_cannot_index(dist, parent, column):
+    g = Graph.from_arcs(3, 0, [(0, 1, 1.0), (1, 2, 1.0)])
+    check = verify_spt(g, ShortestPathResult(dist, parent, None))
+    assert not check
+    assert check.violations == (f"the {column} column cannot be indexed by node id 0",)
+
+
 @pytest.mark.parametrize("odd", [None, "2.0", 2j])
 def test_verify_spt_names_a_distance_that_is_not_a_number(odd):
     g = Graph.from_arcs(3, 0, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.0)])
