@@ -19,7 +19,6 @@ from .dominators import (
     compute_dominator_tree,
 )
 from .graph import (
-    CycleError,
     FormatError,
     Graph,
     GraphError,
@@ -48,7 +47,6 @@ from .sssp import (
     SearchStats,
     ShortestPathResult,
     SptCheck,
-    dag_sssp,
     dijkstra,
     recursive_dijkstra,
     verify_spt,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcTree",
-    "CycleError",
     "DominatorTree",
     "FormatError",
     "Graph",
@@ -75,7 +72,6 @@ __all__ = [
     "brute_force_nesting_width",
     "build_ac_tree",
     "compute_dominator_tree",
-    "dag_sssp",
     "dijkstra",
     "family_width",
     "gen_complete",

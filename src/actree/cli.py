@@ -4,10 +4,10 @@ Each command parses one graph file, prunes unreachable nodes and prints one
 result. The CLI does no timing: ``perfbench/run.py`` at the repository root
 measures the library end to end and layer by layer.
 
-Exit codes: 0 ok, 2 parse or usage error, 3 contract violation (cycle,
-negative weight), 4 internal failure (a failed --verify or a width
-disagreement, which would falsify the decomposition, or any unexpected
-exception, reported as one line instead of a traceback).
+Exit codes: 0 ok, 2 parse or usage error, 3 negative weight, 4 internal
+failure (a failed --verify or a width disagreement, which would falsify the
+decomposition, or any unexpected exception, reported as one line instead
+of a traceback).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import sys
 
 from .ac_tree import build_ac_tree
 from .graph import (
-    CycleError,
     FormatError,
     Graph,
     NegativeWeightError,
@@ -27,7 +26,7 @@ from .graph import (
     prune_unreachable,
 )
 from .nesting import EXACT_WIDTH_LIMIT, brute_force_nesting_width
-from .sssp import dag_sssp, dijkstra, recursive_dijkstra, verify_spt
+from .sssp import dijkstra, recursive_dijkstra, verify_spt
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -91,8 +90,6 @@ def cmd_sssp(args) -> int:
     g = _load_pruned(args)
     if args.algo == "dijkstra":
         result = dijkstra(g)
-    elif args.algo == "dag":
-        result = dag_sssp(g)
     else:
         result = recursive_dijkstra(g, build_ac_tree(g))
     if args.verify:
@@ -169,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument(
         "--algo",
-        choices=("dijkstra", "recursive", "dag"),
+        choices=("dijkstra", "recursive"),
         default="recursive",
         help="engine to run (default recursive)",
     )
@@ -202,9 +199,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NegativeWeightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    except CycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     except OSError as exc:

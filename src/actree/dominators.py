@@ -15,6 +15,7 @@ a slice of it. A path-removal oracle is provided for testing.
 from __future__ import annotations
 
 from array import array
+from itertools import groupby
 
 from .graph import Graph, GraphError, UnreachableNodeError, _Record
 
@@ -55,28 +56,21 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     Requires every node to be reachable from the source (prune first).
     The tree and its preorder do not depend on the arc order.
     """
-    idom, order, _ = _idom_preorder(g)
+    idom, order, kids = _idom_preorder(g)
     n = g.node_count
-    s = g.source
-    children: list[list[int]] = [[] for _ in range(n)]
+    # read backwards, kids holds each owner's children as one ascending run
+    children: list[tuple[int, ...]] = [()] * n
+    for a, run in groupby(reversed(kids), idom.__getitem__):
+        children[a] = tuple(run)
     dfs_in = [0] * n
     for i, v in enumerate(order):
         dfs_in[v] = i
-        if v != s:
-            children[idom[v]].append(v)
-    # subtree sizes, children before parents; dfs_out closes each interval
-    size = [1] * n
+    # a subtree ends where its last child's does; children before parents
+    dfs_out = dfs_in[:]
     for v in reversed(order):
-        if v != s:
-            size[idom[v]] += size[v]
-    dfs_out = [i + k - 1 for i, k in zip(dfs_in, size)]
-    return DominatorTree(
-        idom,
-        tuple(map(tuple, children)),
-        order,
-        tuple(dfs_in),
-        tuple(dfs_out),
-    )
+        if c := children[v]:
+            dfs_out[v] = dfs_out[c[-1]]
+    return DominatorTree(idom, tuple(children), order, tuple(dfs_in), tuple(dfs_out))
 
 
 def _idom_preorder(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], array]:

@@ -58,10 +58,6 @@ class UnreachableNodeError(GraphError):
     """An operation that requires a pruned graph found unreachable nodes."""
 
 
-class CycleError(GraphError):
-    """An acyclic-only operation was handed a graph with a directed cycle."""
-
-
 class TreeMismatchError(GraphError, ValueError):
     """An A-C tree was handed to a search over a graph it was not built for."""
 
@@ -598,7 +594,7 @@ def prune_unreachable(g: Graph) -> tuple[Graph, Sequence[int | None]]:
         tuple(new_weights),
         len(new_heads),
     )
-    return pruned, remap
+    return pruned, tuple(remap)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ from collections.abc import Iterable
 
 from .graph import Graph, GraphError
 
-NodeSet = frozenset[int]
-
 # Largest graph brute_force_nesting_width (and the CLI's ``width --exact``)
 # accepts: the search enumerates all 2^n node subsets.
 EXACT_WIDTH_LIMIT = 12

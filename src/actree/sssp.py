@@ -1,24 +1,24 @@
 """Shortest-path engines and the shortest-path-tree checker.
 
-Three engines produce the same distances on the same graph: textbook
-Dijkstra over one all-nodes queue (the oracle), topological relaxation for
-DAGs, and the recursive engine that drains one small queue per A-C tree
-component in topological order. Both queue engines use a ``heapq`` binary
-heap of ``(dist, node)`` entries with lazy deletion: an improvement pushes
-a new entry, and an entry whose distance is no longer current is skipped
-when it surfaces. Ties on distance therefore break by node id. A component
-queue is filled with the members' finite distances when its turn to drain
-comes, so it holds at most |C| + (arcs into C) entries for a component C.
-The recursive engine checks once, before it starts, that the tree was built
-from the graph's topology, so its loop carries no per-node guard. All three
-engines finalise every node exactly once and relax each arc exactly once
-from a finalised tail, so equal inputs give bit-equal distances. Every
-engine scans node ``u``'s arcs as the index range
-``offsets[u]:offsets[u + 1]`` of the graph's ``heads`` and ``weights``
-tuples, and the recursive engine reads component ``c``'s members as the
-range ``comp_start[c]:comp_start[c + 1]`` of the tree's ``comp_nodes``
-tuple. ``Graph`` guarantees in-range heads and finite non-negative
-weights, so no engine checks them again.
+Two engines produce the same distances on the same graph: textbook Dijkstra
+over one all-nodes queue (the oracle), and the recursive engine that drains
+one small queue per A-C tree component in topological order; on a DAG every
+component is a single node, so it runs without a queue. Both use a
+``heapq`` binary heap of ``(dist, node)`` entries with lazy deletion: an
+improvement pushes a new entry, and an entry whose distance is no longer
+current is skipped when it surfaces. Ties on distance therefore break by
+node id. A component queue is filled with the members' finite distances
+when its turn to drain comes, so it holds at most |C| + (arcs into C)
+entries for a component C. The recursive engine checks once, before it
+starts, that the tree was built from the graph's topology, so its loop
+carries no per-node guard. Both engines finalise every node exactly once
+and relax each arc exactly once from a finalised tail, so equal inputs give
+bit-equal distances. Both engines scan node ``u``'s arcs as the index
+range ``offsets[u]:offsets[u + 1]`` of the graph's ``heads`` and
+``weights`` tuples, and the recursive engine reads component ``c``'s
+members as the range ``comp_start[c]:comp_start[c + 1]`` of the tree's
+``comp_nodes`` tuple. ``Graph`` guarantees in-range heads and finite
+non-negative weights, so no engine checks them again.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .ac_tree import AcTree
-from .graph import CycleError, Graph, TreeMismatchError, _Record
+from .graph import Graph, TreeMismatchError, UnreachableNodeError, _Record
 
 INF = float("inf")
 
@@ -39,10 +39,10 @@ class SearchStats(_Record):
     ``max_queue_len`` is the size of the largest component a queue served:
     the largest component of the A-C tree for the recursive engine (every
     component is opened once all nodes are finalised), the node count for
-    the single-queue engine, 0 for the queueless one. It does not count
-    the stale entries lazy deletion leaves behind.
+    the single-queue engine. It does not count the stale entries lazy
+    deletion leaves behind.
     ``component_sizes`` is a size histogram of the component queues used
-    (empty for the single-queue and queueless engines).
+    (empty for the single-queue engine).
     """
 
     __slots__ = ("pops", "key_decreases", "max_queue_len", "component_sizes")
@@ -72,7 +72,8 @@ class ShortestPathResult(_Record):
 def dijkstra(g: Graph) -> ShortestPathResult:
     """Textbook Dijkstra over a single all-nodes queue; the baseline oracle.
 
-    Requires a pruned graph. Ties on distance break by node id.
+    Requires a pruned graph: raises :class:`UnreachableNodeError` when the
+    source does not reach every node. Ties on distance break by node id.
     """
     n = g.node_count
     s = g.source
@@ -96,50 +97,11 @@ def dijkstra(g: Graph) -> ShortestPathResult:
                 parent[w] = v
                 heappush(heap, (nd, w))
                 decreases += 1
+    if pops < n:
+        raise UnreachableNodeError(
+            f"{n - pops} nodes unreachable from source {s}; prune first"
+        )
     stats = SearchStats(pops, decreases, n, {})
-    dist = tuple(dist)  # each list is freed as soon as its tuple exists
-    parent = tuple(parent)
-    return ShortestPathResult(dist, parent, stats)
-
-
-def dag_sssp(g: Graph) -> ShortestPathResult:
-    """Topological-order relaxation for acyclic graphs; no priority queue.
-
-    Raises :class:`CycleError` when the graph has a directed cycle.
-    """
-    n = g.node_count
-    off, heads, weights = g.offsets, g.heads, g.weights
-    indegree = [0] * n
-    for v in heads:
-        indegree[v] += 1
-    frontier = [v for v in range(n) if indegree[v] == 0]
-    order = []
-    while frontier:
-        v = frontier.pop()
-        order.append(v)
-        for w in heads[off[v] : off[v + 1]]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                frontier.append(w)
-    if len(order) < n:
-        raise CycleError("graph has a directed cycle")
-
-    dist = [INF] * n
-    dist[g.source] = 0.0
-    parent = [None] * n
-    decreases = 0
-    for v in order:
-        d = dist[v]
-        if d == INF:
-            continue
-        for i in range(off[v], off[v + 1]):
-            w = heads[i]
-            nd = d + weights[i]
-            if nd < dist[w]:
-                dist[w] = nd
-                parent[w] = v
-                decreases += 1
-    stats = SearchStats(n, decreases, 0, {})
     dist = tuple(dist)  # each list is freed as soon as its tuple exists
     parent = tuple(parent)
     return ShortestPathResult(dist, parent, stats)

@@ -126,18 +126,21 @@ def test_sssp_engines_agree(tmp_path):
     path = tmp_path / "d.edges"
     path.write_text(DIAMOND)
     by_algo = {}
-    for algo in ("dijkstra", "recursive", "dag"):
+    for algo in ("dijkstra", "recursive"):
         proc = run_cli("sssp", str(path), "--algo", algo)
         assert proc.returncode == 0
         by_algo[algo] = json.loads(proc.stdout)["dist"]
-    assert by_algo["dijkstra"] == by_algo["recursive"] == by_algo["dag"]
+    assert by_algo["dijkstra"] == by_algo["recursive"]
 
 
-def test_sssp_dag_on_cycle_exits_3(tmp_path):
-    path = tmp_path / "cycle.edges"
-    path.write_text("3 3 0\n0 1 1\n1 2 1\n2 0 1\n")
+def test_sssp_algo_dag_is_a_usage_error(tmp_path):
+    path = tmp_path / "d.edges"
+    path.write_text(DIAMOND)
     proc = run_cli("sssp", str(path), "--algo", "dag")
-    assert proc.returncode == 3
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: actree sssp")
+    assert "argument --algo: invalid choice: 'dag'" in proc.stderr
 
 
 def test_width_fixtures(tmp_path):

@@ -384,13 +384,17 @@ def test_prune_identity_on_reachable(diamond):
     pruned, remap = prune_unreachable(diamond)
     assert pruned == diamond
     assert list(remap) == [0, 1, 2, 3]
+    with pytest.raises(TypeError):
+        remap[0] = 1
 
 
 def test_prune_drops_unreachable():
     g = Graph.from_arcs(3, 0, [(0, 1)])
     pruned, remap = prune_unreachable(g)
     assert pruned.node_count == 2
-    assert remap == [0, 1, None]
+    assert remap == (0, 1, None)
+    with pytest.raises(TypeError):
+        remap[2] = 2
     assert list(pruned.arcs()) == [(0, 1, 1.0)]
     again, remap2 = prune_unreachable(pruned)
     assert again == pruned and list(remap2) == [0, 1]

@@ -21,7 +21,8 @@ def test_all_is_sorted_resolves_and_lists_every_public_attribute():
     assert "DominanceGraph" not in names
     # one name per job: gen_nested substitutes, brute_force_dominated_set
     # is the dominance oracle, and ac_to_nesting_family returns plain sets
-    # whose width is the tree's own
-    for gone in ("nest", "brute_force_dominates", "NestingFamily"):
+    # whose width is the tree's own; recursive_dijkstra solves DAGs without
+    # a queue, so no DAG-only engine or error class remains
+    for gone in ("nest", "brute_force_dominates", "NestingFamily", "dag_sssp", "CycleError"):
         assert gone not in names and not hasattr(actree, gone), gone
-    assert len(names) == 36
+    assert len(names) == 34

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from actree import (
     AcTree,
-    CycleError,
     Graph,
     ShortestPathResult,
     TreeMismatchError,
+    UnreachableNodeError,
     build_ac_tree,
-    dag_sssp,
     dijkstra,
     gen_complete,
     gen_layered,
@@ -49,17 +48,10 @@ def test_engines_agree_and_recursive_keeps_its_op_counts(g):
     n = g.node_count
     ref = dijkstra(g)
     assert verify_spt(g, ref)
-    results = [ref]
-    try:
-        results.append(dag_sssp(g))
-    except CycleError:
-        pass
     tree = build_ac_tree(g)
     rec = recursive_dijkstra(g, tree)
-    results.append(rec)
-    for r in results:
-        assert r.dist == ref.dist
-        assert verify_spt(g, r)
+    assert rec.dist == ref.dist
+    assert verify_spt(g, rec)
     largest = max(
         (len(c) for comps in tree.components.values() for c in comps), default=0
     )
@@ -91,22 +83,12 @@ def test_dijkstra_zero_weight_cycle():
     assert recursive_dijkstra(g, tree).dist == r.dist
 
 
-def test_dag_sssp_matches_dijkstra(diamond):
-    assert dag_sssp(diamond).dist == dijkstra(diamond).dist
-
-
-def test_dag_sssp_path():
-    g = Graph.from_arcs(3, 0, [(0, 1, 2.0), (1, 2, 3.0)])
-    r = dag_sssp(g)
-    assert r.dist == (0.0, 2.0, 5.0)
-    assert r.stats.max_queue_len == 0
-
-
-def test_dag_sssp_rejects_cycles(cycle3):
-    with pytest.raises(CycleError):
-        dag_sssp(cycle3)
-    with pytest.raises(CycleError):
-        dag_sssp(Graph.from_arcs(2, 0, [(0, 1), (1, 1)]))  # self-loop
+def test_dijkstra_rejects_unpruned_input():
+    message = "^1 nodes unreachable from source 0; prune first$"
+    with pytest.raises(UnreachableNodeError, match=message):
+        dijkstra(Graph.from_arcs(3, 0, [(0, 1)]))
+    with pytest.raises(UnreachableNodeError, match="2 nodes unreachable from source 2"):
+        dijkstra(Graph.from_arcs(3, 2, [(0, 1), (1, 2)]))
 
 
 def test_recursive_complete3(complete3):
