@@ -7,13 +7,17 @@ components of its dominance graph in topological order; its width equals
 the nesting width of the graph, which makes it the decomposition that
 drives the recursive shortest-path search.
 
-The tree is built in two flat passes after the dominator tree. One loop over
-the dominator tree's preorder collects the arcs of every dominance graph at
-once as sibling arcs, with no per-node graph objects. One iterative Tarjan
-pass then finds the strongly connected components of all dominance graphs
-together, its roots taken owner by owner: no arc links two owners, so no
-component crosses owners and each owner's components are emitted together,
-and one reversal numbers them all in topological order. The resulting
+When the dominators' DFS meets no back arc (self-loops and arcs into the
+source aside), every sibling arc points forward in that DFS's reverse
+postorder, so every component is a single node and one counting sort of the
+reverse postorder by immediate dominator lays the tree out. Any other graph
+takes two flat passes after the dominator tree. One loop over the dominator
+tree's preorder collects the arcs of every dominance graph at once as
+sibling arcs, with no per-node graph objects. One iterative Tarjan pass then
+finds the strongly connected components of all dominance graphs together,
+its roots taken owner by owner: no arc links two owners, so no component
+crosses owners and each owner's components are emitted together, and one
+reversal numbers them all in topological order. The resulting
 :class:`AcTree` is the whole decomposition: the nesting family is expanded
 from it alone.
 """
@@ -24,7 +28,9 @@ from array import array
 from collections import Counter
 from itertools import accumulate, chain
 
-from .dominators import DominatorTree, _check_node, _idom_preorder
+from .dominators import (
+    DominatorTree, _check_node, _group_by_idom, _immediate_dominators, _preorder,
+)
 from .graph import Graph, _Record
 
 
@@ -33,7 +39,9 @@ class AcTree(_Record):
 
     Components are numbered densely, owner by owner in ascending node id,
     and each owner's sequence in a topological order fixed by the graph,
-    arc order included. ``idom[v]`` is the immediate dominator of ``v``
+    arc order included: when the dominators' DFS meets no back arc, every
+    component is one node and each owner's children follow that DFS's
+    reverse postorder. ``idom[v]`` is the immediate dominator of ``v``
     (the source maps to itself); ``comp_id[v]`` is the number of ``v``'s
     component (-1 for the source). The components are stored as compressed
     rows: the members of component ``c`` are
@@ -136,17 +144,50 @@ def naive_dominance_graph(
 def build_ac_tree(g: Graph) -> AcTree:
     """Construct the A-C tree of a pruned graph.
 
-    Dominators, then the sibling-arc pass, then one iterative Tarjan pass
-    over all non-source nodes. Roots are tried owner by owner, owners in
-    descending id and each owner's children in ascending id, heads in
-    stored arc order. No sibling arc crosses owners, so each owner's
-    components are emitted together, in reverse topological order whatever
-    the head order, repeats included; one reversal then numbers every
-    component, owner by owner in ascending id. Near-linear overall; the
-    decomposition does not depend on arc weights.
+    Dominators first. When their DFS meets no back arc but self-loops and
+    arcs into the source, every sibling arc points forward in the DFS's
+    reverse postorder, so every component is one node: one counting sort of
+    that order by immediate dominator lays the tree out. Any other graph
+    goes through the sibling-arc pass and one Tarjan pass. Linear on an
+    acyclic graph, near-linear overall; the decomposition does not depend
+    on arc weights.
     """
     n = g.node_count
-    idom, order, kids = _idom_preorder(g)
+    idom, post = _immediate_dominators(g)
+    if post is None:
+        return _tarjan_tree(g, idom)
+    # one component per non-source node: each owner's children, in reverse
+    # postorder
+    start, nodes = _group_by_idom(idom, g.source, post)
+    comp_id = [-1] * n
+    for c, v in enumerate(nodes):
+        comp_id[v] = c
+    return AcTree(
+        idom,
+        min(n, 2),
+        array("i", comp_id),
+        array("i", range(n)),
+        tuple(nodes),
+        array("i", start),
+        {1: n - 1} if n > 1 else {},
+        g.offsets,
+        g.heads,
+    )
+
+
+def _tarjan_tree(g: Graph, idom: tuple[int, ...]) -> AcTree:
+    """The A-C tree of any pruned graph with immediate dominators ``idom``.
+
+    The sibling-arc pass over the dominator tree's preorder, then one
+    iterative Tarjan pass over all non-source nodes. Roots are tried owner
+    by owner, owners in descending id and each owner's children in
+    ascending id, heads in stored arc order. No sibling arc crosses owners,
+    so each owner's components are emitted together, in reverse topological
+    order whatever the head order, repeats included; one reversal then
+    numbers every component, owner by owner in ascending id.
+    """
+    n = g.node_count
+    order, kids = _preorder(idom, g.source)
     succ, _ = _sibling_arcs(g, idom, order)
     del order
 

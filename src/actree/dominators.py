@@ -56,7 +56,8 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     Requires every node to be reachable from the source (prune first).
     The tree and its preorder do not depend on the arc order.
     """
-    idom, order, kids = _idom_preorder(g)
+    idom, _ = _immediate_dominators(g)
+    order, kids = _preorder(idom, g.source)
     n = g.node_count
     # read backwards, kids holds each owner's children as one ascending run
     children: list[tuple[int, ...]] = [()] * n
@@ -73,9 +74,10 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     return DominatorTree(idom, tuple(children), order, tuple(dfs_in), tuple(dfs_out))
 
 
-def _idom_preorder(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], array]:
-    """Immediate dominators of ``g``, the dominator tree's preorder, and the
-    non-source nodes grouped by immediate dominator, as an int array.
+def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int] | None]:
+    """Immediate dominators of ``g`` and, when the DFS met no back arc but
+    self-loops and arcs into the source, the non-source nodes in DFS finish
+    order (else None).
 
     Semi-NCA over DFS numbers. A DFS in stored arc order numbers the nodes
     and records each node's predecessors by number. Then, in decreasing
@@ -84,16 +86,17 @@ def _idom_preorder(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], array]:
     its candidate is the least semidominator number on its forest path,
     found by path compression with ``label`` holding that minimum. Finally,
     in increasing number, ``idom[w]`` is the nearest ancestor of ``parent[w]``
-    in the dominator tree numbered ``<= semi[w]``. One counting sort over
-    ``idom`` groups the children: owners in ascending id, each owner's
-    children in descending id, so the preorder lists children in ascending
-    id.
+    in the dominator tree numbered ``<= semi[w]``. A back arc costs one
+    comparison to spot: for a predecessor ``v > w`` the forest climb ends at
+    ``v``'s nearest DFS ancestor numbered ``<= w``, which is ``w`` exactly
+    when ``w`` is an ancestor of ``v``.
     """
     n = g.node_count
     s = g.source
     off, heads = g.offsets, g.heads
 
-    # Iterative DFS; nxt[v] is v's next arc, and every arc is scanned once.
+    # Iterative DFS; nxt[v] is v's next arc while v is on the stack, and
+    # every arc is scanned once.
     num = [-1] * n  # node -> dfs number
     vertex = [0] * n  # dfs number -> node
     parent = [0] * n  # dfs number -> dfs number of its DFS-tree parent
@@ -103,6 +106,7 @@ def _idom_preorder(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], array]:
     count = 1
     nxt = list(off)
     stack = [s]
+    last = s
     while stack:
         v = stack[-1]
         nv = num[v]
@@ -119,23 +123,27 @@ def _idom_preorder(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], array]:
                 pred[count].append(nv)
                 count += 1
                 stack.append(w)
+                nxt[v] = i
                 break
             pred[x].append(nv)
         else:
             stack.pop()
-            i = end  # the int offsets holds, so a finished node keeps none
-        nxt[v] = i
+            # v's entry is dead, so it links the finish order instead: from
+            # the source, which finishes last, nxt walks the reverse postorder
+            nxt[v] = last
+            last = v
     if count < n:
         raise UnreachableNodeError(
             f"{n - count} nodes unreachable from source {s}; prune first"
         )
-    del num, nxt  # each pass frees what it no longer reads: a lower peak
+    del num  # each pass frees what it no longer reads: a lower peak
 
     # Semidominators. Numbers above w are linked into the forest, with
     # anc[] as their (compressed) forest parent.
     semi = list(range(n))
-    label = list(range(n))
+    label = semi[:]  # shares semi's int objects: a lower peak
     anc = parent[:]
+    back = False
     for w in range(n - 1, 0, -1):
         sw = w
         for v in pred[w]:
@@ -161,10 +169,21 @@ def _idom_preorder(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], array]:
                     anc[u] = a
             else:
                 lx = label[v]
+            # a is v's nearest DFS ancestor numbered <= w: w itself exactly
+            # when (v, w) is a back arc
+            if a == w:
+                back = True
             if lx < sw:
                 sw = lx
         semi[w] = label[w] = sw
     del pred, label, anc
+    post = None
+    if not back:
+        post = [s] * (n - 1)
+        v = s
+        for k in range(n - 2, -1, -1):
+            v = post[k] = nxt[v]
+    del nxt
 
     # idom[w] = NCA(parent[w], semi[w]): climb from the parent.
     inum = semi  # reused: semi[w] is read before inum[w] is written
@@ -178,8 +197,20 @@ def _idom_preorder(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], array]:
     for w in range(1, n):
         idom[vertex[w]] = vertex[inum[w]]
 
-    # Children grouped by idom in descending id (counting sort), then a
-    # preorder that pops them in ascending id.
+    return tuple(idom), post
+
+
+def _group_by_idom(
+    idom: tuple[int, ...], s: int, nodes: range | list[int]
+) -> tuple[list[int], array]:
+    """Group the nodes by immediate dominator with one counting sort.
+
+    Returns ``start`` and ``kids``, an int array: owner ``a``'s children
+    are ``kids[start[a] : start[a + 1]]``, owners in ascending id, each
+    owner's children in the reverse of their order in ``nodes``. ``nodes``
+    lists every node once, the source optionally.
+    """
+    n = len(idom)
     start = [0] * (n + 1)
     for p in idom:
         start[p] += 1
@@ -187,20 +218,27 @@ def _idom_preorder(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], array]:
     for a in range(n):
         start[a + 1] += start[a]
     kids = array("i", [0]) * (n - 1)
-    for v in range(n):
+    for v in nodes:
         if v != s:
             p = idom[v]
             k = start[p] - 1
             start[p] = k
             kids[k] = v
-    # now a's children are kids[start[a]:start[a + 1]]
+    return start, kids
+
+
+def _preorder(idom: tuple[int, ...], s: int) -> tuple[tuple[int, ...], array]:
+    """The dominator tree's preorder, children in ascending id, and the
+    non-source nodes grouped by immediate dominator, each owner's children
+    in descending id, as an int array."""
+    start, kids = _group_by_idom(idom, s, range(len(idom)))
     order = []
     stack = [s]
     while stack:
         v = stack.pop()
         order.append(v)
         stack.extend(kids[start[v] : start[v + 1]])
-    return tuple(idom), tuple(order), kids
+    return tuple(order), kids
 
 
 def brute_force_dominated_set(g: Graph, a: int) -> frozenset[int]:

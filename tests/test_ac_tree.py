@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actree import (
+    AcTree,
     Graph,
     ac_to_nesting_family,
     brute_force_nesting_width,
@@ -21,8 +22,11 @@ from actree import (
     gen_random_digraph,
     is_module,
     naive_dominance_graph,
+    recursive_dijkstra,
 )
-from actree.ac_tree import _sibling_arcs
+from actree import ac_tree
+from actree.ac_tree import _sibling_arcs, _tarjan_tree
+from actree.dominators import _immediate_dominators
 from random_graphs import random_arcs_with_loops, small_graphs
 
 
@@ -383,3 +387,127 @@ def test_reordering_a_rows_arcs_keeps_each_owners_components(g, data):
     assert {k: set(c) for k, c in a.components.items()} == {
         k: set(c) for k, c in b.components.items()
     }
+
+
+def _made_acyclic(g: Graph) -> Graph:
+    """``g`` with every arc that points back in BFS order from the source
+    turned around; self-loops and arcs into the source stay as they are."""
+    s, off, heads = g.source, g.offsets, g.heads
+    rank = {s: 0}
+    queue = [s]
+    for u in queue:
+        for v in heads[off[u] : off[u + 1]]:
+            if v not in rank:
+                rank[v] = len(rank)
+                queue.append(v)
+    return Graph.from_arcs(g.node_count, s, [
+        (v, u, x) if u != v and v != s and rank[u] > rank[v] else (u, v, x)
+        for u, v, x in g.arcs()
+    ])
+
+
+def _naive_sibling_arcs(g: Graph) -> list[tuple[int, int]]:
+    t = compute_dominator_tree(g)
+    return [arc for a in range(g.node_count) for arc in naive_dominance_graph(g, t, a)]
+
+
+def _assert_both_paths_agree(g: Graph, sibling_arcs: list[tuple[int, int]]) -> None:
+    """The finish-order layout and the Tarjan stage give one decomposition."""
+    idom, post = _immediate_dominators(g)
+    assert post is not None
+    fast = build_ac_tree(g)
+    slow = _tarjan_tree(g, idom)
+    assert fast.idom == slow.idom == idom
+    assert (fast.width, fast.comp_sizes) == (slow.width, slow.comp_sizes)
+    assert fast.comp_offsets == slow.comp_offsets
+    assert fast.comp_start == slow.comp_start
+    for name in AcTree.__slots__:
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert type(a) is type(b), name
+        assert getattr(a, "typecode", None) == getattr(b, "typecode", None), name
+    assert {a: set(c) for a, c in fast.components.items()} == {
+        a: set(c) for a, c in slow.components.items()
+    }
+    for tree in fast, slow:
+        assert all(tree.comp_id[u] < tree.comp_id[v] for u, v in sibling_arcs)
+    assert recursive_dijkstra(g, fast).dist == recursive_dijkstra(g, slow).dist
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_both_paths_agree_on_small_acyclic_graphs(g):
+    g = _made_acyclic(g)
+    _assert_both_paths_agree(g, _naive_sibling_arcs(g))
+
+
+@pytest.mark.parametrize("log2n", [10, 12, 14])
+def test_both_paths_agree_on_large_acyclic_graphs(log2n):
+    rng = random.Random(log2n)
+    n = 1 << log2n
+    arcs = random_arcs_with_loops(n, 3 * n, rng, acyclic=True)
+    arcs += [(rng.randrange(1, n), 0) for _ in range(8)]  # arcs into the source
+    g = Graph.from_arcs(n, 0, [(u, v, rng.random()) for u, v in arcs])
+    _assert_both_paths_agree(g, _lifted_sibling_arcs(g, build_ac_tree(g).idom))
+
+
+def test_both_paths_agree_on_generated_dags():
+    graphs = [gen_layered(depth, seed=depth) for depth in (1, 2, 7, 40)]
+    graphs += [gen_random_dag(n, e, seed=n + e) for n in (1, 2, 9, 33, 60)
+               for e in (n, 2 * n, 4 * n)]
+    for g in graphs:
+        _assert_both_paths_agree(g, _naive_sibling_arcs(g))
+
+
+def test_acyclic_graphs_skip_the_sibling_arc_pass(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sibling-arc pass ran")
+
+    monkeypatch.setattr(ac_tree, "_sibling_arcs", refuse)
+    rng = random.Random(3)
+    loops = random_arcs_with_loops(500, 1500, rng, acyclic=True)
+    loops += [(rng.randrange(1, 500), 0) for _ in range(5)]
+    dags = [
+        Graph.from_arcs(1, 0, [(0, 0)]),
+        Graph.from_arcs(4, 2, [(2, 0), (0, 0), (0, 1), (0, 1), (1, 2), (2, 3), (3, 1),
+                               (3, 3), (1, 2)]),
+        Graph.from_arcs(500, 0, loops),
+        gen_layered(6, seed=1),
+        gen_random_dag(80, 240, seed=2),
+    ]
+    for g in dags:
+        tree = build_ac_tree(g)
+        assert tree.width == min(g.node_count, 2)
+        assert tree.comp_sizes == ({1: g.node_count - 1} if g.node_count > 1 else {})
+    # the head of 2 -> 1 dominates its tail: a back arc between non-source nodes
+    with pytest.raises(AssertionError, match="sibling-arc pass"):
+        build_ac_tree(Graph.from_arcs(3, 0, [(0, 1), (1, 2), (2, 1)]))
+
+
+# On an acyclic graph each owner's components follow the reverse postorder of
+# the dominators' DFS. In the first graph the cross arc 2 -> 1 puts 2 before
+# 1; in the second (source 5, with self-loops, a repeated arc and an arc into
+# the source) no arc orders 2, 1 and 3, and the DFS met them as 3, 1, 2.
+PINNED_ACYCLIC_NUMBERING = [
+    (
+        Graph.from_arcs(5, 0, [(0, 1), (0, 2), (2, 1), (1, 3), (2, 4), (4, 3)]),
+        [-1, 1, 0, 2, 3],
+        (2, 1, 3, 4),
+        [0, 3, 3, 4, 4, 4],
+    ),
+    (
+        Graph.from_arcs(6, 5, [(5, 3), (5, 1), (1, 1), (5, 2), (3, 0), (1, 0), (0, 5),
+                               (2, 4), (3, 3), (5, 1)]),
+        [4, 2, 1, 3, 0, -1],
+        (4, 2, 1, 3, 0),
+        [0, 0, 0, 1, 1, 1, 5],
+    ),
+]
+
+
+@pytest.mark.parametrize("g, comp_id, comp_nodes, comp_offsets", PINNED_ACYCLIC_NUMBERING)
+def test_acyclic_numbering_is_pinned(g, comp_id, comp_nodes, comp_offsets):
+    tree = build_ac_tree(g)
+    assert list(tree.comp_id) == comp_id
+    assert list(tree.comp_start) == list(range(g.node_count))
+    assert tree.comp_nodes == comp_nodes
+    assert list(tree.comp_offsets) == comp_offsets
