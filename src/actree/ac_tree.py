@@ -7,30 +7,36 @@ components of its dominance graph in topological order; its width equals
 the nesting width of the graph, which makes it the decomposition that
 drives the recursive shortest-path search.
 
-When the dominators' DFS meets no back arc (self-loops and arcs into the
-source aside), every sibling arc points forward in that DFS's reverse
-postorder, so every component is a single node and one counting sort of the
-reverse postorder by immediate dominator lays the tree out. Any other graph
-takes two flat passes after the dominator tree. One loop over the dominator
-tree's preorder collects the arcs of every dominance graph at once as
-sibling arcs, with no per-node graph objects. One iterative Tarjan pass then
-finds the strongly connected components of all dominance graphs together,
-its roots taken owner by owner: no arc links two owners, so no component
-crosses owners and each owner's components are emitted together, and one
-reversal numbers them all in topological order. The resulting
-:class:`AcTree` is the whole decomposition: the nesting family is expanded
-from it alone.
+One order serves every graph: the reverse postorder (RPO) of the
+dominators' DFS, in which one counting sort groups each owner's children.
+It is a valid first pass of Kosaraju-Sharir's strong-components algorithm
+(Sharir 1981) for every dominance graph at once. Every node of a child
+``c``'s dominator subtree is a DFS descendant of ``c``, and a path that
+leaves owner ``a``'s subtree comes back only through ``a``, which is on the
+DFS stack while any child of ``a`` is. So, by the white-path theorem, when
+one component of ``a``'s dominance graph has an arc into another, the
+first member of the first in RPO precedes every member of the second.
+Each owner's components are numbered in the RPO of their first members,
+which is a topological order.
+
+When the DFS meets no back arc (self-loops and arcs into the source aside),
+every sibling arc points forward in RPO, so every component is one node and
+the grouping is the tree. Any other graph takes Kosaraju's second pass. One
+loop over the dominator tree's preorder collects the arcs of every
+dominance graph at once as transposed sibling arcs, with no per-node graph
+objects; then each grouped child not yet numbered opens a component of
+every unnumbered node it reaches over them. The resulting :class:`AcTree`
+is the whole decomposition: the nesting family is expanded from it alone.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from itertools import accumulate, chain
+from itertools import accumulate
+from operator import sub
 
-from .dominators import (
-    DominatorTree, _check_node, _group_by_idom, _immediate_dominators, _preorder,
-)
+from .dominators import DominatorTree, _check_node, _group_by_idom, _immediate_dominators
 from .graph import Graph, _Record
 
 
@@ -39,13 +45,15 @@ class AcTree(_Record):
 
     Components are numbered densely, owner by owner in ascending node id,
     and each owner's sequence in a topological order fixed by the graph,
-    arc order included: when the dominators' DFS meets no back arc, every
-    component is one node and each owner's children follow that DFS's
-    reverse postorder. ``idom[v]`` is the immediate dominator of ``v``
-    (the source maps to itself); ``comp_id[v]`` is the number of ``v``'s
-    component (-1 for the source). The components are stored as compressed
-    rows: the members of component ``c`` are
-    ``comp_nodes[comp_start[c] : comp_start[c + 1]]``, in ascending id, so
+    arc order included: each owner's components follow the reverse
+    postorder of their first members in the dominators' DFS, which scans
+    arcs in stored order, so on an acyclic graph, where every component is
+    one node, each owner's children follow that reverse postorder.
+    ``idom[v]`` is the immediate dominator of ``v`` (the source maps to
+    itself); ``comp_id[v]`` is the number of ``v``'s component (-1 for the
+    source). The components are stored as compressed rows: the members of
+    component ``c`` are ``comp_nodes[comp_start[c] : comp_start[c + 1]]``,
+    in ascending id, so
     ``comp_nodes`` lists every node but the source once, component by
     component. The components of owner ``a`` are numbered
     ``comp_offsets[a]`` up to ``comp_offsets[a + 1] - 1``; ``comp_sizes``
@@ -83,30 +91,35 @@ class AcTree(_Record):
 
 
 def _sibling_arcs(
-    g: Graph, idom: tuple[int, ...], order: tuple[int, ...]
+    g: Graph, idom: tuple[int, ...], start: array, kids: list[int]
 ) -> tuple[list[list[int]], int]:
-    """Arcs of every dominance graph, as head lists in scan order.
+    """Arcs of every dominance graph, transposed, as tail lists in scan order.
 
-    One loop over the dominator tree's preorder ``order`` keeps, for each
-    node, its child whose subtree the loop is inside (``current``), then
-    scans the stored arcs of the visited node ``v``. For an arc ``(v, w)``,
-    ``idom(w)`` is ``v`` itself or a proper ancestor of ``v``, whose
-    ``current`` entry is already the child on the path to ``v``. So the arc
-    becomes the sibling arc ``(current[idom(w)], w)`` in O(1), stored as
-    ``w`` in ``succ[current[idom(w)]]``; both ends are children of
+    ``start`` and ``kids`` group every node's dominator children, as
+    :func:`~actree.dominators._group_by_idom` returns them. One walk of the
+    dominator tree in preorder keeps, for each node, its child whose
+    subtree the walk is inside (``current``), then scans the stored arcs of
+    the visited node ``v``. For an arc ``(v, w)``, ``idom(w)`` is ``v``
+    itself or a proper ancestor of ``v``, whose ``current`` entry is already
+    the child on the path to ``v``. So the arc becomes the sibling arc
+    ``(current[idom(w)], w)`` in O(1), filed under its head: stored as
+    ``current[idom(w)]`` in ``pred[w]``; both ends are children of
     ``idom(w)``. Arcs onto the global source and arcs that coincide with
     dominator-tree arcs contribute nothing and are skipped, as are arcs from
-    ``w``'s own subtree back to ``w``. A head may repeat. Also returns the
+    ``w``'s own subtree back to ``w``. A tail may repeat. Also returns the
     number of arcs examined, which is the arc count of ``g``.
     """
     n = g.node_count
-    s = g.source
     off, heads = g.offsets, g.heads
+    s = g.source
     current = [-1] * n
-    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
     examined = 0
-    for v in order:
+    stack = [s]
+    while stack:
+        v = stack.pop()
         current[idom[v]] = v
+        stack += kids[start[v] : start[v + 1]]
         row = heads[off[v] : off[v + 1]]
         examined += len(row)
         for w in row:
@@ -114,8 +127,8 @@ def _sibling_arcs(
                 continue
             c = current[idom[w]]
             if c != w:
-                succ[c].append(w)
-    return succ, examined
+                pred[w].append(c)
+    return pred, examined
 
 
 def naive_dominance_graph(
@@ -144,116 +157,81 @@ def naive_dominance_graph(
 def build_ac_tree(g: Graph) -> AcTree:
     """Construct the A-C tree of a pruned graph.
 
-    Dominators first. When their DFS meets no back arc but self-loops and
-    arcs into the source, every sibling arc points forward in the DFS's
-    reverse postorder, so every component is one node: one counting sort of
-    that order by immediate dominator lays the tree out. Any other graph
-    goes through the sibling-arc pass and one Tarjan pass. Linear on an
-    acyclic graph, near-linear overall; the decomposition does not depend
-    on arc weights.
+    Dominators first; their DFS's reverse postorder, grouped by immediate
+    dominator in one counting sort, orders every owner's children. When the
+    DFS meets no back arc but self-loops and arcs into the source, every
+    sibling arc points forward in that order, so every component is one
+    node and the grouping lays the tree out. Any other graph goes through
+    Kosaraju's second pass over the same grouping. Linear on an acyclic
+    graph, near-linear overall; the decomposition does not depend on arc
+    weights.
     """
     n = g.node_count
-    idom, post = _immediate_dominators(g)
-    if post is None:
-        return _tarjan_tree(g, idom)
+    idom, post, back = _immediate_dominators(g)
+    start, kids = _group_by_idom(idom, g.source, post)
+    del post
+    if back:
+        return _kosaraju_tree(g, idom, start, kids)
     # one component per non-source node: each owner's children, in reverse
     # postorder
-    start, nodes = _group_by_idom(idom, g.source, post)
     comp_id = [-1] * n
-    for c, v in enumerate(nodes):
+    for c, v in enumerate(kids):
         comp_id[v] = c
     return AcTree(
         idom,
         min(n, 2),
         array("i", comp_id),
         array("i", range(n)),
-        tuple(nodes),
-        array("i", start),
+        tuple(kids),
+        start,
         {1: n - 1} if n > 1 else {},
         g.offsets,
         g.heads,
     )
 
 
-def _tarjan_tree(g: Graph, idom: tuple[int, ...]) -> AcTree:
-    """The A-C tree of any pruned graph with immediate dominators ``idom``.
+def _kosaraju_tree(
+    g: Graph, idom: tuple[int, ...], start: array, kids: list[int]
+) -> AcTree:
+    """The A-C tree of any pruned graph, by Kosaraju's second pass.
 
-    The sibling-arc pass over the dominator tree's preorder, then one
-    iterative Tarjan pass over all non-source nodes. Roots are tried owner
-    by owner, owners in descending id and each owner's children in
-    ascending id, heads in stored arc order. No sibling arc crosses owners,
-    so each owner's components are emitted together, in reverse topological
-    order whatever the head order, repeats included; one reversal then
-    numbers every component, owner by owner in ascending id.
+    ``start`` and ``kids`` group each owner's children in the reverse
+    postorder of the dominators' DFS. The sibling-arc pass collects the
+    transposed arcs; then, owner by owner, each child not yet numbered
+    opens a component of every unnumbered node it reaches over them. No
+    sibling arc crosses owners, so that is the child's strong component,
+    and the components come out in topological order, numbered as they
+    come, each sorted ascending.
     """
     n = g.node_count
-    order, kids = _preorder(idom, g.source)
-    succ, _ = _sibling_arcs(g, idom, order)
-    del order
-
-    # Tarjan with low-link propagation. index[v] is v's position on
-    # comp_stack, so a component is the stack's tail from its root; a
-    # finished node gets low = n, which no comparison can take. A node with
-    # no sibling arcs out is a component on its own and is emitted at once.
-    index = [-1] * n
-    low = [n] * n
-    comp_stack: list[int] = []
-    emitted: list[list[int]] = []
-    for root in reversed(kids):
-        if index[root] >= 0:
-            continue
-        if not succ[root]:
-            index[root] = 0
-            emitted.append([root])
-            continue
-        index[root] = low[root] = 0  # the stack is empty between roots
-        comp_stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if index[w] < 0:
-                    if not succ[w]:
-                        index[w] = 0
-                        emitted.append([w])
-                        continue
-                    index[w] = low[w] = len(comp_stack)
-                    comp_stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if low[w] < low[v]:
-                    low[v] = low[w]
-            else:
-                work.pop()
-                lv = low[v]
-                if lv == index[v]:
-                    comp = comp_stack[lv:]
-                    del comp_stack[lv:]
-                    for w in comp:
-                        low[w] = n
-                    emitted.append(comp)
-                elif lv < low[work[-1][0]]:
-                    low[work[-1][0]] = lv
-    del index, low, succ, kids  # freed before the numbering allocates: a lower peak
-
-    # Number the components in topological order, owner by owner.
-    emitted.reverse()
+    pred, _ = _sibling_arcs(g, idom, start, kids)
     comp_id = [-1] * n
+    members: list[int] = []
+    comp_start = array("i", [0])
     count = [0] * (n + 1)
-    for cid, comp in enumerate(emitted):
-        if len(comp) > 1:
-            comp.sort()
-        count[idom[comp[0]] + 1] += 1
-        for v in comp:
-            comp_id[v] = cid
-    comp_start = array("i", accumulate(map(len, emitted), initial=0))
-    sizes = dict(sorted(Counter(map(len, emitted)).items()))
+    for root in kids:
+        if comp_id[root] >= 0:
+            continue
+        c = len(comp_start) - 1
+        comp_id[root] = c
+        comp = [root]
+        for v in comp:  # the list grows as the search reaches new members
+            for u in pred[v]:
+                if comp_id[u] < 0:
+                    comp_id[u] = c
+                    comp.append(u)
+        comp.sort()
+        members += comp
+        comp_start.append(len(members))
+        count[idom[root] + 1] += 1
+    del pred  # freed before the numbering allocates: a lower peak
+    sizes = dict(sorted(Counter(map(sub, comp_start[1:], comp_start)).items()))
     return AcTree(
         idom,
         max(sizes, default=0) + 1,
         array("i", comp_id),
         comp_start,
-        tuple(chain.from_iterable(emitted)),
+        tuple(members),
         array("i", accumulate(count)),
         sizes,
         g.offsets,

@@ -56,7 +56,7 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     Requires every node to be reachable from the source (prune first).
     The tree and its preorder do not depend on the arc order.
     """
-    idom, _ = _immediate_dominators(g)
+    idom = _immediate_dominators(g)[0]
     order, kids = _preorder(idom, g.source)
     n = g.node_count
     # read backwards, kids holds each owner's children as one ascending run
@@ -74,10 +74,10 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     return DominatorTree(idom, tuple(children), order, tuple(dfs_in), tuple(dfs_out))
 
 
-def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int] | None]:
-    """Immediate dominators of ``g`` and, when the DFS met no back arc but
-    self-loops and arcs into the source, the non-source nodes in DFS finish
-    order (else None).
+def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int], bool]:
+    """Immediate dominators of ``g``, the non-source nodes in DFS finish
+    order, and whether the DFS met a back arc other than a self-loop or an
+    arc into the source.
 
     Semi-NCA over DFS numbers. A DFS in stored arc order numbers the nodes
     and records each node's predecessors by number. Then, in decreasing
@@ -89,7 +89,9 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int] | None]:
     in the dominator tree numbered ``<= semi[w]``. A back arc costs one
     comparison to spot: for a predecessor ``v > w`` the forest climb ends at
     ``v``'s nearest DFS ancestor numbered ``<= w``, which is ``w`` exactly
-    when ``w`` is an ancestor of ``v``.
+    when ``w`` is an ancestor of ``v``. The finish order is linked through
+    each finished node's dead ``nxt`` entry; the A-C tree build reads it in
+    reverse as the first pass of Kosaraju-Sharir.
     """
     n = g.node_count
     s = g.source
@@ -177,12 +179,10 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int] | None]:
                 sw = lx
         semi[w] = label[w] = sw
     del pred, label, anc
-    post = None
-    if not back:
-        post = [s] * (n - 1)
-        v = s
-        for k in range(n - 2, -1, -1):
-            v = post[k] = nxt[v]
+    post = [s] * (n - 1)
+    v = s
+    for k in range(n - 2, -1, -1):
+        v = post[k] = nxt[v]
     del nxt
 
     # idom[w] = NCA(parent[w], semi[w]): climb from the parent.
@@ -197,18 +197,20 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int] | None]:
     for w in range(1, n):
         idom[vertex[w]] = vertex[inum[w]]
 
-    return tuple(idom), post
+    return tuple(idom), post, back
 
 
 def _group_by_idom(
     idom: tuple[int, ...], s: int, nodes: range | list[int]
-) -> tuple[list[int], array]:
+) -> tuple[array, list[int]]:
     """Group the nodes by immediate dominator with one counting sort.
 
-    Returns ``start`` and ``kids``, an int array: owner ``a``'s children
-    are ``kids[start[a] : start[a + 1]]``, owners in ascending id, each
-    owner's children in the reverse of their order in ``nodes``. ``nodes``
-    lists every node once, the source optionally.
+    Returns ``start``, an int array, and ``kids``, a list: owner ``a``'s
+    children are ``kids[start[a] : start[a + 1]]``, owners in ascending id,
+    each owner's children in the reverse of their order in ``nodes``.
+    ``nodes`` lists every node once, the source optionally. ``kids`` holds
+    the int objects of ``nodes`` itself, so a tree built from it shares the
+    graph's ints instead of boxing one per node.
     """
     n = len(idom)
     start = [0] * (n + 1)
@@ -217,20 +219,20 @@ def _group_by_idom(
     start[s] -= 1  # the source is no child of itself
     for a in range(n):
         start[a + 1] += start[a]
-    kids = array("i", [0]) * (n - 1)
+    kids = [0] * (n - 1)
     for v in nodes:
         if v != s:
             p = idom[v]
             k = start[p] - 1
             start[p] = k
             kids[k] = v
-    return start, kids
+    return array("i", start), kids  # no int object per entry: a lower peak
 
 
-def _preorder(idom: tuple[int, ...], s: int) -> tuple[tuple[int, ...], array]:
+def _preorder(idom: tuple[int, ...], s: int) -> tuple[tuple[int, ...], list[int]]:
     """The dominator tree's preorder, children in ascending id, and the
     non-source nodes grouped by immediate dominator, each owner's children
-    in descending id, as an int array."""
+    in descending id."""
     start, kids = _group_by_idom(idom, s, range(len(idom)))
     order = []
     stack = [s]

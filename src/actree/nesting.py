@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from .dominators import _check_node
 from .graph import Graph, GraphError
 
 # Largest graph brute_force_nesting_width (and the CLI's ``width --exact``)
@@ -30,9 +31,13 @@ def is_module(g: Graph, nodes: Iterable[int]) -> int | None:
     All arcs entering the set from outside must target a single member. A
     set containing the graph source is a module only with that source (think
     of a virtual external arc into it). Sets other than the whole node set
-    must have at least one external in-arc to nominate a source.
+    must have at least one external in-arc to nominate a source. An id
+    that is not a node of ``g`` raises :class:`GraphError` naming it.
     """
-    members = frozenset(nodes)
+    ids = tuple(nodes)
+    for v in ids:
+        _check_node(v, g.node_count)
+    members = frozenset(ids)
     if not members:
         raise ValueError("is_module: empty node set")
     if g.source in members:

@@ -25,6 +25,23 @@ def random_arcs_with_loops(
     return arcs
 
 
+def chain_of_blocks(n: int, rng: random.Random, block: int = 8) -> list[tuple[int, int]]:
+    """Blocks of ``block`` consecutive nodes (``n`` a multiple of it), each a
+    ring through its first node, its hub, plus ``2 * block`` random chords.
+    A block is entered only at its hub, from one random node of the block
+    before, so each block is strongly connected and every owner's dominance
+    graph has cycles. The arcs are shuffled."""
+    arcs = []
+    for hub in range(0, n, block):
+        arcs += [(hub + i, hub + (i + 1) % block) for i in range(block)]
+        arcs += [(hub + rng.randrange(block), hub + rng.randrange(block))
+                 for _ in range(2 * block)]
+        if hub:
+            arcs.append((hub - block + rng.randrange(block), hub))
+    rng.shuffle(arcs)
+    return arcs
+
+
 @st.composite
 def small_graphs(draw) -> Graph:
     """A graph on at most 12 nodes reaching every node from a random source,

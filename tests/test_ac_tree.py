@@ -15,6 +15,7 @@ from actree import (
     brute_force_nesting_width,
     build_ac_tree,
     compute_dominator_tree,
+    dijkstra,
     family_width,
     gen_layered,
     gen_nested,
@@ -25,17 +26,23 @@ from actree import (
     recursive_dijkstra,
 )
 from actree import ac_tree
-from actree.ac_tree import _sibling_arcs, _tarjan_tree
-from actree.dominators import _immediate_dominators
-from random_graphs import random_arcs_with_loops, small_graphs
+from actree.ac_tree import _kosaraju_tree, _sibling_arcs
+from actree.dominators import _group_by_idom, _immediate_dominators
+from random_graphs import chain_of_blocks, random_arcs_with_loops, small_graphs
+
+
+def sibling_arcs(g, t) -> tuple[list[list[int]], int]:
+    """``_sibling_arcs`` over the dominator tree ``t``, children in any order."""
+    return _sibling_arcs(g, t.idom, *_group_by_idom(t.idom, g.source, t.order))
 
 
 def arcs_by_owner(g, t) -> dict[int, set[tuple[int, int]]]:
-    """The sibling arcs of ``_sibling_arcs``, grouped into dominance graphs."""
-    succ, _ = _sibling_arcs(g, t.idom, t.order)
+    """The sibling arcs of ``_sibling_arcs``, turned back round and grouped
+    into dominance graphs."""
+    pred, _ = sibling_arcs(g, t)
     graphs = {a: set() for a in range(g.node_count)}
-    for c, heads in enumerate(succ):
-        for w in heads:
+    for w, tails in enumerate(pred):
+        for c in tails:
             graphs[t.idom[w]].add((c, w))
     return graphs
 
@@ -74,7 +81,7 @@ def test_every_arc_examined_exactly_once():
     for i in range(10):
         g = gen_random_digraph(5 + 9 * i, 10 + 20 * i, seed=500 + i)
         t = compute_dominator_tree(g)
-        _, examined = _sibling_arcs(g, t.idom, t.order)
+        _, examined = sibling_arcs(g, t)
         assert examined == g.arc_count
 
 
@@ -249,24 +256,29 @@ def test_components_are_stored_as_compressed_rows(single, diamond, complete3):
         assert tree.offsets is g.offsets and tree.heads is g.heads  # no copies
 
 
-# Components that no sibling arc orders still get one fixed number each.
-# Owner 0 of the first graph has {1, 2} and {3, 4} unordered, {3, 4} before
-# {5}; owner 3 of the second has {0, 5}, {1, 4} and 2 unordered, 6 before 2.
+# One rule numbers every graph: each owner's components follow their first
+# members in the reverse postorder of the dominators' DFS (arcs in stored
+# order), so components that no sibling arc orders still get one fixed
+# number each. Owner 0 of the first graph has {1, 2} and {3, 4} unordered,
+# {3, 4} before {5}; the DFS finishes 6, 5, 4 and 3 before it enters 1, so
+# the reverse postorder is 1, 2, 3, 4, 5. Owner 3 of the second has {0, 5},
+# {1, 4} and 2 unordered, 6 before 2; the reverse postorder is 4, 1, 5, 0,
+# 6, 2.
 PINNED_NUMBERING = [
     (
         Graph.from_arcs(7, 0, [(0, 3), (0, 4), (3, 4), (4, 3), (0, 1), (0, 2),
                                (1, 2), (2, 1), (0, 5), (4, 5), (5, 6)]),
-        [-1, 2, 2, 0, 0, 1, 3],
-        [0, 2, 3, 5, 6],
-        (3, 4, 5, 1, 2, 6),
+        [-1, 0, 0, 1, 1, 2, 3],
+        [0, 2, 4, 5, 6],
+        (1, 2, 3, 4, 5, 6),
         [0, 3, 3, 3, 3, 3, 4, 4],
     ),
     (
         Graph.from_arcs(7, 3, [(3, 6), (3, 5), (3, 0), (0, 5), (5, 0), (3, 4),
                                (3, 1), (1, 4), (4, 1), (3, 2), (6, 2)]),
-        [3, 2, 1, -1, 2, 3, 0],
-        [0, 1, 2, 4, 6],
-        (6, 2, 1, 4, 0, 5),
+        [1, 0, 3, -1, 0, 1, 2],
+        [0, 2, 4, 5, 6],
+        (1, 4, 0, 5, 6, 2),
         [0, 0, 0, 0, 4, 4, 4, 4],
     ),
     (
@@ -360,6 +372,51 @@ def test_components_match_networkx_sccs_in_topological_order(log2n, acyclic):
         assert position[u] < position[v], (u, v)
 
 
+def _reverse_postorder_rank(g: Graph) -> list[int]:
+    """Each node's place in the reverse postorder of a DFS from the source
+    that scans each row's arcs in stored order."""
+    n, off, heads = g.node_count, g.offsets, g.heads
+    seen = [False] * n
+    seen[g.source] = True
+    post = []
+    stack = [(g.source, off[g.source])]
+    while stack:
+        v, i = stack.pop()
+        if i == off[v + 1]:
+            post.append(v)
+            continue
+        stack.append((v, i + 1))
+        w = heads[i]
+        if not seen[w]:
+            seen[w] = True
+            stack.append((w, off[w]))
+    rank = [0] * n
+    for k, v in enumerate(reversed(post)):
+        rank[v] = k
+    return rank
+
+
+@pytest.mark.parametrize("family", ["digraph", "chain"])
+@pytest.mark.parametrize("log2n", [10, 12, 14])
+def test_components_follow_their_first_members_in_reverse_postorder(log2n, family):
+    rng = random.Random(log2n + 100 * (family == "chain"))
+    n = 1 << log2n
+    if family == "chain":
+        arcs = chain_of_blocks(n, rng)
+    else:
+        arcs = random_arcs_with_loops(n, 3 * n, rng)
+    g = Graph.from_arcs(n, 0, arcs)
+    tree = build_ac_tree(g)
+    assert tree.width > 2
+    rank = _reverse_postorder_rank(g)
+    start, nodes, off = tree.comp_start, tree.comp_nodes, tree.comp_offsets
+    first = [min(rank[v] for v in nodes[start[c] : start[c + 1]])
+             for c in range(len(start) - 1)]
+    for a in range(n):
+        row = first[off[a] : off[a + 1]]
+        assert row == sorted(row), a
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_graphs(), st.data())
 def test_reordering_a_rows_arcs_keeps_each_owners_components(g, data):
@@ -412,25 +469,18 @@ def _naive_sibling_arcs(g: Graph) -> list[tuple[int, int]]:
 
 
 def _assert_both_paths_agree(g: Graph, sibling_arcs: list[tuple[int, int]]) -> None:
-    """The finish-order layout and the Tarjan stage give one decomposition."""
-    idom, post = _immediate_dominators(g)
-    assert post is not None
+    """The finish-order layout and Kosaraju's second pass give one tree."""
+    idom, post, back = _immediate_dominators(g)
+    assert not back
     fast = build_ac_tree(g)
-    slow = _tarjan_tree(g, idom)
-    assert fast.idom == slow.idom == idom
-    assert (fast.width, fast.comp_sizes) == (slow.width, slow.comp_sizes)
-    assert fast.comp_offsets == slow.comp_offsets
-    assert fast.comp_start == slow.comp_start
+    slow = _kosaraju_tree(g, idom, *_group_by_idom(idom, g.source, post))
     for name in AcTree.__slots__:
         a, b = getattr(fast, name), getattr(slow, name)
         assert type(a) is type(b), name
         assert getattr(a, "typecode", None) == getattr(b, "typecode", None), name
-    assert {a: set(c) for a, c in fast.components.items()} == {
-        a: set(c) for a, c in slow.components.items()
-    }
-    for tree in fast, slow:
-        assert all(tree.comp_id[u] < tree.comp_id[v] for u, v in sibling_arcs)
-    assert recursive_dijkstra(g, fast).dist == recursive_dijkstra(g, slow).dist
+        assert a == b, name
+    assert all(fast.comp_id[u] < fast.comp_id[v] for u, v in sibling_arcs)
+    assert recursive_dijkstra(g, slow).dist == dijkstra(g).dist
 
 
 @settings(max_examples=200, deadline=None)

@@ -31,6 +31,7 @@ from actree import (
     verify_spt,
 )
 from actree.ac_tree import _sibling_arcs
+from actree.dominators import _group_by_idom
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -133,18 +134,19 @@ def _mutual_reach_classes(nodes, arcs) -> set[frozenset[int]]:
 def test_criterion_4_dominance_graphs():
     """Linear-time dominance arcs and components equal the per-definition oracle.
 
-    The sibling arcs, grouped by owner, are the oracle's dominance graphs;
-    each owner's components are the mutual-reachability classes of its
-    oracle graph, in an order every oracle arc respects.
+    The sibling arcs, turned back round and grouped by owner, are the
+    oracle's dominance graphs; each owner's components are the
+    mutual-reachability classes of its oracle graph, in an order every
+    oracle arc respects.
     """
     for i in range(200):
         n = 2 + i % 29
         g = gen_random_digraph(n, (n - 1) + i % (3 * n), seed=40_000 + i)
         t = compute_dominator_tree(g)
-        succ, _ = _sibling_arcs(g, t.idom, t.order)
+        pred, _ = _sibling_arcs(g, t.idom, *_group_by_idom(t.idom, g.source, t.order))
         fast = {a: set() for a in range(n)}
-        for c, heads in enumerate(succ):
-            for w in heads:
+        for w, tails in enumerate(pred):
+            for c in tails:
                 fast[t.idom[w]].add((c, w))
         components = build_ac_tree(g).components
         for a in range(n):
@@ -256,7 +258,7 @@ def test_criterion_8_scaling_report():
         assert tree.width >= 2
         if n <= sizes[1]:
             t = compute_dominator_tree(g)
-            _, examined = _sibling_arcs(g, t.idom, t.order)
+            _, examined = _sibling_arcs(g, t.idom, *_group_by_idom(t.idom, g.source, t.order))
             assert examined == g.arc_count, "dominance pass must touch each arc once"
 
     recursive_times = []

@@ -3,19 +3,27 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import actree
 from actree import cli, gen_complete, gen_layered, serialize_edge_list
 
 DIAMOND = "4 4 0\n0 1 1\n0 2 4\n1 3 2\n2 3 1\n"
 
+# The CLI runs the package these tests import, installed or not.
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(actree.__file__).parent.parent), os.environ.get("PYTHONPATH")])
+))
+
 
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "actree", *args], capture_output=True, text=True
+        [sys.executable, "-m", "actree", *args], capture_output=True, text=True, env=ENV
     )
 
 

@@ -51,6 +51,14 @@ def test_is_module_empty_set_rejected(cycle3):
         is_module(cycle3, frozenset())
 
 
+@pytest.mark.parametrize("nodes, bad", [
+    ([1, 7], "7"), ([-1], "-1"), ([1.5], "1.5"), ([2, True], "True"), (iter([0, 3]), "3"),
+])
+def test_is_module_names_an_id_that_is_no_node(cycle3, nodes, bad):
+    with pytest.raises(GraphError, match=f"node {bad} is not a node id of a 3-node graph"):
+        is_module(cycle3, nodes)
+
+
 def test_module_closure_exhaustive_small():
     checked = 0
     for i in range(60):
