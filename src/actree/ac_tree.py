@@ -25,8 +25,11 @@ the grouping is the tree. Any other graph takes Kosaraju's second pass. One
 loop over the dominator tree's preorder collects the arcs of every
 dominance graph at once as transposed sibling arcs, with no per-node graph
 objects; then each grouped child not yet numbered opens a component of
-every unnumbered node it reaches over them. The resulting :class:`AcTree`
-is the whole decomposition: the nesting family is expanded from it alone.
+every unnumbered node it reaches over them. Last, one walk lays out the
+search plan, the order in which a search drains the components; it does
+not depend on weights either, so it is built once, with the tree. The
+resulting :class:`AcTree` is the whole decomposition: the nesting family is
+expanded from it alone.
 """
 
 from __future__ import annotations
@@ -59,18 +62,26 @@ class AcTree(_Record):
     ``comp_offsets[a]`` up to ``comp_offsets[a + 1] - 1``; ``comp_sizes``
     maps each component size to the number of components of that size, in
     ascending size. ``width`` is one more than the largest component (1 for
-    a single-node graph). ``offsets`` and ``heads`` are the topology the
-    tree was built from: the graph's own tuples, held by reference, not
-    copied. The tree does not depend on weights, so it serves any graph
-    with equal ``offsets``, ``heads`` and source, and
-    :func:`~actree.recursive_dijkstra` rejects any other. The arrays are
-    read-only by contract. The repr shows ``width`` and ``comp_sizes`` only,
-    so printing a tree costs the same at any size.
+    a single-node graph). ``plan`` is the weight-free order in which
+    :func:`~actree.recursive_dijkstra` drains the components, one list: the
+    source and each member of a component of two or more nodes own the
+    segment ``plan[plan_offsets[a] : plan_offsets[a + 1]]`` (any other
+    node's is empty), which lists ``a``'s components in order, a singleton
+    as its node followed inline by that node's own components, and a
+    larger component ``c`` as the marker ``~c``; on an acyclic graph the
+    plan is the dominator tree's preorder. Its nodes are the int objects of
+    ``comp_nodes``; ``plan_offsets`` is an int array. ``offsets`` and
+    ``heads`` are the topology the tree was built from: the graph's own
+    tuples, held by reference, not copied. The tree does not depend on
+    weights, so it serves any graph with equal ``offsets``, ``heads`` and
+    source, and :func:`~actree.recursive_dijkstra` rejects any other. The
+    arrays and the plan are read-only by contract. The repr shows ``width``
+    and ``comp_sizes`` only, so printing a tree costs the same at any size.
     """
 
     __slots__ = (
         "idom", "width", "comp_id", "comp_start", "comp_nodes",
-        "comp_offsets", "comp_sizes", "offsets", "heads",
+        "comp_offsets", "comp_sizes", "plan", "plan_offsets", "offsets", "heads",
     )
     _shown = ("width", "comp_sizes")
 
@@ -162,9 +173,9 @@ def build_ac_tree(g: Graph) -> AcTree:
     DFS meets no back arc but self-loops and arcs into the source, every
     sibling arc points forward in that order, so every component is one
     node and the grouping lays the tree out. Any other graph goes through
-    Kosaraju's second pass over the same grouping. Linear on an acyclic
-    graph, near-linear overall; the decomposition does not depend on arc
-    weights.
+    Kosaraju's second pass over the same grouping. Either way one walk then
+    lays out the search plan. Linear on an acyclic graph, near-linear
+    overall; the decomposition does not depend on arc weights.
     """
     n = g.node_count
     idom, post, back = _immediate_dominators(g)
@@ -177,14 +188,17 @@ def build_ac_tree(g: Graph) -> AcTree:
     comp_id = [-1] * n
     for c, v in enumerate(kids):
         comp_id[v] = c
+    nodes = tuple(kids)
+    del kids
     return AcTree(
         idom,
         min(n, 2),
         array("i", comp_id),
         array("i", range(n)),
-        tuple(kids),
+        nodes,
         start,
         {1: n - 1} if n > 1 else {},
+        *_search_plan((g.source,), start.tolist(), nodes),
         g.offsets,
         g.heads,
     )
@@ -201,7 +215,9 @@ def _kosaraju_tree(
     opens a component of every unnumbered node it reaches over them. No
     sibling arc crosses owners, so that is the child's strong component,
     and the components come out in topological order, numbered as they
-    come, each sorted ascending.
+    come, each sorted ascending. The pass also records each component's
+    plan entry and the members of components of two or more nodes, which
+    own plan segments.
     """
     n = g.node_count
     pred, _ = _sibling_arcs(g, idom, start, kids)
@@ -209,6 +225,8 @@ def _kosaraju_tree(
     members: list[int] = []
     comp_start = array("i", [0])
     count = [0] * (n + 1)
+    entry: list[int] = []  # each component's plan entry
+    owners = [g.source]
     for root in kids:
         if comp_id[root] >= 0:
             continue
@@ -224,19 +242,69 @@ def _kosaraju_tree(
         members += comp
         comp_start.append(len(members))
         count[idom[root] + 1] += 1
+        if len(comp) > 1:
+            entry.append(~c)
+            owners += comp
+        else:
+            entry.append(root)
     del pred  # freed before the numbering allocates: a lower peak
+    owners.sort()
     sizes = dict(sorted(Counter(map(sub, comp_start[1:], comp_start)).items()))
+    off = list(accumulate(count))
+    plan, plan_offsets = _search_plan(owners, off, entry)
+    del entry, owners
     return AcTree(
         idom,
         max(sizes, default=0) + 1,
         array("i", comp_id),
         comp_start,
         tuple(members),
-        array("i", accumulate(count)),
+        array("i", off),
         sizes,
+        plan,
+        plan_offsets,
         g.offsets,
         g.heads,
     )
+
+
+def _search_plan(
+    owners: list[int] | tuple[int, ...], off: list[int], entry: list[int] | tuple[int, ...]
+) -> tuple[list[int], array]:
+    """The weight-free order in which a search drains the components.
+
+    ``off`` is ``comp_offsets`` as a list, and ``entry[c]`` names component
+    ``c`` in the plan: its one member if it is a singleton, else the marker
+    ``~c``. ``owners`` lists, in ascending id, the source and every member
+    of a component of two or more nodes. Owner ``a`` gets the segment
+    ``plan[plan_offsets[a] : plan_offsets[a + 1]]`` (empty for any other
+    node): ``a``'s components in order, each singleton followed by its own
+    node's components, inline and recursively. On an acyclic graph that is
+    the dominator tree's preorder, children in reverse postorder.
+    """
+    plan: list[int] = []
+    size = [0] * len(off)
+    for a in owners:
+        c = off[a]
+        end = off[a + 1]
+        if c == end:
+            continue
+        first = len(plan)
+        stack = []  # the ranges of components a descent interrupted
+        while True:
+            while c < end:
+                x = entry[c]
+                c += 1
+                plan.append(x)
+                if x >= 0 and off[x] < off[x + 1]:  # x's components come next
+                    stack.append((c, end))
+                    c = off[x]
+                    end = off[x + 1]
+            if not stack:
+                break
+            c, end = stack.pop()
+        size[a + 1] = len(plan) - first
+    return plan, array("i", accumulate(size))
 
 
 def ac_to_nesting_family(tree: AcTree) -> tuple[frozenset[int], ...]:

@@ -130,8 +130,6 @@ class Graph(_Record):
             raise GraphError(f"node_count {n!r} is not an integer")
         if n < 1:
             raise GraphError("a graph needs at least one node")
-        if type(self.source) is not int or not 0 <= self.source < n:
-            raise GraphError(f"source {self.source!r} out of range for {n} nodes")
         off, heads, weights, m = self.offsets, self.heads, self.weights, self.arc_count
         for name in ("offsets", "heads", "weights"):
             if type(getattr(self, name)) is not tuple:
@@ -155,11 +153,24 @@ class Graph(_Record):
                 f"offsets must be integers rising from 0 to arc_count {m}"
                 f" (offsets[{_first_bad_offset(off)}] is not)"
             )
-        if m and not (
-            set(map(type, heads)) <= {int}
+        self._check_columns(set(map(type, weights)) <= {float})
+
+    def _check_columns(self, floats: bool) -> None:
+        """Check the source and, whole and in C, the heads and the weights'
+        values; ``floats`` says every weight is known to be a ``float``.
+
+        When a column check fails, the arcs are scanned one by one to name
+        the offending arc. The checks every graph gets, whoever computed
+        its offsets.
+        """
+        n, s, heads, weights = self.node_count, self.source, self.heads, self.weights
+        if type(s) is not int or not 0 <= s < n:
+            raise GraphError(f"source {s!r} out of range for {n} nodes")
+        if self.arc_count and not (
+            floats
+            and set(map(type, heads)) <= {int}
             and 0 <= min(heads)
             and max(heads) < n
-            and set(map(type, weights)) <= {float}
             and 0 <= min(weights)
             and sum(weights) < math.inf  # false for a NaN or inf weight
         ):
@@ -255,7 +266,11 @@ def _csr(
 
     A counting sort by tail: the offsets are the running sums of the
     degrees, and one placing pass puts each arc at its tail's next free
-    slot, so every tail keeps its arcs in input order.
+    slot, so every tail keeps its arcs in input order. Every caller has
+    checked ``n`` and the tails and put every weight through ``float``, and
+    the offsets are built here, so the graph skips the constructor's offset
+    and weight-type checks; the source, the heads and the weights' values
+    get the checks of every graph.
     """
     offsets = tuple(accumulate(degree, initial=0))
     free = list(offsets)
@@ -267,7 +282,10 @@ def _csr(
         free[u] = i + 1
         h[i] = v
         wt[i] = w
-    return Graph(n, source, offsets, tuple(h), tuple(wt), m)
+    g = Graph.__new__(Graph)
+    _Record.__init__(g, n, source, offsets, tuple(h), tuple(wt), m)
+    g._check_columns(True)
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ EXACT_WIDTH_LIMIT = 12
 
 
 class InvalidFamilyError(GraphError, ValueError):
-    """A nesting-family invariant does not hold; the message names the culprit."""
+    """A node set or nesting family breaks an invariant; the message names
+    the offending set or pair."""
 
 
 def is_module(g: Graph, nodes: Iterable[int]) -> int | None:
@@ -32,14 +33,15 @@ def is_module(g: Graph, nodes: Iterable[int]) -> int | None:
     set containing the graph source is a module only with that source (think
     of a virtual external arc into it). Sets other than the whole node set
     must have at least one external in-arc to nominate a source. An id
-    that is not a node of ``g`` raises :class:`GraphError` naming it.
+    that is not a node of ``g`` raises :class:`GraphError` naming it, and
+    an empty set raises :class:`InvalidFamilyError`.
     """
     ids = tuple(nodes)
     for v in ids:
         _check_node(v, g.node_count)
     members = frozenset(ids)
     if not members:
-        raise ValueError("is_module: empty node set")
+        raise InvalidFamilyError("is_module: the node set [] is empty")
     if g.source in members:
         for u, v, _ in g.arcs():
             if u not in members and v in members and v != g.source:
@@ -60,14 +62,20 @@ def module_closure_check(g: Graph, m: Iterable[int], h: Iterable[int]) -> bool:
     """Check that two overlapping modules have module union and intersection.
 
     Precondition: ``m`` and ``h`` are modules that intersect without either
-    containing the other. Expected to return True on every valid input.
+    containing the other. Expected to return True on every valid input; an
+    input that breaks the precondition raises :class:`InvalidFamilyError`
+    naming the offending sets.
     """
     ms = frozenset(m)
     hs = frozenset(h)
     if not ms & hs or ms <= hs or hs <= ms:
-        raise ValueError("module_closure_check: sets must overlap properly")
-    if is_module(g, ms) is None or is_module(g, hs) is None:
-        raise ValueError("module_closure_check: inputs must be modules")
+        raise InvalidFamilyError(
+            f"module_closure_check: sets {sorted(ms)} and {sorted(hs)} do not"
+            " overlap properly"
+        )
+    for s in (ms, hs):
+        if is_module(g, s) is None:
+            raise InvalidFamilyError(f"module_closure_check: set {sorted(s)} is not a module")
     return is_module(g, ms | hs) is not None and is_module(g, ms & hs) is not None
 
 

@@ -7,18 +7,23 @@ component is a single node, so it runs without a queue. Both use a
 ``heapq`` binary heap of ``(dist, node)`` entries with lazy deletion: an
 improvement pushes a new entry, and an entry whose distance is no longer
 current is skipped when it surfaces. Ties on distance therefore break by
-node id. A component queue is filled with the members' finite distances
-when its turn to drain comes, so it holds at most |C| + (arcs into C)
-entries for a component C. The recursive engine checks once, before it
-starts, that the tree was built from the graph's topology, so its loop
-carries no per-node guard. Both engines finalise every node exactly once
-and relax each arc exactly once from a finalised tail, so equal inputs give
-bit-equal distances. Both engines scan node ``u``'s arcs as the index
-range ``offsets[u]:offsets[u + 1]`` of the graph's ``heads`` and
-``weights`` tuples, and the recursive engine reads component ``c``'s
-members as the range ``comp_start[c]:comp_start[c + 1]`` of the tree's
-``comp_nodes`` tuple. ``Graph`` guarantees in-range heads and finite
-non-negative weights, so no engine checks them again.
+node id. The recursive engine follows the tree's weight-free search plan,
+built with the tree: one list in which every singleton component is its
+node, inline, and a larger component is a marker at which its queue
+opens, filled with the members' finite distances, so it holds at most
+|C| + (arcs into C) entries for a component C. Each member then points at
+that queue, so an improvement finds its queue in one read. The recursive
+engine checks once, before it starts, that the tree was built from the
+graph's topology, so its loop carries no per-node guard. Both engines
+finalise every node exactly once and relax each arc exactly once from a
+finalised tail, so equal inputs give bit-equal distances. Both engines scan
+node ``u``'s arcs as the index range ``offsets[u]:offsets[u + 1]`` of the
+graph's ``heads`` and ``weights`` tuples. ``Graph`` guarantees in-range
+heads and finite non-negative weights, so no engine checks them again.
+
+:func:`verify_spt` certifies a result on its own, in O(n + e) with exact
+comparisons: a right result passes one fast pass over the arcs, and any
+other is named, violation by violation, by the specification loop.
 """
 
 from __future__ import annotations
@@ -110,15 +115,21 @@ def dijkstra(g: Graph) -> ShortestPathResult:
 def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     """Dijkstra driven by the A-C tree: one queue per component.
 
-    Finalising a node relaxes its out-arcs, then descends into the node's
-    own component sequence; each owner's components are drained in
-    topological order. A component's queue is heapified from its members'
-    finite tentative distances when its turn comes; before that an
-    improvement is a plain distance write, and a singleton component is one
-    read of ``comp_nodes`` and needs no queue at all. Every queue serves one
-    component C, so it serves at most ``width - 1`` nodes and holds at most
-    |C| + (arcs into C) entries, and a heap operation costs the logarithm
-    of that rather than of n.
+    The search walks the tree's plan (``tree.plan``), segment by segment:
+    it starts in the source's segment, and a node taken from a queue that
+    owns a segment (``tree.plan_offsets``) is finalised and then has its
+    segment walked before the queue goes on; a stack of ``(position, end,
+    queue)`` holds the walks a descent interrupted. So each owner's
+    components are drained in topological order, and the finalisation
+    order is the tree's. A plan entry that is a node is a singleton
+    component: the node is finalised at once, with no queue, and its own
+    components follow inline. A marker ``~c`` opens the queue of component
+    ``c``, heapified from its members' finite tentative distances, and
+    points each member at it; before that an improvement is a plain
+    distance write. Every queue serves one component C, so it serves at
+    most ``width - 1`` nodes and holds at most |C| + (arcs into C)
+    entries, and a heap operation costs the logarithm of that rather than
+    of n.
 
     ``tree`` serves ``g`` exactly when they share the topology and the
     source: ``g.offsets`` and ``g.heads`` equal the tuples the tree was
@@ -137,7 +148,8 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     comp_id = tree.comp_id
     start = tree.comp_start
     nodes = tree.comp_nodes
-    comp_off = tree.comp_offsets
+    plan = tree.plan
+    bounds = tree.plan_offsets
     if len(comp_id) != n:
         raise TreeMismatchError(
             f"A-C tree covers {len(comp_id)} nodes, the graph has {n}"
@@ -159,12 +171,13 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     dist = [INF] * n
     dist[s] = 0.0
     parent = [None] * n
-    queues: list[list[tuple[float, int]] | None] = [None] * (len(start) - 1)
+    queue: list[list[tuple[float, int]] | None] = [None] * n  # its component's heap
     pops = 0
     decreases = 0
-    # the owner being drained: its next component, its end, the open queue;
-    # owners interrupted by a descent wait in ``suspended``
-    cid = end = 0
+    # the segment being walked, its end and the open heap; segments
+    # interrupted by a descent wait in ``suspended``
+    pos = bounds[s]
+    end = bounds[s + 1]
     heap: list[tuple[float, int]] | None = None
     suspended: list[tuple[int, int, list[tuple[float, int]] | None]] = []
     u = s
@@ -178,38 +191,38 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
                 dist[w] = nd
                 parent[w] = u
                 decreases += 1
-                q = queues[comp_id[w]]
+                q = queue[w]
                 if q is not None:
                     heappush(q, (nd, w))
-        first = comp_off[u]
-        if first < comp_off[u + 1]:
-            suspended.append((cid, end, heap))
-            cid = first
-            end = comp_off[u + 1]
-            heap = None
-        # choose the next node to finalise; u < 0 when every queue is drained
+        # choose the next node to finalise; u < 0 when the plan is done
         while True:
             if heap:
                 d, u = heappop(heap)
                 if d > dist[u]:
                     continue  # stale entry left by an improvement
+                lo = bounds[u]
+                hi = bounds[u + 1]
+                if lo < hi:  # u's own segment comes before the rest of the heap
+                    suspended.append((pos, end, heap))
+                    pos = lo
+                    end = hi
+                    heap = None
                 break
-            if cid == end:
+            if pos == end:
                 if not suspended:
                     u = -1
                     break
-                cid, end, heap = suspended.pop()
+                pos, end, heap = suspended.pop()
                 continue
-            lo = start[cid]
-            hi = start[cid + 1]
-            if hi - lo == 1:
-                u = nodes[lo]
-                cid += 1
-                break
-            heap = [(d, v) for v in nodes[lo:hi] if (d := dist[v]) < INF]
+            u = plan[pos]
+            pos += 1
+            if u >= 0:
+                break  # a singleton component: its segment follows inline
+            members = nodes[start[~u] : start[~u + 1]]
+            heap = [(d, v) for v in members if (d := dist[v]) < INF]
             heapify(heap)
-            queues[cid] = heap
-            cid += 1
+            for v in members:
+                queue[v] = heap
 
     if pops != n:
         raise TreeMismatchError(
@@ -272,7 +285,65 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
     named and no arc is checked. A column with no length, or the wrong one,
     is reported as a size mismatch; a column that some node id does not
     index (a ``set``, or a ``dict`` with a missing key) is named on its own.
+
+    A result that passes comes through one fast pass: the node columns are
+    checked whole, in C, and one loop over the arcs reads a parent only on
+    a tight arc. Any other result, and any exception in that pass, goes
+    through :func:`_spt_violations`, the specification, which names every
+    violation in its order.
     """
+    try:
+        if _spt_holds(g, r.dist, r.parent):
+            return SptCheck(True, ())
+    except Exception:  # the specification reads what this pass could not
+        pass
+    return _spt_violations(g, r)
+
+
+def _spt_holds(g: Graph, dist, parent) -> bool:
+    """True when ``dist`` and ``parent`` pass every check of
+    :func:`_spt_violations`; False means only "not shown here".
+
+    Every node column check runs in C: the sizes, the source's entries,
+    one ``None`` in all of ``parent``, ``min(dist) >= 0``, and
+    ``sum(dist) < inf``, which is false on a NaN or infinite distance. Then
+    one loop compares ``dist[u] + w`` with ``dist[v]`` on every arc
+    ``(u, v, w)`` and, only where the two are equal, marks ``v`` tight if
+    ``parent[v]`` is ``u``; every node but the source must end up tight.
+    """
+    n = g.node_count
+    s = g.source
+    if not (
+        type(dist) in (tuple, list)
+        and type(parent) in (tuple, list)
+        and len(dist) == n
+        and len(parent) == n
+        and dist[s] == 0
+        and parent[s] is None
+        and parent.count(None) == 1
+        and min(dist) >= 0
+        and sum(dist) < INF
+    ):
+        return False
+    off, heads, weights = g.offsets, g.heads, g.weights
+    tight = [False] * n
+    for u in range(n):
+        du = dist[u]
+        for i in range(off[u], off[u + 1]):
+            v = heads[i]
+            d = du + weights[i]
+            dv = dist[v]
+            if d <= dv:
+                if d < dv:
+                    return False  # an improving arc
+                if parent[v] == u:
+                    tight[v] = True
+    return tight.count(True) == n - 1
+
+
+def _spt_violations(g: Graph, r: ShortestPathResult) -> SptCheck:
+    """:func:`verify_spt` one node and one arc at a time: the specification
+    of its checks, naming every violation in order."""
     n = g.node_count
     s = g.source
     dist, parent = r.dist, r.parent

@@ -256,6 +256,55 @@ def test_components_are_stored_as_compressed_rows(single, diamond, complete3):
         assert tree.offsets is g.offsets and tree.heads is g.heads  # no copies
 
 
+def test_search_plan_lists_each_owners_components_with_singletons_inline():
+    rng = random.Random(17)
+    graphs = [Graph.from_arcs(1, 0, []), gen_nested((3, 1, (4, 2, 3)), seed=5),
+              gen_nested(((2, 0, 2), 1, 2), seed=3), gen_layered(12, seed=2)]
+    graphs += [gen_random_digraph(2 + 7 * i, 3 * (2 + 7 * i), seed=i) for i in range(16)]
+    graphs += [gen_random_dag(2 + 7 * i, 3 * (2 + 7 * i), seed=i) for i in range(16)]
+    graphs += [Graph.from_arcs(1 << 10, 0, chain_of_blocks(1 << 10, rng)),
+               Graph.from_arcs(1 << 10, 0, random_arcs_with_loops(1 << 10, 3 << 10, rng)),
+               Graph.from_arcs(1 << 10, 0, random_arcs_with_loops(1 << 10, 3 << 10, rng,
+                                                                  acyclic=True))]
+    for g in graphs:
+        tree = build_ac_tree(g)
+        n, s = g.node_count, g.source
+        start, nodes, off = tree.comp_start, tree.comp_nodes, tree.comp_offsets
+        plan, bounds = tree.plan, tree.plan_offsets
+        assert type(plan) is list and bounds.typecode == "i"
+        assert len(bounds) == n + 1 and bounds[0] == 0 and bounds[n] == len(plan)
+        assert all(bounds[a] <= bounds[a + 1] for a in range(n))
+        single = [start[c + 1] - start[c] == 1 for c in range(len(start) - 1)]
+        owners = {s} | {v for c, one in enumerate(single) if not one
+                        for v in nodes[start[c] : start[c + 1]]}
+
+        def expand(a: int) -> list[int]:
+            # a's components in order, a singleton as its node followed by
+            # that node's components, a larger component as its marker
+            out = []
+            for c in range(off[a], off[a + 1]):
+                if single[c]:
+                    out.append(nodes[start[c]])
+                    out += expand(nodes[start[c]])
+                else:
+                    out.append(~c)
+            return out
+
+        for a in range(n):
+            assert plan[bounds[a] : bounds[a + 1]] == (expand(a) if a in owners else []), a
+        inline = [x for x in plan if x >= 0]
+        marked = [v for x in plan if x < 0 for v in nodes[start[~x] : start[~x + 1]]]
+        assert sorted(inline + marked) == sorted(set(range(n)) - {s})
+        assert all(x is nodes[start[tree.comp_id[x]]] for x in inline)  # shared ints
+    nested = build_ac_tree(gen_nested((3, 1, (4, 2, 3)), seed=5))
+    assert nested.plan == [~0, ~1, ~2]
+    assert list(nested.plan_offsets) == [0, 1, 1, 2, 2, 2, 3, 3, 3]
+    # 0 -> 1, 2 -> 3, 4: the source dominates all four, and the DFS finishes
+    # 3, 4, 1, 2, so its children come in the reverse of that order
+    layered = build_ac_tree(gen_layered(2, seed=0))
+    assert layered.plan == [2, 1, 4, 3] and list(layered.plan_offsets) == [0, 4, 4, 4, 4, 4]
+
+
 # One rule numbers every graph: each owner's components follow their first
 # members in the reverse postorder of the dominators' DFS (arcs in stored
 # order), so components that no sibling arc orders still get one fixed

@@ -33,7 +33,7 @@ from actree import (
     serialize_dimacs_sp,
     serialize_edge_list,
 )
-from actree.graph import _parse_dimacs_lines, _parse_edge_list_lines
+from actree.graph import _parse_columns, _parse_dimacs_lines, _parse_edge_list_lines
 
 
 def test_parse_edge_list_basic():
@@ -559,3 +559,78 @@ def test_malformed_csr_fields_name_the_arc_or_the_field(case, data):
         names_k = rf"offsets must .* \(offsets\[{k + 1}\] is not\)"
         with pytest.raises(GraphError, match=names_k):
             build(offsets=raised)
+
+
+# ---------------------------------------------------------------------------
+# The counting sort's graphs: built without the constructor's offset and
+# weight-type checks, the same graphs all the same
+# ---------------------------------------------------------------------------
+
+def _csr_corpus() -> list[Graph]:
+    graphs = [Graph.from_arcs(1, 0, []), Graph.from_arcs(3, 2, [(2, 0), (0, 1, 3)])]
+    graphs += [gen_random_digraph(n, 3 * n, seed=n) for n in (1, 2, 9, 40, 300)]
+    graphs += [gen_random_dag(n, 2 * n, seed=n) for n in (2, 9, 40, 300)]
+    graphs += [gen_nested(spec, seed=5) for spec in (3, (3, 1, (4, 2, 3)), ((2, 0, 2), 1, 2))]
+    graphs += [gen_complete(6, seed=1), gen_complete(4), gen_layered(9, seed=3)]
+    graphs += [parse_edge_list(serialize_edge_list(g)) for g in graphs[:9]]
+    graphs += [parse_dimacs_sp(serialize_dimacs_sp(g), g.source + 1) for g in graphs[:9]]
+    graphs += [_parse_edge_list_lines("3 2 1\n# a comment\n1 0\n1 2 0.5\n")]
+    return graphs
+
+
+def test_counting_sort_graphs_pass_the_full_constructor():
+    for g in _csr_corpus():
+        again = Graph(g.node_count, g.source, g.offsets, g.heads, g.weights, g.arc_count)
+        assert again == g
+        assert all(type(x) is int for x in g.offsets + g.heads)
+        assert all(type(w) is float for w in g.weights)
+
+
+BAD_ARCS = [
+    ((1, 3, 1.0), GraphError, "arc 1->3: target is not a node id"),
+    ((1, -1, 1.0), GraphError, "arc 1->-1: target is not a node id"),
+    ((1, "2", 1.0), GraphError, "arc 1->'2': target is not a node id"),
+    ((1, True, 1.0), GraphError, "arc 1->True: target is not a node id"),
+    ((1, 2.0, 1.0), GraphError, "arc 1->2.0: target is not a node id"),
+    ((1, 2, -1.0), NegativeWeightError, "arc 1->2 has weight -1.0"),
+    ((1, 2, "nan"), GraphError, "arc 1->2 has non-finite weight nan"),
+    ((1, 2, math.inf), GraphError, "arc 1->2 has non-finite weight inf"),
+    ((1, 2, -math.inf), GraphError, "arc 1->2 has non-finite weight -inf"),
+]
+
+
+@pytest.mark.parametrize("arc, error, message", BAD_ARCS)
+def test_from_arcs_names_a_bad_head_or_weight(arc, error, message):
+    with pytest.raises(GraphError) as raised:
+        Graph.from_arcs(3, 0, [(0, 1, 1.0), arc, (2, 0)])
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+BAD_LINES = [
+    ("1 3 1.0", FormatError, "line 3: arc 1->3: node id out of range"),
+    ("1 2 -1.0", NegativeWeightError, "line 3: negative weight -1.0"),
+    ("1 2 nan", FormatError, "line 3: weight nan is not finite"),
+    ("1 2 inf", FormatError, "line 3: weight inf is not finite"),
+    ("1 2 -inf", FormatError, "line 3: weight -inf is not finite"),
+]
+
+
+@pytest.mark.parametrize("line, error, message", BAD_LINES)
+def test_parsers_hand_a_bad_head_or_weight_to_the_line_parser(line, error, message):
+    """The canonical layout reaches the column parser, which returns None on
+    the bad arc; the line parser then raises its error naming the line."""
+    u, v, w = line.split()
+    texts = [
+        (f"3 2 0\n0 1 1.0\n{line}\n", parse_edge_list, _parse_edge_list_lines, ""),
+        (f"p sp 3 2\na 1 2 1.0\na {int(u) + 1} {int(v) + 1} {w}\n", parse_dimacs_sp,
+         lambda text: _parse_dimacs_lines(text, 1), "a"),
+    ]
+    for text, parse, by_lines, tag in texts:
+        assert _parse_columns(text, 3, 2, 0, tag) is None
+        for read in (parse, by_lines):
+            with pytest.raises(GraphError) as raised:
+                read(text)
+            assert type(raised.value) is error
+            if tag:  # DIMACS ids are 1-based
+                message = message.replace("arc 1->3", "arc 2->4")
+            assert str(raised.value) == message

@@ -83,6 +83,24 @@ def test_closure_preconditions(cycle3):
         module_closure_check(cycle3, {0, 2}, {1, 2})  # {0, 2} is not a module
 
 
+@pytest.mark.parametrize("m, h, message", [
+    ({0}, {1}, r"sets \[0\] and \[1\] do not overlap properly"),
+    ({1, 2}, {1}, r"sets \[1, 2\] and \[1\] do not overlap properly"),
+    ({0, 2}, {1, 2}, r"set \[0, 2\] is not a module"),
+    ({1, 2}, {0, 2}, r"set \[0, 2\] is not a module"),
+    (set(), set(), r"sets \[\] and \[\] do not overlap properly"),
+])
+def test_closure_preconditions_raise_a_graph_error_naming_the_sets(cycle3, m, h, message):
+    with pytest.raises(InvalidFamilyError, match=f"^module_closure_check: {message}$"):
+        module_closure_check(cycle3, m, h)
+
+
+def test_is_module_empty_set_raises_a_graph_error(cycle3):
+    for nodes in (frozenset(), [], iter(())):
+        with pytest.raises(GraphError, match=r"^is_module: the node set \[\] is empty$"):
+            is_module(cycle3, nodes)
+
+
 def test_family_width_trivial_family():
     g = gen_random_digraph(9, 20, seed=4)
     sets = [frozenset(range(9))] + [frozenset((v,)) for v in range(9)]

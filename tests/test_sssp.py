@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from array import array
 
 import pytest
@@ -24,6 +25,8 @@ from actree import (
     recursive_dijkstra,
     verify_spt,
 )
+from actree import sssp
+from actree.sssp import _spt_violations
 
 WEIGHTS = st.sampled_from((0.0, 1.0, 2.0))
 
@@ -159,15 +162,17 @@ def test_recursive_rejects_the_source_inside_a_component():
 def test_recursive_rejects_a_tree_that_leaves_nodes_unfinalised():
     g = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])
     tree = build_ac_tree(g)
-    assert list(tree.comp_offsets) == [0, 1, 2, 2]
+    assert tree.plan == [1, 2] and list(tree.plan_offsets) == [0, 2, 2, 2]
     cut = AcTree(
         tree.idom,
         tree.width,
         tree.comp_id,
         tree.comp_start,
         tree.comp_nodes,
-        array("i", [0, 1, 1, 1]),  # comp_offsets without node 2's component
+        tree.comp_offsets,
         tree.comp_sizes,
+        [1],  # the plan without node 2
+        array("i", [0, 1, 1, 1]),
         tree.offsets,
         tree.heads,
     )
@@ -317,3 +322,66 @@ def test_verify_spt_lists_violations_in_check_order():
         "parent arc 0->1 is not tight for dist 1.0",
         "parent arc 0->2 is not tight for dist 3.0",
     )
+
+
+MUTATIONS = (
+    "none", "ulp up", "ulp down", "non-neighbour parent", "no parent",
+    "out-of-range parent", "nan", "inf", "-inf", "-0.0", "not a number",
+    "parent for the source", "parallel arcs",
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(small_graphs(), st.sampled_from(MUTATIONS), st.data())
+def test_verify_spt_returns_exactly_what_its_specification_returns(g, mutation, data):
+    """The fast pass may only confirm: every verdict and every violation,
+    in order, is the specification loop's."""
+    n, s = g.node_count, g.source
+    v = data.draw(st.integers(0, n - 1), label="node")
+    if mutation == "parallel arcs" and v != s:
+        # a heavier copy of v's parent arc, before or after it in the row
+        u = dijkstra(g).parent[v]
+        arcs = list(g.arcs())
+        i = next(i for i, (a, b, _) in enumerate(arcs) if a == u and b == v)
+        copy = (u, v, arcs[i][2] + data.draw(st.sampled_from((0.5, 1.0, 1e-9))))
+        arcs.insert(i + data.draw(st.integers(0, 1), label="after"), copy)
+        g = Graph.from_arcs(n, s, arcs)
+    r = dijkstra(g)
+    dist, parent = list(r.dist), list(r.parent)
+    odd = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0.0": -0.0}
+    if mutation in odd:
+        dist[v] = odd[mutation]
+    elif mutation == "ulp up":
+        dist[v] = math.nextafter(dist[v], math.inf)
+    elif mutation == "ulp down":
+        dist[v] = math.nextafter(dist[v], -math.inf)
+    elif mutation == "not a number":
+        dist[v] = data.draw(st.sampled_from((None, "1.0", 1j)), label="value")
+    elif mutation == "no parent":
+        parent[v] = None
+    elif mutation == "out-of-range parent":
+        parent[v] = data.draw(st.sampled_from((n, -1, 10**9)), label="id")
+    elif mutation == "parent for the source":
+        parent[s] = data.draw(st.integers(0, n - 1), label="id")
+    elif mutation == "non-neighbour parent":
+        tails = {a for a, b, _ in g.arcs() if b == v}
+        others = [x for x in range(n) if x not in tails]
+        if others:
+            parent[v] = data.draw(st.sampled_from(others), label="id")
+    result = ShortestPathResult(tuple(dist), tuple(parent), r.stats)
+    check = verify_spt(g, result)
+    assert check == _spt_violations(g, result)
+    if mutation in ("none", "parallel arcs"):
+        assert check.ok
+
+
+def test_verify_spt_confirms_right_results_without_its_specification(monkeypatch):
+    def fail(g, r):
+        raise AssertionError("the specification loop ran")
+
+    monkeypatch.setattr(sssp, "_spt_violations", fail)
+    cases = [gen_random_digraph(200, 800, seed=3), gen_random_dag(200, 800, seed=4),
+             gen_nested((3, 1, (4, 2, 3)), seed=5), Graph.from_arcs(1, 0, [(0, 0, 1.0)])]
+    for g in cases:
+        assert verify_spt(g, recursive_dijkstra(g, build_ac_tree(g)))
+        assert verify_spt(g, dijkstra(g))
