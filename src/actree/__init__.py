@@ -19,6 +19,7 @@ from .dominators import (
     compute_dominator_tree,
 )
 from .graph import (
+    DistanceOverflowError,
     FormatError,
     Graph,
     GraphError,
@@ -56,6 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcTree",
+    "DistanceOverflowError",
     "DominatorTree",
     "FormatError",
     "Graph",

@@ -70,18 +70,21 @@ class AcTree(_Record):
     as its node followed inline by that node's own components, and a
     larger component ``c`` as the marker ``~c``; on an acyclic graph the
     plan is the dominator tree's preorder. Its nodes are the int objects of
-    ``comp_nodes``; ``plan_offsets`` is an int array. ``offsets`` and
-    ``heads`` are the topology the tree was built from: the graph's own
-    tuples, held by reference, not copied. The tree does not depend on
-    weights, so it serves any graph with equal ``offsets``, ``heads`` and
-    source, and :func:`~actree.recursive_dijkstra` rejects any other. The
-    arrays and the plan are read-only by contract. The repr shows ``width``
-    and ``comp_sizes`` only, so printing a tree costs the same at any size.
+    ``comp_nodes``; ``plan_offsets`` is an int array, and ``plan_owns`` a
+    ``bytearray`` in which ``plan_owns[a]`` is 1 exactly when ``a``'s
+    segment is not empty, so a search reads one byte per popped node.
+    ``offsets`` and ``heads`` are the topology the tree was built from: the
+    graph's own tuples, held by reference, not copied. The tree does not
+    depend on weights, so it serves any graph with equal ``offsets``,
+    ``heads`` and source, and :func:`~actree.recursive_dijkstra` rejects any
+    other. The arrays, the flags and the plan are read-only by contract.
+    The repr shows ``width`` and ``comp_sizes`` only, so printing a tree
+    costs the same at any size.
     """
 
     __slots__ = (
-        "idom", "width", "comp_id", "comp_start", "comp_nodes",
-        "comp_offsets", "comp_sizes", "plan", "plan_offsets", "offsets", "heads",
+        "idom", "width", "comp_id", "comp_start", "comp_nodes", "comp_offsets",
+        "comp_sizes", "plan", "plan_offsets", "plan_owns", "offsets", "heads",
     )
     _shown = ("width", "comp_sizes")
 
@@ -251,7 +254,7 @@ def _kosaraju_tree(
     owners.sort()
     sizes = dict(sorted(Counter(map(sub, comp_start[1:], comp_start)).items()))
     off = list(accumulate(count))
-    plan, plan_offsets = _search_plan(owners, off, entry)
+    plan, plan_offsets, plan_owns = _search_plan(owners, off, entry)
     del entry, owners
     return AcTree(
         idom,
@@ -263,6 +266,7 @@ def _kosaraju_tree(
         sizes,
         plan,
         plan_offsets,
+        plan_owns,
         g.offsets,
         g.heads,
     )
@@ -270,7 +274,7 @@ def _kosaraju_tree(
 
 def _search_plan(
     owners: list[int] | tuple[int, ...], off: list[int], entry: list[int] | tuple[int, ...]
-) -> tuple[list[int], array]:
+) -> tuple[list[int], array, bytearray]:
     """The weight-free order in which a search drains the components.
 
     ``off`` is ``comp_offsets`` as a list, and ``entry[c]`` names component
@@ -280,10 +284,13 @@ def _search_plan(
     ``plan[plan_offsets[a] : plan_offsets[a + 1]]`` (empty for any other
     node): ``a``'s components in order, each singleton followed by its own
     node's components, inline and recursively. On an acyclic graph that is
-    the dominator tree's preorder, children in reverse postorder.
+    the dominator tree's preorder, children in reverse postorder. Also
+    returns the segment bounds and a flag per node, 1 when its segment is
+    not empty.
     """
     plan: list[int] = []
     size = [0] * len(off)
+    owns = bytearray(len(off) - 1)
     for a in owners:
         c = off[a]
         end = off[a + 1]
@@ -304,7 +311,8 @@ def _search_plan(
                 break
             c, end = stack.pop()
         size[a + 1] = len(plan) - first
-    return plan, array("i", accumulate(size))
+        owns[a] = 1
+    return plan, array("i", accumulate(size)), owns
 
 
 def ac_to_nesting_family(tree: AcTree) -> tuple[frozenset[int], ...]:

@@ -4,10 +4,10 @@ Each command parses one graph file, prunes unreachable nodes and prints one
 result. The CLI does no timing: ``perfbench/run.py`` at the repository root
 measures the library end to end and layer by layer.
 
-Exit codes: 0 ok, 2 parse or usage error, 3 negative weight, 4 internal
-failure (a failed --verify or a width disagreement, which would falsify the
-decomposition, or any unexpected exception, reported as one line instead
-of a traceback).
+Exit codes: 0 ok, 2 parse or usage error, 3 negative weight or a distance
+that overflows, 4 internal failure (a failed --verify or a width
+disagreement, which would falsify the decomposition, or any unexpected
+exception, reported as one line instead of a traceback).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 
 from .ac_tree import build_ac_tree
 from .graph import (
+    DistanceOverflowError,
     FormatError,
     Graph,
     NegativeWeightError,
@@ -198,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NegativeWeightError as exc:
+    except (NegativeWeightError, DistanceOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     except OSError as exc:

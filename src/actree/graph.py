@@ -32,8 +32,11 @@ from itertools import accumulate, repeat
 from operator import le
 
 
-class GraphError(Exception):
-    """Base class for graph construction and ingest failures."""
+class GraphError(ValueError):
+    """Base class for graph construction, ingest and argument failures.
+
+    A ``ValueError``, so a caller that catches bad values catches these too.
+    """
 
 
 class _LineError(GraphError):
@@ -58,8 +61,17 @@ class UnreachableNodeError(GraphError):
     """An operation that requires a pruned graph found unreachable nodes."""
 
 
-class TreeMismatchError(GraphError, ValueError):
+class TreeMismatchError(GraphError):
     """An A-C tree was handed to a search over a graph it was not built for."""
+
+
+class DistanceOverflowError(GraphError):
+    """A search found a node whose shortest distance exceeds the largest
+    float: every path to ``node`` sums to ``inf``."""
+
+    def __init__(self, message: str, node: int):
+        self.node = node
+        super().__init__(message)
 
 
 class _Record:
@@ -228,6 +240,8 @@ class Graph(_Record):
                 if not 0 <= u < node_count:
                     raise GraphError(f"arc {arc!r}: tail is not a node id")
                 degree[u] += 1  # a non-integer u fails to index
+            except GraphError:  # a ValueError, but it names the arc already
+                raise
             except (TypeError, ValueError, OverflowError):
                 raise GraphError(
                     f"arc {arc!r}: expected (u, v) or (u, v, w) with integer"
@@ -271,8 +285,13 @@ def _csr(
     the offsets are built here, so the graph skips the constructor's offset
     and weight-type checks; the source, the heads and the weights' values
     get the checks of every graph.
+
+    The four lists are consumed: each is emptied as soon as it is read
+    through, and the placed heads and weights become tuples one column
+    after the other, so at no point are both columns held twice.
     """
     offsets = tuple(accumulate(degree, initial=0))
+    degree.clear()
     free = list(offsets)
     m = len(tails)
     h: list = [None] * m
@@ -282,8 +301,14 @@ def _csr(
         free[u] = i + 1
         h[i] = v
         wt[i] = w
+    del free
+    tails.clear()
+    heads.clear()
+    weights.clear()
+    h = tuple(h)
+    wt = tuple(wt)
     g = Graph.__new__(Graph)
-    _Record.__init__(g, n, source, offsets, tuple(h), tuple(wt), m)
+    _Record.__init__(g, n, source, offsets, h, wt, m)
     g._check_columns(True)
     return g
 
@@ -552,6 +577,9 @@ def _parse_columns(text: str, n: int, m: int, s: int, tag: str) -> Graph | None:
             weights.extend(map(float, tok[first + 2 :: width]))
         except (KeyError, ValueError):
             return None
+    # the id table and the last slice's tokens are freed before the counting
+    # sort allocates its columns
+    ids = tok = chunk = None
     if len(tails) != m:
         return None
     degree = [0] * n
@@ -619,6 +647,13 @@ def prune_unreachable(g: Graph) -> tuple[Graph, Sequence[int | None]]:
 # Generators (all deterministic for a given seed)
 # ---------------------------------------------------------------------------
 
+def _check_count(name: str, value) -> None:
+    """Raise a :class:`GraphError` naming the generator argument ``name``
+    unless ``value`` is an ``int`` of at least 1."""
+    if type(value) is not int or value < 1:
+        raise GraphError(f"{name} {value!r} is not an integer >= 1")
+
+
 def gen_layered(depth: int, seed: int) -> Graph:
     """Two-track layered DAG: a source feeding ``depth`` rank pairs.
 
@@ -626,8 +661,7 @@ def gen_layered(depth: int, seed: int) -> Graph:
     both rank-1 nodes and all four arcs between consecutive ranks. Weights
     are uniform in [0, 1). The dominator tree of this family is flat.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_count("depth", depth)
     rng = random.Random(seed)
     # node ids: s = 0, a_i = 2i - 1, b_i = 2i
     arcs = [(0, 1, rng.random()), (0, 2, rng.random())]
@@ -646,8 +680,7 @@ def gen_random_digraph(n: int, e: int, seed: int) -> Graph:
     than ``n - 1`` requested arcs still yields the arborescence. Weights are
     uniform in [0, 1).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n)
     rng = random.Random(seed)
     arcs = []
     for v in range(1, n):
@@ -665,8 +698,7 @@ def gen_random_dag(n: int, e: int, seed: int) -> Graph:
     Reachability from the source is guaranteed the same way as in
     :func:`gen_random_digraph`; extra arcs are redrawn until ``u != v``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n)
     rng = random.Random(seed)
     arcs = []
     for v in range(1, n):
@@ -686,8 +718,7 @@ def gen_random_dag(n: int, e: int, seed: int) -> Graph:
 
 def gen_complete(n: int, seed: int | None = None) -> Graph:
     """Complete digraph on ``n`` nodes; unit weights unless a seed is given."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n)
     return _complete(n, random.Random(seed) if seed is not None else None)
 
 
@@ -716,7 +747,7 @@ def gen_nested(spec, seed: int) -> Graph:
     one-node outer graph gives an equal graph.
     """
     if spec is None or spec == ():
-        raise ValueError("empty nesting spec")
+        raise GraphError(f"spec {spec!r} is empty")
     rng = random.Random(seed)
     # The nodes of the leaf graphs get consecutive handles, leaves in spec
     # order (outer before inner). A built part is its node sequence (the
@@ -740,7 +771,10 @@ def gen_nested(spec, seed: int) -> Graph:
             seq, src = built[-1]
             at = s[1]
             if type(at) is not int or not 0 <= at < len(seq):
-                raise ValueError(f"node {at!r} out of range")
+                raise GraphError(
+                    f"spec {s!r}: node {at!r} is not one of the outer part's"
+                    f" {len(seq)} nodes"
+                )
             dropped = seq.pop(at)
             aliases.append((dropped, inner_src))
             seq += inner_seq
@@ -750,13 +784,15 @@ def gen_nested(spec, seed: int) -> Graph:
             leaf = s
         elif isinstance(s, int):
             if s < 1:
-                raise ValueError("component size must be >= 1")
+                raise GraphError(f"spec part {s!r}: a component needs at least one node")
             leaf = _complete(s, rng)
         elif isinstance(s, tuple) and len(s) == 3:
             todo += ((s, True), (s[2], False), (s[0], False))
             continue
         else:
-            raise ValueError(f"empty or malformed nesting spec: {s!r}")
+            raise GraphError(
+                f"spec part {s!r} is not an int, a Graph or an (outer, at, inner) triple"
+            )
         leaves.append((handles, leaf))
         first = handles
         handles += leaf.node_count

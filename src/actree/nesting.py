@@ -21,7 +21,7 @@ from .graph import Graph, GraphError
 EXACT_WIDTH_LIMIT = 12
 
 
-class InvalidFamilyError(GraphError, ValueError):
+class InvalidFamilyError(GraphError):
     """A node set or nesting family breaks an invariant; the message names
     the offending set or pair."""
 
@@ -130,11 +130,14 @@ def brute_force_nesting_width(g: Graph) -> int:
     exact partitions of each module into at least two proper modules, the
     largest partition size encountered. Singletons contribute nothing.
     The search is exponential, so a graph of more than
-    :data:`EXACT_WIDTH_LIMIT` nodes raises ``ValueError``.
+    :data:`EXACT_WIDTH_LIMIT` nodes raises :class:`GraphError`.
     """
     n = g.node_count
     if n > EXACT_WIDTH_LIMIT:
-        raise ValueError(f"brute-force width guard: {n} nodes > {EXACT_WIDTH_LIMIT}")
+        raise GraphError(
+            f"brute_force_nesting_width: g has {n} nodes, more than"
+            f" EXACT_WIDTH_LIMIT = {EXACT_WIDTH_LIMIT}"
+        )
     if n == 1:
         return 1
 

@@ -31,7 +31,13 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .ac_tree import AcTree
-from .graph import Graph, TreeMismatchError, UnreachableNodeError, _Record
+from .graph import (
+    DistanceOverflowError,
+    Graph,
+    TreeMismatchError,
+    UnreachableNodeError,
+    _Record,
+)
 
 INF = float("inf")
 
@@ -78,7 +84,9 @@ def dijkstra(g: Graph) -> ShortestPathResult:
     """Textbook Dijkstra over a single all-nodes queue; the baseline oracle.
 
     Requires a pruned graph: raises :class:`UnreachableNodeError` when the
-    source does not reach every node. Ties on distance break by node id.
+    source does not reach every node, and :class:`DistanceOverflowError`
+    naming a node whose every path sums past the largest float. Ties on
+    distance break by node id.
     """
     n = g.node_count
     s = g.source
@@ -103,7 +111,7 @@ def dijkstra(g: Graph) -> ShortestPathResult:
                 heappush(heap, (nd, w))
                 decreases += 1
     if pops < n:
-        raise UnreachableNodeError(
+        raise _overflow(g, dist) or UnreachableNodeError(
             f"{n - pops} nodes unreachable from source {s}; prune first"
         )
     stats = SearchStats(pops, decreases, n, {})
@@ -117,9 +125,10 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
 
     The search walks the tree's plan (``tree.plan``), segment by segment:
     it starts in the source's segment, and a node taken from a queue that
-    owns a segment (``tree.plan_offsets``) is finalised and then has its
-    segment walked before the queue goes on; a stack of ``(position, end,
-    queue)`` holds the walks a descent interrupted. So each owner's
+    owns a segment (one byte of ``tree.plan_owns`` read per pop, bounds in
+    ``tree.plan_offsets``) is finalised and then has its segment walked
+    before the queue goes on; a stack of ``(position, end, queue)`` holds
+    the walks a descent interrupted. So each owner's
     components are drained in topological order, and the finalisation
     order is the tree's. A plan entry that is a node is a singleton
     component: the node is finalised at once, with no queue, and its own
@@ -140,7 +149,10 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     count, the source inside a component, or another topology, the same
     arcs reordered within a row included; for another topology the error
     names the first node whose out-arcs differ. A tree altered after its
-    build that leaves a node unfinalised raises it at the end.
+    build that leaves a node unfinalised raises it at the end. A node whose
+    every path sums past the largest float raises
+    :class:`DistanceOverflowError`: one ``sum(dist)`` in C spots it, and
+    only a sum of ``inf`` sends the search to look for the node.
     """
     n = g.node_count
     s = g.source
@@ -150,6 +162,7 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     nodes = tree.comp_nodes
     plan = tree.plan
     bounds = tree.plan_offsets
+    owns = tree.plan_owns
     if len(comp_id) != n:
         raise TreeMismatchError(
             f"A-C tree covers {len(comp_id)} nodes, the graph has {n}"
@@ -200,12 +213,10 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
                 d, u = heappop(heap)
                 if d > dist[u]:
                     continue  # stale entry left by an improvement
-                lo = bounds[u]
-                hi = bounds[u + 1]
-                if lo < hi:  # u's own segment comes before the rest of the heap
+                if owns[u]:  # u's own segment comes before the rest of the heap
                     suspended.append((pos, end, heap))
-                    pos = lo
-                    end = hi
+                    pos = bounds[u]
+                    end = bounds[u + 1]
                     heap = None
                 break
             if pos == end:
@@ -224,16 +235,46 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
             for v in members:
                 queue[v] = heap
 
-    if pops != n:
-        raise TreeMismatchError(
-            f"the search finalised {pops} of {n} nodes:"
-            " the A-C tree was altered after its build"
-        )
+    if pops != n or sum(dist) == INF:  # an inf distance makes the sum inf
+        error = _overflow(g, dist)
+        if error is not None:
+            raise error
+        if pops != n:
+            raise TreeMismatchError(
+                f"the search finalised {pops} of {n} nodes:"
+                " the A-C tree was altered after its build"
+            )
     sizes = tree.comp_sizes
     state = SearchStats(pops, decreases, max(sizes, default=0), dict(sizes))
     dist = tuple(dist)  # each list is freed as soon as its tuple exists
     parent = tuple(parent)
     return ShortestPathResult(dist, parent, state)
+
+
+def _overflow(g: Graph, dist: list[float]) -> DistanceOverflowError | None:
+    """The error naming the head of the first arc, in storage order, whose
+    finite tail distance plus its weight overflows to ``inf`` at a node
+    still at ``inf``; ``None`` if no arc does.
+
+    After a search, such a node has no path whose sum is finite. Runs on
+    the failure path only, and when finite distances sum past the largest
+    float.
+    """
+    off, heads, weights = g.offsets, g.heads, g.weights
+    for u in range(g.node_count):
+        du = dist[u]
+        if du == INF:
+            continue
+        for i in range(off[u], off[u + 1]):
+            v = heads[i]
+            if dist[v] == INF and du + weights[i] == INF:
+                return DistanceOverflowError(
+                    f"the distance of node {v} overflows: every path to it sums"
+                    f" past the largest float (dist[{u}] = {du!r} plus arc"
+                    f" {u}->{v} of weight {weights[i]!r} is inf)",
+                    v,
+                )
+    return None
 
 
 def _first_differing_row(off: tuple, heads: tuple, t_off: tuple, t_heads: tuple) -> int:

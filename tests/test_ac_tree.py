@@ -274,6 +274,10 @@ def test_search_plan_lists_each_owners_components_with_singletons_inline():
         assert type(plan) is list and bounds.typecode == "i"
         assert len(bounds) == n + 1 and bounds[0] == 0 and bounds[n] == len(plan)
         assert all(bounds[a] <= bounds[a + 1] for a in range(n))
+        # one flag per node says whether its segment is empty
+        owns = tree.plan_owns
+        assert type(owns) is bytearray
+        assert list(owns) == [int(bounds[a] < bounds[a + 1]) for a in range(n)]
         single = [start[c + 1] - start[c] == 1 for c in range(len(start) - 1)]
         owners = {s} | {v for c, one in enumerate(single) if not one
                         for v in nodes[start[c] : start[c + 1]]}

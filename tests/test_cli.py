@@ -119,6 +119,15 @@ def test_negative_weight_exits_3(tmp_path):
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("algo", ["dijkstra", "recursive"])
+def test_overflowing_distance_exits_3_naming_the_node(tmp_path, algo):
+    path = tmp_path / "big.edges"
+    path.write_text("3 2 0\n0 1 1e308\n1 2 1e308\n")
+    proc = run_cli("sssp", str(path), "--algo", algo)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: the distance of node 2 overflows")
+
+
 def test_sssp_recursive_verify(tmp_path):
     path = tmp_path / "d.edges"
     path.write_text(DIAMOND)

@@ -192,6 +192,44 @@ def test_from_arcs_holds_no_per_arc_objects():
     assert held <= 16 * m + 40 * (n + 1) + 1024, held / m
 
 
+def _peak_and_held(build) -> tuple[int, int]:
+    """The bytes ``build()`` allocates at its peak and the bytes its result
+    holds, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = build()  # alive while its bytes are read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del g
+    return peak - base, held - base
+
+
+def test_ingest_peaks_within_a_small_multiple_of_the_graph_it_returns():
+    """The counting sort consumes its input columns and the parsers free
+    their id table first, so a parse peaks at under twice the graph it
+    returns (about 1.6 times), and ``from_arcs``, which also holds the
+    column lists of its arcs, at under 2.7 times (about 2.3 times)."""
+    g = gen_random_digraph(1 << 14, 4 << 14, seed=18)
+    for parse, text in ((parse_edge_list, serialize_edge_list(g)),
+                        (parse_dimacs_sp, serialize_dimacs_sp(g))):
+        peak, held = _peak_and_held(lambda: parse(text))
+        assert peak <= 2.0 * held, (parse.__name__, peak / held)
+    arcs = list(g.arcs())
+    peak, held = _peak_and_held(lambda: Graph.from_arcs(g.node_count, g.source, arcs))
+    assert peak <= 2.7 * held, peak / held
+
+
+def test_from_arcs_names_a_tail_out_of_range():
+    # GraphError is a ValueError: the conversion handler must not swallow it
+    for tail in (2, -1):
+        with pytest.raises(GraphError) as info:
+            Graph.from_arcs(2, 0, [(0, 1), (tail, 0, 1.0)])
+        assert str(info.value) == f"arc ({tail}, 0, 1.0): tail is not a node id"
+
+
 def test_from_arcs_rejects_malformed_arcs_naming_them():
     cases = [  # a list: (0.0, 1), (0, 1.0) and (0, True) are equal keys
         ((0,), "(0,)"),  # wrong tuple length
@@ -438,6 +476,29 @@ def test_gen_random_dag_is_acyclic():
     assert all(u < v for u, v, _ in g.arcs())
     pruned, _ = prune_unreachable(g)
     assert pruned == g
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen_layered(0, 1), "depth 0 is not an integer >= 1"),
+    (lambda: gen_layered(2.0, 1), "depth 2.0 is not an integer >= 1"),
+    (lambda: gen_random_digraph(0, 1, 1), "n 0 is not an integer >= 1"),
+    (lambda: gen_random_dag(0, 1, 1), "n 0 is not an integer >= 1"),
+    (lambda: gen_complete(0), "n 0 is not an integer >= 1"),
+    (lambda: gen_nested(None, 0), "spec None is empty"),
+    (lambda: gen_nested((), 0), "spec () is empty"),
+    (lambda: gen_nested(0, 0), "spec part 0: a component needs at least one node"),
+    (lambda: gen_nested((2, 2, 3), 0),
+     "spec (2, 2, 3): node 2 is not one of the outer part's 2 nodes"),
+    (lambda: gen_nested((2, 1), 0),
+     "spec part (2, 1) is not an int, a Graph or an (outer, at, inner) triple"),
+    (lambda: gen_nested((2, 1, "x"), 0),
+     "spec part 'x' is not an int, a Graph or an (outer, at, inner) triple"),
+])
+def test_generators_raise_a_typed_error_naming_the_argument(call, message):
+    with pytest.raises(GraphError) as info:
+        call()
+    assert type(info.value) is GraphError and isinstance(info.value, ValueError)
+    assert str(info.value) == message
 
 
 def test_gen_complete():

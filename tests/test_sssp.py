@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from actree import (
     AcTree,
+    DistanceOverflowError,
     Graph,
+    GraphError,
     ShortestPathResult,
     TreeMismatchError,
     UnreachableNodeError,
@@ -22,6 +24,7 @@ from actree import (
     gen_nested,
     gen_random_dag,
     gen_random_digraph,
+    prune_unreachable,
     recursive_dijkstra,
     verify_spt,
 )
@@ -92,6 +95,41 @@ def test_dijkstra_rejects_unpruned_input():
         dijkstra(Graph.from_arcs(3, 0, [(0, 1)]))
     with pytest.raises(UnreachableNodeError, match="2 nodes unreachable from source 2"):
         dijkstra(Graph.from_arcs(3, 2, [(0, 1), (1, 2)]))
+
+
+OVERFLOWS = [
+    (3, [(0, 1, 1e308), (1, 2, 1e308)]),
+    (4, [(0, 1, 1e308), (1, 2, 1e308), (1, 3, 1e308), (2, 3, 1.0), (3, 2, 1.0)]),
+    (4, [(0, 1, 1e308), (1, 2, 1e308), (2, 3, 1.0)]),  # 3 is inf only through 2
+]
+
+
+@pytest.mark.parametrize("n, arcs", OVERFLOWS)
+def test_both_engines_name_the_node_whose_distance_overflows(n, arcs):
+    """Every path to node 2 sums past the largest float; neither engine
+    returns ``inf`` for it or blames pruning or the tree."""
+    g = Graph.from_arcs(n, 0, arcs)
+    assert prune_unreachable(g)[0] is g
+    tree = build_ac_tree(g)
+    for search in (dijkstra, lambda g: recursive_dijkstra(g, tree)):
+        with pytest.raises(DistanceOverflowError) as info:
+            search(g)
+        assert isinstance(info.value, GraphError) and info.value.node == 2
+        assert str(info.value) == (
+            "the distance of node 2 overflows: every path to it sums past the"
+            " largest float (dist[1] = 1e+308 plus arc 1->2 of weight 1e+308 is inf)"
+        )
+
+
+def test_an_overflowing_path_beside_a_finite_one_is_no_error():
+    g = Graph.from_arcs(3, 0, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1.0)])
+    assert dijkstra(g).dist == recursive_dijkstra(g, build_ac_tree(g)).dist
+    assert dijkstra(g).dist == (0.0, 1e308, 1.0)
+    # finite distances whose sum is inf: the engine looks, finds no overflow
+    chain = Graph.from_arcs(18, 0, [(u, u + 1, 1e307) for u in range(17)])
+    r = recursive_dijkstra(chain, build_ac_tree(chain))
+    assert sum(r.dist) == math.inf and r.dist == dijkstra(chain).dist
+    assert max(r.dist) < math.inf
 
 
 def test_recursive_complete3(complete3):
@@ -173,6 +211,7 @@ def test_recursive_rejects_a_tree_that_leaves_nodes_unfinalised():
         tree.comp_sizes,
         [1],  # the plan without node 2
         array("i", [0, 1, 1, 1]),
+        bytearray([1, 0, 0]),
         tree.offsets,
         tree.heads,
     )
