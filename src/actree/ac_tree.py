@@ -53,16 +53,15 @@ class AcTree(_Record):
     arcs in stored order, so on an acyclic graph, where every component is
     one node, each owner's children follow that reverse postorder.
     ``idom[v]`` is the immediate dominator of ``v`` (the source maps to
-    itself); ``comp_id[v]`` is the number of ``v``'s component (-1 for the
-    source). The components are stored as compressed rows: the members of
+    itself). The components are stored as compressed rows: the members of
     component ``c`` are ``comp_nodes[comp_start[c] : comp_start[c + 1]]``,
-    in ascending id, so
-    ``comp_nodes`` lists every node but the source once, component by
-    component. The components of owner ``a`` are numbered
-    ``comp_offsets[a]`` up to ``comp_offsets[a + 1] - 1``; ``comp_sizes``
-    maps each component size to the number of components of that size, in
-    ascending size. ``width`` is one more than the largest component (1 for
-    a single-node graph). ``plan`` is the weight-free order in which
+    in ascending id, so ``comp_nodes`` lists every node but the source
+    once, component by component. The components of owner ``a`` are
+    numbered ``comp_offsets[a]`` up to ``comp_offsets[a + 1] - 1``;
+    ``comp_sizes`` maps each component size to the number of components of
+    that size, in ascending size. The property ``width`` is one more than
+    the largest component (1 for a single-node graph); the tree stores
+    nothing its fields fix. ``plan`` is the weight-free order in which
     :func:`~actree.recursive_dijkstra` drains the components, one list: the
     source and each member of a component of two or more nodes own the
     segment ``plan[plan_offsets[a] : plan_offsets[a + 1]]`` (any other
@@ -83,10 +82,15 @@ class AcTree(_Record):
     """
 
     __slots__ = (
-        "idom", "width", "comp_id", "comp_start", "comp_nodes", "comp_offsets",
-        "comp_sizes", "plan", "plan_offsets", "plan_owns", "offsets", "heads",
+        "idom", "comp_start", "comp_nodes", "comp_offsets", "comp_sizes",
+        "plan", "plan_offsets", "plan_owns", "offsets", "heads",
     )
     _shown = ("width", "comp_sizes")
+
+    @property
+    def width(self) -> int:
+        """The nesting width: one more than the largest component."""
+        return max(self.comp_sizes, default=0) + 1
 
     @property
     def components(self) -> dict[int, tuple[frozenset[int], ...]]:
@@ -188,15 +192,10 @@ def build_ac_tree(g: Graph) -> AcTree:
         return _kosaraju_tree(g, idom, start, kids)
     # one component per non-source node: each owner's children, in reverse
     # postorder
-    comp_id = [-1] * n
-    for c, v in enumerate(kids):
-        comp_id[v] = c
     nodes = tuple(kids)
     del kids
     return AcTree(
         idom,
-        min(n, 2),
-        array("i", comp_id),
         array("i", range(n)),
         nodes,
         start,
@@ -250,7 +249,7 @@ def _kosaraju_tree(
             owners += comp
         else:
             entry.append(root)
-    del pred  # freed before the numbering allocates: a lower peak
+    del pred, comp_id  # freed before the numbering allocates: a lower peak
     owners.sort()
     sizes = dict(sorted(Counter(map(sub, comp_start[1:], comp_start)).items()))
     off = list(accumulate(count))
@@ -258,8 +257,6 @@ def _kosaraju_tree(
     del entry, owners
     return AcTree(
         idom,
-        max(sizes, default=0) + 1,
-        array("i", comp_id),
         comp_start,
         tuple(members),
         array("i", off),

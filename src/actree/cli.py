@@ -80,9 +80,8 @@ def cmd_decompose(args) -> int:
             str(a): [sorted(c) for c in components[a]] for a in sorted(components)
         },
         "width": tree.width,
+        "idom": list(tree.idom),
     }
-    if args.json:
-        doc["idom"] = list(tree.idom)
     _dump(doc)
     return EXIT_OK
 
@@ -154,13 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="1-based source node for DIMACS input (default 1)",
         )
 
-    p = sub.add_parser("decompose", help="print the A-C tree as JSON")
-    add_input(p)
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="include the dominator tree (idom array) in the output",
+    p = sub.add_parser(
+        "decompose", help="print the A-C tree and its dominator parents as JSON"
     )
+    add_input(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("sssp", help="single-source shortest paths as JSON")

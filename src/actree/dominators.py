@@ -15,7 +15,6 @@ a slice of it. A path-removal oracle is provided for testing.
 from __future__ import annotations
 
 from array import array
-from itertools import groupby
 
 from .graph import Graph, GraphError, UnreachableNodeError, _Record
 
@@ -57,12 +56,19 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     The tree and its preorder do not depend on the arc order.
     """
     idom = _immediate_dominators(g)[0]
-    order, kids = _preorder(idom, g.source)
     n = g.node_count
-    # read backwards, kids holds each owner's children as one ascending run
-    children: list[tuple[int, ...]] = [()] * n
-    for a, run in groupby(reversed(kids), idom.__getitem__):
-        children[a] = tuple(run)
+    s = g.source
+    # the nodes in descending id give each owner's children in ascending id
+    start, kids = _group_by_idom(idom, s, range(n - 1, -1, -1))
+    children = tuple(tuple(kids[start[a] : start[a + 1]]) for a in range(n))
+    del start, kids
+    order = []
+    stack = [s]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack += reversed(children[v])  # the smallest child comes off first
+    order = tuple(order)
     dfs_in = [0] * n
     for i, v in enumerate(order):
         dfs_in[v] = i
@@ -71,7 +77,7 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     for v in reversed(order):
         if c := children[v]:
             dfs_out[v] = dfs_out[c[-1]]
-    return DominatorTree(idom, tuple(children), order, tuple(dfs_in), tuple(dfs_out))
+    return DominatorTree(idom, children, order, tuple(dfs_in), tuple(dfs_out))
 
 
 def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int], bool]:
@@ -227,20 +233,6 @@ def _group_by_idom(
             start[p] = k
             kids[k] = v
     return array("i", start), kids  # no int object per entry: a lower peak
-
-
-def _preorder(idom: tuple[int, ...], s: int) -> tuple[tuple[int, ...], list[int]]:
-    """The dominator tree's preorder, children in ascending id, and the
-    non-source nodes grouped by immediate dominator, each owner's children
-    in descending id."""
-    start, kids = _group_by_idom(idom, s, range(len(idom)))
-    order = []
-    stack = [s]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(kids[start[v] : start[v + 1]])
-    return tuple(order), kids
 
 
 def brute_force_dominated_set(g: Graph, a: int) -> frozenset[int]:

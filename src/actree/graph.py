@@ -120,45 +120,42 @@ class Graph(_Record):
 
     The arcs are stored in compressed sparse rows: node ``u``'s arcs are
     ``heads[offsets[u]:offsets[u + 1]]`` with the matching ``weights``, in
-    insertion order. ``offsets`` has ``node_count + 1`` entries. All three
-    are tuples, so a graph costs about 16 B per arc plus one offset per
-    node, and no per-arc object. Parallel arcs and self-loops are kept as
-    given; heads are ``int`` node ids and weights finite non-negative
-    ``float`` values (parsers normalise a missing weight to 1.0), so the
-    search engines need no per-arc checks. The repr shows the node count,
-    source and arc count only.
+    insertion order. All three are tuples, so a graph costs about 16 B per
+    arc plus one offset per node, and no per-arc object. The columns fix
+    the counts: ``node_count`` is ``len(offsets) - 1`` and ``arc_count`` is
+    ``len(heads)``, both read-only properties. Parallel arcs and self-loops
+    are kept as given; heads are ``int`` node ids and weights finite
+    non-negative ``float`` values (parsers normalise a missing weight to
+    1.0), so the search engines need no per-arc checks. The repr shows the
+    node count, source and arc count only.
     """
 
-    __slots__ = ("node_count", "source", "offsets", "heads", "weights", "arc_count")
+    __slots__ = ("source", "offsets", "heads", "weights")
     _shown = ("node_count", "source", "arc_count")
 
     def __init__(
-        self, node_count: int, source: int, offsets: tuple[int, ...],
-        heads: tuple[int, ...], weights: tuple[float, ...], arc_count: int,
+        self, source: int, offsets: tuple[int, ...],
+        heads: tuple[int, ...], weights: tuple[float, ...],
     ) -> None:
-        super().__init__(node_count, source, offsets, heads, weights, arc_count)
-        n = self.node_count
-        if type(n) is not int:
-            raise GraphError(f"node_count {n!r} is not an integer")
-        if n < 1:
-            raise GraphError("a graph needs at least one node")
-        off, heads, weights, m = self.offsets, self.heads, self.weights, self.arc_count
+        super().__init__(source, offsets, heads, weights)
         for name in ("offsets", "heads", "weights"):
             if type(getattr(self, name)) is not tuple:
                 raise GraphError(f"{name} is not a tuple")
-        if type(m) is not int or not len(heads) == len(weights) == m:
+        off, heads, weights = self.offsets, self.heads, self.weights
+        if len(off) < 2:
+            raise GraphError("a graph needs at least one node")
+        m = len(heads)
+        if len(weights) != m:
             raise GraphError(
-                f"arc_count {m!r} does not match heads ({len(heads)} entries)"
-                f" and weights ({len(weights)} entries)"
+                f"heads ({m} entries) and weights ({len(weights)} entries)"
+                " differ in length"
             )
-        if len(off) != n + 1:
-            raise GraphError(f"offsets has {len(off)} entries, expected {n + 1}")
         # whole-column checks in C; when one fails, the arcs are scanned one by
         # one to name the offending arc
         if not (
             set(map(type, off)) <= {int}
             and off[0] == 0
-            and off[n] == m
+            and off[-1] == m
             and all(map(le, off, off[1:]))
         ):
             raise GraphError(
@@ -166,6 +163,14 @@ class Graph(_Record):
                 f" (offsets[{_first_bad_offset(off)}] is not)"
             )
         self._check_columns(set(map(type, weights)) <= {float})
+
+    @property
+    def node_count(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def arc_count(self) -> int:
+        return len(self.heads)
 
     def _check_columns(self, floats: bool) -> None:
         """Check the source and, whole and in C, the heads and the weights'
@@ -178,7 +183,7 @@ class Graph(_Record):
         n, s, heads, weights = self.node_count, self.source, self.heads, self.weights
         if type(s) is not int or not 0 <= s < n:
             raise GraphError(f"source {s!r} out of range for {n} nodes")
-        if self.arc_count and not (
+        if heads and not (
             floats
             and set(map(type, heads)) <= {int}
             and 0 <= min(heads)
@@ -250,7 +255,7 @@ class Graph(_Record):
             tails.append(u)
             heads.append(v)
             weights.append(w)
-        return _csr(node_count, source, degree, tails, heads, weights)
+        return _csr(source, degree, tails, heads, weights)
 
     def arcs(self) -> Iterator[tuple[int, int, float]]:
         """Yield every arc as ``(u, v, w)`` in storage order."""
@@ -269,22 +274,22 @@ def _first_bad_offset(off: tuple) -> int:
 
 
 def _csr(
-    n: int,
     source: int,
     degree: list[int],
     tails: list[int],
     heads: list[int],
     weights: list[float],
 ) -> Graph:
-    """Graph from arc columns in input order; ``degree[u]`` counts tail ``u``.
+    """Graph from arc columns in input order; ``degree[u]`` counts tail ``u``
+    for each of the graph's nodes.
 
     A counting sort by tail: the offsets are the running sums of the
     degrees, and one placing pass puts each arc at its tail's next free
     slot, so every tail keeps its arcs in input order. Every caller has
-    checked ``n`` and the tails and put every weight through ``float``, and
-    the offsets are built here, so the graph skips the constructor's offset
-    and weight-type checks; the source, the heads and the weights' values
-    get the checks of every graph.
+    given at least one node, checked the tails and put every weight through
+    ``float``, and the offsets are built here, so the graph skips the
+    constructor's offset and weight-type checks; the source, the heads and
+    the weights' values get the checks of every graph.
 
     The four lists are consumed: each is emptied as soon as it is read
     through, and the placed heads and weights become tuples one column
@@ -308,7 +313,7 @@ def _csr(
     h = tuple(h)
     wt = tuple(wt)
     g = Graph.__new__(Graph)
-    _Record.__init__(g, n, source, offsets, h, wt, m)
+    _Record.__init__(g, source, offsets, h, wt)
     g._check_columns(True)
     return g
 
@@ -389,7 +394,7 @@ def _parse_edge_list_lines(text: str) -> Graph:
     n, m, s = header
     if len(tails) != m:
         raise FormatError(f"header declares {m} arcs, file has {len(tails)}")
-    return _csr(n, s, degree, tails, heads, weights)
+    return _csr(s, degree, tails, heads, weights)
 
 
 def _node_columns(n: int, lineno: int) -> tuple[list[int], list[int]]:
@@ -485,7 +490,7 @@ def _parse_dimacs_lines(text: str, source: int) -> Graph:
         raise FormatError(f"problem line declares {m} arcs, file has {len(tails)}")
     if type(source) is not int or not 1 <= source <= n:
         raise FormatError(f"source {source!r} out of range (1..{n})")
-    return _csr(n, source - 1, degree, tails, heads, weights)
+    return _csr(source - 1, degree, tails, heads, weights)
 
 
 def serialize_dimacs_sp(g: Graph) -> str:
@@ -586,7 +591,7 @@ def _parse_columns(text: str, n: int, m: int, s: int, tag: str) -> Graph | None:
     for u in tails:
         degree[u] += 1
     try:
-        return _csr(n, s, degree, tails, heads, weights)
+        return _csr(s, degree, tails, heads, weights)
     except GraphError:  # a negative or non-finite weight
         return None
 
@@ -633,12 +638,7 @@ def prune_unreachable(g: Graph) -> tuple[Graph, Sequence[int | None]]:
             new_weights.extend(weights[off[u] : off[u + 1]])
             new_offsets.append(len(new_heads))
     pruned = Graph(
-        new_id,
-        remap[g.source],
-        tuple(new_offsets),
-        tuple(new_heads),
-        tuple(new_weights),
-        len(new_heads),
+        remap[g.source], tuple(new_offsets), tuple(new_heads), tuple(new_weights)
     )
     return pruned, tuple(remap)
 
@@ -654,6 +654,23 @@ def _check_count(name: str, value) -> None:
         raise GraphError(f"{name} {value!r} is not an integer >= 1")
 
 
+def _check_arc_count(e) -> None:
+    """Raise a :class:`GraphError` naming the argument ``e`` unless it is an ``int``."""
+    if type(e) is not int:
+        raise GraphError(f"e {e!r} is not an integer")
+
+
+def _rng(seed) -> random.Random:
+    """A generator seeded with ``seed``, or a :class:`GraphError` naming a
+    seed that ``random.Random`` rejects."""
+    try:
+        return random.Random(seed)
+    except TypeError:
+        raise GraphError(
+            f"seed {seed!r} is not None, an int, a float, a str, bytes or a bytearray"
+        ) from None
+
+
 def gen_layered(depth: int, seed: int) -> Graph:
     """Two-track layered DAG: a source feeding ``depth`` rank pairs.
 
@@ -662,7 +679,7 @@ def gen_layered(depth: int, seed: int) -> Graph:
     are uniform in [0, 1). The dominator tree of this family is flat.
     """
     _check_count("depth", depth)
-    rng = random.Random(seed)
+    rng = _rng(seed)
     # node ids: s = 0, a_i = 2i - 1, b_i = 2i
     arcs = [(0, 1, rng.random()), (0, 2, rng.random())]
     for i in range(1, depth):
@@ -681,7 +698,8 @@ def gen_random_digraph(n: int, e: int, seed: int) -> Graph:
     uniform in [0, 1).
     """
     _check_count("n", n)
-    rng = random.Random(seed)
+    _check_arc_count(e)
+    rng = _rng(seed)
     arcs = []
     for v in range(1, n):
         arcs.append((rng.randrange(v), v, rng.random()))
@@ -699,7 +717,8 @@ def gen_random_dag(n: int, e: int, seed: int) -> Graph:
     :func:`gen_random_digraph`; extra arcs are redrawn until ``u != v``.
     """
     _check_count("n", n)
-    rng = random.Random(seed)
+    _check_arc_count(e)
+    rng = _rng(seed)
     arcs = []
     for v in range(1, n):
         arcs.append((rng.randrange(v), v, rng.random()))
@@ -719,7 +738,7 @@ def gen_random_dag(n: int, e: int, seed: int) -> Graph:
 def gen_complete(n: int, seed: int | None = None) -> Graph:
     """Complete digraph on ``n`` nodes; unit weights unless a seed is given."""
     _check_count("n", n)
-    return _complete(n, random.Random(seed) if seed is not None else None)
+    return _complete(n, _rng(seed) if seed is not None else None)
 
 
 def _complete(k: int, rng: random.Random | None) -> Graph:
@@ -748,7 +767,7 @@ def gen_nested(spec, seed: int) -> Graph:
     """
     if spec is None or spec == ():
         raise GraphError(f"spec {spec!r} is empty")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     # The nodes of the leaf graphs get consecutive handles, leaves in spec
     # order (outer before inner). A built part is its node sequence (the
     # handles in id order) and its source handle. A substitution drops node
@@ -819,4 +838,4 @@ def gen_nested(spec, seed: int) -> Graph:
             tails.extend(repeat(t, d))
         heads.extend(map(ids.__getitem__, leaf.heads))
         weights.extend(leaf.weights)
-    return _csr(len(seq), final[src], degree, tails, heads, weights)
+    return _csr(final[src], degree, tails, heads, weights)

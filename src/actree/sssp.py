@@ -143,33 +143,35 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     ``tree`` serves ``g`` exactly when they share the topology and the
     source: ``g.offsets`` and ``g.heads`` equal the tuples the tree was
     built from (an identity check first, then one O(e) compare), and the
-    source is the tree's root. Weights may differ, so one tree serves any
-    reweighting of the same arcs in the same order. Anything else raises
-    :class:`TreeMismatchError` before the search starts: a different node
-    count, the source inside a component, or another topology, the same
-    arcs reordered within a row included; for another topology the error
-    names the first node whose out-arcs differ. A tree altered after its
-    build that leaves a node unfinalised raises it at the end. A node whose
-    every path sums past the largest float raises
-    :class:`DistanceOverflowError`: one ``sum(dist)`` in C spots it, and
-    only a sum of ``inf`` sends the search to look for the node.
+    source is the tree's root (``tree.idom[s] == s``). Weights may differ,
+    so one tree serves any reweighting of the same arcs in the same order.
+    Anything else raises :class:`TreeMismatchError` before the search
+    starts: a different node count, a source that is not the tree's root,
+    or another topology, the same arcs reordered within a row included;
+    for another topology the error names the first node whose out-arcs
+    differ. A tree altered after its build that leaves a node unfinalised
+    raises it at the end. A node whose every path sums past the largest
+    float raises :class:`DistanceOverflowError`: one ``sum(dist)`` in C
+    spots it, and only a sum of ``inf`` sends the search to look for the
+    node.
     """
     n = g.node_count
     s = g.source
     off, heads, weights = g.offsets, g.heads, g.weights
-    comp_id = tree.comp_id
+    idom = tree.idom
     start = tree.comp_start
     nodes = tree.comp_nodes
     plan = tree.plan
     bounds = tree.plan_offsets
     owns = tree.plan_owns
-    if len(comp_id) != n:
+    if len(idom) != n:
         raise TreeMismatchError(
-            f"A-C tree covers {len(comp_id)} nodes, the graph has {n}"
+            f"A-C tree covers {len(idom)} nodes, the graph has {n}"
         )
-    if comp_id[s] != -1:
+    if idom[s] != s:
         raise TreeMismatchError(
-            f"source {s} sits in component {comp_id[s]} of the A-C tree"
+            f"source {s} is not the root of the A-C tree: its immediate"
+            f" dominator there is {idom[s]}"
         )
     if not (
         (off is tree.offsets or off == tree.offsets)
@@ -244,8 +246,7 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
                 f"the search finalised {pops} of {n} nodes:"
                 " the A-C tree was altered after its build"
             )
-    sizes = tree.comp_sizes
-    state = SearchStats(pops, decreases, max(sizes, default=0), dict(sizes))
+    state = SearchStats(pops, decreases, tree.width - 1, dict(tree.comp_sizes))
     dist = tuple(dist)  # each list is freed as soon as its tuple exists
     parent = tuple(parent)
     return ShortestPathResult(dist, parent, state)

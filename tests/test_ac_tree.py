@@ -31,6 +31,17 @@ from actree.dominators import _group_by_idom, _immediate_dominators
 from random_graphs import chain_of_blocks, random_arcs_with_loops, small_graphs
 
 
+def component_ids(tree: AcTree) -> list[int]:
+    """Each node's component number, -1 for the source: the inverse of the
+    tree's compressed rows ``comp_start`` and ``comp_nodes``."""
+    ids = [-1] * len(tree.idom)
+    start, nodes = tree.comp_start, tree.comp_nodes
+    for c in range(len(start) - 1):
+        for v in nodes[start[c] : start[c + 1]]:
+            ids[v] = c
+    return ids
+
+
 def sibling_arcs(g, t) -> tuple[list[list[int]], int]:
     """``_sibling_arcs`` over the dominator tree ``t``, children in any order."""
     return _sibling_arcs(g, t.idom, *_group_by_idom(t.idom, g.source, t.order))
@@ -131,7 +142,7 @@ def test_complete_actree(complete3):
 def test_single_node_actree(single):
     tree = build_ac_tree(single)
     assert tree.components == {}
-    assert list(tree.comp_id) == [-1]
+    assert component_ids(tree) == [-1]
     assert tree.width == 1
 
 
@@ -251,8 +262,12 @@ def test_components_are_stored_as_compressed_rows(single, diamond, complete3):
         for c in range(k):
             members = nodes[start[c] : start[c + 1]]
             assert list(members) == sorted(members)
-            assert all(tree.comp_id[v] == c for v in members)
-        assert not hasattr(tree, "comp_members")
+        # each component's owner is its members' immediate dominator
+        for a in range(n):
+            for c in range(tree.comp_offsets[a], tree.comp_offsets[a + 1]):
+                assert {tree.idom[v] for v in nodes[start[c] : start[c + 1]]} == {a}
+        assert not hasattr(tree, "comp_members") and not hasattr(tree, "comp_id")
+        assert tree.width == max(tree.comp_sizes, default=0) + 1
         assert tree.offsets is g.offsets and tree.heads is g.heads  # no copies
 
 
@@ -299,7 +314,8 @@ def test_search_plan_lists_each_owners_components_with_singletons_inline():
         inline = [x for x in plan if x >= 0]
         marked = [v for x in plan if x < 0 for v in nodes[start[~x] : start[~x + 1]]]
         assert sorted(inline + marked) == sorted(set(range(n)) - {s})
-        assert all(x is nodes[start[tree.comp_id[x]]] for x in inline)  # shared ints
+        ids = component_ids(tree)
+        assert all(x is nodes[start[ids[x]]] for x in inline)  # shared ints
     nested = build_ac_tree(gen_nested((3, 1, (4, 2, 3)), seed=5))
     assert nested.plan == [~0, ~1, ~2]
     assert list(nested.plan_offsets) == [0, 1, 1, 2, 2, 2, 3, 3, 3]
@@ -348,7 +364,7 @@ PINNED_NUMBERING = [
                          PINNED_NUMBERING)
 def test_component_numbering_is_pinned(g, comp_id, comp_start, comp_nodes, comp_offsets):
     tree = build_ac_tree(g)
-    assert list(tree.comp_id) == comp_id
+    assert component_ids(tree) == comp_id
     assert list(tree.comp_start) == comp_start
     assert tree.comp_nodes == comp_nodes
     assert list(tree.comp_offsets) == comp_offsets
@@ -527,12 +543,13 @@ def _assert_both_paths_agree(g: Graph, sibling_arcs: list[tuple[int, int]]) -> N
     assert not back
     fast = build_ac_tree(g)
     slow = _kosaraju_tree(g, idom, *_group_by_idom(idom, g.source, post))
-    for name in AcTree.__slots__:
+    for name in (*AcTree.__slots__, "width"):
         a, b = getattr(fast, name), getattr(slow, name)
         assert type(a) is type(b), name
         assert getattr(a, "typecode", None) == getattr(b, "typecode", None), name
         assert a == b, name
-    assert all(fast.comp_id[u] < fast.comp_id[v] for u, v in sibling_arcs)
+    ids = component_ids(fast)
+    assert all(ids[u] < ids[v] for u, v in sibling_arcs)
     assert recursive_dijkstra(g, slow).dist == dijkstra(g).dist
 
 
@@ -610,7 +627,7 @@ PINNED_ACYCLIC_NUMBERING = [
 @pytest.mark.parametrize("g, comp_id, comp_nodes, comp_offsets", PINNED_ACYCLIC_NUMBERING)
 def test_acyclic_numbering_is_pinned(g, comp_id, comp_nodes, comp_offsets):
     tree = build_ac_tree(g)
-    assert list(tree.comp_id) == comp_id
+    assert component_ids(tree) == comp_id
     assert list(tree.comp_start) == list(range(g.node_count))
     assert tree.comp_nodes == comp_nodes
     assert list(tree.comp_offsets) == comp_offsets

@@ -32,7 +32,7 @@ def test_decompose_single_node(tmp_path):
     path.write_text("1 0 0\n")
     proc = run_cli("decompose", str(path))
     assert proc.returncode == 0
-    assert proc.stdout.strip() == '{"components":{},"width":1}'
+    assert proc.stdout.strip() == '{"components":{},"width":1,"idom":[0]}'
 
 
 def test_decompose_layered_width(tmp_path):
@@ -45,12 +45,14 @@ def test_decompose_layered_width(tmp_path):
     assert set(doc["components"]) == {"0"}
 
 
-def test_decompose_json_includes_idom(tmp_path):
+def test_decompose_includes_idom(tmp_path):
     path = tmp_path / "d.edges"
     path.write_text(DIAMOND)
-    proc = run_cli("decompose", str(path), "--json")
+    proc = run_cli("decompose", str(path))
     doc = json.loads(proc.stdout)
     assert doc["idom"] == [0, 0, 0, 0]
+    # every output is JSON already, so there is no --json flag
+    assert run_cli("decompose", str(path), "--json").returncode == 2
 
 
 def test_decompose_malformed_exits_2(tmp_path):

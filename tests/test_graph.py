@@ -156,20 +156,20 @@ def test_graph_rejects_non_finite_weights(bad):
     with pytest.raises(GraphError, match=r"arc 1->2 has non-finite weight"):
         Graph.from_arcs(3, 0, [(0, 1, 1.0), (1, 2, bad)])
     with pytest.raises(GraphError, match=r"arc 0->1"):
-        Graph(2, 0, (0, 1, 1), (1,), (bad,), 1)
+        Graph(0, (0, 1, 1), (1,), (bad,))
 
 
 def test_malformed_fields_raise_graph_error_not_type_error():
     with pytest.raises(GraphError, match=r"arc 0->1 has weight 'x', not a float"):
-        Graph(2, 0, (0, 1, 1), (1,), ("x",), 1)
+        Graph(0, (0, 1, 1), (1,), ("x",))
     with pytest.raises(GraphError, match=r"node_count '3' is not an integer"):
         Graph.from_arcs("3", 0, [])
     with pytest.raises(GraphError, match=r"arcs must be an iterable"):
         Graph.from_arcs(2, 0, None)
     with pytest.raises(GraphError, match=r"source '0' out of range"):
-        Graph(2, "0", (0, 0, 0), (), (), 0)
+        Graph("0", (0, 0, 0), (), ())
     with pytest.raises(GraphError, match=r"heads is not a tuple"):
-        Graph(2, 0, (0, 1, 1), [1], (1.0,), 1)
+        Graph(0, (0, 1, 1), [1], (1.0,))
 
 
 def test_from_arcs_holds_no_per_arc_objects():
@@ -396,7 +396,7 @@ def test_canonical_serializations_take_the_column_path(seed):
         m = g.arc_count
         k = min(3, m)
         ws = g.weights[: m - k] + (0.0, -0.0, 1e300)[:k]
-        g = Graph(g.node_count, seed % g.node_count, g.offsets, g.heads, ws, m)
+        g = Graph(seed % g.node_count, g.offsets, g.heads, ws)
     assert _edge_list_columns(serialize_edge_list(g)) == g
     assert _dimacs_columns(serialize_dimacs_sp(g), g.source + 1) == g
 
@@ -478,12 +478,23 @@ def test_gen_random_dag_is_acyclic():
     assert pruned == g
 
 
+_BAD_SEED = "seed [1] is not None, an int, a float, a str, bytes or a bytearray"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: gen_layered(0, 1), "depth 0 is not an integer >= 1"),
     (lambda: gen_layered(2.0, 1), "depth 2.0 is not an integer >= 1"),
     (lambda: gen_random_digraph(0, 1, 1), "n 0 is not an integer >= 1"),
     (lambda: gen_random_dag(0, 1, 1), "n 0 is not an integer >= 1"),
     (lambda: gen_complete(0), "n 0 is not an integer >= 1"),
+    (lambda: gen_random_digraph(5, "7", 1), "e '7' is not an integer"),
+    (lambda: gen_random_dag(5, "7", 1), "e '7' is not an integer"),
+    (lambda: gen_random_dag(5, 7.0, 1), "e 7.0 is not an integer"),
+    (lambda: gen_layered(2, [1]), _BAD_SEED),
+    (lambda: gen_random_digraph(5, 7, [1]), _BAD_SEED),
+    (lambda: gen_random_dag(5, 7, [1]), _BAD_SEED),
+    (lambda: gen_complete(3, seed=[1]), _BAD_SEED),
+    (lambda: gen_nested(3, seed=[1]), _BAD_SEED),
     (lambda: gen_nested(None, 0), "spec None is empty"),
     (lambda: gen_nested((), 0), "spec () is empty"),
     (lambda: gen_nested(0, 0), "spec part 0: a component needs at least one node"),
@@ -584,7 +595,8 @@ def test_csr_layout_properties(case):
     stored = list(g.arcs())
     assert stored == sorted(normalised, key=lambda arc: arc[0])
     assert all(type(w) is float for _, _, w in stored)
-    assert Graph(n, s, g.offsets, g.heads, g.weights, g.arc_count) == g
+    assert Graph(s, g.offsets, g.heads, g.weights) == g
+    assert (g.node_count, g.arc_count) == (n, len(arcs))
     assert parse_edge_list(serialize_edge_list(g)) == g
     assert parse_dimacs_sp(serialize_dimacs_sp(g), source=s + 1) == g
     pruned, _ = prune_unreachable(g)
@@ -599,14 +611,28 @@ def test_malformed_csr_fields_name_the_arc_or_the_field(case, data):
     g = Graph.from_arcs(n, s, arcs)
     off, heads, weights, m = g.offsets, g.heads, g.weights, g.arc_count
 
-    def build(offsets=off, hs=heads, ws=weights, count=m):
-        return Graph(n, s, offsets, hs, ws, count)
+    def build(offsets=off, hs=heads, ws=weights):
+        return Graph(s, offsets, hs, ws)
 
-    with pytest.raises(GraphError, match=r"offsets has"):
-        build(offsets=off[:-1])
+    # one offset fewer is one node fewer: no node at all, a last row that
+    # ends short of the arcs, or a graph whose source and heads must fit
+    if n == 1:
+        with pytest.raises(GraphError, match=r"at least one node"):
+            build(offsets=off[:-1])
+    elif off[-2] < m:
+        with pytest.raises(GraphError, match=rf"offsets\[{n - 1}\] is not"):
+            build(offsets=off[:-1])
+    elif s < n - 1 and max(heads, default=0) < n - 1:
+        fewer = build(offsets=off[:-1])
+        assert (fewer.node_count, fewer.arc_count) == (n - 1, m)
+    else:
+        with pytest.raises(GraphError, match=r"^source|: target is not"):
+            build(offsets=off[:-1])
     if m:
-        with pytest.raises(GraphError, match=r"arc_count"):
+        with pytest.raises(GraphError, match=r"^heads \(\d+ entries\) and weights"):
             build(hs=heads[:-1])
+        with pytest.raises(GraphError, match=rf"rising from 0 to arc_count {m - 1}"):
+            build(hs=heads[:-1], ws=weights[:-1])
         i = data.draw(st.integers(0, m - 1))
         u, v = bisect_right(off, i) - 1, heads[i]
         for head in (n, True):
@@ -641,7 +667,7 @@ def _csr_corpus() -> list[Graph]:
 
 def test_counting_sort_graphs_pass_the_full_constructor():
     for g in _csr_corpus():
-        again = Graph(g.node_count, g.source, g.offsets, g.heads, g.weights, g.arc_count)
+        again = Graph(g.source, g.offsets, g.heads, g.weights)
         assert again == g
         assert all(type(x) is int for x in g.offsets + g.heads)
         assert all(type(w) is float for w in g.weights)

@@ -190,10 +190,19 @@ def test_recursive_rejects_mismatched_tree(diamond, cycle3):
         recursive_dijkstra(cycle3, tree)
 
 
+def test_recursive_rejects_a_source_that_is_a_singleton_component():
+    g = Graph.from_arcs(3, 0, [(0, 2), (2, 1)])
+    tree = build_ac_tree(Graph.from_arcs(3, 1, [(1, 0), (0, 2)]))
+    assert [len(c) for c in tree.components[1]] == [1]  # 0 is a singleton
+    with pytest.raises(TreeMismatchError, match="source 0 is not the root"):
+        recursive_dijkstra(g, tree)
+
+
 def test_recursive_rejects_the_source_inside_a_component():
     g = Graph.from_arcs(3, 0, [(0, 1), (1, 2), (2, 0)])
-    tree = build_ac_tree(Graph.from_arcs(3, 1, [(1, 0), (0, 2)]))
-    with pytest.raises(TreeMismatchError, match="source 0"):
+    tree = build_ac_tree(Graph.from_arcs(3, 2, [(2, 0), (2, 1), (0, 1), (1, 0)]))
+    assert tree.components[2] == (frozenset({0, 1}),)
+    with pytest.raises(TreeMismatchError, match="source 0 is not the root"):
         recursive_dijkstra(g, tree)
 
 
@@ -203,8 +212,6 @@ def test_recursive_rejects_a_tree_that_leaves_nodes_unfinalised():
     assert tree.plan == [1, 2] and list(tree.plan_offsets) == [0, 2, 2, 2]
     cut = AcTree(
         tree.idom,
-        tree.width,
-        tree.comp_id,
         tree.comp_start,
         tree.comp_nodes,
         tree.comp_offsets,
