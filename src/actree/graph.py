@@ -10,6 +10,13 @@ a counting sort by tail and create no per-arc object;
 ``Graph.__init__`` validates them once, column by column, and names
 the offending arc or field when a check fails.
 
+``Graph.from_arcs`` sorts a ``list`` or ``tuple`` of ``(u, v, w)`` arcs
+straight from the arcs in two passes, one counting each tail's arcs and one
+placing them, with no column list. Any other iterable, and any arc those
+passes cannot read (a 2-tuple, a tail out of range or not an ``int``, a
+weight ``float`` rejects), goes to the per-arc loop, the specification,
+which builds the same graph or raises the same error naming the arc.
+
 Both parsers convert a text laid out as the serializers write it a column
 at a time: the body is cut into slices of about 64K characters, each slice
 is checked to hold one fixed number of single-spaced fields per line and
@@ -216,46 +223,22 @@ class Graph(_Record):
 
         Node ids are ``int``; a missing weight is 1.0 and a given one goes
         through ``float``. A malformed arc raises :class:`GraphError` naming it.
+
+        A ``list`` or ``tuple`` of ``(u, v, w)`` arcs is read twice, with no
+        column list: one pass counts each tail's arcs and one places them.
+        Any other iterable, and a list or tuple holding an arc those passes
+        cannot read, goes to the per-arc loop, :func:`_from_arcs_loop`: the
+        specification, which builds the same graph or raises the same error.
         """
         if type(node_count) is not int:
             raise GraphError(f"node_count {node_count!r} is not an integer")
         if node_count < 1:
             raise GraphError("a graph needs at least one node")
-        try:
-            arcs = iter(arcs)
-        except TypeError:
-            raise GraphError(
-                f"arcs must be an iterable of tuples, not {type(arcs).__name__}"
-            ) from None
-        try:
-            degree = [0] * node_count
-        except (OverflowError, MemoryError):
-            raise GraphError(f"node count {node_count} is too large to allocate") from None
-        tails: list[int] = []
-        heads: list[int] = []
-        weights: list[float] = []
-        for arc in arcs:
-            try:
-                if len(arc) == 2:
-                    u, v = arc
-                    w = 1.0
-                else:
-                    u, v, w = arc
-                    w = float(w)
-                if not 0 <= u < node_count:
-                    raise GraphError(f"arc {arc!r}: tail is not a node id")
-                degree[u] += 1  # a non-integer u fails to index
-            except GraphError:  # a ValueError, but it names the arc already
-                raise
-            except (TypeError, ValueError, OverflowError):
-                raise GraphError(
-                    f"arc {arc!r}: expected (u, v) or (u, v, w) with integer"
-                    " node ids and a numeric weight"
-                ) from None
-            tails.append(u)
-            heads.append(v)
-            weights.append(w)
-        return _csr(source, degree, tails, heads, weights)
+        if type(arcs) is list or type(arcs) is tuple:
+            g = _two_pass(node_count, source, arcs)
+            if g is not None:
+                return g
+        return _from_arcs_loop(node_count, source, arcs)
 
     def arcs(self) -> Iterator[tuple[int, int, float]]:
         """Yield every arc as ``(u, v, w)`` in storage order."""
@@ -273,6 +256,85 @@ def _first_bad_offset(off: tuple) -> int:
     return len(off) - 1  # every entry rises, so the last one is not m
 
 
+def _from_arcs_loop(node_count: int, source: int, arcs: Iterable[tuple]) -> Graph:
+    """:meth:`Graph.from_arcs` one arc at a time, for a ``node_count`` of at
+    least 1: the specification, and the only code that names a malformed
+    arc's tail or tuple."""
+    try:
+        arcs = iter(arcs)
+    except TypeError:
+        raise GraphError(
+            f"arcs must be an iterable of tuples, not {type(arcs).__name__}"
+        ) from None
+    try:
+        degree = [0] * node_count
+    except (OverflowError, MemoryError):
+        raise GraphError(f"node count {node_count} is too large to allocate") from None
+    tails: list[int] = []
+    heads: list[int] = []
+    weights: list[float] = []
+    for arc in arcs:
+        try:
+            if len(arc) == 2:
+                u, v = arc
+                w = 1.0
+            else:
+                u, v, w = arc
+                w = float(w)
+            if not 0 <= u < node_count:
+                raise GraphError(f"arc {arc!r}: tail is not a node id")
+            degree[u] += 1  # a non-integer u fails to index
+        except GraphError:  # a ValueError, but it names the arc already
+            raise
+        except (TypeError, ValueError, OverflowError):
+            raise GraphError(
+                f"arc {arc!r}: expected (u, v) or (u, v, w) with integer"
+                " node ids and a numeric weight"
+            ) from None
+        tails.append(u)
+        heads.append(v)
+        weights.append(w)
+    return _csr(source, degree, tails, heads, weights)
+
+
+def _two_pass(n: int, source: int, arcs: list | tuple) -> Graph | None:
+    """The graph of a list or tuple of ``(u, v, w)`` arcs on ``n`` nodes,
+    read twice and without column lists, or ``None`` if an arc is not one.
+
+    Pass 1 counts each tail's arcs. An arc that does not unpack into three
+    values, and a tail that is not an ``int`` in ``range(n)``, stops it (a
+    negative tail by a check, any other by failing to index ``degree``). The
+    offsets are the running sums of the degrees, pass 2 puts each head and
+    weight at its tail's next free slot, so every tail keeps its arcs in
+    input order, and the weights then go through ``float`` as a column. Any
+    exception in the passes returns ``None``, leaving the per-arc loop to
+    name the arc; the graph checks that follow raise what that loop would.
+    """
+    try:
+        degree = [0] * n
+        for u, _, _ in arcs:
+            if u < 0:
+                return None
+            degree[u] += 1
+        offsets = tuple(accumulate(degree, initial=0))
+        del degree
+        free = list(offsets)
+        m = len(arcs)
+        h: list = [None] * m
+        wt: list = [None] * m
+        for u, v, w in arcs:
+            i = free[u]
+            free[u] = i + 1
+            h[i] = v
+            wt[i] = w
+        del free
+        h = tuple(h)
+        wt = tuple(map(float, wt))
+    except Exception:  # the per-arc loop reads what these passes could not
+        return None
+    return _placed(source, offsets, h, wt)
+
+
 def _csr(
     source: int,
     degree: list[int],
@@ -287,9 +349,7 @@ def _csr(
     degrees, and one placing pass puts each arc at its tail's next free
     slot, so every tail keeps its arcs in input order. Every caller has
     given at least one node, checked the tails and put every weight through
-    ``float``, and the offsets are built here, so the graph skips the
-    constructor's offset and weight-type checks; the source, the heads and
-    the weights' values get the checks of every graph.
+    ``float``.
 
     The four lists are consumed: each is emptied as soon as it is read
     through, and the placed heads and weights become tuples one column
@@ -312,8 +372,18 @@ def _csr(
     weights.clear()
     h = tuple(h)
     wt = tuple(wt)
+    return _placed(source, offsets, h, wt)
+
+
+def _placed(
+    source: int, offsets: tuple[int, ...], heads: tuple, weights: tuple[float, ...]
+) -> Graph:
+    """Graph from columns a counting sort placed: offsets it computed and
+    weights that are all ``float``, so the constructor's offset and
+    weight-type checks are skipped. The source, the heads and the weights'
+    values get the checks of every graph."""
     g = Graph.__new__(Graph)
-    _Record.__init__(g, source, offsets, h, wt)
+    _Record.__init__(g, source, offsets, heads, weights)
     g._check_columns(True)
     return g
 
@@ -332,6 +402,7 @@ def parse_edge_list(text: str) -> Graph:
     any other text, and every malformed one, goes through the line parser,
     whose errors name the offending line.
     """
+    _check_text(text)
     header = _header(text, "", 3)
     if header is not None:
         n, m, s = header
@@ -340,6 +411,12 @@ def parse_edge_list(text: str) -> Graph:
             if g is not None:
                 return g
     return _parse_edge_list_lines(text)
+
+
+def _check_text(text) -> None:
+    """Raise a :class:`GraphError` naming the type of a ``text`` that is not a ``str``."""
+    if not isinstance(text, str):
+        raise GraphError(f"text must be a str, not {type(text).__name__}")
 
 
 def _parse_edge_list_lines(text: str) -> Graph:
@@ -421,6 +498,7 @@ def parse_dimacs_sp(text: str, source: int = 1) -> Graph:
     (default: node 1). A text laid out as :func:`serialize_dimacs_sp`
     writes it is converted column by column, like :func:`parse_edge_list`.
     """
+    _check_text(text)
     header = _header(text, "p sp ", 2)
     if header is not None and type(source) is int:
         n, m = header

@@ -87,7 +87,19 @@ def family_width(g: Graph, family: Iterable[Iterable[int]]) -> int:
     overlap. Width is the largest count of inclusion-maximal members
     strictly inside any non-singleton member (1 for a single-node graph).
     """
-    sets = sorted({frozenset(s) for s in family}, key=lambda s: (-len(s), sorted(s)))
+    try:
+        members = iter(family)
+    except TypeError:
+        raise InvalidFamilyError(
+            f"family must be an iterable of node sets, not {type(family).__name__}"
+        ) from None
+    distinct = set()
+    for s in members:
+        try:
+            distinct.add(frozenset(s))
+        except TypeError:
+            raise InvalidFamilyError(f"family member {s!r} is not a set of node ids") from None
+    sets = sorted(distinct, key=lambda s: (-len(s), sorted(s)))
     n = g.node_count
     everything = frozenset(range(n))
     as_set = set(sets)

@@ -231,11 +231,12 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
             pos += 1
             if u >= 0:
                 break  # a singleton component: its segment follows inline
-            members = nodes[start[~u] : start[~u + 1]]
-            heap = [(d, v) for v in members if (d := dist[v]) < INF]
-            heapify(heap)
-            for v in members:
+            heap = []
+            for v in nodes[start[~u] : start[~u + 1]]:
                 queue[v] = heap
+                if (d := dist[v]) < INF:
+                    heap.append((d, v))
+            heapify(heap)
 
     if pops != n or sum(dist) == INF:  # an inf distance makes the sum inf
         error = _overflow(g, dist)

@@ -18,9 +18,11 @@ from actree import (
     FormatError,
     Graph,
     GraphError,
+    InvalidFamilyError,
     NegativeWeightError,
     build_ac_tree,
     dijkstra,
+    family_width,
     gen_complete,
     gen_layered,
     gen_nested,
@@ -210,8 +212,9 @@ def _peak_and_held(build) -> tuple[int, int]:
 def test_ingest_peaks_within_a_small_multiple_of_the_graph_it_returns():
     """The counting sort consumes its input columns and the parsers free
     their id table first, so a parse peaks at under twice the graph it
-    returns (about 1.6 times), and ``from_arcs``, which also holds the
-    column lists of its arcs, at under 2.7 times (about 2.3 times)."""
+    returns (about 1.6 times); ``from_arcs`` reads a list of arcs twice and
+    holds no column list of them, so it too peaks at under twice (about
+    1.6 times)."""
     g = gen_random_digraph(1 << 14, 4 << 14, seed=18)
     for parse, text in ((parse_edge_list, serialize_edge_list(g)),
                         (parse_dimacs_sp, serialize_dimacs_sp(g))):
@@ -219,7 +222,7 @@ def test_ingest_peaks_within_a_small_multiple_of_the_graph_it_returns():
         assert peak <= 2.0 * held, (parse.__name__, peak / held)
     arcs = list(g.arcs())
     peak, held = _peak_and_held(lambda: Graph.from_arcs(g.node_count, g.source, arcs))
-    assert peak <= 2.7 * held, peak / held
+    assert peak <= 2.0 * held, peak / held
 
 
 def test_from_arcs_names_a_tail_out_of_range():
@@ -248,6 +251,100 @@ def test_from_arcs_rejects_malformed_arcs_naming_them():
             Graph.from_arcs(2, 0, [(1, 0), arc])
         assert type(info.value) is GraphError, arc
         assert str(info.value).startswith("arc " + named), (arc, str(info.value))
+
+
+# ---------------------------------------------------------------------------
+# from_arcs' two passes against the per-arc loop
+# ---------------------------------------------------------------------------
+
+class _Weight(float):
+    """A float subclass: ``float`` turns it into a plain float."""
+
+
+def _built(build, *args):
+    """The fields of the graph ``build(*args)`` returns, with each weight's
+    type, or the type and message of the error it raises."""
+    try:
+        g = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.source, g.offsets, g.heads, g.weights, list(map(type, g.weights))
+
+
+@st.composite
+def _arc_lists(draw):
+    """A node count, a source and a list of 2- and 3-tuple arcs with weights
+    of several types, with at most one bad arc at a random position."""
+    n = draw(st.integers(1, 5))
+    s = draw(st.integers(0, n - 1))
+    node = st.integers(0, n - 1)
+    weight = st.one_of(
+        st.floats(0, 100), st.integers(0, 100), st.booleans(),
+        st.floats(0, 100).map(repr), st.floats(0, 100).map(_Weight),
+    )
+    pairs, triples = st.tuples(node, node), st.tuples(node, node, weight)
+    arc = draw(st.sampled_from([pairs, triples, st.one_of(pairs, triples)]))
+    arcs = draw(st.lists(arc, max_size=8))
+    far = draw(st.integers(1, n + 1))  # -far and n - 1 + far are no node ids
+    bad = draw(st.sampled_from([
+        None, None, None, (-far, 0, 1.0), (n - 1 + far, 0, 1.0), (0.0, 0, 1.0),
+        (0, 0, "x"), (0, 0, None), (0, 0, 10**400), (0, 0, math.nan), (0, 0, math.inf),
+        (0, 0, -1.0), (0, n, 1.0), (0, -far), (0, 1.0, 1.0), (0, "0", 1.0), (0, True),
+    ]))
+    if bad is not None:
+        arcs.insert(draw(st.integers(0, len(arcs))), bad)
+    return n, s, arcs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_arc_lists(), st.sampled_from([list, tuple, iter]))
+@example((2, 1, [(0, 1, 2.5), (1, 0, "0.5")]), list)
+@example((2, 0, [(0, 1, 2.5), (1, 0)]), tuple)
+@example((2, 0, [(0, 1, 2.5), (0, 1, math.nan), (1, 0, -1.0)]), list)
+def test_from_arcs_builds_what_the_per_arc_loop_builds(case, container):
+    n, s, arcs = case
+    # a fresh container for each side, since a generator is read once
+    assert _built(Graph.from_arcs, n, s, container(arcs)) == _built(
+        actree.graph._from_arcs_loop, n, s, container(arcs)
+    )
+
+
+class _LoopCalled(Exception):
+    pass
+
+
+def test_a_list_or_tuple_of_three_tuples_never_reaches_the_per_arc_loop():
+    g = gen_random_digraph(300, 900, seed=20)
+    arcs = list(g.arcs())
+    bad = arcs[:5] + [(1, 2, math.nan)]  # the graph check names it, not the loop
+    with mock.patch.object(actree.graph, "_from_arcs_loop", side_effect=_LoopCalled):
+        assert Graph.from_arcs(g.node_count, g.source, arcs) == g
+        assert Graph.from_arcs(g.node_count, g.source, tuple(arcs)) == g
+        with pytest.raises(GraphError, match="arc 1->2 has non-finite weight nan"):
+            Graph.from_arcs(g.node_count, g.source, bad)
+        with pytest.raises(_LoopCalled):
+            Graph.from_arcs(g.node_count, g.source, iter(arcs))
+        with pytest.raises(_LoopCalled):
+            Graph.from_arcs(g.node_count, g.source, arcs + [(0, 1)])
+
+
+def test_non_text_and_non_family_arguments_raise_typed_errors():
+    for parse in (parse_edge_list, parse_dimacs_sp):
+        for text, named in ((None, "NoneType"), (b"2 1 0\n0 1 1\n", "bytes")):
+            with pytest.raises(GraphError) as info:
+                parse(text)
+            assert type(info.value) is GraphError
+            assert str(info.value) == f"text must be a str, not {named}"
+    g = gen_complete(2)
+    cases = [
+        (None, "family must be an iterable of node sets, not NoneType"),
+        ([1, 2], "family member 1 is not a set of node ids"),
+        ([[[0]]], "family member [[0]] is not a set of node ids"),
+    ]
+    for family, message in cases:
+        with pytest.raises(InvalidFamilyError) as info:
+            family_width(g, family)
+        assert str(info.value) == message
 
 
 def test_parsers_report_non_finite_weights_by_line():
