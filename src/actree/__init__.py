@@ -42,7 +42,6 @@ from .nesting import (
     brute_force_nesting_width,
     family_width,
     is_module,
-    module_closure_check,
 )
 from .sssp import (
     SearchStats,
@@ -82,7 +81,6 @@ __all__ = [
     "gen_random_dag",
     "gen_random_digraph",
     "is_module",
-    "module_closure_check",
     "naive_dominance_graph",
     "parse_dimacs_sp",
     "parse_edge_list",

@@ -4,18 +4,21 @@ Everything downstream (dominators, decomposition, shortest paths) works on
 the immutable :class:`Graph` defined here: a weighted digraph with dense
 0-based node ids and one distinguished source node, stored as three CSR
 tuples (``offsets``, ``heads``, ``weights``) that every layer reads directly.
-The topology (``offsets``, ``heads``) and the weights are separate columns.
-``Graph.from_arcs``, the parsers and ``gen_nested`` fill the columns with
-a counting sort by tail and create no per-arc object;
-``Graph.__init__`` validates them once, column by column, and names
+The topology (``offsets``, ``heads``) and the weights are separate columns,
+filled by a counting sort by tail. There are two, one per input shape, and
+each counts the tails and computes the offsets itself: ``_two_pass`` reads
+a ``list`` or ``tuple`` of ``(u, v, w)`` arcs, and ``_csr`` reads the tail,
+head and weight columns that the parsers and the per-arc loop collect.
+``gen_nested`` hands its leaves' arcs to ``Graph.from_arcs``.
+``Graph.__init__`` validates the columns once, column by column, and names
 the offending arc or field when a check fails.
 
-``Graph.from_arcs`` sorts a ``list`` or ``tuple`` of ``(u, v, w)`` arcs
-straight from the arcs in two passes, one counting each tail's arcs and one
-placing them, with no column list. Any other iterable, and any arc those
-passes cannot read (a 2-tuple, a tail out of range or not an ``int``, a
-weight ``float`` rejects), goes to the per-arc loop, the specification,
-which builds the same graph or raises the same error naming the arc.
+``Graph.from_arcs`` sorts a list or tuple of ``(u, v, w)`` arcs straight
+from the arcs in two passes, one counting each tail's arcs and one placing
+them, with no column list. Any other iterable, and any arc those passes
+cannot read (a 2-tuple, a tail out of range or not an ``int``, a weight
+``float`` rejects), goes to the per-arc loop, the specification, which
+builds the same graph or raises the same error naming the arc.
 
 Both parsers convert a text laid out as the serializers write it a column
 at a time: the body is cut into slices of about 64K characters, each slice
@@ -35,8 +38,8 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, repeat
-from operator import le
+from itertools import accumulate
+from operator import index, le
 
 
 class GraphError(ValueError):
@@ -266,10 +269,6 @@ def _from_arcs_loop(node_count: int, source: int, arcs: Iterable[tuple]) -> Grap
         raise GraphError(
             f"arcs must be an iterable of tuples, not {type(arcs).__name__}"
         ) from None
-    try:
-        degree = [0] * node_count
-    except (OverflowError, MemoryError):
-        raise GraphError(f"node count {node_count} is too large to allocate") from None
     tails: list[int] = []
     heads: list[int] = []
     weights: list[float] = []
@@ -283,7 +282,7 @@ def _from_arcs_loop(node_count: int, source: int, arcs: Iterable[tuple]) -> Grap
                 w = float(w)
             if not 0 <= u < node_count:
                 raise GraphError(f"arc {arc!r}: tail is not a node id")
-            degree[u] += 1  # a non-integer u fails to index
+            u = index(u)  # a non-integer u fails here
         except GraphError:  # a ValueError, but it names the arc already
             raise
         except (TypeError, ValueError, OverflowError):
@@ -294,7 +293,7 @@ def _from_arcs_loop(node_count: int, source: int, arcs: Iterable[tuple]) -> Grap
         tails.append(u)
         heads.append(v)
         weights.append(w)
-    return _csr(source, degree, tails, heads, weights)
+    return _csr(source, node_count, tails, heads, weights)
 
 
 def _two_pass(n: int, source: int, arcs: list | tuple) -> Graph | None:
@@ -337,26 +336,33 @@ def _two_pass(n: int, source: int, arcs: list | tuple) -> Graph | None:
 
 def _csr(
     source: int,
-    degree: list[int],
+    n: int,
     tails: list[int],
     heads: list[int],
     weights: list[float],
 ) -> Graph:
-    """Graph from arc columns in input order; ``degree[u]`` counts tail ``u``
-    for each of the graph's nodes.
+    """Graph on ``n`` nodes from arc columns in input order.
 
-    A counting sort by tail: the offsets are the running sums of the
-    degrees, and one placing pass puts each arc at its tail's next free
-    slot, so every tail keeps its arcs in input order. Every caller has
-    given at least one node, checked the tails and put every weight through
-    ``float``.
+    A counting sort by tail, the one for columns (:func:`_two_pass` is the
+    one for a list of arcs): one pass counts each tail's arcs, the offsets
+    are the running sums of those counts, and one placing pass puts each
+    arc at its tail's next free slot, so every tail keeps its arcs in input
+    order. Every caller has given at least one node, checked the tails and
+    put every weight through ``float``. A node count too large to allocate
+    raises :class:`GraphError`.
 
-    The four lists are consumed: each is emptied as soon as it is read
+    The three lists are consumed: each is emptied as soon as it is read
     through, and the placed heads and weights become tuples one column
     after the other, so at no point are both columns held twice.
     """
+    try:
+        degree = [0] * n
+    except (OverflowError, MemoryError):
+        raise GraphError(f"node count {n} is too large to allocate") from None
+    for u in tails:
+        degree[u] += 1
     offsets = tuple(accumulate(degree, initial=0))
-    degree.clear()
+    del degree
     free = list(offsets)
     m = len(tails)
     h: list = [None] * m
@@ -423,7 +429,6 @@ def _parse_edge_list_lines(text: str) -> Graph:
     """:func:`parse_edge_list` one line at a time: the format's specification."""
     header: tuple[int, int, int] | None = None
     ids: list[int] = []  # one int object per node id, shared by its arcs
-    degree: list[int] = []
     tails: list[int] = []
     heads: list[int] = []
     weights: list[float] = []
@@ -446,7 +451,7 @@ def _parse_edge_list_lines(text: str) -> Graph:
             if not 0 <= s < n:
                 raise FormatError(f"source {s} out of range", lineno)
             header = (n, m, s)
-            ids, degree = _node_columns(n, lineno)
+            ids = _node_ids(n, lineno)
             continue
         if len(fields) not in (2, 3):
             raise FormatError("expected arc 'u v [w]'", lineno)
@@ -462,7 +467,6 @@ def _parse_edge_list_lines(text: str) -> Graph:
         n = header[0]
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"arc {u}->{v}: node id out of range", lineno)
-        degree[u] += 1
         tails.append(u)
         heads.append(ids[v])
         weights.append(w)
@@ -471,14 +475,14 @@ def _parse_edge_list_lines(text: str) -> Graph:
     n, m, s = header
     if len(tails) != m:
         raise FormatError(f"header declares {m} arcs, file has {len(tails)}")
-    return _csr(s, degree, tails, heads, weights)
+    return _csr(s, n, tails, heads, weights)
 
 
-def _node_columns(n: int, lineno: int) -> tuple[list[int], list[int]]:
-    """One shared int per node id and a zero degree per node, for the header
-    on line ``lineno``; a node count too large to allocate is a format error."""
+def _node_ids(n: int, lineno: int) -> list[int]:
+    """One shared int per node id, for the header on line ``lineno``; a node
+    count too large to allocate is a format error."""
     try:
-        return list(range(n)), [0] * n
+        return list(range(n))
     except (OverflowError, MemoryError):
         raise FormatError(f"node count {n} is too large to allocate", lineno) from None
 
@@ -513,7 +517,6 @@ def _parse_dimacs_lines(text: str, source: int) -> Graph:
     """:func:`parse_dimacs_sp` one line at a time: the format's specification."""
     header: tuple[int, int] | None = None
     ids: list[int] = []  # one int object per node id, shared by its arcs
-    degree: list[int] = []
     tails: list[int] = []
     heads: list[int] = []
     weights: list[float] = []
@@ -537,7 +540,7 @@ def _parse_dimacs_lines(text: str, source: int) -> Graph:
             if n < 1:
                 raise FormatError("node count must be positive", lineno)
             header = (n, m)
-            ids, degree = _node_columns(n, lineno)
+            ids = _node_ids(n, lineno)
         elif tag == "a":
             if header is None:
                 raise FormatError("arc descriptor before problem line", lineno)
@@ -555,7 +558,6 @@ def _parse_dimacs_lines(text: str, source: int) -> Graph:
                 raise FormatError(f"weight {fields[3]} is not finite", lineno)
             if w < 0:
                 raise NegativeWeightError(f"negative weight {w}", lineno)
-            degree[u - 1] += 1
             tails.append(u - 1)
             heads.append(ids[v - 1])
             weights.append(w)
@@ -568,7 +570,7 @@ def _parse_dimacs_lines(text: str, source: int) -> Graph:
         raise FormatError(f"problem line declares {m} arcs, file has {len(tails)}")
     if type(source) is not int or not 1 <= source <= n:
         raise FormatError(f"source {source!r} out of range (1..{n})")
-    return _csr(source - 1, degree, tails, heads, weights)
+    return _csr(source - 1, n, tails, heads, weights)
 
 
 def serialize_dimacs_sp(g: Graph) -> str:
@@ -665,11 +667,8 @@ def _parse_columns(text: str, n: int, m: int, s: int, tag: str) -> Graph | None:
     ids = tok = chunk = None
     if len(tails) != m:
         return None
-    degree = [0] * n
-    for u in tails:
-        degree[u] += 1
     try:
-        return _csr(s, degree, tails, heads, weights)
+        return _csr(s, n, tails, heads, weights)
     except GraphError:  # a negative or non-finite weight
         return None
 
@@ -903,17 +902,8 @@ def gen_nested(spec, seed: int) -> Graph:
         final[dropped] = final[h]
     # concatenating the leaves' arcs in spec order and sorting stably by
     # tail puts each node's arcs in the order repeated nesting gives them
-    degree = [0] * len(seq)
-    tails: list[int] = []
-    heads: list[int] = []
-    weights: list[float] = []
+    arcs: list[tuple[int, int, float]] = []
     for base, leaf in leaves:
         ids = final[base : base + leaf.node_count]
-        off = leaf.offsets
-        for u, t in enumerate(ids):
-            d = off[u + 1] - off[u]
-            degree[t] += d
-            tails.extend(repeat(t, d))
-        heads.extend(map(ids.__getitem__, leaf.heads))
-        weights.extend(leaf.weights)
-    return _csr(final[src], degree, tails, heads, weights)
+        arcs.extend((ids[u], ids[v], w) for u, v, w in leaf.arcs())
+    return Graph.from_arcs(len(seq), final[src], arcs)

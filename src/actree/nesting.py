@@ -58,34 +58,14 @@ def is_module(g: Graph, nodes: Iterable[int]) -> int | None:
     return None  # no external in-arc: no unique source to nominate
 
 
-def module_closure_check(g: Graph, m: Iterable[int], h: Iterable[int]) -> bool:
-    """Check that two overlapping modules have module union and intersection.
-
-    Precondition: ``m`` and ``h`` are modules that intersect without either
-    containing the other. Expected to return True on every valid input; an
-    input that breaks the precondition raises :class:`InvalidFamilyError`
-    naming the offending sets.
-    """
-    ms = frozenset(m)
-    hs = frozenset(h)
-    if not ms & hs or ms <= hs or hs <= ms:
-        raise InvalidFamilyError(
-            f"module_closure_check: sets {sorted(ms)} and {sorted(hs)} do not"
-            " overlap properly"
-        )
-    for s in (ms, hs):
-        if is_module(g, s) is None:
-            raise InvalidFamilyError(f"module_closure_check: set {sorted(s)} is not a module")
-    return is_module(g, ms | hs) is not None and is_module(g, ms & hs) is not None
-
-
 def family_width(g: Graph, family: Iterable[Iterable[int]]) -> int:
     """Validate a nesting family and return its width.
 
     Raises :class:`InvalidFamilyError` naming the offending set or pair when
-    a member is not a module, a trivial module is missing, or two members
-    overlap. Width is the largest count of inclusion-maximal members
-    strictly inside any non-singleton member (1 for a single-node graph).
+    a member is not a set of ``int`` node ids or not a module, a trivial
+    module is missing, or two members overlap. Width is the largest count
+    of inclusion-maximal members strictly inside any non-singleton member
+    (1 for a single-node graph).
     """
     try:
         members = iter(family)
@@ -96,9 +76,13 @@ def family_width(g: Graph, family: Iterable[Iterable[int]]) -> int:
     distinct = set()
     for s in members:
         try:
-            distinct.add(frozenset(s))
+            member = frozenset(s)
         except TypeError:
-            raise InvalidFamilyError(f"family member {s!r} is not a set of node ids") from None
+            member = None
+        # int ids only, so the sort below compares like with like
+        if member is None or not set(map(type, member)) <= {int}:
+            raise InvalidFamilyError(f"family member {s!r} is not a set of node ids")
+        distinct.add(member)
     sets = sorted(distinct, key=lambda s: (-len(s), sorted(s)))
     n = g.node_count
     everything = frozenset(range(n))

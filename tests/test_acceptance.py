@@ -12,6 +12,7 @@ import time
 
 from actree import (
     Graph,
+    InvalidFamilyError,
     ac_to_nesting_family,
     brute_force_dominated_set,
     brute_force_nesting_width,
@@ -25,7 +26,6 @@ from actree import (
     gen_random_dag,
     gen_random_digraph,
     is_module,
-    module_closure_check,
     naive_dominance_graph,
     recursive_dijkstra,
     verify_spt,
@@ -303,6 +303,27 @@ def test_criterion_8_scaling_report():
     _report("8 scaling", True, "op counts asserted, timings reported above")
 
 
+def _module_closure_check(g: Graph, m, h) -> bool:
+    """Check that two overlapping modules have module union and intersection.
+
+    Precondition: ``m`` and ``h`` are modules that intersect without either
+    containing the other. Expected to return True on every valid input; an
+    input that breaks the precondition raises :class:`InvalidFamilyError`
+    naming the offending sets.
+    """
+    ms = frozenset(m)
+    hs = frozenset(h)
+    if not ms & hs or ms <= hs or hs <= ms:
+        raise InvalidFamilyError(
+            f"module_closure_check: sets {sorted(ms)} and {sorted(hs)} do not"
+            " overlap properly"
+        )
+    for s in (ms, hs):
+        if is_module(g, s) is None:
+            raise InvalidFamilyError(f"module_closure_check: set {sorted(s)} is not a module")
+    return is_module(g, ms | hs) is not None and is_module(g, ms & hs) is not None
+
+
 def test_criterion_9_module_closure():
     """Union and intersection of overlapping modules are modules (n <= 6)."""
     graphs = 0
@@ -319,7 +340,7 @@ def test_criterion_9_module_closure():
             for y in range(x + 1, len(modules)):
                 a, b = modules[x], modules[y]
                 if a & b and not (a <= b or b <= a):
-                    if not module_closure_check(g, a, b):
+                    if not _module_closure_check(g, a, b):
                         _report("9 module closure", False, f"seed={90_000 + i}")
                     pairs += 1
         graphs += 1

@@ -127,6 +127,24 @@ def test_parse_dimacs_errors():
         parse_dimacs_sp("p sp 2 1\na 1 2 1", source=3)
 
 
+@pytest.mark.parametrize("parse, text, message, line", [
+    (parse_edge_list, "1 2\n", "expected header 'n m s'", 1),
+    (parse_edge_list, "a b c\n", "expected integer header 'n m s'", 1),
+    (parse_edge_list, "0 0 0\n", "node count must be positive", 1),
+    (parse_edge_list, "2 -1 0\n", "arc count must be non-negative", 1),
+    (parse_dimacs_sp, "p sp x 1\n", "expected problem line 'p sp <n> <m>'", 1),
+    (parse_dimacs_sp, "p sp 0 0\n", "node count must be positive", 1),
+    (parse_dimacs_sp, "p sp 1 0\nx 1\n", "unknown line tag 'x'", 2),
+    (parse_dimacs_sp, "c only\n", "missing problem line 'p sp <n> <m>'", None),
+])
+def test_header_and_tag_errors_name_the_line(parse, text, message, line):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert type(exc.value) is FormatError
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+    assert exc.value.line == line
+
+
 @pytest.mark.parametrize("source", [0, 3, -1, "1", 1.0, True, None])
 def test_parse_dimacs_bad_source_is_a_format_error(source):
     with pytest.raises(FormatError, match=r"^source .* out of range \(1\.\.2\)"):
@@ -340,6 +358,9 @@ def test_non_text_and_non_family_arguments_raise_typed_errors():
         (None, "family must be an iterable of node sets, not NoneType"),
         ([1, 2], "family member 1 is not a set of node ids"),
         ([[[0]]], "family member [[0]] is not a set of node ids"),
+        ([[0, "a"]], "family member [0, 'a'] is not a set of node ids"),
+        ([[0, None]], "family member [0, None] is not a set of node ids"),
+        ([[0, 1], [0], [1], [0, 5]], "set [0, 5] has out-of-range nodes"),
     ]
     for family, message in cases:
         with pytest.raises(InvalidFamilyError) as info:

@@ -13,8 +13,8 @@ from actree import (
     gen_layered,
     gen_random_digraph,
     is_module,
-    module_closure_check,
 )
+from test_acceptance import _module_closure_check
 
 
 def _all_modules(g):
@@ -69,18 +69,18 @@ def test_module_closure_exhaustive_small():
             for y in range(x + 1, len(modules)):
                 a, b = modules[x], modules[y]
                 if a & b and not (a <= b or b <= a):
-                    assert module_closure_check(g, a, b)
+                    assert _module_closure_check(g, a, b)
                     checked += 1
     assert checked > 0
 
 
 def test_closure_preconditions(cycle3):
     with pytest.raises(ValueError):
-        module_closure_check(cycle3, {0}, {1})  # disjoint
+        _module_closure_check(cycle3, {0}, {1})  # disjoint
     with pytest.raises(ValueError):
-        module_closure_check(cycle3, {1, 2}, {1})  # nested
+        _module_closure_check(cycle3, {1, 2}, {1})  # nested
     with pytest.raises(ValueError):
-        module_closure_check(cycle3, {0, 2}, {1, 2})  # {0, 2} is not a module
+        _module_closure_check(cycle3, {0, 2}, {1, 2})  # {0, 2} is not a module
 
 
 @pytest.mark.parametrize("m, h, message", [
@@ -92,7 +92,7 @@ def test_closure_preconditions(cycle3):
 ])
 def test_closure_preconditions_raise_a_graph_error_naming_the_sets(cycle3, m, h, message):
     with pytest.raises(InvalidFamilyError, match=f"^module_closure_check: {message}$"):
-        module_closure_check(cycle3, m, h)
+        _module_closure_check(cycle3, m, h)
 
 
 def test_is_module_empty_set_raises_a_graph_error(cycle3):

@@ -25,4 +25,4 @@ def test_all_is_sorted_resolves_and_lists_every_public_attribute():
     # a queue, so no DAG-only engine or error class remains
     for gone in ("nest", "brute_force_dominates", "NestingFamily", "dag_sssp", "CycleError"):
         assert gone not in names and not hasattr(actree, gone), gone
-    assert len(names) == 35
+    assert len(names) == 34
