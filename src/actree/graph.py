@@ -11,20 +11,26 @@ a ``list`` or ``tuple`` of ``(u, v, w)`` arcs, and ``_csr`` reads the tail,
 head and weight columns that the parsers and the per-arc loop collect.
 ``gen_nested`` hands its leaves' arcs to ``Graph.from_arcs``.
 ``Graph.__init__`` validates the columns once, column by column, and names
-the offending arc or field when a check fails.
+the offending arc or field when a check fails. The sorted graphs skip the
+offset and weight-type checks, and a parser's graph the head checks too:
+every head it holds is an ``int`` from the parser's own table of node ids,
+looked up after a range check. ``Graph.from_arcs`` checks every head on
+both of its paths, and every graph gets the source and weight-value checks.
 
 ``Graph.from_arcs`` sorts a list or tuple of ``(u, v, w)`` arcs straight
 from the arcs in two passes, one counting each tail's arcs and one placing
 them, with no column list. Any other iterable, and any arc those passes
 cannot read (a 2-tuple, a tail out of range or not an ``int``, a weight
 ``float`` rejects), goes to the per-arc loop, the specification, which
-builds the same graph or raises the same error naming the arc.
+builds the same graph or raises the same error naming the arc. A node
+count too large to allocate fails before the first arc is read.
 
 Both parsers convert a text laid out as the serializers write it a column
 at a time: the body is cut into slices of about 64K characters, each slice
 is checked to hold one fixed number of single-spaced fields per line and
 split once, and its tail, head and weight columns are converted whole,
-each id token by one dict lookup and the weights by ``map(float)``. Any
+each id column by one ``itemgetter`` call over a dict of the ids' decimal
+strings and the weights by ``map(float)``. Any
 deviation (a comment or blank line, tabs, CR, doubled spaces, non-ASCII
 text, a missing or extra field, a bad token, a wrong arc count, an id out
 of range, or a weight ``Graph`` rejects) sends the whole text to the line
@@ -39,7 +45,7 @@ import math
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate
-from operator import index, le
+from operator import index, itemgetter, le
 
 
 class GraphError(ValueError):
@@ -182,22 +188,25 @@ class Graph(_Record):
     def arc_count(self) -> int:
         return len(self.heads)
 
-    def _check_columns(self, floats: bool) -> None:
+    def _check_columns(self, floats: bool, parsed: bool = False) -> None:
         """Check the source and, whole and in C, the heads and the weights'
-        values; ``floats`` says every weight is known to be a ``float``.
+        values; ``floats`` says every weight is known to be a ``float``, and
+        ``parsed`` that every head is an ``int`` node id a parser looked up
+        after its own range check, so the heads are not checked again.
 
         When a column check fails, the arcs are scanned one by one to name
-        the offending arc. The checks every graph gets, whoever computed
-        its offsets.
+        the offending arc. The source and weight checks every graph gets,
+        whoever computed its offsets.
         """
         n, s, heads, weights = self.node_count, self.source, self.heads, self.weights
         if type(s) is not int or not 0 <= s < n:
             raise GraphError(f"source {s!r} out of range for {n} nodes")
         if heads and not (
             floats
-            and set(map(type, heads)) <= {int}
-            and 0 <= min(heads)
-            and max(heads) < n
+            and (
+                parsed  # a parser's own ints, range-checked as it read them
+                or (set(map(type, heads)) <= {int} and 0 <= min(heads) and max(heads) < n)
+            )
             and 0 <= min(weights)
             and sum(weights) < math.inf  # false for a NaN or inf weight
         ):
@@ -226,21 +235,27 @@ class Graph(_Record):
 
         Node ids are ``int``; a missing weight is 1.0 and a given one goes
         through ``float``. A malformed arc raises :class:`GraphError` naming it.
+        A node count too large to allocate raises :class:`GraphError` before
+        the first arc is read.
 
         A ``list`` or ``tuple`` of ``(u, v, w)`` arcs is read twice, with no
         column list: one pass counts each tail's arcs and one places them.
         Any other iterable, and a list or tuple holding an arc those passes
         cannot read, goes to the per-arc loop, :func:`_from_arcs_loop`: the
         specification, which builds the same graph or raises the same error.
+        Both check every head, as :class:`Graph` does.
         """
         if type(node_count) is not int:
             raise GraphError(f"node_count {node_count!r} is not an integer")
         if node_count < 1:
             raise GraphError("a graph needs at least one node")
         if type(arcs) is list or type(arcs) is tuple:
-            g = _two_pass(node_count, source, arcs)
+            # the zeros are handed over, not kept here: pass 1 counts into them
+            g = _two_pass(_zeros(node_count), source, arcs)
             if g is not None:
                 return g
+        else:
+            _zeros(node_count)  # fails before the first arc is read
         return _from_arcs_loop(node_count, source, arcs)
 
     def arcs(self) -> Iterator[tuple[int, int, float]]:
@@ -259,10 +274,19 @@ def _first_bad_offset(off: tuple) -> int:
     return len(off) - 1  # every entry rises, so the last one is not m
 
 
+def _zeros(n: int) -> list[int]:
+    """``n`` zeros, the counts of a counting sort, or a :class:`GraphError`
+    naming a node count too large to allocate."""
+    try:
+        return [0] * n
+    except (OverflowError, MemoryError):
+        raise GraphError(f"node count {n} is too large to allocate") from None
+
+
 def _from_arcs_loop(node_count: int, source: int, arcs: Iterable[tuple]) -> Graph:
     """:meth:`Graph.from_arcs` one arc at a time, for a ``node_count`` of at
-    least 1: the specification, and the only code that names a malformed
-    arc's tail or tuple."""
+    least 1 that can be allocated: the specification, and the only code that
+    names a malformed arc's tail or tuple."""
     try:
         arcs = iter(arcs)
     except TypeError:
@@ -293,12 +317,13 @@ def _from_arcs_loop(node_count: int, source: int, arcs: Iterable[tuple]) -> Grap
         tails.append(u)
         heads.append(v)
         weights.append(w)
-    return _csr(source, node_count, tails, heads, weights)
+    return _csr(source, node_count, tails, heads, weights, parsed=False)
 
 
-def _two_pass(n: int, source: int, arcs: list | tuple) -> Graph | None:
-    """The graph of a list or tuple of ``(u, v, w)`` arcs on ``n`` nodes,
-    read twice and without column lists, or ``None`` if an arc is not one.
+def _two_pass(degree: list[int], source: int, arcs: list | tuple) -> Graph | None:
+    """The graph of a list or tuple of ``(u, v, w)`` arcs on ``len(degree)``
+    nodes, read twice and without column lists, or ``None`` if an arc is not
+    one. ``degree`` holds one zero per node and is consumed.
 
     Pass 1 counts each tail's arcs. An arc that does not unpack into three
     values, and a tail that is not an ``int`` in ``range(n)``, stops it (a
@@ -310,7 +335,6 @@ def _two_pass(n: int, source: int, arcs: list | tuple) -> Graph | None:
     name the arc; the graph checks that follow raise what that loop would.
     """
     try:
-        degree = [0] * n
         for u, _, _ in arcs:
             if u < 0:
                 return None
@@ -331,7 +355,7 @@ def _two_pass(n: int, source: int, arcs: list | tuple) -> Graph | None:
         wt = tuple(map(float, wt))
     except Exception:  # the per-arc loop reads what these passes could not
         return None
-    return _placed(source, offsets, h, wt)
+    return _placed(source, offsets, h, wt, parsed=False)
 
 
 def _csr(
@@ -340,6 +364,8 @@ def _csr(
     tails: list[int],
     heads: list[int],
     weights: list[float],
+    *,
+    parsed: bool,
 ) -> Graph:
     """Graph on ``n`` nodes from arc columns in input order.
 
@@ -347,18 +373,17 @@ def _csr(
     one for a list of arcs): one pass counts each tail's arcs, the offsets
     are the running sums of those counts, and one placing pass puts each
     arc at its tail's next free slot, so every tail keeps its arcs in input
-    order. Every caller has given at least one node, checked the tails and
-    put every weight through ``float``. A node count too large to allocate
-    raises :class:`GraphError`.
+    order. Every caller has allocated something of ``n`` entries already,
+    checked the tails and put every weight through ``float``. The parsers
+    have also range-checked every head and taken it from their own table of
+    ``int`` ids, so their heads are not checked again; the per-arc loop
+    passes ``parsed=False`` and they are.
 
     The three lists are consumed: each is emptied as soon as it is read
     through, and the placed heads and weights become tuples one column
     after the other, so at no point are both columns held twice.
     """
-    try:
-        degree = [0] * n
-    except (OverflowError, MemoryError):
-        raise GraphError(f"node count {n} is too large to allocate") from None
+    degree = [0] * n
     for u in tails:
         degree[u] += 1
     offsets = tuple(accumulate(degree, initial=0))
@@ -378,19 +403,21 @@ def _csr(
     weights.clear()
     h = tuple(h)
     wt = tuple(wt)
-    return _placed(source, offsets, h, wt)
+    return _placed(source, offsets, h, wt, parsed)
 
 
 def _placed(
-    source: int, offsets: tuple[int, ...], heads: tuple, weights: tuple[float, ...]
+    source: int, offsets: tuple[int, ...], heads: tuple, weights: tuple[float, ...],
+    parsed: bool,
 ) -> Graph:
     """Graph from columns a counting sort placed: offsets it computed and
     weights that are all ``float``, so the constructor's offset and
-    weight-type checks are skipped. The source, the heads and the weights'
+    weight-type checks are skipped, and so are the head checks when
+    ``parsed`` says a parser has made them. The source and the weights'
     values get the checks of every graph."""
     g = Graph.__new__(Graph)
     _Record.__init__(g, source, offsets, heads, weights)
-    g._check_columns(True)
+    g._check_columns(True, parsed)
     return g
 
 
@@ -475,7 +502,7 @@ def _parse_edge_list_lines(text: str) -> Graph:
     n, m, s = header
     if len(tails) != m:
         raise FormatError(f"header declares {m} arcs, file has {len(tails)}")
-    return _csr(s, n, tails, heads, weights)
+    return _csr(s, n, tails, heads, weights, parsed=True)
 
 
 def _node_ids(n: int, lineno: int) -> list[int]:
@@ -570,7 +597,7 @@ def _parse_dimacs_lines(text: str, source: int) -> Graph:
         raise FormatError(f"problem line declares {m} arcs, file has {len(tails)}")
     if type(source) is not int or not 1 <= source <= n:
         raise FormatError(f"source {source!r} out of range (1..{n})")
-    return _csr(source - 1, n, tails, heads, weights)
+    return _csr(source - 1, n, tails, heads, weights, parsed=True)
 
 
 def serialize_dimacs_sp(g: Graph) -> str:
@@ -588,8 +615,9 @@ def serialize_dimacs_sp(g: Graph) -> str:
 # one newline per line (any other whitespace, and any non-ASCII character,
 # is left in and fails the check). Its columns are then strided slices of
 # its tokens: the ids are looked up in a dict of the node ids' decimal
-# strings and the weights converted with ``map(float)``; both reject the
-# empty token that an empty field leaves.
+# strings, one ``itemgetter`` call per column, and the weights converted
+# with ``map(float)``; both reject the empty token that an empty field
+# leaves.
 _CHUNK = 1 << 16
 _SPACES_ONLY = dict.fromkeys(c for c in range(128) if not chr(c).isspace())
 
@@ -620,8 +648,9 @@ def _parse_columns(text: str, n: int, m: int, s: int, tag: str) -> Graph | None:
     raises no format error of its own: a bad token, an id out of range, a
     negative or non-finite weight (left to ``Graph``'s column checks) all
     return ``None``. An id is looked up by its token among the ``n`` ids
-    written in decimal, which range-checks and converts it at once; any
-    other spelling (``+3``, ``07``, ``1_0``) is left to the line parser.
+    written in decimal, which range-checks and converts it at once, so the
+    graph's heads are not checked again; any other spelling (``+3``,
+    ``07``, ``1_0``) is left to the line parser.
     """
     if not n - 1 <= m <= len(text):
         # the dict of ids is built only for at least n - 1 arcs (fewer leave
@@ -657,8 +686,12 @@ def _parse_columns(text: str, n: int, m: int, s: int, tag: str) -> Graph | None:
         if tag and tok[0::width].count(tag) != lines:
             return None
         try:
-            tails.extend(map(ids.__getitem__, tok[first::width]))
-            heads.extend(map(ids.__getitem__, tok[first + 1 :: width]))
+            if lines > 1:  # one C call looks up a whole column
+                tails += itemgetter(*tok[first::width])(ids)
+                heads += itemgetter(*tok[first + 1 :: width])(ids)
+            else:  # an itemgetter of one key returns the value, not a tuple
+                tails.append(ids[tok[first]])
+                heads.append(ids[tok[first + 1]])
             weights.extend(map(float, tok[first + 2 :: width]))
         except (KeyError, ValueError):
             return None
@@ -668,7 +701,7 @@ def _parse_columns(text: str, n: int, m: int, s: int, tag: str) -> Graph | None:
     if len(tails) != m:
         return None
     try:
-        return _csr(s, n, tails, heads, weights)
+        return _csr(s, n, tails, heads, weights, parsed=True)
     except GraphError:  # a negative or non-finite weight
         return None
 

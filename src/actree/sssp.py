@@ -2,8 +2,11 @@
 
 Two engines produce the same distances on the same graph: textbook Dijkstra
 over one all-nodes queue (the oracle), and the recursive engine that drains
-one small queue per A-C tree component in topological order; on a DAG every
-component is a single node, so it runs without a queue. Both use a
+one small queue per A-C tree component in topological order. When every
+component is a single node, as on every DAG, the source's plan segment
+holds every other node, and the recursive engine walks it in one plain
+loop with no queue; any other tree takes the loop that drains component
+queues, and the two give bit-identical results on such a plan. Both use a
 ``heapq`` binary heap of ``(dist, node)`` entries with lazy deletion: an
 improvement pushes a new entry, and an entry whose distance is no longer
 current is skipped when it surfaces. Ties on distance therefore break by
@@ -29,6 +32,7 @@ other is named, violation by violation, by the specification loop.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import chain, islice
 
 from .ac_tree import AcTree
 from .graph import (
@@ -138,7 +142,13 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     distance write. Every queue serves one component C, so it serves at
     most ``width - 1`` nodes and holds at most |C| + (arcs into C)
     entries, and a heap operation costs the logarithm of that rather than
-    of n.
+    of n. When the source's segment holds all ``n - 1`` other nodes, which
+    a built tree has exactly when every component is one node (every DAG
+    and some cyclic graphs), the search is :func:`_walk_singletons`: the
+    source, then that segment in order, with no queue list, no stack and
+    no queue-or-plan choice per node. Any other tree goes through
+    :func:`_drain_components`. Both give the same distances, parents and
+    counts.
 
     ``tree`` serves ``g`` exactly when they share the topology and the
     source: ``g.offsets`` and ``g.heads`` equal the tuples the tree was
@@ -159,11 +169,6 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     s = g.source
     off, heads, weights = g.offsets, g.heads, g.weights
     idom = tree.idom
-    start = tree.comp_start
-    nodes = tree.comp_nodes
-    plan = tree.plan
-    bounds = tree.plan_offsets
-    owns = tree.plan_owns
     if len(idom) != n:
         raise TreeMismatchError(
             f"A-C tree covers {len(idom)} nodes, the graph has {n}"
@@ -186,6 +191,71 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     dist = [INF] * n
     dist[s] = 0.0
     parent = [None] * n
+    if tree.plan_offsets[s + 1] - tree.plan_offsets[s] == n - 1:
+        pops, decreases = _walk_singletons(g, tree, dist, parent)
+    else:
+        pops, decreases = _drain_components(g, tree, dist, parent)
+
+    if pops != n or sum(dist) == INF:  # an inf distance makes the sum inf
+        error = _overflow(g, dist)
+        if error is not None:
+            raise error
+        if pops != n:
+            raise TreeMismatchError(
+                f"the search finalised {pops} of {n} nodes:"
+                " the A-C tree was altered after its build"
+            )
+    state = SearchStats(pops, decreases, tree.width - 1, dict(tree.comp_sizes))
+    dist = tuple(dist)  # each list is freed as soon as its tuple exists
+    parent = tuple(parent)
+    return ShortestPathResult(dist, parent, state)
+
+
+def _walk_singletons(
+    g: Graph, tree: AcTree, dist: list[float], parent: list[int | None]
+) -> tuple[int, int]:
+    """The search of :func:`recursive_dijkstra` when the source's plan
+    segment holds all ``n - 1`` other nodes, so every component is one node:
+    finalise the source, then every node of that segment in order.
+
+    ``dist`` and ``parent`` are filled in place; returns the pops and key
+    decreases. No queue opens and no node owns a segment of its own, so
+    this is exactly what :func:`_drain_components` does on such a plan.
+    """
+    off, heads, weights = g.offsets, g.heads, g.weights
+    s = g.source
+    first = tree.plan_offsets[s]
+    last = tree.plan_offsets[s + 1]
+    decreases = 0
+    for u in chain((s,), islice(tree.plan, first, last)):
+        du = dist[u]
+        for i in range(off[u], off[u + 1]):
+            w = heads[i]
+            nd = du + weights[i]
+            if nd < dist[w]:
+                dist[w] = nd
+                parent[w] = u
+                decreases += 1
+    return last - first + 1, decreases
+
+
+def _drain_components(
+    g: Graph, tree: AcTree, dist: list[float], parent: list[int | None]
+) -> tuple[int, int]:
+    """The search of :func:`recursive_dijkstra` on any plan: drain one
+    queue per component of two or more nodes, in the plan's order.
+
+    ``dist`` and ``parent`` are filled in place; returns the pops and key
+    decreases.
+    """
+    n = g.node_count
+    s = g.source
+    off, heads, weights = g.offsets, g.heads, g.weights
+    start = tree.comp_start
+    nodes = tree.comp_nodes
+    plan = tree.plan
+    bounds = tree.plan_offsets
+    owns = tree.plan_owns
     queue: list[list[tuple[float, int]] | None] = [None] * n  # its component's heap
     pops = 0
     decreases = 0
@@ -237,20 +307,7 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
                 if (d := dist[v]) < INF:
                     heap.append((d, v))
             heapify(heap)
-
-    if pops != n or sum(dist) == INF:  # an inf distance makes the sum inf
-        error = _overflow(g, dist)
-        if error is not None:
-            raise error
-        if pops != n:
-            raise TreeMismatchError(
-                f"the search finalised {pops} of {n} nodes:"
-                " the A-C tree was altered after its build"
-            )
-    state = SearchStats(pops, decreases, tree.width - 1, dict(tree.comp_sizes))
-    dist = tuple(dist)  # each list is freed as soon as its tuple exists
-    parent = tuple(parent)
-    return ShortestPathResult(dist, parent, state)
+    return pops, decreases
 
 
 def _overflow(g: Graph, dist: list[float]) -> DistanceOverflowError | None:

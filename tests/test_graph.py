@@ -109,9 +109,21 @@ def test_a_node_count_too_large_to_allocate_is_a_format_error(parse, text):
     assert exc.value.line == 2
 
 
-def test_from_arcs_names_a_node_count_too_large_to_allocate():
-    with pytest.raises(GraphError, match="node count 100000000000000000000 is too large"):
-        Graph.from_arcs(10**20, 0, [])
+def _never_read():
+    raise AssertionError("an arc was read")
+    yield
+
+
+@pytest.mark.parametrize("arcs", [
+    [],
+    [(0, 1, 1.0)] * 3,
+    [(0, 1), (0,)],  # a malformed arc is not named before the node count
+    (arc for arc in _never_read()),
+])
+def test_from_arcs_names_a_node_count_too_large_to_allocate(arcs):
+    """Both paths check the node count before they read an arc."""
+    with pytest.raises(GraphError, match="^node count 100000000000000000000 is too large"):
+        Graph.from_arcs(10**20, 0, arcs)
 
 
 def test_parse_dimacs_errors():
@@ -478,6 +490,18 @@ def _graph_texts(draw, dimacs: bool):
 @example(("3 3 0\n0 1\n1 2 3\n0 2\n", 1))
 @example(("5 2 0\n0 1 2 3\n1 2\n", 1))
 @example(("3 2 0\n0 1 -2\n1 2 1\n", 1))
+@example(("2 1 0\n0 1 0.5\n", 1))  # a single arc: one-token columns
+@example(("2 1 0\n0 1 0.5", 1))
+@example(("2 1 0\n0  1 0.5\n", 1))  # an empty field
+@example(("3 2 0\n0  1 0.5\n1 2 1\n", 1))
+@example(("2 1 0\n 0 1\n", 1))
+@example(("3 2 0\n0 1 0.5\n1 2 \n", 1))
+@example(("2 1 0\n0 +1 0.5\n", 1))  # ids spelled another way
+@example(("2 1 0\n01 1 0.5\n", 1))
+@example(("3 2 0\n0 1 0.5\n+1 2 1\n", 1))
+@example(("3 2 0\n0 01 0.5\n1 2 1\n", 1))
+@example(("2 1 0\n0 2 0.5\n", 1))  # a head out of range
+@example(("3 2 0\n0 1 0.5\n1 3 1\n", 1))
 def test_column_and_line_parsers_agree_on_edge_lists(case):
     text, _ = case
     _assert_paths_agree(
@@ -498,6 +522,17 @@ def test_column_and_line_parsers_agree_on_edge_lists(case):
 @example(("p sp 3 2\nc 1 2 3\na 1 2 1\na 2 3 1\n", 1))
 @example(("p sp 2 1\nc 1 2 3\n", 1))
 @example(("p sp 3 2\na 1 2 -2\na 2 3 1\n", 4))
+@example(("p sp 2 1\na 1 2 0.5\n", 1))  # a single arc: one-token columns
+@example(("p sp 2 1\na 1 2 0.5", 2))
+@example(("p sp 2 1\na 1  2 0.5\n", 1))  # an empty field
+@example(("p sp 3 2\na  1 2 0.5\na 2 3 1\n", 1))
+@example(("p sp 3 2\na 1 2 0.5\na 2 3 \n", 1))
+@example(("p sp 2 1\na 1 +2 0.5\n", 1))  # ids spelled another way
+@example(("p sp 2 1\na 01 2 0.5\n", 1))
+@example(("p sp 3 2\na 1 2 0.5\na +2 3 1\n", 1))
+@example(("p sp 3 2\na 1 02 0.5\na 2 3 1\n", 1))
+@example(("p sp 2 1\na 1 3 0.5\n", 1))  # a head out of range
+@example(("p sp 3 2\na 1 2 0.5\na 2 0 1\n", 1))
 def test_column_and_line_parsers_agree_on_dimacs(case):
     text, source = case
     _assert_paths_agree(
@@ -524,6 +559,66 @@ def test_column_path_declines_fewer_arcs_than_nodes_or_than_the_text_holds():
         assert _edge_list_columns(text) is None
     assert parse_edge_list("3 1 0\n0 1 1.0\n") == Graph.from_arcs(3, 0, [(0, 1)])
     assert _dimacs_columns("p sp 3 1\na 1 2 1.0\n", 1) is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.booleans().flatmap(lambda dimacs: st.tuples(st.just(dimacs), _graph_texts(dimacs))))
+def test_parsed_graphs_pass_the_full_constructor(case):
+    """The parsers skip the head checks they have made: every graph they
+    return passes the checks of ``Graph``'s constructor all the same."""
+    dimacs, (text, source) = case
+    if dimacs:
+        parsers = (parse_dimacs_sp, _dimacs_columns, _parse_dimacs_lines)
+        args = (text, source)
+    else:
+        parsers = (parse_edge_list, _edge_list_columns, _parse_edge_list_lines)
+        args = (text,)
+    for parse in parsers:
+        try:
+            g = parse(*args)
+        except GraphError:
+            continue
+        if g is not None:
+            assert Graph(g.source, g.offsets, g.heads, g.weights) == g
+            assert all(type(v) is int for v in g.heads)
+
+
+def _one_line_last_slice(dimacs: bool, last: str) -> tuple[str, int]:
+    """A 3-node text whose body fills whole slices of exactly ``_CHUNK``
+    characters with 16-character arcs and then holds the line ``last``."""
+    line = "a 1 2 0.5000000\n" if dimacs else "0 1 0.500000000\n"
+    assert len(line) == 16 and actree.graph._CHUNK % 16 == 0
+    full = actree.graph._CHUNK // 16
+    head = f"p sp 3 {full + 1}\n" if dimacs else f"3 {full + 1} 0\n"
+    text = head + line * full + last
+    assert text.rfind("\n", len(head), len(head) + actree.graph._CHUNK) + 1 == len(
+        text
+    ) - len(last)  # the slice before the last ends where ``last`` starts
+    return text, 1
+
+
+@pytest.mark.parametrize("last, last_dimacs, taken", [
+    ("1 2 0.5\n", "a 2 3 0.5\n", True),
+    ("1 2 0.5", "a 2 3 0.5", True),
+    ("1  2 0.5\n", "a 2  3 0.5\n", False),  # an empty field
+    ("1 2 \n", "a 2 3 \n", False),
+    ("+1 2 0.5\n", "a +2 3 0.5\n", False),  # ids spelled another way
+    ("1 02 0.5\n", "a 2 03 0.5\n", False),
+    ("1 3 0.5\n", "a 2 4 0.5\n", False),  # a head out of range
+    ("1 2 -1\n", "a 2 3 -1\n", False),
+])
+@pytest.mark.parametrize("dimacs", [False, True])
+def test_a_last_slice_of_one_line(dimacs, last, last_dimacs, taken):
+    """One-token columns at the end of a text many slices long."""
+    if dimacs:
+        last = last_dimacs
+        parse, columns, spec = parse_dimacs_sp, _dimacs_columns, _parse_dimacs_lines
+    else:
+        parse, columns, spec = parse_edge_list, _edge_list_columns, _parse_edge_list_lines
+    text, source = _one_line_last_slice(dimacs, last)
+    args = (text, source) if dimacs else (text,)
+    assert (columns(*args) is not None) == taken
+    _assert_paths_agree(parse, columns, spec, *args)
 
 
 def test_column_path_spans_many_slices():

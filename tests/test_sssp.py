@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,79 @@ def test_recursive_dag_queues_stay_singleton():
     assert tree.width == 2
     assert r.stats.max_queue_len <= 1
     assert set(r.stats.component_sizes) == {1}
+
+
+# ---------------------------------------------------------------------------
+# The acyclic loop: taken exactly when every component is one node, and
+# bit-identical to the loop that drains component queues
+# ---------------------------------------------------------------------------
+
+def _segment_len(tree: AcTree, s: int) -> int:
+    return tree.plan_offsets[s + 1] - tree.plan_offsets[s]
+
+
+def _drained(g: Graph, tree: AcTree) -> tuple:
+    """``dist``, ``parent`` and stats from the component-queue loop alone."""
+    n = g.node_count
+    dist = [math.inf] * n
+    dist[g.source] = 0.0
+    parent = [None] * n
+    pops, decreases = sssp._drain_components(g, tree, dist, parent)
+    stats = sssp.SearchStats(pops, decreases, tree.width - 1, dict(tree.comp_sizes))
+    return tuple(dist), tuple(parent), stats
+
+
+def _assert_the_acyclic_loop_matches(g: Graph) -> None:
+    tree = build_ac_tree(g)
+    assert _segment_len(tree, g.source) == g.node_count - 1
+    with mock.patch.object(sssp, "_drain_components", side_effect=AssertionError):
+        r = recursive_dijkstra(g, tree)
+    assert (r.dist, r.parent, r.stats) == _drained(g, tree)
+    assert r.dist == dijkstra(g).dist
+
+
+def _back_to_dominators(g: Graph, k: int, seed: int) -> Graph:
+    """``g`` plus ``k`` arcs, each from a random node to one of its
+    dominators: cycles that leave every component a single node."""
+    rng = random.Random(seed)
+    idom = build_ac_tree(g).idom
+    arcs = list(g.arcs())
+    for _ in range(k):
+        u = rng.randrange(g.node_count)
+        d = u
+        for _ in range(rng.randrange(4)):
+            d = idom[d]
+        arcs.append((u, d, rng.random()))
+    rng.shuffle(arcs)
+    return Graph.from_arcs(g.node_count, g.source, arcs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_acyclic_loop_matches_the_queue_loop_on_random_dags(seed):
+    n = 1 + 37 * seed
+    _assert_the_acyclic_loop_matches(gen_random_dag(n, 3 * n, seed=seed))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_acyclic_loop_serves_cycles_through_dominators(seed):
+    n = 2 + 29 * seed
+    g = _back_to_dominators(gen_random_dag(n, 2 * n, seed=seed), n, seed)
+    assert any(v <= u for u, v, _ in g.arcs())  # not acyclic
+    _assert_the_acyclic_loop_matches(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_the_acyclic_loop_runs_exactly_when_every_component_is_one_node(g):
+    tree = build_ac_tree(g)
+    singletons = set(tree.comp_sizes) <= {1}
+    assert (_segment_len(tree, g.source) == g.node_count - 1) == singletons
+    if singletons:
+        _assert_the_acyclic_loop_matches(g)
+    else:
+        with mock.patch.object(sssp, "_walk_singletons", side_effect=AssertionError):
+            r = recursive_dijkstra(g, tree)
+        assert (r.dist, r.parent, r.stats) == _drained(g, tree)
 
 
 def test_recursive_rejects_mismatched_tree(diamond, cycle3):
