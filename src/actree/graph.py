@@ -10,12 +10,13 @@ each counts the tails and computes the offsets itself: ``_two_pass`` reads
 a ``list`` or ``tuple`` of ``(u, v, w)`` arcs, and ``_csr`` reads the tail,
 head and weight columns that the parsers and the per-arc loop collect.
 ``gen_nested`` hands its leaves' arcs to ``Graph.from_arcs``.
-``Graph.__init__`` validates the columns once, column by column, and names
-the offending arc or field when a check fails. The sorted graphs skip the
-offset and weight-type checks, and a parser's graph the head checks too:
-every head it holds is an ``int`` from the parser's own table of node ids,
-looked up after a range check. ``Graph.from_arcs`` checks every head on
-both of its paths, and every graph gets the source and weight-value checks.
+A graph is made in one of two ways. ``Graph(...)`` checks every field,
+whole columns at a time, and names the offending arc or field when a check
+fails. ``_built`` checks nothing, and only code that has made every check
+itself calls it: the line parsers (line by line), the column parser (its
+table of node ids and its own weight check), ``prune_unreachable``
+(columns derived from a valid graph) and ``Graph.from_arcs`` on a list,
+after checking its columns in C.
 
 ``Graph.from_arcs`` sorts a list or tuple of ``(u, v, w)`` arcs straight
 from the arcs in two passes, one counting each tail's arcs and one placing
@@ -166,8 +167,6 @@ class Graph(_Record):
                 f"heads ({m} entries) and weights ({len(weights)} entries)"
                 " differ in length"
             )
-        # whole-column checks in C; when one fails, the arcs are scanned one by
-        # one to name the offending arc
         if not (
             set(map(type, off)) <= {int}
             and off[0] == 0
@@ -178,7 +177,13 @@ class Graph(_Record):
                 f"offsets must be integers rising from 0 to arc_count {m}"
                 f" (offsets[{_first_bad_offset(off)}] is not)"
             )
-        self._check_columns(set(map(type, weights)) <= {float})
+        n, s = len(off) - 1, self.source
+        if type(s) is not int or not 0 <= s < n:
+            raise GraphError(f"source {s!r} out of range for {n} nodes")
+        # whole-column checks in C; when one fails, the arcs are scanned one by
+        # one to name the offending arc
+        if not (set(map(type, weights)) <= {float} and _columns_ok(n, heads, weights)):
+            self._check_arcs()
 
     @property
     def node_count(self) -> int:
@@ -187,30 +192,6 @@ class Graph(_Record):
     @property
     def arc_count(self) -> int:
         return len(self.heads)
-
-    def _check_columns(self, floats: bool, parsed: bool = False) -> None:
-        """Check the source and, whole and in C, the heads and the weights'
-        values; ``floats`` says every weight is known to be a ``float``, and
-        ``parsed`` that every head is an ``int`` node id a parser looked up
-        after its own range check, so the heads are not checked again.
-
-        When a column check fails, the arcs are scanned one by one to name
-        the offending arc. The source and weight checks every graph gets,
-        whoever computed its offsets.
-        """
-        n, s, heads, weights = self.node_count, self.source, self.heads, self.weights
-        if type(s) is not int or not 0 <= s < n:
-            raise GraphError(f"source {s!r} out of range for {n} nodes")
-        if heads and not (
-            floats
-            and (
-                parsed  # a parser's own ints, range-checked as it read them
-                or (set(map(type, heads)) <= {int} and 0 <= min(heads) and max(heads) < n)
-            )
-            and 0 <= min(weights)
-            and sum(weights) < math.inf  # false for a NaN or inf weight
-        ):
-            self._check_arcs()
 
     def _check_arcs(self) -> None:
         """Raise the error naming the first malformed arc in storage order.
@@ -243,7 +224,9 @@ class Graph(_Record):
         Any other iterable, and a list or tuple holding an arc those passes
         cannot read, goes to the per-arc loop, :func:`_from_arcs_loop`: the
         specification, which builds the same graph or raises the same error.
-        Both check every head, as :class:`Graph` does.
+        The two passes' columns are checked whole and in C and the graph
+        built unchecked; when a check fails they go to :class:`Graph`, which
+        names the offending arc.
         """
         if type(node_count) is not int:
             raise GraphError(f"node_count {node_count!r} is not an integer")
@@ -251,9 +234,13 @@ class Graph(_Record):
             raise GraphError("a graph needs at least one node")
         if type(arcs) is list or type(arcs) is tuple:
             # the zeros are handed over, not kept here: pass 1 counts into them
-            g = _two_pass(_zeros(node_count), source, arcs)
-            if g is not None:
-                return g
+            columns = _two_pass(_zeros(node_count), arcs)
+            if columns is not None:
+                source_ok = type(source) is int and 0 <= source < node_count
+                if source_ok and _columns_ok(node_count, columns[1], columns[2]):
+                    return _built(source, *columns)
+                # names the fault, or passes finite weights whose sum overflows
+                return Graph(source, *columns)
         else:
             _zeros(node_count)  # fails before the first arc is read
         return _from_arcs_loop(node_count, source, arcs)
@@ -317,13 +304,14 @@ def _from_arcs_loop(node_count: int, source: int, arcs: Iterable[tuple]) -> Grap
         tails.append(u)
         heads.append(v)
         weights.append(w)
-    return _csr(source, node_count, tails, heads, weights, parsed=False)
+    return Graph(source, *_csr(node_count, tails, heads, weights))
 
 
-def _two_pass(degree: list[int], source: int, arcs: list | tuple) -> Graph | None:
-    """The graph of a list or tuple of ``(u, v, w)`` arcs on ``len(degree)``
-    nodes, read twice and without column lists, or ``None`` if an arc is not
-    one. ``degree`` holds one zero per node and is consumed.
+def _two_pass(degree: list[int], arcs: list | tuple) -> tuple | None:
+    """The offsets, heads and weights of a list or tuple of ``(u, v, w)``
+    arcs on ``len(degree)`` nodes, read twice and without column lists, or
+    ``None`` if an arc is not one. ``degree`` holds one zero per node and is
+    consumed.
 
     Pass 1 counts each tail's arcs. An arc that does not unpack into three
     values, and a tail that is not an ``int`` in ``range(n)``, stops it (a
@@ -332,7 +320,7 @@ def _two_pass(degree: list[int], source: int, arcs: list | tuple) -> Graph | Non
     weight at its tail's next free slot, so every tail keeps its arcs in
     input order, and the weights then go through ``float`` as a column. Any
     exception in the passes returns ``None``, leaving the per-arc loop to
-    name the arc; the graph checks that follow raise what that loop would.
+    name the arc. The heads and the weights' values are left unchecked.
     """
     try:
         for u, _, _ in arcs:
@@ -355,29 +343,19 @@ def _two_pass(degree: list[int], source: int, arcs: list | tuple) -> Graph | Non
         wt = tuple(map(float, wt))
     except Exception:  # the per-arc loop reads what these passes could not
         return None
-    return _placed(source, offsets, h, wt, parsed=False)
+    return offsets, h, wt
 
 
-def _csr(
-    source: int,
-    n: int,
-    tails: list[int],
-    heads: list[int],
-    weights: list[float],
-    *,
-    parsed: bool,
-) -> Graph:
-    """Graph on ``n`` nodes from arc columns in input order.
+def _csr(n: int, tails: list[int], heads: list, weights: list[float]) -> tuple:
+    """The offsets, heads and weights of ``n`` nodes' arc columns in input order.
 
     A counting sort by tail, the one for columns (:func:`_two_pass` is the
     one for a list of arcs): one pass counts each tail's arcs, the offsets
     are the running sums of those counts, and one placing pass puts each
     arc at its tail's next free slot, so every tail keeps its arcs in input
     order. Every caller has allocated something of ``n`` entries already,
-    checked the tails and put every weight through ``float``. The parsers
-    have also range-checked every head and taken it from their own table of
-    ``int`` ids, so their heads are not checked again; the per-arc loop
-    passes ``parsed=False`` and they are.
+    checked the tails and put every weight through ``float``; the heads and
+    the weights' values are left unchecked.
 
     The three lists are consumed: each is emptied as soon as it is read
     through, and the placed heads and weights become tuples one column
@@ -403,21 +381,31 @@ def _csr(
     weights.clear()
     h = tuple(h)
     wt = tuple(wt)
-    return _placed(source, offsets, h, wt, parsed)
+    return offsets, h, wt
 
 
-def _placed(
-    source: int, offsets: tuple[int, ...], heads: tuple, weights: tuple[float, ...],
-    parsed: bool,
+def _columns_ok(n: int, heads: tuple, weights: tuple[float, ...]) -> bool:
+    """Whether, checked whole and in C, every head is an ``int`` in
+    ``range(n)`` and the ``float`` weights are not negative and have a
+    finite sum (so none is NaN or inf, and finite weights whose sum
+    overflows fail too)."""
+    return not heads or (
+        set(map(type, heads)) <= {int}
+        and 0 <= min(heads)
+        and max(heads) < n
+        and 0 <= min(weights)
+        and sum(weights) < math.inf
+    )
+
+
+def _built(
+    source: int, offsets: tuple[int, ...], heads: tuple[int, ...],
+    weights: tuple[float, ...],
 ) -> Graph:
-    """Graph from columns a counting sort placed: offsets it computed and
-    weights that are all ``float``, so the constructor's offset and
-    weight-type checks are skipped, and so are the head checks when
-    ``parsed`` says a parser has made them. The source and the weights'
-    values get the checks of every graph."""
+    """A graph from fields that are not checked: only code that has made
+    every check of :class:`Graph` itself may call this."""
     g = Graph.__new__(Graph)
     _Record.__init__(g, source, offsets, heads, weights)
-    g._check_columns(True, parsed)
     return g
 
 
@@ -502,7 +490,7 @@ def _parse_edge_list_lines(text: str) -> Graph:
     n, m, s = header
     if len(tails) != m:
         raise FormatError(f"header declares {m} arcs, file has {len(tails)}")
-    return _csr(s, n, tails, heads, weights, parsed=True)
+    return _built(s, *_csr(n, tails, heads, weights))
 
 
 def _node_ids(n: int, lineno: int) -> list[int]:
@@ -597,7 +585,7 @@ def _parse_dimacs_lines(text: str, source: int) -> Graph:
         raise FormatError(f"problem line declares {m} arcs, file has {len(tails)}")
     if type(source) is not int or not 1 <= source <= n:
         raise FormatError(f"source {source!r} out of range (1..{n})")
-    return _csr(source - 1, n, tails, heads, weights, parsed=True)
+    return _built(source - 1, *_csr(n, tails, heads, weights))
 
 
 def serialize_dimacs_sp(g: Graph) -> str:
@@ -646,11 +634,11 @@ def _parse_columns(text: str, n: int, m: int, s: int, tag: str) -> Graph | None:
     1-based ids when ``tag`` is ``"a"``, and there must be exactly ``m`` of
     them. ``None`` sends the caller to its line parser, so this function
     raises no format error of its own: a bad token, an id out of range, a
-    negative or non-finite weight (left to ``Graph``'s column checks) all
-    return ``None``. An id is looked up by its token among the ``n`` ids
-    written in decimal, which range-checks and converts it at once, so the
-    graph's heads are not checked again; any other spelling (``+3``,
-    ``07``, ``1_0``) is left to the line parser.
+    negative or non-finite weight, or finite weights whose sum overflows
+    all return ``None``. An id is looked up by its token among the ``n``
+    ids written in decimal, which range-checks and converts it at once;
+    any other spelling (``+3``, ``07``, ``1_0``) is left to the line
+    parser. The caller has checked the source.
     """
     if not n - 1 <= m <= len(text):
         # the dict of ids is built only for at least n - 1 arcs (fewer leave
@@ -698,12 +686,11 @@ def _parse_columns(text: str, n: int, m: int, s: int, tag: str) -> Graph | None:
     # the id table and the last slice's tokens are freed before the counting
     # sort allocates its columns
     ids = tok = chunk = None
-    if len(tails) != m:
-        return None
-    try:
-        return _csr(s, n, tails, heads, weights, parsed=True)
-    except GraphError:  # a negative or non-finite weight
-        return None
+    if len(tails) != m or not (
+        0 <= min(weights, default=0.0) and sum(weights) < math.inf
+    ):
+        return None  # a negative, NaN or inf weight, or a sum that overflows
+    return _built(s, *_csr(n, tails, heads, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +734,7 @@ def prune_unreachable(g: Graph) -> tuple[Graph, Sequence[int | None]]:
             new_heads.extend(map(remap.__getitem__, heads[off[u] : off[u + 1]]))
             new_weights.extend(weights[off[u] : off[u + 1]])
             new_offsets.append(len(new_heads))
-    pruned = Graph(
+    pruned = _built(
         remap[g.source], tuple(new_offsets), tuple(new_heads), tuple(new_weights)
     )
     return pruned, tuple(remap)
@@ -911,7 +898,7 @@ def gen_nested(spec, seed: int) -> Graph:
             continue
         if isinstance(s, Graph):
             leaf = s
-        elif isinstance(s, int):
+        elif type(s) is int:
             if s < 1:
                 raise GraphError(f"spec part {s!r}: a component needs at least one node")
             leaf = _complete(s, rng)

@@ -36,6 +36,7 @@ from actree import (
     serialize_edge_list,
 )
 from actree.graph import _parse_columns, _parse_dimacs_lines, _parse_edge_list_lines
+from random_graphs import small_graphs
 
 
 def test_parse_edge_list_basic():
@@ -561,27 +562,67 @@ def test_column_path_declines_fewer_arcs_than_nodes_or_than_the_text_holds():
     assert _dimacs_columns("p sp 3 1\na 1 2 1.0\n", 1) is None
 
 
+@st.composite
+def _graphs_with_unreachable_nodes(draw):
+    """A random digraph with one to four unreachable nodes, ids shuffled;
+    the unreachable nodes have arcs to any node."""
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    g = gen_random_digraph(n, draw(st.integers(0, 3 * n)), draw(st.integers(0, 99)))
+    ids = draw(st.permutations(range(n + k)))
+    arcs = [(ids[u], ids[v], w) for u, v, w in g.arcs()]
+    arcs += draw(st.lists(
+        st.tuples(st.sampled_from(ids[n:]), st.sampled_from(ids), st.floats(0, 100)),
+        max_size=6,
+    ))
+    return Graph.from_arcs(n + k, ids[g.source], draw(st.permutations(arcs)))
+
+
+@st.composite
+def _nested_specs(draw, depth: int = 3):
+    """A valid ``gen_nested`` spec of at most ``depth`` levels, and its node count."""
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.booleans()):
+            k = draw(st.integers(1, 4))
+            return k, k
+        g = draw(small_graphs())
+        return g, g.node_count
+    outer, n_outer = draw(_nested_specs(depth - 1))
+    inner, n_inner = draw(_nested_specs(depth - 1))
+    return (outer, draw(st.integers(0, n_outer - 1)), inner), n_outer - 1 + n_inner
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.booleans().flatmap(lambda dimacs: st.tuples(st.just(dimacs), _graph_texts(dimacs))))
-def test_parsed_graphs_pass_the_full_constructor(case):
-    """The parsers skip the head checks they have made: every graph they
-    return passes the checks of ``Graph``'s constructor all the same."""
-    dimacs, (text, source) = case
+@given(st.data())
+def test_parsed_graphs_pass_the_full_constructor(data):
+    """The paths that build a graph without ``Graph``'s checks, having made
+    them themselves (the three parse paths, pruning a graph with
+    unreachable nodes, both ``from_arcs`` paths and ``gen_nested``), return
+    graphs that pass those checks all the same."""
+    dimacs = data.draw(st.booleans())
+    text, source = data.draw(_graph_texts(dimacs))
     if dimacs:
         parsers = (parse_dimacs_sp, _dimacs_columns, _parse_dimacs_lines)
         args = (text, source)
     else:
         parsers = (parse_edge_list, _edge_list_columns, _parse_edge_list_lines)
         args = (text,)
-    for parse in parsers:
+    builds = [(parse, *args) for parse in parsers]
+    n, s, arcs = data.draw(_arc_lists())
+    builds += [(Graph.from_arcs, n, s, make(arcs)) for make in (list, tuple, iter)]
+    spec, _ = data.draw(_nested_specs())
+    graphs = [
+        prune_unreachable(data.draw(_graphs_with_unreachable_nodes()))[0],
+        gen_nested(spec, data.draw(st.integers(0, 99))),
+    ]
+    for build, *build_args in builds:
         try:
-            g = parse(*args)
+            graphs.append(build(*build_args))
         except GraphError:
             continue
+    for g in graphs:
         if g is not None:
             assert Graph(g.source, g.offsets, g.heads, g.weights) == g
             assert all(type(v) is int for v in g.heads)
-
 
 def _one_line_last_slice(dimacs: bool, last: str) -> tuple[str, int]:
     """A 3-node text whose body fills whole slices of exactly ``_CHUNK``
@@ -717,6 +758,10 @@ _BAD_SEED = "seed [1] is not None, an int, a float, a str, bytes or a bytearray"
      "spec part (2, 1) is not an int, a Graph or an (outer, at, inner) triple"),
     (lambda: gen_nested((2, 1, "x"), 0),
      "spec part 'x' is not an int, a Graph or an (outer, at, inner) triple"),
+    (lambda: gen_nested(True, 0),
+     "spec part True is not an int, a Graph or an (outer, at, inner) triple"),
+    (lambda: gen_nested((2, 0, True), 0),
+     "spec part True is not an int, a Graph or an (outer, at, inner) triple"),
 ])
 def test_generators_raise_a_typed_error_naming_the_argument(call, message):
     with pytest.raises(GraphError) as info:
