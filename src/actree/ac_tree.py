@@ -110,7 +110,7 @@ class AcTree(_Record):
 
 def _sibling_arcs(
     g: Graph, idom: tuple[int, ...], start: array, kids: list[int]
-) -> tuple[list[list[int]], int]:
+) -> list[list[int]]:
     """Arcs of every dominance graph, transposed, as tail lists in scan order.
 
     ``start`` and ``kids`` group every node's dominator children, as
@@ -124,29 +124,25 @@ def _sibling_arcs(
     ``current[idom(w)]`` in ``pred[w]``; both ends are children of
     ``idom(w)``. Arcs onto the global source and arcs that coincide with
     dominator-tree arcs contribute nothing and are skipped, as are arcs from
-    ``w``'s own subtree back to ``w``. A tail may repeat. Also returns the
-    number of arcs examined, which is the arc count of ``g``.
+    ``w``'s own subtree back to ``w``. A tail may repeat.
     """
     n = g.node_count
     off, heads = g.offsets, g.heads
     s = g.source
     current = [-1] * n
     pred: list[list[int]] = [[] for _ in range(n)]
-    examined = 0
     stack = [s]
     while stack:
         v = stack.pop()
         current[idom[v]] = v
         stack += kids[start[v] : start[v + 1]]
-        row = heads[off[v] : off[v + 1]]
-        examined += len(row)
-        for w in row:
+        for w in heads[off[v] : off[v + 1]]:
             if w == s or idom[w] == v:
                 continue
             c = current[idom[w]]
             if c != w:
                 pred[w].append(c)
-    return pred, examined
+    return pred
 
 
 def naive_dominance_graph(
@@ -222,7 +218,7 @@ def _kosaraju_tree(
     own plan segments.
     """
     n = g.node_count
-    pred, _ = _sibling_arcs(g, idom, start, kids)
+    pred = _sibling_arcs(g, idom, start, kids)
     comp_id = [-1] * n
     members: list[int] = []
     comp_start = array("i", [0])

@@ -5,10 +5,12 @@ the immutable :class:`Graph` defined here: a weighted digraph with dense
 0-based node ids and one distinguished source node, stored as three CSR
 tuples (``offsets``, ``heads``, ``weights``) that every layer reads directly.
 The topology (``offsets``, ``heads``) and the weights are separate columns,
-filled by a counting sort by tail. There are two, one per input shape, and
-each counts the tails and computes the offsets itself: ``_two_pass`` reads
-a ``list`` or ``tuple`` of ``(u, v, w)`` arcs, and ``_csr`` reads the tail,
-head and weight columns that the parsers and the per-arc loop collect.
+filled by a counting sort by tail with one core, ``_place``, which turns
+the tails' arc counts into the offsets and puts each arc at its tail's next
+free slot. Two front ends count the tails for it, one per input shape:
+``_two_pass`` reads a ``list`` or ``tuple`` of ``(u, v, w)`` arcs, and
+``_csr`` reads the tail, head and weight columns that the parsers and the
+per-arc loop collect.
 ``gen_nested`` hands its leaves' arcs to ``Graph.from_arcs``.
 A graph is made in one of two ways. ``Graph(...)`` checks every field,
 whole columns at a time, and names the offending arc or field when a check
@@ -315,30 +317,18 @@ def _two_pass(degree: list[int], arcs: list | tuple) -> tuple | None:
 
     Pass 1 counts each tail's arcs. An arc that does not unpack into three
     values, and a tail that is not an ``int`` in ``range(n)``, stops it (a
-    negative tail by a check, any other by failing to index ``degree``). The
-    offsets are the running sums of the degrees, pass 2 puts each head and
-    weight at its tail's next free slot, so every tail keeps its arcs in
-    input order, and the weights then go through ``float`` as a column. Any
-    exception in the passes returns ``None``, leaving the per-arc loop to
-    name the arc. The heads and the weights' values are left unchecked.
+    negative tail by a check, any other by failing to index ``degree``).
+    Pass 2 is :func:`_place`, the one core of both counting sorts, and the
+    weights then go through ``float`` as a column. Any exception in the
+    passes returns ``None``, leaving the per-arc loop to name the arc. The
+    heads and the weights' values are left unchecked.
     """
     try:
         for u, _, _ in arcs:
             if u < 0:
                 return None
             degree[u] += 1
-        offsets = tuple(accumulate(degree, initial=0))
-        del degree
-        free = list(offsets)
-        m = len(arcs)
-        h: list = [None] * m
-        wt: list = [None] * m
-        for u, v, w in arcs:
-            i = free[u]
-            free[u] = i + 1
-            h[i] = v
-            wt[i] = w
-        del free
+        offsets, h, wt = _place(degree, arcs)
         h = tuple(h)
         wt = tuple(map(float, wt))
     except Exception:  # the per-arc loop reads what these passes could not
@@ -349,13 +339,11 @@ def _two_pass(degree: list[int], arcs: list | tuple) -> tuple | None:
 def _csr(n: int, tails: list[int], heads: list, weights: list[float]) -> tuple:
     """The offsets, heads and weights of ``n`` nodes' arc columns in input order.
 
-    A counting sort by tail, the one for columns (:func:`_two_pass` is the
-    one for a list of arcs): one pass counts each tail's arcs, the offsets
-    are the running sums of those counts, and one placing pass puts each
-    arc at its tail's next free slot, so every tail keeps its arcs in input
-    order. Every caller has allocated something of ``n`` entries already,
-    checked the tails and put every weight through ``float``; the heads and
-    the weights' values are left unchecked.
+    The counting sort by tail for columns (:func:`_two_pass` is the one for
+    a list of arcs): one pass counts each tail's arcs and :func:`_place`,
+    the core both share, places them. Every caller has allocated something
+    of ``n`` entries already, checked the tails and put every weight
+    through ``float``; the heads and the weights' values are left unchecked.
 
     The three lists are consumed: each is emptied as soon as it is read
     through, and the placed heads and weights become tuples one column
@@ -364,23 +352,34 @@ def _csr(n: int, tails: list[int], heads: list, weights: list[float]) -> tuple:
     degree = [0] * n
     for u in tails:
         degree[u] += 1
-    offsets = tuple(accumulate(degree, initial=0))
-    del degree
-    free = list(offsets)
-    m = len(tails)
-    h: list = [None] * m
-    wt: list = [None] * m
-    for u, v, w in zip(tails, heads, weights):
-        i = free[u]
-        free[u] = i + 1
-        h[i] = v
-        wt[i] = w
-    del free
+    offsets, h, wt = _place(degree, zip(tails, heads, weights))
     tails.clear()
     heads.clear()
     weights.clear()
     h = tuple(h)
     wt = tuple(wt)
+    return offsets, h, wt
+
+
+def _place(degree: list[int], arcs: Iterable[tuple]) -> tuple:
+    """The offsets and the head and weight lists of ``arcs``, whose tails'
+    arc counts ``degree`` holds: the one core of both counting sorts.
+
+    The offsets are the running sums of the counts, and ``degree`` is
+    emptied before the two lists are allocated. Each ``(u, v, w)`` then goes
+    to its tail's next free slot, so every tail keeps its arcs in input
+    order.
+    """
+    offsets = tuple(accumulate(degree, initial=0))
+    degree.clear()
+    free = list(offsets)
+    h: list = [None] * offsets[-1]
+    wt: list = [None] * offsets[-1]
+    for u, v, w in arcs:
+        i = free[u]
+        free[u] = i + 1
+        h[i] = v
+        wt[i] = w
     return offsets, h, wt
 
 

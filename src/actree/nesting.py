@@ -34,9 +34,16 @@ def is_module(g: Graph, nodes: Iterable[int]) -> int | None:
     of a virtual external arc into it). Sets other than the whole node set
     must have at least one external in-arc to nominate a source. An id
     that is not a node of ``g`` raises :class:`GraphError` naming it, and
-    an empty set raises :class:`InvalidFamilyError`.
+    an empty set, or a ``nodes`` that is not iterable, raises
+    :class:`InvalidFamilyError`.
     """
-    ids = tuple(nodes)
+    try:
+        ids = iter(nodes)
+    except TypeError:
+        raise InvalidFamilyError(
+            f"is_module: nodes must be an iterable of node ids, not {type(nodes).__name__}"
+        ) from None
+    ids = tuple(ids)
     for v in ids:
         _check_node(v, g.node_count)
     members = frozenset(ids)

@@ -379,18 +379,20 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
     """Certify a result against the Bellman criteria in O(n + e).
 
     Checks that the source sits at distance 0 with no parent, every other
-    node has a parent whose arc exists and is tight, and no arc of the
-    graph improves any distance. Comparisons are exact. When a distance
-    breaks them (``None``), each one that is not an ``int`` or ``float`` is
-    named and no arc is checked. A column with no length, or the wrong one,
+    node has a parent whose arc exists and is tight, no arc of the graph
+    improves any distance, and no parent arcs close a cycle, so every
+    node's parents lead back to the source. Comparisons are exact. When a
+    distance breaks them (``None``), each one that is not an ``int`` or
+    ``float`` is named and no arc is checked. A column with no length, or the wrong one,
     is reported as a size mismatch; a column that some node id does not
     index (a ``set``, or a ``dict`` with a missing key) is named on its own.
 
-    A result that passes comes through one fast pass: the node columns are
-    checked whole, in C, and one loop over the arcs reads a parent only on
-    a tight arc. Any other result, and any exception in that pass, goes
-    through :func:`_spt_violations`, the specification, which names every
-    violation in its order.
+    A result that passes, and whose parent arcs all join nodes at different
+    distances, comes through one fast pass: the node columns are checked
+    whole, in C, and one loop over the arcs reads a parent only on a tight
+    arc. Any other result, and any exception in that pass, goes through
+    :func:`_spt_violations`, the specification, which names every violation
+    in its order.
     """
     try:
         if _spt_holds(g, r.dist, r.parent):
@@ -410,6 +412,11 @@ def _spt_holds(g: Graph, dist, parent) -> bool:
     one loop compares ``dist[u] + w`` with ``dist[v]`` on every arc
     ``(u, v, w)`` and, only where the two are equal, marks ``v`` tight if
     ``parent[v]`` is ``u``; every node but the source must end up tight.
+
+    A tight arc never lowers a distance, so every arc of a cycle of tight
+    parent arcs joins two nodes at one distance. A tight parent arc with
+    ``dist[u] == dist[v]`` therefore returns False, and the specification
+    walks the parents.
     """
     n = g.node_count
     s = g.source
@@ -437,6 +444,8 @@ def _spt_holds(g: Graph, dist, parent) -> bool:
                 if d < dv:
                     return False  # an improving arc
                 if parent[v] == u:
+                    if du == dv:
+                        return False  # it may close a parent cycle
                     tight[v] = True
     return tight.count(True) == n - 1
 
@@ -455,7 +464,9 @@ def _spt_violations(g: Graph, r: ShortestPathResult) -> SptCheck:
     if not sized:
         return SptCheck(False, ("result arrays do not match the graph size",))
     off, heads, weights = g.offsets, g.heads, g.weights
-    tight: list[bool | None] = [None] * n  # None until a parent arc is seen
+    # the tail of v's tight parent arc: None until a parent arc is seen, -1
+    # while none of them is tight
+    up: list[int | None] = [None] * n
     try:
         if dist[s] != 0:
             bad.append(f"dist[source]={dist[s]!r}, expected 0")
@@ -476,15 +487,45 @@ def _spt_violations(g: Graph, r: ShortestPathResult) -> SptCheck:
                         f"improving arc {u}->{v} (w={w!r}): "
                         f"{du!r} + {w!r} < {dist[v]!r}"
                     )
-                if parent[v] == u and not tight[v]:
-                    tight[v] = du + w == dist[v]
+                if parent[v] == u and (up[v] is None or up[v] < 0):
+                    up[v] = u if du + w == dist[v] else -1
     except (TypeError, LookupError):  # a column or a distance it cannot read
         return SptCheck(False, _unreadable(dist, parent, n))
     for v in range(n):
         if v == s or parent[v] is None:
             continue
-        if tight[v] is None:
+        if up[v] is None:
             bad.append(f"parent arc {parent[v]}->{v} does not exist")
-        elif not tight[v]:
+        elif up[v] < 0:
             bad.append(f"parent arc {parent[v]}->{v} is not tight for dist {dist[v]!r}")
+    bad += _parent_cycles(up, s)
     return SptCheck(not bad, tuple(bad))
+
+
+def _parent_cycles(up: list[int | None], s: int) -> list[str]:
+    """A violation naming each cycle that the tight parent arcs
+    ``up[v] -> v`` close, in arc order from its least node.
+
+    The walk up from each node stops at the source, at a node with no tight
+    parent arc, or at a node already walked from.
+    """
+    state = [0] * len(up)  # 0 not reached, 1 on the current walk, 2 done
+    bad = []
+    for v in range(len(up)):
+        walk = []
+        while state[v] == 0:
+            state[v] = 1
+            walk.append(v)
+            if v == s or up[v] is None or up[v] < 0:
+                break
+            v = up[v]
+        else:
+            if state[v] == 1:  # the walk came back to v
+                cycle = walk[walk.index(v) :][::-1]
+                k = cycle.index(min(cycle))
+                cycle = cycle[k:] + cycle[:k]
+                cycle.append(cycle[0])
+                bad.append(f"parent arcs close the cycle {'->'.join(map(str, cycle))}")
+        for x in walk:
+            state[x] = 2
+    return bad

@@ -1,8 +1,10 @@
-"""Random graphs with self-loops and repeated arcs, shared by the test modules."""
+"""Random graphs with self-loops and repeated arcs, and a stand-in graph
+that records the rows read from it, shared by the test modules."""
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
@@ -40,6 +42,30 @@ def chain_of_blocks(n: int, rng: random.Random, block: int = 8) -> list[tuple[in
             arcs.append((hub - block + rng.randrange(block), hub))
     rng.shuffle(arcs)
     return arcs
+
+
+class _RowLog:
+    """The ``heads`` of a stand-in graph: serves slices of the real column
+    and records each one's ``(start, stop)``."""
+
+    def __init__(self, heads: tuple[int, ...]):
+        self.heads = heads
+        self.reads: list[tuple[int, int]] = []
+
+    def __getitem__(self, rows: slice) -> tuple[int, ...]:
+        self.reads.append((rows.start, rows.stop))
+        return self.heads[rows]
+
+
+def rows_read(g: Graph, read) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` of every slice of ``g.heads`` that ``read`` takes
+    when handed a stand-in for ``g``, in the order it takes them."""
+    log = _RowLog(g.heads)
+    read(SimpleNamespace(
+        node_count=g.node_count, source=g.source, offsets=g.offsets,
+        heads=log, weights=g.weights,
+    ))
+    return log.reads
 
 
 @st.composite

@@ -32,6 +32,7 @@ from actree import (
 )
 from actree.ac_tree import _sibling_arcs
 from actree.dominators import _group_by_idom
+from random_graphs import rows_read
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -143,7 +144,7 @@ def test_criterion_4_dominance_graphs():
         n = 2 + i % 29
         g = gen_random_digraph(n, (n - 1) + i % (3 * n), seed=40_000 + i)
         t = compute_dominator_tree(g)
-        pred, _ = _sibling_arcs(g, t.idom, *_group_by_idom(t.idom, g.source, t.order))
+        pred = _sibling_arcs(g, t.idom, *_group_by_idom(t.idom, g.source, t.order))
         fast = {a: set() for a in range(n)}
         for w, tails in enumerate(pred):
             for c in tails:
@@ -258,8 +259,10 @@ def test_criterion_8_scaling_report():
         assert tree.width >= 2
         if n <= sizes[1]:
             t = compute_dominator_tree(g)
-            _, examined = _sibling_arcs(g, t.idom, *_group_by_idom(t.idom, g.source, t.order))
-            assert examined == g.arc_count, "dominance pass must touch each arc once"
+            kids = _group_by_idom(t.idom, g.source, t.order)
+            reads = rows_read(g, lambda stand_in: _sibling_arcs(stand_in, t.idom, *kids))
+            rows = [(g.offsets[v], g.offsets[v + 1]) for v in range(n)]
+            assert sorted(reads) == rows, "dominance pass must read each row once"
 
     recursive_times = []
     dijkstra_times = []

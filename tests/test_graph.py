@@ -28,6 +28,7 @@ from actree import (
     gen_nested,
     gen_random_dag,
     gen_random_digraph,
+    is_module,
     parse_dimacs_sp,
     parse_edge_list,
     prune_unreachable,
@@ -379,6 +380,10 @@ def test_non_text_and_non_family_arguments_raise_typed_errors():
         with pytest.raises(InvalidFamilyError) as info:
             family_width(g, family)
         assert str(info.value) == message
+    for nodes, named in ((None, "NoneType"), (3, "int")):
+        with pytest.raises(InvalidFamilyError) as info:
+            is_module(g, nodes)
+        assert str(info.value) == f"is_module: nodes must be an iterable of node ids, not {named}"
 
 
 def test_parsers_report_non_finite_weights_by_line():

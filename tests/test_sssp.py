@@ -17,6 +17,7 @@ from actree import (
     Graph,
     GraphError,
     ShortestPathResult,
+    SptCheck,
     TreeMismatchError,
     UnreachableNodeError,
     build_ac_tree,
@@ -448,8 +449,15 @@ def test_verify_spt_lists_violations_in_check_order():
 MUTATIONS = (
     "none", "ulp up", "ulp down", "non-neighbour parent", "no parent",
     "out-of-range parent", "nan", "inf", "-inf", "-0.0", "not a number",
-    "parent for the source", "parallel arcs",
+    "parent for the source", "parallel arcs", "parent cycle",
 )
+
+
+def _leads_up_to(parent: list, u: int, v: int) -> bool:
+    """Whether the parents from ``u`` reach ``v`` (or ``u`` is ``v``)."""
+    while u is not None and u != v:
+        u = parent[u]
+    return u == v
 
 
 @settings(max_examples=600, deadline=None)
@@ -489,11 +497,43 @@ def test_verify_spt_returns_exactly_what_its_specification_returns(g, mutation, 
         others = [x for x in range(n) if x not in tails]
         if others:
             parent[v] = data.draw(st.sampled_from(others), label="id")
+    closes_cycle = False
+    if mutation == "parent cycle":
+        # a tight zero-weight arc as its head's parent arc; one whose tail is
+        # the head or below it in the tree closes a cycle, and is preferred
+        arcs = [(a, b) for a, b, w in g.arcs() if b != s and w == 0 and dist[a] == dist[b]]
+        closing = [(a, b) for a, b in arcs if _leads_up_to(parent, a, b)]
+        if arcs:
+            u, b = data.draw(st.sampled_from(closing or arcs), label="arc")
+            parent[b] = u
+            closes_cycle = bool(closing)
     result = ShortestPathResult(tuple(dist), tuple(parent), r.stats)
     check = verify_spt(g, result)
     assert check == _spt_violations(g, result)
     if mutation in ("none", "parallel arcs"):
         assert check.ok
+    if mutation == "parent cycle":
+        assert check.ok != closes_cycle
+
+
+def test_verify_spt_rejects_parent_arcs_that_close_a_cycle():
+    # every check of a node and an arc holds, but 1 and 2 are each other's
+    # tight parent, and neither leads back to the source
+    g = Graph.from_arcs(3, 0, [(0, 1, 5.0), (1, 2, 0.0), (2, 1, 0.0)])
+    assert dijkstra(g).dist == (0.0, 5.0, 5.0)
+    stats = dijkstra(g).stats
+    for dist in ((0.0, 0.0, 0.0), (0.0, 5.0, 5.0)):
+        wrong = ShortestPathResult(dist, (None, 2, 1), stats)
+        check = verify_spt(g, wrong)
+        assert check == _spt_violations(g, wrong)
+        assert check == SptCheck(False, ("parent arcs close the cycle 1->2->1",))
+    # a zero-weight self-loop as a node's parent arc is a cycle of one
+    loop = Graph.from_arcs(2, 0, [(0, 1, 1.0), (1, 1, 0.0)])
+    wrong = ShortestPathResult((0.0, 1.0), (None, 1), stats)
+    assert verify_spt(loop, wrong).violations == ("parent arcs close the cycle 1->1",)
+    for g in (g, loop):
+        assert verify_spt(g, dijkstra(g))
+        assert verify_spt(g, recursive_dijkstra(g, build_ac_tree(g)))
 
 
 def test_verify_spt_confirms_right_results_without_its_specification(monkeypatch):
