@@ -26,11 +26,7 @@ from .graph import (
     NegativeWeightError,
     TreeMismatchError,
     UnreachableNodeError,
-    gen_complete,
-    gen_layered,
     gen_nested,
-    gen_random_dag,
-    gen_random_digraph,
     parse_dimacs_sp,
     parse_edge_list,
     prune_unreachable,
@@ -75,11 +71,7 @@ __all__ = [
     "compute_dominator_tree",
     "dijkstra",
     "family_width",
-    "gen_complete",
-    "gen_layered",
     "gen_nested",
-    "gen_random_dag",
-    "gen_random_digraph",
     "is_module",
     "naive_dominance_graph",
     "parse_dimacs_sp",

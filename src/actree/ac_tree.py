@@ -62,7 +62,7 @@ class AcTree(_Record):
     that size, in ascending size. The property ``width`` is one more than
     the largest component (1 for a single-node graph); the tree stores
     nothing its fields fix. ``plan`` is the weight-free order in which
-    :func:`~actree.recursive_dijkstra` drains the components, one list: the
+    :func:`~actree.recursive_dijkstra` drains the components, one tuple: the
     source and each member of a component of two or more nodes own the
     segment ``plan[plan_offsets[a] : plan_offsets[a + 1]]`` (any other
     node's is empty), which lists ``a``'s components in order, a singleton
@@ -70,13 +70,14 @@ class AcTree(_Record):
     larger component ``c`` as the marker ``~c``; on an acyclic graph the
     plan is the dominator tree's preorder. Its nodes are the int objects of
     ``comp_nodes``; ``plan_offsets`` is an int array, and ``plan_owns`` a
-    ``bytearray`` in which ``plan_owns[a]`` is 1 exactly when ``a``'s
+    ``bytes`` in which ``plan_owns[a]`` is 1 exactly when ``a``'s
     segment is not empty, so a search reads one byte per popped node.
     ``offsets`` and ``heads`` are the topology the tree was built from: the
     graph's own tuples, held by reference, not copied. The tree does not
     depend on weights, so it serves any graph with equal ``offsets``,
     ``heads`` and source, and :func:`~actree.recursive_dijkstra` rejects any
-    other. The arrays, the flags and the plan are read-only by contract.
+    other. The plan and the flags cannot be changed in place; the int
+    arrays are read-only by contract.
     The repr shows ``width`` and ``comp_sizes`` only, so printing a tree
     costs the same at any size.
     """
@@ -177,8 +178,12 @@ def build_ac_tree(g: Graph) -> AcTree:
     sibling arc points forward in that order, so every component is one
     node and the grouping lays the tree out. Any other graph goes through
     Kosaraju's second pass over the same grouping. Either way one walk then
-    lays out the search plan. Linear on an acyclic graph, near-linear
-    overall; the decomposition does not depend on arc weights.
+    lays out the search plan. Every stage but one is linear or near-linear
+    in ``n + e``. The exception is the dominator pass's semi-NCA climb,
+    which is quadratic in the worst case: on the path-star DAG (a path
+    ``0 -> ... -> k`` plus arcs ``k -> w`` and ``0 -> w`` for ``k`` extra
+    nodes ``w``) each ``w`` climbs the whole path. The decomposition does
+    not depend on arc weights.
     """
     n = g.node_count
     idom, post, back = _immediate_dominators(g)
@@ -267,7 +272,7 @@ def _kosaraju_tree(
 
 def _search_plan(
     owners: list[int] | tuple[int, ...], off: list[int], entry: list[int] | tuple[int, ...]
-) -> tuple[list[int], array, bytearray]:
+) -> tuple[tuple[int, ...], array, bytes]:
     """The weight-free order in which a search drains the components.
 
     ``off`` is ``comp_offsets`` as a list, and ``entry[c]`` names component
@@ -279,7 +284,8 @@ def _search_plan(
     node's components, inline and recursively. On an acyclic graph that is
     the dominator tree's preorder, children in reverse postorder. Also
     returns the segment bounds and a flag per node, 1 when its segment is
-    not empty.
+    not empty. The plan and the flags are returned as a tuple and as
+    ``bytes``, which cannot be changed in place.
     """
     plan: list[int] = []
     size = [0] * len(off)
@@ -305,7 +311,7 @@ def _search_plan(
             c, end = stack.pop()
         size[a + 1] = len(plan) - first
         owns[a] = 1
-    return plan, array("i", accumulate(size)), owns
+    return tuple(plan), array("i", accumulate(size)), bytes(owns)
 
 
 def ac_to_nesting_family(tree: AcTree) -> tuple[frozenset[int], ...]:

@@ -6,8 +6,13 @@ is computed here with the semi-NCA algorithm of Georgiadis, Tarjan and
 Werneck ("Finding Dominators in Practice", JGAA 2006), the fastest they
 measured in practice: Lengauer-Tarjan's semidominator pass with path
 compression (O(e log n)), no buckets, and each immediate dominator found by
-a short walk up the dominator tree built so far. Everything runs over flat
-arrays indexed by DFS number. The tree is then walked once in preorder.
+a walk up the dominator tree built so far. That walk is short on most
+inputs but is bounded only by the tree's depth, so the pass is O(n^2) in
+the worst case, as that paper notes. The path-star DAG reaches it: a path
+``0 -> 1 -> ... -> k`` plus arcs ``k -> w`` and ``0 -> w`` for ``k`` extra
+nodes ``w``, where each ``w`` walks from ``k`` back to the source.
+Everything runs over flat arrays indexed by DFS number. The tree is then
+walked once in preorder.
 The stored preorder makes dominance an O(1) interval test and every subtree
 a slice of it. A path-removal oracle is provided for testing.
 """
@@ -92,12 +97,13 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int], bool]:
     its candidate is the least semidominator number on its forest path,
     found by path compression with ``label`` holding that minimum. Finally,
     in increasing number, ``idom[w]`` is the nearest ancestor of ``parent[w]``
-    in the dominator tree numbered ``<= semi[w]``. A back arc costs one
-    comparison to spot: for a predecessor ``v > w`` the forest climb ends at
-    ``v``'s nearest DFS ancestor numbered ``<= w``, which is ``w`` exactly
-    when ``w`` is an ancestor of ``v``. The finish order is linked through
-    each finished node's dead ``nxt`` entry; the A-C tree build reads it in
-    reverse as the first pass of Kosaraju-Sharir.
+    in the dominator tree numbered ``<= semi[w]``, found by climbing one
+    step at a time: O(n) steps for one ``w`` in the worst case. A back arc
+    costs one comparison to spot: for a predecessor ``v > w`` the forest
+    climb ends at ``v``'s nearest DFS ancestor numbered ``<= w``, which is
+    ``w`` exactly when ``w`` is an ancestor of ``v``. The finish order is
+    linked through each finished node's dead ``nxt`` entry; the A-C tree
+    build reads it in reverse as the first pass of Kosaraju-Sharir.
     """
     n = g.node_count
     s = g.source

@@ -1,4 +1,4 @@
-"""Graph container, file formats, pruning, and seeded graph generators.
+"""Graph container, file formats, pruning, and the seeded nesting generator.
 
 Everything downstream (dominators, decomposition, shortest paths) works on
 the immutable :class:`Graph` defined here: a weighted digraph with dense
@@ -740,21 +740,8 @@ def prune_unreachable(g: Graph) -> tuple[Graph, Sequence[int | None]]:
 
 
 # ---------------------------------------------------------------------------
-# Generators (all deterministic for a given seed)
+# Nested graphs of known width (deterministic for a given seed)
 # ---------------------------------------------------------------------------
-
-def _check_count(name: str, value) -> None:
-    """Raise a :class:`GraphError` naming the generator argument ``name``
-    unless ``value`` is an ``int`` of at least 1."""
-    if type(value) is not int or value < 1:
-        raise GraphError(f"{name} {value!r} is not an integer >= 1")
-
-
-def _check_arc_count(e) -> None:
-    """Raise a :class:`GraphError` naming the argument ``e`` unless it is an ``int``."""
-    if type(e) is not int:
-        raise GraphError(f"e {e!r} is not an integer")
-
 
 def _rng(seed) -> random.Random:
     """A generator seeded with ``seed``, or a :class:`GraphError` naming a
@@ -767,81 +754,9 @@ def _rng(seed) -> random.Random:
         ) from None
 
 
-def gen_layered(depth: int, seed: int) -> Graph:
-    """Two-track layered DAG: a source feeding ``depth`` rank pairs.
-
-    Nodes are ``s, a_1, b_1, ..., a_N, b_N`` with arcs from the source to
-    both rank-1 nodes and all four arcs between consecutive ranks. Weights
-    are uniform in [0, 1). The dominator tree of this family is flat.
-    """
-    _check_count("depth", depth)
-    rng = _rng(seed)
-    # node ids: s = 0, a_i = 2i - 1, b_i = 2i
-    arcs = [(0, 1, rng.random()), (0, 2, rng.random())]
-    for i in range(1, depth):
-        for tail in (2 * i - 1, 2 * i):
-            arcs.append((tail, 2 * i + 1, rng.random()))
-            arcs.append((tail, 2 * i + 2, rng.random()))
-    return Graph.from_arcs(2 * depth + 1, 0, arcs)
-
-
-def gen_random_digraph(n: int, e: int, seed: int) -> Graph:
-    """Random digraph with every node reachable from node 0.
-
-    A random arborescence rooted at the source is laid down first, then
-    ``e - (n - 1)`` uniform arcs (self-loops and parallels allowed). Fewer
-    than ``n - 1`` requested arcs still yields the arborescence. Weights are
-    uniform in [0, 1).
-    """
-    _check_count("n", n)
-    _check_arc_count(e)
-    rng = _rng(seed)
-    arcs = []
-    for v in range(1, n):
-        arcs.append((rng.randrange(v), v, rng.random()))
-    for _ in range(max(0, e - (n - 1))):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        arcs.append((u, v, rng.random()))
-    return Graph.from_arcs(n, 0, arcs)
-
-
-def gen_random_dag(n: int, e: int, seed: int) -> Graph:
-    """Random DAG: arcs only from lower to higher rank (node id = rank).
-
-    Reachability from the source is guaranteed the same way as in
-    :func:`gen_random_digraph`; extra arcs are redrawn until ``u != v``.
-    """
-    _check_count("n", n)
-    _check_arc_count(e)
-    rng = _rng(seed)
-    arcs = []
-    for v in range(1, n):
-        arcs.append((rng.randrange(v), v, rng.random()))
-    if n > 1:
-        for _ in range(max(0, e - (n - 1))):
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            while u == v:
-                u = rng.randrange(n)
-                v = rng.randrange(n)
-            if u > v:
-                u, v = v, u
-            arcs.append((u, v, rng.random()))
-    return Graph.from_arcs(n, 0, arcs)
-
-
-def gen_complete(n: int, seed: int | None = None) -> Graph:
-    """Complete digraph on ``n`` nodes; unit weights unless a seed is given."""
-    _check_count("n", n)
-    return _complete(n, _rng(seed) if seed is not None else None)
-
-
-def _complete(k: int, rng: random.Random | None) -> Graph:
-    """Complete digraph on ``k`` nodes; weights from ``rng`` in arc order, else 1.0."""
-    arcs = [(u, v) for u in range(k) for v in range(k) if u != v]
-    if rng is not None:
-        arcs = [(u, v, rng.random()) for u, v in arcs]
+def _complete(k: int, rng: random.Random) -> Graph:
+    """Complete digraph on ``k`` nodes, weights from ``rng`` in arc order."""
+    arcs = [(u, v, rng.random()) for u in range(k) for v in range(k) if u != v]
     return Graph.from_arcs(k, 0, arcs)
 
 
@@ -853,7 +768,7 @@ def gen_nested(spec, seed: int) -> Graph:
     meaning "substitute the graph described by ``inner`` for node ``at`` of
     the graph described by ``outer``". Weights are drawn from one generator
     seeded with ``seed``, leaf by leaf in spec order (outer before inner),
-    so ``gen_nested(k, seed)`` equals ``gen_complete(k, seed)``.
+    each leaf's in its arc order, ``u`` then ``v`` ascending.
 
     A substitution redirects the arcs into ``at`` to the inner source, and
     the arcs out of ``at`` leave from the inner source, ahead of the inner

@@ -1,5 +1,11 @@
-"""Random graphs with self-loops and repeated arcs, and a stand-in graph
-that records the rows read from it, shared by the test modules."""
+"""Seeded graph families, random graphs with self-loops and repeated arcs,
+and a stand-in graph that records the rows read from it, shared by the test
+modules.
+
+The seeded families are plain fixtures: each call with the same arguments
+and seed builds an equal graph, and no argument is checked beyond what
+:meth:`Graph.from_arcs` checks.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,85 @@ from types import SimpleNamespace
 from hypothesis import strategies as st
 
 from actree import Graph
+
+
+def gen_layered(depth: int, seed) -> Graph:
+    """Two-track layered DAG: a source feeding ``depth`` rank pairs.
+
+    Nodes are ``s, a_1, b_1, ..., a_N, b_N`` with arcs from the source to
+    both rank-1 nodes and all four arcs between consecutive ranks. Weights
+    are uniform in [0, 1). The dominator tree of this family is flat.
+    """
+    rng = random.Random(seed)
+    # node ids: s = 0, a_i = 2i - 1, b_i = 2i
+    arcs = [(0, 1, rng.random()), (0, 2, rng.random())]
+    for i in range(1, depth):
+        for tail in (2 * i - 1, 2 * i):
+            arcs.append((tail, 2 * i + 1, rng.random()))
+            arcs.append((tail, 2 * i + 2, rng.random()))
+    return Graph.from_arcs(2 * depth + 1, 0, arcs)
+
+
+def _arborescence(n: int, rng: random.Random) -> list[tuple[int, int, float]]:
+    """Each node ``v > 0`` gets an arc from a uniform earlier node, so node 0
+    reaches every node; weights are uniform in [0, 1)."""
+    return [(rng.randrange(v), v, rng.random()) for v in range(1, n)]
+
+
+def gen_random_digraph(n: int, e: int, seed) -> Graph:
+    """Random digraph with every node reachable from node 0.
+
+    A random arborescence rooted at the source is laid down first, then
+    ``e - (n - 1)`` uniform arcs (self-loops and parallels allowed). Fewer
+    than ``n - 1`` requested arcs still yields the arborescence. Weights are
+    uniform in [0, 1).
+    """
+    rng = random.Random(seed)
+    arcs = _arborescence(n, rng)
+    for _ in range(e - (n - 1)):
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        arcs.append((u, v, rng.random()))
+    return Graph.from_arcs(n, 0, arcs)
+
+
+def gen_random_dag(n: int, e: int, seed) -> Graph:
+    """Random DAG: arcs only from lower to higher rank (node id = rank).
+
+    Reachability from the source is guaranteed the same way as in
+    :func:`gen_random_digraph`; extra arcs are redrawn until ``u != v``.
+    """
+    rng = random.Random(seed)
+    arcs = _arborescence(n, rng)
+    for _ in range(e - (n - 1) if n > 1 else 0):
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        while u == v:
+            u = rng.randrange(n)
+            v = rng.randrange(n)
+        arcs.append((min(u, v), max(u, v), rng.random()))
+    return Graph.from_arcs(n, 0, arcs)
+
+
+def gen_complete(n: int, seed=None) -> Graph:
+    """Complete digraph on ``n`` nodes; unit weights unless a seed is given,
+    else weights uniform in [0, 1) drawn in arc order."""
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    if seed is not None:
+        rng = random.Random(seed)
+        arcs = [(u, v, rng.random()) for u, v in arcs]
+    return Graph.from_arcs(n, 0, arcs)
+
+
+def path_star(k: int) -> Graph:
+    """The path-star DAG on ``2k + 1`` nodes: the path ``0 -> 1 -> ... -> k``
+    plus, for each of ``k`` extra nodes ``w_j = k + j``, the arcs ``k -> w_j``
+    and ``0 -> w_j``. Every ``w_j`` is dominated by the source alone, but its
+    DFS parent is ``k``, at the far end of the path. Unit weights."""
+    arcs = [(v, v + 1) for v in range(k)]
+    for w in range(k + 1, 2 * k + 1):
+        arcs += [(k, w), (0, w)]
+    return Graph.from_arcs(2 * k + 1, 0, arcs)
 
 
 def random_arcs_with_loops(

@@ -17,10 +17,7 @@ from actree import (
     compute_dominator_tree,
     dijkstra,
     family_width,
-    gen_layered,
     gen_nested,
-    gen_random_dag,
-    gen_random_digraph,
     is_module,
     naive_dominance_graph,
     recursive_dijkstra,
@@ -28,7 +25,15 @@ from actree import (
 from actree import ac_tree
 from actree.ac_tree import _kosaraju_tree, _sibling_arcs
 from actree.dominators import _group_by_idom, _immediate_dominators
-from random_graphs import chain_of_blocks, random_arcs_with_loops, rows_read, small_graphs
+from random_graphs import (
+    chain_of_blocks,
+    gen_layered,
+    gen_random_dag,
+    gen_random_digraph,
+    random_arcs_with_loops,
+    rows_read,
+    small_graphs,
+)
 
 
 def component_ids(tree: AcTree) -> list[int]:
@@ -287,18 +292,18 @@ def test_search_plan_lists_each_owners_components_with_singletons_inline():
         n, s = g.node_count, g.source
         start, nodes, off = tree.comp_start, tree.comp_nodes, tree.comp_offsets
         plan, bounds = tree.plan, tree.plan_offsets
-        assert type(plan) is list and bounds.typecode == "i"
+        assert type(plan) is tuple and bounds.typecode == "i"
         assert len(bounds) == n + 1 and bounds[0] == 0 and bounds[n] == len(plan)
         assert all(bounds[a] <= bounds[a + 1] for a in range(n))
         # one flag per node says whether its segment is empty
         owns = tree.plan_owns
-        assert type(owns) is bytearray
+        assert type(owns) is bytes
         assert list(owns) == [int(bounds[a] < bounds[a + 1]) for a in range(n)]
         single = [start[c + 1] - start[c] == 1 for c in range(len(start) - 1)]
         owners = {s} | {v for c, one in enumerate(single) if not one
                         for v in nodes[start[c] : start[c + 1]]}
 
-        def expand(a: int) -> list[int]:
+        def expand(a: int) -> tuple[int, ...]:
             # a's components in order, a singleton as its node followed by
             # that node's components, a larger component as its marker
             out = []
@@ -308,22 +313,35 @@ def test_search_plan_lists_each_owners_components_with_singletons_inline():
                     out += expand(nodes[start[c]])
                 else:
                     out.append(~c)
-            return out
+            return tuple(out)
 
         for a in range(n):
-            assert plan[bounds[a] : bounds[a + 1]] == (expand(a) if a in owners else []), a
+            assert plan[bounds[a] : bounds[a + 1]] == (expand(a) if a in owners else ()), a
         inline = [x for x in plan if x >= 0]
         marked = [v for x in plan if x < 0 for v in nodes[start[~x] : start[~x + 1]]]
         assert sorted(inline + marked) == sorted(set(range(n)) - {s})
         ids = component_ids(tree)
         assert all(x is nodes[start[ids[x]]] for x in inline)  # shared ints
     nested = build_ac_tree(gen_nested((3, 1, (4, 2, 3)), seed=5))
-    assert nested.plan == [~0, ~1, ~2]
+    assert nested.plan == (~0, ~1, ~2)
     assert list(nested.plan_offsets) == [0, 1, 1, 2, 2, 2, 3, 3, 3]
     # 0 -> 1, 2 -> 3, 4: the source dominates all four, and the DFS finishes
     # 3, 4, 1, 2, so its children come in the reverse of that order
     layered = build_ac_tree(gen_layered(2, seed=0))
-    assert layered.plan == [2, 1, 4, 3] and list(layered.plan_offsets) == [0, 4, 4, 4, 4, 4]
+    assert layered.plan == (2, 1, 4, 3) and list(layered.plan_offsets) == [0, 4, 4, 4, 4, 4]
+
+
+def test_plan_and_its_flags_cannot_be_changed_in_place():
+    # finalising node 1 before node 2 would give dist[3] = 6.0, not 3.0
+    g = Graph.from_arcs(4, 0, [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)])
+    tree = build_ac_tree(g)
+    assert tree.plan == (2, 1, 3)
+    with pytest.raises(TypeError):
+        tree.plan[0], tree.plan[1] = tree.plan[1], tree.plan[0]
+    with pytest.raises(TypeError):
+        tree.plan_owns[0] = 0
+    assert tree.plan == (2, 1, 3) and tree.plan_owns == b"\x01\x00\x00\x00"
+    assert recursive_dijkstra(g, tree).dist == (0.0, 2.0, 1.0, 3.0)
 
 
 # One rule numbers every graph: each owner's components follow their first

@@ -20,11 +20,7 @@ from actree import (
     compute_dominator_tree,
     dijkstra,
     family_width,
-    gen_complete,
-    gen_layered,
     gen_nested,
-    gen_random_dag,
-    gen_random_digraph,
     is_module,
     naive_dominance_graph,
     recursive_dijkstra,
@@ -32,7 +28,13 @@ from actree import (
 )
 from actree.ac_tree import _sibling_arcs
 from actree.dominators import _group_by_idom
-from random_graphs import rows_read
+from random_graphs import (
+    gen_complete,
+    gen_layered,
+    gen_random_dag,
+    gen_random_digraph,
+    rows_read,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import actree
-from actree import cli, gen_complete, gen_layered, serialize_edge_list
+from actree import cli, serialize_edge_list
+from random_graphs import gen_complete, gen_layered
 
 DIAMOND = "4 4 0\n0 1 1\n0 2 4\n1 3 2\n2 3 1\n"
 

@@ -12,12 +12,17 @@ from actree import (
     GraphError,
     UnreachableNodeError,
     brute_force_dominated_set,
+    build_ac_tree,
     compute_dominator_tree,
-    gen_layered,
-    gen_random_digraph,
     naive_dominance_graph,
 )
-from random_graphs import random_arcs_with_loops, small_graphs
+from random_graphs import (
+    gen_layered,
+    gen_random_digraph,
+    path_star,
+    random_arcs_with_loops,
+    small_graphs,
+)
 
 
 def test_diamond_idoms(diamond):
@@ -151,6 +156,34 @@ def test_idom_matches_networkx(log2n):
         for v in range(1, n):
             children[t.idom[v]].append(v)
         assert t.children == tuple(map(tuple, children))
+
+
+# On the path-star DAG each extra node's DFS parent is the far end of the
+# path, while only the source dominates it: semi-NCA climbs the whole path
+# for each one. These pin the answer for any faster climb.
+def test_path_star_idom_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    g = path_star(1 << 9)  # 2^10 + 1 nodes
+    n = g.node_count
+    ref = nx.DiGraph()
+    ref.add_nodes_from(range(n))
+    ref.add_edges_from((u, v) for u, v, _ in g.arcs())
+    expected = nx.immediate_dominators(ref, 0)
+    expected[0] = 0
+    assert list(build_ac_tree(g).idom) == [expected[v] for v in range(n)]
+
+
+def test_path_star_idom_is_the_minimal_strict_dominator():
+    for k in range(6):  # up to 11 nodes
+        g = path_star(k)
+        n = g.node_count
+        idom = build_ac_tree(g).idom
+        dominated = [brute_force_dominated_set(g, a) for a in range(n)]
+        assert idom[0] == 0
+        for v in range(1, n):
+            strict = [d for d in range(n) if d != v and v in dominated[d]]
+            assert idom[v] in strict, (k, v)
+            assert all(idom[v] in dominated[d] for d in strict), (k, v)
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,10 +10,9 @@ from actree import (
     brute_force_nesting_width,
     build_ac_tree,
     family_width,
-    gen_layered,
-    gen_random_digraph,
     is_module,
 )
+from random_graphs import gen_layered, gen_random_digraph
 from test_acceptance import _module_closure_check
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import types
 
 import actree
+import actree.graph
 
 
 def test_all_is_sorted_resolves_and_lists_every_public_attribute():
@@ -22,7 +23,12 @@ def test_all_is_sorted_resolves_and_lists_every_public_attribute():
     # one name per job: gen_nested substitutes, brute_force_dominated_set
     # is the dominance oracle, and ac_to_nesting_family returns plain sets
     # whose width is the tree's own; recursive_dijkstra solves DAGs without
-    # a queue, so no DAG-only engine or error class remains
-    for gone in ("nest", "brute_force_dominates", "NestingFamily", "dag_sssp", "CycleError"):
-        assert gone not in names and not hasattr(actree, gone), gone
-    assert len(names) == 34
+    # a queue, so no DAG-only engine or error class remains; the seeded
+    # random and layered families are test fixtures, not library code
+    fixtures = ("gen_layered", "gen_random_digraph", "gen_random_dag", "gen_complete")
+    for name in ("nest", "brute_force_dominates", "NestingFamily", "dag_sssp", "CycleError",
+                 *fixtures):
+        assert name not in names and not hasattr(actree, name), name
+    for name in fixtures:
+        assert not hasattr(actree.graph, name), name
+    assert len(names) == 30

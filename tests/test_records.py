@@ -26,11 +26,11 @@ from actree import (
     build_ac_tree,
     compute_dominator_tree,
     gen_nested,
-    gen_random_digraph,
     recursive_dijkstra,
     verify_spt,
 )
 from actree.graph import _Record
+from random_graphs import gen_random_digraph
 
 CLASSES = (
     Graph,

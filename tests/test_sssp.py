@@ -22,17 +22,14 @@ from actree import (
     UnreachableNodeError,
     build_ac_tree,
     dijkstra,
-    gen_complete,
-    gen_layered,
     gen_nested,
-    gen_random_dag,
-    gen_random_digraph,
     prune_unreachable,
     recursive_dijkstra,
     verify_spt,
 )
 from actree import sssp
 from actree.sssp import _spt_violations
+from random_graphs import gen_complete, gen_layered, gen_random_dag, gen_random_digraph
 
 WEIGHTS = st.sampled_from((0.0, 1.0, 2.0))
 
@@ -285,7 +282,7 @@ def test_recursive_rejects_the_source_inside_a_component():
 def test_recursive_rejects_a_tree_that_leaves_nodes_unfinalised():
     g = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])
     tree = build_ac_tree(g)
-    assert tree.plan == [1, 2] and list(tree.plan_offsets) == [0, 2, 2, 2]
+    assert tree.plan == (1, 2) and list(tree.plan_offsets) == [0, 2, 2, 2]
     cut = AcTree(
         tree.idom,
         tree.comp_start,
@@ -546,3 +543,18 @@ def test_verify_spt_confirms_right_results_without_its_specification(monkeypatch
     for g in cases:
         assert verify_spt(g, recursive_dijkstra(g, build_ac_tree(g)))
         assert verify_spt(g, dijkstra(g))
+
+
+def test_verify_spt_confirms_zero_weight_parent_arcs_without_its_specification():
+    # parent arcs between equal distances may close a cycle, so the fast pass
+    # follows their parents itself instead of handing the result on
+    rng = random.Random(26)
+    g = gen_random_digraph(1 << 14, 4 << 14, seed=26)
+    weights = tuple(float(rng.randrange(3)) for _ in range(g.arc_count))
+    g = Graph(g.source, g.offsets, g.heads, weights)
+    r = dijkstra(g)
+    ties = sum(1 for v, u in enumerate(r.parent) if u is not None and r.dist[u] == r.dist[v])
+    assert ties > 1000
+    with mock.patch.object(sssp, "_spt_violations", side_effect=AssertionError):
+        assert verify_spt(g, r)
+        assert verify_spt(g, recursive_dijkstra(g, build_ac_tree(g)))
