@@ -751,6 +751,29 @@ def test_gen_random_dag_is_acyclic():
      "spec part True is not an int, a Graph or an (outer, at, inner) triple"),
     (lambda: gen_nested((2, 0, True), 0),
      "spec part True is not an int, a Graph or an (outer, at, inner) triple"),
+    (lambda: gen_nested(3, seed=(1, 2)),
+     "seed (1, 2) is not None, an int, a float, a str, bytes or a bytearray"),
+    (lambda: gen_nested(-1, 0), "spec part -1: a component needs at least one node"),
+    (lambda: gen_nested(2.0, 0),
+     "spec part 2.0 is not an int, a Graph or an (outer, at, inner) triple"),
+    (lambda: gen_nested((2, 0, 3, 1), 0),
+     "spec part (2, 0, 3, 1) is not an int, a Graph or an (outer, at, inner) triple"),
+    (lambda: gen_nested([2, 0, 3], 0),
+     "spec part [2, 0, 3] is not an int, a Graph or an (outer, at, inner) triple"),
+    (lambda: gen_nested((2, -1, 3), 0),
+     "spec (2, -1, 3): node -1 is not one of the outer part's 2 nodes"),
+    (lambda: gen_nested((2, True, 3), 0),
+     "spec (2, True, 3): node True is not one of the outer part's 2 nodes"),
+    (lambda: gen_nested((2, 1.0, 3), 0),
+     "spec (2, 1.0, 3): node 1.0 is not one of the outer part's 2 nodes"),
+    # the outer part of a triple may itself be nested: (2, 0, 2) has 3 nodes
+    (lambda: gen_nested(((2, 0, 2), 3, 1), 0),
+     "spec ((2, 0, 2), 3, 1): node 3 is not one of the outer part's 3 nodes"),
+    # an error deep inside names the innermost part at fault
+    (lambda: gen_nested((2, 0, (2, 5, 1)), 0),
+     "spec (2, 5, 1): node 5 is not one of the outer part's 2 nodes"),
+    (lambda: gen_nested((2, 0, (2, 1, -3)), 0),
+     "spec part -3: a component needs at least one node"),
 ])
 def test_generators_raise_a_typed_error_naming_the_argument(call, message):
     with pytest.raises(GraphError) as info:
