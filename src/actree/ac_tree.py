@@ -76,8 +76,10 @@ class AcTree(_Record):
     graph's own tuples, held by reference, not copied. The tree does not
     depend on weights, so it serves any graph with equal ``offsets``,
     ``heads`` and source, and :func:`~actree.recursive_dijkstra` rejects any
-    other. The plan and the flags cannot be changed in place; the int
-    arrays are read-only by contract.
+    other. :func:`build_ac_tree` returns the plan as a tuple and the flags
+    as ``bytes``, so neither can be changed in place; the int arrays are
+    read-only by contract. A tree made by calling ``AcTree(...)`` directly
+    is not checked: its fields are whatever the caller passed.
     The repr shows ``width`` and ``comp_sizes`` only, so printing a tree
     costs the same at any size.
     """

@@ -387,12 +387,12 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
     is reported as a size mismatch; a column that some node id does not
     index (a ``set``, or a ``dict`` with a missing key) is named on its own.
 
-    A result that passes comes through one fast pass: the node columns are
-    checked whole, in C, one loop over the arcs reads a parent only on a
-    tight arc, and only the parents of nodes joined to them at one distance
-    are followed, to rule out a cycle. Any other result, and any exception
-    in that pass, goes through :func:`_spt_violations`, the specification,
-    which names every violation in its order.
+    A result that passes, and whose parent arcs all join nodes at different
+    distances, comes through one fast pass: the node columns are checked
+    whole, in C, and one loop over the arcs reads a parent only on a tight
+    arc. Any other result, and any exception in that pass, goes through
+    :func:`_spt_violations`, the specification, which names every violation
+    in its order.
     """
     try:
         if _spt_holds(g, r.dist, r.parent):
@@ -414,11 +414,9 @@ def _spt_holds(g: Graph, dist, parent) -> bool:
     ``parent[v]`` is ``u``; every node but the source must end up tight.
 
     A tight arc never lowers a distance, so every arc of a cycle of tight
-    parent arcs joins two nodes at one distance. Each tight parent arc with
-    ``dist[u] == dist[v]`` is therefore recorded as ``ties[v] = u``, and
-    after the loop the parents are followed from the recorded nodes only,
-    through recorded nodes, each node once: a walk that comes back to a
-    node of its own returns False, and the specification names the cycle.
+    parent arcs joins two nodes at one distance. A tight parent arc with
+    ``dist[u] == dist[v]`` therefore returns False, and the specification
+    walks the parents.
     """
     n = g.node_count
     s = g.source
@@ -436,7 +434,6 @@ def _spt_holds(g: Graph, dist, parent) -> bool:
         return False
     off, heads, weights = g.offsets, g.heads, g.weights
     tight = [False] * n
-    ties: dict[int, int] = {}
     for u in range(n):
         du = dist[u]
         for i in range(off[u], off[u + 1]):
@@ -448,20 +445,9 @@ def _spt_holds(g: Graph, dist, parent) -> bool:
                     return False  # an improving arc
                 if parent[v] == u:
                     if du == dv:
-                        ties[v] = u  # it may close a parent cycle
+                        return False  # it may close a parent cycle
                     tight[v] = True
-    if tight.count(True) != n - 1:
-        return False
-    walked: set[int] = set()
-    for v in ties:
-        walk = set()
-        while v in ties and v not in walked:
-            if v in walk:
-                return False  # the parents came back to v
-            walk.add(v)
-            v = ties[v]
-        walked |= walk
-    return True
+    return tight.count(True) == n - 1
 
 
 def _spt_violations(g: Graph, r: ShortestPathResult) -> SptCheck:
