@@ -40,7 +40,7 @@ from itertools import accumulate
 from operator import sub
 
 from .dominators import DominatorTree, _check_node, _group_by_idom, _immediate_dominators
-from .graph import Graph, _Record
+from .graph import Graph, GraphError, _Record
 
 
 class AcTree(_Record):
@@ -76,10 +76,11 @@ class AcTree(_Record):
     graph's own tuples, held by reference, not copied. The tree does not
     depend on weights, so it serves any graph with equal ``offsets``,
     ``heads`` and source, and :func:`~actree.recursive_dijkstra` rejects any
-    other. :func:`build_ac_tree` returns the plan as a tuple and the flags
-    as ``bytes``, so neither can be changed in place; the int arrays are
-    read-only by contract. A tree made by calling ``AcTree(...)`` directly
-    is not checked: its fields are whatever the caller passed.
+    other. The plan is a tuple and the flags are ``bytes``, so neither can
+    be changed in place: ``AcTree(...)`` raises :class:`GraphError` naming
+    the field otherwise. It checks nothing else, so the int arrays are
+    read-only by contract, and a hand-built tree's fields are whatever the
+    caller passed.
     The repr shows ``width`` and ``comp_sizes`` only, so printing a tree
     costs the same at any size.
     """
@@ -89,6 +90,13 @@ class AcTree(_Record):
         "plan", "plan_offsets", "plan_owns", "offsets", "heads",
     )
     _shown = ("width", "comp_sizes")
+
+    def __init__(self, *fields) -> None:
+        super().__init__(*fields)
+        if type(self.plan) is not tuple:
+            raise GraphError("plan is not a tuple")
+        if type(self.plan_owns) is not bytes:
+            raise GraphError("plan_owns is not bytes")
 
     @property
     def width(self) -> int:
@@ -180,12 +188,14 @@ def build_ac_tree(g: Graph) -> AcTree:
     sibling arc points forward in that order, so every component is one
     node and the grouping lays the tree out. Any other graph goes through
     Kosaraju's second pass over the same grouping. Either way one walk then
-    lays out the search plan. Every stage but one is linear or near-linear
-    in ``n + e``. The exception is the dominator pass's semi-NCA climb,
-    which is quadratic in the worst case: on the path-star DAG (a path
-    ``0 -> ... -> k`` plus arcs ``k -> w`` and ``0 -> w`` for ``k`` extra
-    nodes ``w``) each ``w`` climbs the whole path. The decomposition does
-    not depend on arc weights.
+    lays out the search plan. Every stage is linear or near-linear in
+    ``n + e`` on every input; the dominator pass is O(e log n), since its
+    semi-NCA climb switches to Lengauer and Tarjan's relative-dominator
+    step once it has spent a step budget linear in ``n + e``. So the
+    path-star DAG (a path ``0 -> ... -> k`` plus arcs ``k -> w`` and
+    ``0 -> w`` for ``k`` extra nodes ``w``), on which each ``w`` would
+    climb the whole path, costs about what any DAG of its size does. The
+    decomposition does not depend on arc weights.
     """
     n = g.node_count
     idom, post, back = _immediate_dominators(g)

@@ -4,13 +4,19 @@ A node ``a`` dominates ``b`` when every path from the source to ``b``
 passes through ``a``. The dominance order is tree-structured, and the tree
 is computed here with the semi-NCA algorithm of Georgiadis, Tarjan and
 Werneck ("Finding Dominators in Practice", JGAA 2006), the fastest they
-measured in practice: Lengauer-Tarjan's semidominator pass with path
-compression (O(e log n)), no buckets, and each immediate dominator found by
-a walk up the dominator tree built so far. That walk is short on most
-inputs but is bounded only by the tree's depth, so the pass is O(n^2) in
-the worst case, as that paper notes. The path-star DAG reaches it: a path
-``0 -> 1 -> ... -> k`` plus arcs ``k -> w`` and ``0 -> w`` for ``k`` extra
-nodes ``w``, where each ``w`` walks from ``k`` back to the source.
+measured in practice: Lengauer-Tarjan's semidominator pass, its EVAL by
+path halving, no buckets, and each immediate dominator found by a walk up
+the dominator tree built so far. The DFS files no DFS-tree arc as a
+predecessor: each node's semidominator search starts at its DFS parent.
+The walk is short on most inputs but is bounded only by the tree's depth,
+which the path-star DAG reaches: a path ``0 -> 1 -> ... -> k`` plus arcs
+``k -> w`` and ``0 -> w`` for ``k`` extra nodes ``w``, where each ``w``
+walks from ``k`` back to the source, O(n^2) steps in all. So the walks
+share a budget of ``_CLIMB_BUDGET * (n + e)`` steps. Past it, the pass
+finishes with Lengauer and Tarjan's relative-dominator step ("A fast
+algorithm for finding dominators in a flowgraph", TOPLAS 1979): buckets by
+semidominator, one EVAL per node, one forward pass. The whole pass is
+O(e log n) on every input, and the common path pays only the step counter.
 Everything runs over flat arrays indexed by DFS number. The tree is then
 walked once in preorder.
 The stored preorder makes dominance an O(1) interval test and every subtree
@@ -22,6 +28,10 @@ from __future__ import annotations
 from array import array
 
 from .graph import Graph, GraphError, UnreachableNodeError, _Record
+
+# The NCA climbs of one dominator pass may take this many steps per node and
+# arc in all; past that, the pass switches to the relative-dominator step.
+_CLIMB_BUDGET = 4
 
 
 class DominatorTree(_Record):
@@ -91,19 +101,25 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int], bool]:
     arc into the source.
 
     Semi-NCA over DFS numbers. A DFS in stored arc order numbers the nodes
-    and records each node's predecessors by number. Then, in decreasing
-    number ``w``: a predecessor numbered ``<= w`` (a self-loop included)
-    is its own semidominator candidate; a larger one is already linked, and
-    its candidate is the least semidominator number on its forest path,
-    found by path compression with ``label`` holding that minimum. Finally,
-    in increasing number, ``idom[w]`` is the nearest ancestor of ``parent[w]``
+    and records, by number, each node's predecessors over the arcs that are
+    not DFS-tree arcs. Then, in decreasing number ``w``: the candidate
+    semidominators start at ``w``'s DFS parent; a predecessor numbered
+    ``<= w`` (a self-loop included) is its own candidate; a larger one is
+    already linked, and its candidate is the least semidominator number on
+    its forest path, found by path halving (EVAL): each linked node on the
+    walk takes the smaller label of its own and its parent's segment, with
+    ``label`` holding a segment's minimum, and jumps to its grandparent.
+    A back arc costs one comparison to spot: for a predecessor ``v > w``
+    the walk ends at ``v``'s nearest DFS ancestor numbered ``<= w``, which
+    is ``w`` exactly when ``w`` is an ancestor of ``v``. Finally, in
+    increasing number, ``idom[w]`` is the nearest ancestor of ``parent[w]``
     in the dominator tree numbered ``<= semi[w]``, found by climbing one
-    step at a time: O(n) steps for one ``w`` in the worst case. A back arc
-    costs one comparison to spot: for a predecessor ``v > w`` the forest
-    climb ends at ``v``'s nearest DFS ancestor numbered ``<= w``, which is
-    ``w`` exactly when ``w`` is an ancestor of ``v``. The finish order is
-    linked through each finished node's dead ``nxt`` entry; the A-C tree
-    build reads it in reverse as the first pass of Kosaraju-Sharir.
+    step at a time. One ``w`` can climb O(n) steps, so the climbs share a
+    budget of ``_CLIMB_BUDGET * (n + e)`` steps; once it is spent, the pass
+    answers every node afresh with :func:`_relative_dominators`. The pass
+    is O(e log n) whatever the input. The finish order is linked through
+    each finished node's dead ``nxt`` entry; the A-C tree build reads it in
+    reverse as the first pass of Kosaraju-Sharir.
     """
     n = g.node_count
     s = g.source
@@ -130,11 +146,10 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int], bool]:
             w = heads[i]
             i += 1
             x = num[w]
-            if x < 0:
+            if x < 0:  # a tree arc: parent[w] stands for it
                 num[w] = count
                 vertex[count] = w
                 parent[count] = nv
-                pred[count].append(nv)
                 count += 1
                 stack.append(w)
                 nxt[v] = i
@@ -153,36 +168,36 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int], bool]:
     del num  # each pass frees what it no longer reads: a lower peak
 
     # Semidominators. Numbers above w are linked into the forest, with
-    # anc[] as their (compressed) forest parent.
-    semi = list(range(n))
-    label = semi[:]  # shares semi's int objects: a lower peak
+    # anc[] as their forest parent, halved by each walk; label[x] is the
+    # least semidominator from x up to, not including, anc[x]. The copies
+    # share parent's int objects: a lower peak.
+    semi = parent[:]
+    label = parent[:]
     anc = parent[:]
     back = False
     for w in range(n - 1, 0, -1):
-        sw = w
+        sw = parent[w]
         for v in pred[w]:
             if v <= w:
                 if v < sw:
                     sw = v
                 continue
+            lx = label[v]
             a = anc[v]
-            if a > w:
-                path = []
-                x = v
-                while a > w:
-                    path.append(x)
+            x = v
+            while a > w:  # x and its forest parent a are linked
+                la = label[a]
+                if la < label[x]:
+                    label[x] = la
+                    if la < lx:  # lx <= label[x] already
+                        lx = la
+                a = anc[a]
+                anc[x] = a
+                if a > w:  # the walk goes on from the grandparent
                     x = a
+                    if label[x] < lx:
+                        lx = label[x]
                     a = anc[x]
-                lx = label[x]
-                for u in reversed(path):
-                    lu = label[u]
-                    if lx < lu:
-                        label[u] = lx
-                    else:
-                        lx = lu
-                    anc[u] = a
-            else:
-                lx = label[v]
             # a is v's nearest DFS ancestor numbered <= w: w itself exactly
             # when (v, w) is a back arc
             if a == w:
@@ -190,7 +205,7 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int], bool]:
             if lx < sw:
                 sw = lx
         semi[w] = label[w] = sw
-    del pred, label, anc
+    del pred, anc
     post = [s] * (n - 1)
     v = s
     for k in range(n - 2, -1, -1):
@@ -198,18 +213,70 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int], bool]:
     del nxt
 
     # idom[w] = NCA(parent[w], semi[w]): climb from the parent.
-    inum = semi  # reused: semi[w] is read before inum[w] is written
+    inum = label  # reused: the climb reads inum[x] only for x < w
+    left = _CLIMB_BUDGET * (n + len(heads))
     for w in range(1, n):
         x = parent[w]
         sw = semi[w]
         while x > sw:
             x = inum[x]
+            left -= 1
         inum[w] = x
+        if left <= 0:
+            inum = _relative_dominators(parent, semi)
+            break
     idom = [s] * n
     for w in range(1, n):
         idom[vertex[w]] = vertex[inum[w]]
 
     return tuple(idom), post, back
+
+
+def _relative_dominators(parent: list[int], semi: list[int]) -> list[int]:
+    """Immediate dominators by DFS number, from the DFS parents and the
+    semidominators, in O(n log n) whatever the dominator tree's depth.
+
+    Lengauer and Tarjan's relative-dominator step ("A fast algorithm for
+    finding dominators in a flowgraph", TOPLAS 1979). Each ``v`` waits in
+    the bucket of ``p = semi[v]`` (one sort by semidominator), and the
+    buckets are answered in decreasing ``p``, when the numbers above ``p``
+    are linked into the forest: an EVAL by path halving finds the vertex
+    ``u`` of least semidominator between ``v`` and the child of ``p``
+    above it, with ``label`` holding a segment's least vertex. ``idom[v]``
+    is ``p`` when ``semi[u] == p``, and otherwise ``idom[u]``, which one
+    forward pass fills in, since ``u < v``.
+    """
+    n = len(parent)
+    anc = parent[:]
+    label = list(range(n))
+    idom = semi[:]  # then u for each v whose answer is idom[u]
+    for v in sorted(range(1, n), key=semi.__getitem__, reverse=True):
+        p = semi[v]
+        u = label[v]
+        su = semi[u]
+        a = anc[v]
+        x = v
+        while a > p:  # x and its forest parent a are linked
+            la = label[a]
+            sa = semi[la]
+            if sa < semi[label[x]]:
+                label[x] = la
+                if sa < su:  # su <= semi[label[x]] already
+                    u, su = la, sa
+            a = anc[a]
+            anc[x] = a
+            if a > p:  # the walk goes on from the grandparent
+                x = a
+                lx = label[x]
+                if semi[lx] < su:
+                    u, su = lx, semi[lx]
+                a = anc[x]
+        if su < p:
+            idom[v] = u
+    for w in range(1, n):
+        if idom[w] != semi[w]:
+            idom[w] = idom[idom[w]]
+    return idom
 
 
 def _group_by_idom(

@@ -139,14 +139,15 @@ class Graph(_Record):
 
     The arcs are stored in compressed sparse rows: node ``u``'s arcs are
     ``heads[offsets[u]:offsets[u + 1]]`` with the matching ``weights``, in
-    insertion order. All three are tuples, so a graph costs about 16 B per
-    arc plus one offset per node, and no per-arc object. The columns fix
-    the counts: ``node_count`` is ``len(offsets) - 1`` and ``arc_count`` is
-    ``len(heads)``, both read-only properties. Parallel arcs and self-loops
-    are kept as given; heads are ``int`` node ids and weights finite
-    non-negative ``float`` values (parsers normalise a missing weight to
-    1.0), so the search engines need no per-arc checks. The repr shows the
-    node count, source and arc count only.
+    insertion order. All three are tuples, so a graph costs 16 B of tuple
+    slots per arc, plus each arc's own float and one offset per node, and
+    no per-arc tuple. The columns fix the counts: ``node_count`` is
+    ``len(offsets) - 1`` and ``arc_count`` is ``len(heads)``, both
+    read-only properties. Parallel arcs and self-loops are kept as given;
+    heads are ``int`` node ids and weights finite non-negative ``float``
+    values (parsers normalise a missing weight to 1.0), so the search
+    engines need no per-arc checks. The repr shows the node count, source
+    and arc count only.
     """
 
     __slots__ = ("source", "offsets", "heads", "weights")

@@ -96,6 +96,44 @@ def path_star(k: int) -> Graph:
     return Graph.from_arcs(2 * k + 1, 0, arcs)
 
 
+def path_back_arcs(k: int) -> Graph:
+    """The path ``0 -> 1 -> ... -> k`` plus an arc from its end ``k`` back to
+    every node, the source included. Unit weights."""
+    arcs = [(v, v + 1) for v in range(k)] + [(k, v) for v in range(k)]
+    return Graph.from_arcs(k + 1, 0, arcs)
+
+
+def nested_loops(k: int) -> Graph:
+    """The path ``0 -> 1 -> ... -> 2k`` plus the arc ``2k + 1 - i -> i`` for
+    each ``i`` in ``1..k``: ``k`` loops, each inside the one before. Unit
+    weights."""
+    arcs = [(v, v + 1) for v in range(2 * k)]
+    arcs += [(2 * k + 1 - i, i) for i in range(1, k + 1)]
+    return Graph.from_arcs(2 * k + 1, 0, arcs)
+
+
+def star_back_arcs(k: int) -> Graph:
+    """The source's arc to a hub ``1``, and an arc each way between the hub
+    and each of ``k`` leaves ``2..k + 1``. Unit weights."""
+    arcs = [(0, 1)]
+    for w in range(2, k + 2):
+        arcs += [(1, w), (w, 1)]
+    return Graph.from_arcs(k + 2, 0, arcs)
+
+
+def ladder(k: int) -> Graph:
+    """Two paths ``a_1 -> ... -> a_k`` and ``b_1 -> ... -> b_k`` (``a_i = 2i - 1``,
+    ``b_i = 2i``) with an arc each way across every rung, entered at ``a_1``
+    from the source; every component but ``{b_1}`` is a rung. Unit weights."""
+    arcs = [(0, 1)]
+    for i in range(1, k + 1):
+        a, b = 2 * i - 1, 2 * i
+        arcs += [(a, b), (b, a)]
+        if i < k:
+            arcs += [(a, a + 2), (b, b + 2)]
+    return Graph.from_arcs(2 * k + 1, 0, arcs)
+
+
 def random_arcs_with_loops(
     n: int, m: int, rng: random.Random, acyclic: bool = False
 ) -> list[tuple[int, int]]:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from actree import (
     AcTree,
     Graph,
+    GraphError,
     ac_to_nesting_family,
     brute_force_nesting_width,
     build_ac_tree,
@@ -162,6 +163,18 @@ def test_dag_width_is_two():
 def test_actree_is_deterministic():
     g = gen_random_digraph(40, 120, seed=8)
     assert build_ac_tree(g) == build_ac_tree(g)
+
+
+@pytest.mark.parametrize("field, mutable", [("plan", list), ("plan_owns", bytearray)])
+def test_actree_rejects_a_plan_that_can_change_in_place(field, mutable):
+    tree = build_ac_tree(Graph.from_arcs(3, 0, [(0, 1), (1, 2)]))
+    values = [getattr(tree, name) for name in AcTree.__slots__]
+    i = AcTree.__slots__.index(field)
+    values[i] = mutable(values[i])
+    with pytest.raises(GraphError, match=f"^{field} is not "):
+        AcTree(*values)
+    values[i] = getattr(tree, field)
+    assert AcTree(*values) == tree
 
 
 def test_repr_leaves_out_the_columns():

@@ -33,7 +33,12 @@ from random_graphs import (
     gen_layered,
     gen_random_dag,
     gen_random_digraph,
+    ladder,
+    nested_loops,
+    path_back_arcs,
+    path_star,
     rows_read,
+    star_back_arcs,
 )
 
 
@@ -305,6 +310,23 @@ def test_criterion_8_scaling_report():
         f"[acceptance]   dijkstra (DAG) ratios: {[f'{r:.2f}' for r in ratios(dijkstra_times)]}"
         f" mean {per_doubling(dijkstra_times):.2f} (expect extra log-factor growth)"
     )
+    # adversarial families at about 2^12, 2^14 and 2^16 nodes: a stage that
+    # turns superlinear on one of them shows as a per-doubling ratio near 4
+    for family, nodes_per_k in (
+        (path_star, 2), (path_back_arcs, 1), (nested_loops, 2),
+        (star_back_arcs, 1), (ladder, 2),
+    ):
+        times = []
+        for log2n in (12, 14, 16):
+            g = family((1 << log2n) // nodes_per_k)
+            t0 = time.perf_counter()
+            build_ac_tree(g)
+            times.append(time.perf_counter() - t0)
+        print(
+            f"[acceptance]   {family.__name__} build seconds at 2^12, 2^14, 2^16"
+            f" nodes: {[f'{t:.3f}' for t in times]}"
+            f" mean ratio/doubling {(times[-1] / times[0]) ** (1 / 4):.2f}"
+        )
     _report("8 scaling", True, "op counts asserted, timings reported above")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,11 @@ from actree import (
     brute_force_dominated_set,
     build_ac_tree,
     compute_dominator_tree,
+    dijkstra,
     naive_dominance_graph,
 )
+from actree import dominators
+from actree.dominators import _immediate_dominators
 from random_graphs import (
     gen_layered,
     gen_random_digraph,
@@ -184,6 +188,107 @@ def test_path_star_idom_is_the_minimal_strict_dominator():
             strict = [d for d in range(n) if d != v and v in dominated[d]]
             assert idom[v] in strict, (k, v)
             assert all(idom[v] in dominated[d] for d in strict), (k, v)
+
+
+def test_path_star_build_is_linear():
+    """Best-of-5 build time as a ratio to ``dijkstra`` on the same graph,
+    which does not drift with the machine's speed. A quadratic climb read
+    104x at k = 2^14."""
+
+    def ratio(k):
+        g = path_star(k)
+        build, search = [], []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            build_ac_tree(g)
+            t1 = time.perf_counter()
+            dijkstra(g)
+            build.append(t1 - t0)
+            search.append(time.perf_counter() - t1)
+        return min(build) / min(search)
+
+    small, large = ratio(1 << 11), ratio(1 << 14)
+    assert large <= 10, (small, large)
+    assert large <= 1.5 * small, (small, large)
+
+
+def _dfs_reference(g: Graph) -> tuple[list[int], bool]:
+    """The non-source nodes in finish order of a DFS from the source that
+    scans each row's arcs in stored order, and whether it met an arc into a
+    proper DFS ancestor other than the source."""
+    s = g.source
+    off, heads = g.offsets, g.heads
+    state = [0] * g.node_count  # 0 unseen, 1 on the stack, 2 finished
+    state[s] = 1
+    stack = [(s, iter(heads[off[s] : off[s + 1]]))]
+    post = []
+    back = False
+    while stack:
+        u, row = stack[-1]
+        for v in row:
+            if state[v] == 0:
+                state[v] = 1
+                stack.append((v, iter(heads[off[v] : off[v + 1]])))
+                break
+            if state[v] == 1 and v != u and v != s:
+                back = True
+        else:
+            stack.pop()
+            state[u] = 2
+            if u != s:
+                post.append(u)
+    return post, back
+
+
+def _dominator_corpus() -> list[Graph]:
+    """Random cyclic and acyclic graphs with self-loops, parallel arcs and
+    arcs into the source, relabelled so that the source and the DFS order
+    are not the node order, then a few path-star DAGs."""
+    rng = random.Random(27)
+    graphs = []
+    for i in range(400):
+        n = rng.randint(1, 40)
+        arcs = random_arcs_with_loops(n, rng.randint(0, 3 * n), rng, acyclic=i % 2 == 0)
+        arcs += [(rng.randrange(n), 0) for _ in range(i % 3)]
+        label = rng.sample(range(n), n)
+        graphs.append(Graph.from_arcs(n, label[0], [(label[u], label[v]) for u, v in arcs]))
+    return graphs + [path_star(k) for k in (1, 2, 5, 9, 1 << 7)]
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["budget-as-is", "budget-0"])
+def test_immediate_dominators_match_independent_references(budget, monkeypatch):
+    """``idom`` against networkx, the finish order and the back-arc flag
+    against a plain DFS; with a budget of 0 every graph takes the
+    relative-dominator step."""
+    nx = pytest.importorskip("networkx")
+    if budget is not None:
+        monkeypatch.setattr(dominators, "_CLIMB_BUDGET", budget)
+    fallbacks = []
+    step = dominators._relative_dominators
+
+    def counted(parent, semi):
+        fallbacks.append(len(parent))
+        return step(parent, semi)
+
+    monkeypatch.setattr(dominators, "_relative_dominators", counted)
+    corpus = _dominator_corpus()
+    took = []
+    for i, g in enumerate(corpus):
+        n, s = g.node_count, g.source
+        before = len(fallbacks)
+        idom, post, back = _immediate_dominators(g)
+        took.append(len(fallbacks) > before)
+        ref = nx.DiGraph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from((u, v) for u, v, _ in g.arcs())
+        expected = nx.immediate_dominators(ref, s)
+        expected[s] = s  # networkx 3.6 leaves the source out; here it maps to itself
+        assert list(idom) == [expected[v] for v in range(n)], i
+        assert (post, back) == _dfs_reference(g), i
+    if budget == 0:
+        assert all(took[i] for i, g in enumerate(corpus) if g.node_count > 1)
+    else:  # only the largest path-star DAG spends the budget
+        assert took == [False] * (len(corpus) - 1) + [True]
 
 
 @settings(max_examples=300, deadline=None)

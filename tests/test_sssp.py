@@ -289,9 +289,9 @@ def test_recursive_rejects_a_tree_that_leaves_nodes_unfinalised():
         tree.comp_nodes,
         tree.comp_offsets,
         tree.comp_sizes,
-        [1],  # the plan without node 2
+        (1,),  # the plan without node 2
         array("i", [0, 1, 1, 1]),
-        bytearray([1, 0, 0]),
+        bytes([1, 0, 0]),
         tree.offsets,
         tree.heads,
     )
