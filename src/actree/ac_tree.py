@@ -7,17 +7,17 @@ components of its dominance graph in topological order; its width equals
 the nesting width of the graph, which makes it the decomposition that
 drives the recursive shortest-path search.
 
-One order serves every graph: the reverse postorder (RPO) of the
-dominators' DFS, in which one counting sort groups each owner's children.
-It is a valid first pass of Kosaraju-Sharir's strong-components algorithm
-(Sharir 1981) for every dominance graph at once. Every node of a child
-``c``'s dominator subtree is a DFS descendant of ``c``, and a path that
-leaves owner ``a``'s subtree comes back only through ``a``, which is on the
-DFS stack while any child of ``a`` is. So, by the white-path theorem, when
-one component of ``a``'s dominance graph has an arc into another, the
-first member of the first in RPO precedes every member of the second.
-Each owner's components are numbered in the RPO of their first members,
-which is a topological order.
+One order serves every graph: the reverse postorder (RPO) of the dominators'
+DFS, in which the dominator pass itself groups each owner's children. It is
+a valid first pass of Kosaraju-Sharir's strong-components algorithm (Sharir
+1981) for every dominance graph at once. Every node of a child ``c``'s
+dominator subtree is a DFS descendant of ``c``, and a path that leaves owner
+``a``'s subtree comes back only through ``a``, which is on the DFS stack
+while any child of ``a`` is. So, by the white-path theorem, when one
+component of ``a``'s dominance graph has an arc into another, the first
+member of the first in RPO precedes every member of the second. Each owner's
+components are numbered in the RPO of their first members, which is a
+topological order.
 
 When the DFS meets no back arc (self-loops and arcs into the source aside),
 every sibling arc points forward in RPO, so every component is one node and
@@ -39,7 +39,7 @@ from collections import Counter
 from itertools import accumulate
 from operator import sub
 
-from .dominators import DominatorTree, _check_node, _group_by_idom, _immediate_dominators
+from .dominators import DominatorTree, _check_node, _immediate_dominators
 from .graph import Graph, GraphError, _Record
 
 
@@ -124,18 +124,18 @@ def _sibling_arcs(
 ) -> list[list[int]]:
     """Arcs of every dominance graph, transposed, as tail lists in scan order.
 
-    ``start`` and ``kids`` group every node's dominator children, as
-    :func:`~actree.dominators._group_by_idom` returns them. One walk of the
-    dominator tree in preorder keeps, for each node, its child whose
-    subtree the walk is inside (``current``), then scans the stored arcs of
-    the visited node ``v``. For an arc ``(v, w)``, ``idom(w)`` is ``v``
-    itself or a proper ancestor of ``v``, whose ``current`` entry is already
-    the child on the path to ``v``. So the arc becomes the sibling arc
-    ``(current[idom(w)], w)`` in O(1), filed under its head: stored as
-    ``current[idom(w)]`` in ``pred[w]``; both ends are children of
-    ``idom(w)``. Arcs onto the global source and arcs that coincide with
-    dominator-tree arcs contribute nothing and are skipped, as are arcs from
-    ``w``'s own subtree back to ``w``. A tail may repeat.
+    ``start`` and ``kids`` group every node's dominator children, in any
+    order, as :func:`~actree.dominators._immediate_dominators` returns them.
+    One walk of the dominator tree in preorder keeps, for each node, its
+    child whose subtree the walk is inside (``current``), then scans the
+    stored arcs of the visited node ``v``. For an arc ``(v, w)``,
+    ``idom(w)`` is ``v`` itself or a proper ancestor of ``v``, whose
+    ``current`` entry is already the child on the path to ``v``. So the arc
+    becomes the sibling arc ``(current[idom(w)], w)`` in O(1), filed under
+    its head: stored as ``current[idom(w)]`` in ``pred[w]``; both ends are
+    children of ``idom(w)``. Arcs onto the global source and arcs that
+    coincide with dominator-tree arcs contribute nothing and are skipped, as
+    are arcs from ``w``'s own subtree back to ``w``. A tail may repeat.
     """
     n = g.node_count
     off, heads = g.offsets, g.heads
@@ -163,9 +163,15 @@ def naive_dominance_graph(
 
     Returns the arcs ``(u, v)`` between distinct dominator children of ``a``
     such that some arc leaves the subtree of ``u`` and enters the subtree of
-    ``v``. The nodes of the graph are ``t.children[a]``.
+    ``v``. The nodes of the graph are ``t.children[a]``. Raises
+    :class:`GraphError` when ``t`` covers another number of nodes than ``g``.
     """
-    _check_node(a, g.node_count)
+    n = g.node_count
+    if len(t.idom) != n:
+        raise GraphError(
+            f"dominator tree of {len(t.idom)} nodes given for a {n}-node graph"
+        )
+    _check_node(a, n)
     subtree_of: dict[int, int] = {}
     for c in t.children[a]:
         for v in t.descendants(c):
@@ -182,25 +188,23 @@ def naive_dominance_graph(
 def build_ac_tree(g: Graph) -> AcTree:
     """Construct the A-C tree of a pruned graph.
 
-    Dominators first; their DFS's reverse postorder, grouped by immediate
-    dominator in one counting sort, orders every owner's children. When the
-    DFS meets no back arc but self-loops and arcs into the source, every
-    sibling arc points forward in that order, so every component is one
-    node and the grouping lays the tree out. Any other graph goes through
-    Kosaraju's second pass over the same grouping. Either way one walk then
-    lays out the search plan. Every stage is linear or near-linear in
-    ``n + e`` on every input; the dominator pass is O(e log n), since its
-    semi-NCA climb switches to Lengauer and Tarjan's relative-dominator
-    step once it has spent a step budget linear in ``n + e``. So the
-    path-star DAG (a path ``0 -> ... -> k`` plus arcs ``k -> w`` and
-    ``0 -> w`` for ``k`` extra nodes ``w``), on which each ``w`` would
-    climb the whole path, costs about what any DAG of its size does. The
-    decomposition does not depend on arc weights.
+    Dominators first: the dominator pass returns every owner's children
+    grouped in the reverse postorder of its DFS. When the DFS meets no back
+    arc but self-loops and arcs into the source, every sibling arc points
+    forward in that order, so every component is one node and the grouping
+    lays the tree out. Any other graph goes through Kosaraju's second pass
+    over the same grouping. Either way one walk then lays out the search
+    plan. Every stage is linear or near-linear in ``n + e`` on every input;
+    the dominator pass is O(e log n), since its semi-NCA climb switches to
+    Lengauer and Tarjan's relative-dominator step once it has spent a step
+    budget linear in ``n + e``. So the path-star DAG (a path
+    ``0 -> ... -> k`` plus arcs ``k -> w`` and ``0 -> w`` for ``k`` extra
+    nodes ``w``), on which each ``w`` would climb the whole path, costs
+    about what any DAG of its size does. The decomposition does not depend
+    on arc weights.
     """
     n = g.node_count
-    idom, post, back = _immediate_dominators(g)
-    start, kids = _group_by_idom(idom, g.source, post)
-    del post
+    idom, start, kids, back = _immediate_dominators(g)
     if back:
         return _kosaraju_tree(g, idom, start, kids)
     # one component per non-source node: each owner's children, in reverse

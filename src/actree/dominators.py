@@ -17,15 +17,19 @@ finishes with Lengauer and Tarjan's relative-dominator step ("A fast
 algorithm for finding dominators in a flowgraph", TOPLAS 1979): buckets by
 semidominator, one EVAL per node, one forward pass. The whole pass is
 O(e log n) on every input, and the common path pays only the step counter.
-Everything runs over flat arrays indexed by DFS number. The tree is then
-walked once in preorder.
-The stored preorder makes dominance an O(1) interval test and every subtree
-a slice of it. A path-removal oracle is provided for testing.
+Everything runs over flat arrays indexed by DFS number. The pass returns
+the tree grouped by owner, each owner's children in the reverse postorder
+of its DFS: the one grouping that both the A-C tree build and
+:func:`compute_dominator_tree` read. The latter sorts each owner's children
+and walks the tree once in preorder. The stored preorder makes dominance
+an O(1) interval test and every subtree a slice of it. A path-removal
+oracle is provided for testing.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 
 from .graph import Graph, GraphError, UnreachableNodeError, _Record
 
@@ -68,14 +72,14 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     """Build the dominator tree of ``g`` rooted at its source.
 
     Requires every node to be reachable from the source (prune first).
-    The tree and its preorder do not depend on the arc order.
+    The tree and its preorder do not depend on the arc order: each owner's
+    children, grouped by the dominator pass in reverse postorder, are
+    sorted into ascending id.
     """
-    idom = _immediate_dominators(g)[0]
+    idom, start, kids, _ = _immediate_dominators(g)
     n = g.node_count
     s = g.source
-    # the nodes in descending id give each owner's children in ascending id
-    start, kids = _group_by_idom(idom, s, range(n - 1, -1, -1))
-    children = tuple(tuple(kids[start[a] : start[a + 1]]) for a in range(n))
+    children = tuple(tuple(sorted(kids[start[a] : start[a + 1]])) for a in range(n))
     del start, kids
     order = []
     stack = [s]
@@ -95,10 +99,15 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     return DominatorTree(idom, children, order, tuple(dfs_in), tuple(dfs_out))
 
 
-def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int], bool]:
-    """Immediate dominators of ``g``, the non-source nodes in DFS finish
-    order, and whether the DFS met a back arc other than a self-loop or an
-    arc into the source.
+def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], array, list[int], bool]:
+    """Immediate dominators of ``g``, its dominator tree grouped by owner,
+    and whether the DFS met a back arc other than a self-loop or an arc
+    into the source.
+
+    Returns ``(idom, start, kids, back)``: owner ``a``'s children are
+    ``kids[start[a] : start[a + 1]]``, owners in ascending id, each owner's
+    children in the reverse postorder of the DFS; ``start`` is an int array
+    and ``kids`` a list of the graph's own int objects.
 
     Semi-NCA over DFS numbers. A DFS in stored arc order numbers the nodes
     and records, by number, each node's predecessors over the arcs that are
@@ -117,9 +126,12 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int], bool]:
     step at a time. One ``w`` can climb O(n) steps, so the climbs share a
     budget of ``_CLIMB_BUDGET * (n + e)`` steps; once it is spent, the pass
     answers every node afresh with :func:`_relative_dominators`. The pass
-    is O(e log n) whatever the input. The finish order is linked through
-    each finished node's dead ``nxt`` entry; the A-C tree build reads it in
-    reverse as the first pass of Kosaraju-Sharir.
+    is O(e log n) whatever the input. The grouping is a counting sort: the
+    loop that maps the answers back to node ids counts each owner's
+    children, and one walk of the reverse postorder, linked from the source
+    through each finished node's dead ``nxt`` entry, places them. No finish
+    order list is built; the A-C tree build reads the grouping as the first
+    pass of Kosaraju-Sharir.
     """
     n = g.node_count
     s = g.source
@@ -206,11 +218,6 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int], bool]:
                 sw = lx
         semi[w] = label[w] = sw
     del pred, anc
-    post = [s] * (n - 1)
-    v = s
-    for k in range(n - 2, -1, -1):
-        v = post[k] = nxt[v]
-    del nxt
 
     # idom[w] = NCA(parent[w], semi[w]): climb from the parent.
     inum = label  # reused: the climb reads inum[x] only for x < w
@@ -226,10 +233,25 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int], bool]:
             inum = _relative_dominators(parent, semi)
             break
     idom = [s] * n
+    count = [0] * n  # each owner's number of children
     for w in range(1, n):
-        idom[vertex[w]] = vertex[inum[w]]
+        p = vertex[inum[w]]
+        idom[vertex[w]] = p
+        count[p] += 1
 
-    return tuple(idom), post, back
+    # Group the children by owner, each owner's in reverse postorder: nxt
+    # walks it from the source.
+    fill = list(accumulate(count, initial=0))
+    start = array("i", fill)  # no int object per entry: a lower peak
+    kids = [s] * (n - 1)
+    v = s
+    for _ in range(n - 1):
+        v = nxt[v]
+        p = idom[v]
+        k = fill[p]
+        fill[p] = k + 1
+        kids[k] = v
+    return tuple(idom), start, kids, back
 
 
 def _relative_dominators(parent: list[int], semi: list[int]) -> list[int]:
@@ -277,35 +299,6 @@ def _relative_dominators(parent: list[int], semi: list[int]) -> list[int]:
         if idom[w] != semi[w]:
             idom[w] = idom[idom[w]]
     return idom
-
-
-def _group_by_idom(
-    idom: tuple[int, ...], s: int, nodes: range | list[int]
-) -> tuple[array, list[int]]:
-    """Group the nodes by immediate dominator with one counting sort.
-
-    Returns ``start``, an int array, and ``kids``, a list: owner ``a``'s
-    children are ``kids[start[a] : start[a + 1]]``, owners in ascending id,
-    each owner's children in the reverse of their order in ``nodes``.
-    ``nodes`` lists every node once, the source optionally. ``kids`` holds
-    the int objects of ``nodes`` itself, so a tree built from it shares the
-    graph's ints instead of boxing one per node.
-    """
-    n = len(idom)
-    start = [0] * (n + 1)
-    for p in idom:
-        start[p] += 1
-    start[s] -= 1  # the source is no child of itself
-    for a in range(n):
-        start[a + 1] += start[a]
-    kids = [0] * (n - 1)
-    for v in nodes:
-        if v != s:
-            p = idom[v]
-            k = start[p] - 1
-            start[p] = k
-            kids[k] = v
-    return array("i", start), kids  # no int object per entry: a lower peak
 
 
 def brute_force_dominated_set(g: Graph, a: int) -> frozenset[int]:

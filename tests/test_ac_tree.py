@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from actree import (
 )
 from actree import ac_tree
 from actree.ac_tree import _kosaraju_tree, _sibling_arcs
-from actree.dominators import _group_by_idom, _immediate_dominators
+from actree.dominators import _immediate_dominators
 from random_graphs import (
     chain_of_blocks,
     gen_layered,
@@ -50,7 +51,8 @@ def component_ids(tree: AcTree) -> list[int]:
 
 def sibling_arcs(g, t) -> list[list[int]]:
     """``_sibling_arcs`` over the dominator tree ``t``, children in any order."""
-    return _sibling_arcs(g, t.idom, *_group_by_idom(t.idom, g.source, t.order))
+    start = list(accumulate(map(len, t.children), initial=0))
+    return _sibling_arcs(g, t.idom, start, [v for c in t.children for v in c])
 
 
 def arcs_by_owner(g, t) -> dict[int, set[tuple[int, int]]]:
@@ -195,9 +197,11 @@ def test_components_partition_children_and_are_strongly_connected():
         graphs = arcs_by_owner(g, t)
         tree = build_ac_tree(g)
         assert tree.idom == t.idom
-        for a, comps in tree.components.items():
+        components = tree.components
+        for a in range(n):  # an owner with no components has no children
+            comps = components.get(a, ())
             flat = [v for comp in comps for v in comp]
-            assert sorted(flat) == sorted(t.children[a])
+            assert tuple(sorted(flat)) == t.children[a], (i, a)
             succ = {v: set() for v in t.children[a]}
             for u, v in graphs[a]:
                 succ[u].add(v)
@@ -215,6 +219,16 @@ def test_components_partition_children_and_are_strongly_connected():
                                 seen.add(v)
                                 stack.append(v)
                     assert seen == set(comp), (i, a, start)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_each_owners_components_hold_exactly_its_dominator_children(g):
+    components = build_ac_tree(g).components
+    t = compute_dominator_tree(g)
+    for a in range(g.node_count):
+        members = sorted(v for comp in components.get(a, ()) for v in comp)
+        assert tuple(members) == t.children[a], a
 
 
 def test_family_cycle(cycle3):
@@ -570,11 +584,12 @@ def _naive_sibling_arcs(g: Graph) -> list[tuple[int, int]]:
 
 
 def _assert_both_paths_agree(g: Graph, sibling_arcs: list[tuple[int, int]]) -> None:
-    """The finish-order layout and Kosaraju's second pass give one tree."""
-    idom, post, back = _immediate_dominators(g)
+    """The layout of the dominator pass's grouping and Kosaraju's second
+    pass give one tree."""
+    idom, start, kids, back = _immediate_dominators(g)
     assert not back
     fast = build_ac_tree(g)
-    slow = _kosaraju_tree(g, idom, *_group_by_idom(idom, g.source, post))
+    slow = _kosaraju_tree(g, idom, start, kids)
     for name in (*AcTree.__slots__, "width"):
         a, b = getattr(fast, name), getattr(slow, name)
         assert type(a) is type(b), name

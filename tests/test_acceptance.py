@@ -9,6 +9,7 @@ graphs up to 2^18 nodes.
 from __future__ import annotations
 
 import time
+from itertools import accumulate
 
 from actree import (
     Graph,
@@ -27,7 +28,6 @@ from actree import (
     verify_spt,
 )
 from actree.ac_tree import _sibling_arcs
-from actree.dominators import _group_by_idom
 from random_graphs import (
     gen_complete,
     gen_layered,
@@ -151,7 +151,8 @@ def test_criterion_4_dominance_graphs():
         n = 2 + i % 29
         g = gen_random_digraph(n, (n - 1) + i % (3 * n), seed=40_000 + i)
         t = compute_dominator_tree(g)
-        pred = _sibling_arcs(g, t.idom, *_group_by_idom(t.idom, g.source, t.order))
+        start = list(accumulate(map(len, t.children), initial=0))
+        pred = _sibling_arcs(g, t.idom, start, [v for c in t.children for v in c])
         fast = {a: set() for a in range(n)}
         for w, tails in enumerate(pred):
             for c in tails:
@@ -266,8 +267,9 @@ def test_criterion_8_scaling_report():
         assert tree.width >= 2
         if n <= sizes[1]:
             t = compute_dominator_tree(g)
-            kids = _group_by_idom(t.idom, g.source, t.order)
-            reads = rows_read(g, lambda stand_in: _sibling_arcs(stand_in, t.idom, *kids))
+            start = list(accumulate(map(len, t.children), initial=0))
+            kids = [v for c in t.children for v in c]
+            reads = rows_read(g, lambda stand_in: _sibling_arcs(stand_in, t.idom, start, kids))
             rows = [(g.offsets[v], g.offsets[v + 1]) for v in range(n)]
             assert sorted(reads) == rows, "dominance pass must read each row once"
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,17 @@ def test_dominance_queries_reject_ids_outside_the_graph(query, node):
     g = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])
     with pytest.raises(GraphError, match=f"node {node} is not a node id"):
         query(g, compute_dominator_tree(g))
+
+
+@pytest.mark.parametrize("tree_n, graph_n, a", [(2, 4, 3), (2, 4, 1), (2, 4, 0), (4, 2, 1)])
+def test_naive_dominance_graph_rejects_a_tree_of_another_node_count(tree_n, graph_n, a):
+    def path(n):
+        return Graph.from_arcs(n, 0, [(v, v + 1) for v in range(n - 1)])
+
+    t = compute_dominator_tree(path(tree_n))
+    match = f"dominator tree of {tree_n} nodes given for a {graph_n}-node graph"
+    with pytest.raises(GraphError, match=match):
+        naive_dominance_graph(path(graph_n), t, a)
 
 
 def test_interval_test_matches_oracle_on_random_graphs():
@@ -257,9 +269,9 @@ def _dominator_corpus() -> list[Graph]:
 
 @pytest.mark.parametrize("budget", [None, 0], ids=["budget-as-is", "budget-0"])
 def test_immediate_dominators_match_independent_references(budget, monkeypatch):
-    """``idom`` against networkx, the finish order and the back-arc flag
-    against a plain DFS; with a budget of 0 every graph takes the
-    relative-dominator step."""
+    """``idom`` against networkx; the grouping and the back-arc flag against
+    a plain DFS, whose finish order, reversed, orders each owner's children;
+    with a budget of 0 every graph takes the relative-dominator step."""
     nx = pytest.importorskip("networkx")
     if budget is not None:
         monkeypatch.setattr(dominators, "_CLIMB_BUDGET", budget)
@@ -276,7 +288,7 @@ def test_immediate_dominators_match_independent_references(budget, monkeypatch):
     for i, g in enumerate(corpus):
         n, s = g.node_count, g.source
         before = len(fallbacks)
-        idom, post, back = _immediate_dominators(g)
+        idom, start, kids, back = _immediate_dominators(g)
         took.append(len(fallbacks) > before)
         ref = nx.DiGraph()
         ref.add_nodes_from(range(n))
@@ -284,7 +296,12 @@ def test_immediate_dominators_match_independent_references(budget, monkeypatch):
         expected = nx.immediate_dominators(ref, s)
         expected[s] = s  # networkx 3.6 leaves the source out; here it maps to itself
         assert list(idom) == [expected[v] for v in range(n)], i
-        assert (post, back) == _dfs_reference(g), i
+        post, ref_back = _dfs_reference(g)
+        children = [[] for _ in range(n)]
+        for v in reversed(post):
+            children[expected[v]].append(v)
+        assert start.tolist() == list(accumulate(map(len, children), initial=0)), i
+        assert (kids, back) == ([v for c in children for v in c], ref_back), i
     if budget == 0:
         assert all(took[i] for i, g in enumerate(corpus) if g.node_count > 1)
     else:  # only the largest path-star DAG spends the budget
