@@ -40,7 +40,7 @@ from itertools import accumulate
 from operator import sub
 
 from .dominators import DominatorTree, _check_node, _immediate_dominators
-from .graph import Graph, GraphError, _Record
+from .graph import Graph, GraphError, TreeMismatchError, _check_arg, _Record
 
 
 class AcTree(_Record):
@@ -60,43 +60,48 @@ class AcTree(_Record):
     numbered ``comp_offsets[a]`` up to ``comp_offsets[a + 1] - 1``;
     ``comp_sizes`` maps each component size to the number of components of
     that size, in ascending size. The property ``width`` is one more than
-    the largest component (1 for a single-node graph); the tree stores
-    nothing its fields fix. ``plan`` is the weight-free order in which
-    :func:`~actree.recursive_dijkstra` drains the components, one tuple: the
-    source and each member of a component of two or more nodes own the
-    segment ``plan[plan_offsets[a] : plan_offsets[a + 1]]`` (any other
-    node's is empty), which lists ``a``'s components in order, a singleton
+    the largest component (1 for a single-node graph). ``comp_sizes`` is
+    fixed by ``comp_start``, and kept because every search reads ``width``
+    and copies the sizes into its :class:`~actree.SearchStats`. ``plan`` is
+    the weight-free order in which :func:`~actree.recursive_dijkstra`
+    drains the components, a function of the components laid out once with
+    them: one tuple with an entry per node. ``plan[a]`` is owner ``a``'s
+    segment, a tuple of its own, when ``a`` is the source or a member of a
+    component of two or more nodes and has components; every other entry
+    is ``None``. A segment lists ``a``'s components in order, a singleton
     as its node followed inline by that node's own components, and a
     larger component ``c`` as the marker ``~c``; on an acyclic graph the
-    plan is the dominator tree's preorder. Its nodes are the int objects of
-    ``comp_nodes``; ``plan_offsets`` is an int array, and ``plan_owns`` a
-    ``bytes`` in which ``plan_owns[a]`` is 1 exactly when ``a``'s
-    segment is not empty, so a search reads one byte per popped node.
+    source's segment is the dominator tree's preorder. Its nodes are the
+    int objects of ``comp_nodes``.
     ``offsets`` and ``heads`` are the topology the tree was built from: the
     graph's own tuples, held by reference, not copied. The tree does not
     depend on weights, so it serves any graph with equal ``offsets``,
     ``heads`` and source, and :func:`~actree.recursive_dijkstra` rejects any
-    other. The plan is a tuple and the flags are ``bytes``, so neither can
-    be changed in place: ``AcTree(...)`` raises :class:`GraphError` naming
-    the field otherwise. It checks nothing else, so the int arrays are
-    read-only by contract, and a hand-built tree's fields are whatever the
-    caller passed.
+    other. The plan and its segments are tuples, so none of them can be
+    changed in place: ``AcTree(...)`` raises :class:`GraphError` naming
+    ``plan`` unless it is a tuple of ``len(idom)`` entries, each a tuple or
+    ``None``. It checks nothing else, so the int arrays are read-only by
+    contract, and a hand-built tree's fields are whatever the caller passed.
     The repr shows ``width`` and ``comp_sizes`` only, so printing a tree
     costs the same at any size.
     """
 
     __slots__ = (
         "idom", "comp_start", "comp_nodes", "comp_offsets", "comp_sizes",
-        "plan", "plan_offsets", "plan_owns", "offsets", "heads",
+        "plan", "offsets", "heads",
     )
     _shown = ("width", "comp_sizes")
 
     def __init__(self, *fields) -> None:
         super().__init__(*fields)
-        if type(self.plan) is not tuple:
-            raise GraphError("plan is not a tuple")
-        if type(self.plan_owns) is not bytes:
-            raise GraphError("plan_owns is not bytes")
+        plan = self.plan
+        n = len(self.idom)
+        if not (
+            type(plan) is tuple
+            and len(plan) == n
+            and set(map(type, plan)) <= {tuple, type(None)}
+        ):
+            raise GraphError(f"plan is not a tuple of {n} segments, each a tuple or None")
 
     @property
     def width(self) -> int:
@@ -166,6 +171,8 @@ def naive_dominance_graph(
     ``v``. The nodes of the graph are ``t.children[a]``. Raises
     :class:`GraphError` when ``t`` covers another number of nodes than ``g``.
     """
+    _check_arg(g, Graph, "g")
+    _check_arg(t, DominatorTree, "t")
     n = g.node_count
     if len(t.idom) != n:
         raise GraphError(
@@ -203,6 +210,7 @@ def build_ac_tree(g: Graph) -> AcTree:
     about what any DAG of its size does. The decomposition does not depend
     on arc weights.
     """
+    _check_arg(g, Graph, "g")
     n = g.node_count
     idom, start, kids, back = _immediate_dominators(g)
     if back:
@@ -217,7 +225,7 @@ def build_ac_tree(g: Graph) -> AcTree:
         nodes,
         start,
         {1: n - 1} if n > 1 else {},
-        *_search_plan((g.source,), start.tolist(), nodes),
+        _search_plan((g.source,), start.tolist(), nodes),
         g.offsets,
         g.heads,
     )
@@ -267,57 +275,42 @@ def _kosaraju_tree(
         else:
             entry.append(root)
     del pred, comp_id  # freed before the numbering allocates: a lower peak
-    owners.sort()
     sizes = dict(sorted(Counter(map(sub, comp_start[1:], comp_start)).items()))
     off = list(accumulate(count))
-    plan, plan_offsets, plan_owns = _search_plan(owners, off, entry)
+    plan = _search_plan(owners, off, entry)
     del entry, owners
     return AcTree(
-        idom,
-        comp_start,
-        tuple(members),
-        array("i", off),
-        sizes,
-        plan,
-        plan_offsets,
-        plan_owns,
-        g.offsets,
-        g.heads,
+        idom, comp_start, tuple(members), array("i", off), sizes, plan, g.offsets, g.heads
     )
 
 
 def _search_plan(
     owners: list[int] | tuple[int, ...], off: list[int], entry: list[int] | tuple[int, ...]
-) -> tuple[tuple[int, ...], array, bytes]:
+) -> tuple[tuple[int, ...] | None, ...]:
     """The weight-free order in which a search drains the components.
 
     ``off`` is ``comp_offsets`` as a list, and ``entry[c]`` names component
     ``c`` in the plan: its one member if it is a singleton, else the marker
-    ``~c``. ``owners`` lists, in ascending id, the source and every member
-    of a component of two or more nodes. Owner ``a`` gets the segment
-    ``plan[plan_offsets[a] : plan_offsets[a + 1]]`` (empty for any other
-    node): ``a``'s components in order, each singleton followed by its own
-    node's components, inline and recursively. On an acyclic graph that is
-    the dominator tree's preorder, children in reverse postorder. Also
-    returns the segment bounds and a flag per node, 1 when its segment is
-    not empty. The plan and the flags are returned as a tuple and as
-    ``bytes``, which cannot be changed in place.
+    ``~c``. ``owners`` lists the source and every member of a component of
+    two or more nodes. Returns one entry per node: owner ``a``'s segment, a
+    tuple of ``a``'s components in order, each singleton followed by its own
+    node's components, inline and recursively; ``None`` for a node that is
+    no owner or has no components. On an acyclic graph the source's segment
+    is the dominator tree's preorder, children in reverse postorder.
     """
-    plan: list[int] = []
-    size = [0] * len(off)
-    owns = bytearray(len(off) - 1)
+    plan: list[tuple[int, ...] | None] = [None] * (len(off) - 1)
     for a in owners:
         c = off[a]
         end = off[a + 1]
         if c == end:
             continue
-        first = len(plan)
+        segment = []
         stack = []  # the ranges of components a descent interrupted
         while True:
             while c < end:
                 x = entry[c]
                 c += 1
-                plan.append(x)
+                segment.append(x)
                 if x >= 0 and off[x] < off[x + 1]:  # x's components come next
                     stack.append((c, end))
                     c = off[x]
@@ -325,9 +318,8 @@ def _search_plan(
             if not stack:
                 break
             c, end = stack.pop()
-        size[a + 1] = len(plan) - first
-        owns[a] = 1
-    return tuple(plan), array("i", accumulate(size)), bytes(owns)
+        plan[a] = tuple(segment)
+    return tuple(plan)
 
 
 def ac_to_nesting_family(tree: AcTree) -> tuple[frozenset[int], ...]:
@@ -344,6 +336,7 @@ def ac_to_nesting_family(tree: AcTree) -> tuple[frozenset[int], ...]:
     on a wide dominator tree the family holds a number of elements
     quadratic in n (about 8M at n = 4096 on a random DAG).
     """
+    _check_arg(tree, AcTree, "tree", TreeMismatchError)
     off = tree.comp_offsets
     start = tree.comp_start
     nodes = tree.comp_nodes

@@ -31,7 +31,7 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate
 
-from .graph import Graph, GraphError, UnreachableNodeError, _Record
+from .graph import Graph, GraphError, UnreachableNodeError, _check_arg, _Record
 
 # The NCA climbs of one dominator pass may take this many steps per node and
 # arc in all; past that, the pass switches to the relative-dominator step.
@@ -76,6 +76,7 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     children, grouped by the dominator pass in reverse postorder, are
     sorted into ascending id.
     """
+    _check_arg(g, Graph, "g")
     idom, start, kids, _ = _immediate_dominators(g)
     n = g.node_count
     s = g.source
@@ -308,6 +309,7 @@ def brute_force_dominated_set(g: Graph, a: int) -> frozenset[int]:
     the source once the arcs touching ``a`` are removed. One search covers
     all ``b`` at once.
     """
+    _check_arg(g, Graph, "g")
     n = g.node_count
     _check_node(a, n)
     reached = [False] * n

@@ -134,6 +134,13 @@ class _Record:
         return f"{type(self).__name__}({shown})"
 
 
+def _check_arg(value, cls: type, name: str, error: type[GraphError] = GraphError) -> None:
+    """Raise ``error`` naming the parameter ``name`` and the type of
+    ``value`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise error(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+
+
 class Graph(_Record):
     """Immutable weighted digraph with a distinguished source node.
 
@@ -504,6 +511,7 @@ def _node_ids(n: int, lineno: int) -> list[int]:
 
 def serialize_edge_list(g: Graph) -> str:
     """Render ``g`` in the edge-list format; round-trips bit-exactly."""
+    _check_arg(g, Graph, "g")
     lines = [f"{g.node_count} {g.arc_count} {g.source}"]
     lines.extend(f"{u} {v} {w!r}" for u, v, w in g.arcs())
     return "\n".join(lines) + "\n"
@@ -590,6 +598,7 @@ def _parse_dimacs_lines(text: str, source: int) -> Graph:
 
 def serialize_dimacs_sp(g: Graph) -> str:
     """Render ``g`` in DIMACS ``p sp`` format (source is not part of the format)."""
+    _check_arg(g, Graph, "g")
     lines = [f"p sp {g.node_count} {g.arc_count}"]
     lines.extend(f"a {u + 1} {v + 1} {w!r}" for u, v, w in g.arcs())
     return "\n".join(lines) + "\n"
@@ -705,6 +714,7 @@ def prune_unreachable(g: Graph) -> tuple[Graph, Sequence[int | None]]:
     retained nodes survive in storage order, so pruning an already-pruned
     graph is the identity, with ``range(node_count)`` as ``remap``.
     """
+    _check_arg(g, Graph, "g")
     n = g.node_count
     off, heads, weights = g.offsets, g.heads, g.weights
     reached = [False] * n

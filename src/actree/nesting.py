@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .dominators import _check_node
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _check_arg
 
 # Largest graph brute_force_nesting_width (and the CLI's ``width --exact``)
 # accepts: the search enumerates all 2^n node subsets.
@@ -37,6 +37,7 @@ def is_module(g: Graph, nodes: Iterable[int]) -> int | None:
     an empty set, or a ``nodes`` that is not iterable, raises
     :class:`InvalidFamilyError`.
     """
+    _check_arg(g, Graph, "g")
     try:
         ids = iter(nodes)
     except TypeError:
@@ -74,6 +75,7 @@ def family_width(g: Graph, family: Iterable[Iterable[int]]) -> int:
     of inclusion-maximal members strictly inside any non-singleton member
     (1 for a single-node graph).
     """
+    _check_arg(g, Graph, "g")
     try:
         members = iter(family)
     except TypeError:
@@ -135,6 +137,7 @@ def brute_force_nesting_width(g: Graph) -> int:
     The search is exponential, so a graph of more than
     :data:`EXACT_WIDTH_LIMIT` nodes raises :class:`GraphError`.
     """
+    _check_arg(g, Graph, "g")
     n = g.node_count
     if n > EXACT_WIDTH_LIMIT:
         raise GraphError(

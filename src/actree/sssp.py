@@ -32,7 +32,7 @@ other is named, violation by violation, by the specification loop.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import chain, islice
+from itertools import chain
 
 from .ac_tree import AcTree
 from .graph import (
@@ -40,6 +40,7 @@ from .graph import (
     Graph,
     TreeMismatchError,
     UnreachableNodeError,
+    _check_arg,
     _Record,
 )
 
@@ -51,13 +52,13 @@ class SearchStats(_Record):
 
     ``pops`` counts node finalisations (equals the node count on pruned
     input). ``key_decreases`` counts tentative-distance improvements.
-    ``max_queue_len`` is the size of the largest component a queue served:
-    the largest component of the A-C tree for the recursive engine (every
-    component is opened once all nodes are finalised), the node count for
-    the single-queue engine. It does not count the stale entries lazy
-    deletion leaves behind.
-    ``component_sizes`` is a size histogram of the component queues used
-    (empty for the single-queue engine).
+    For the recursive engine, ``component_sizes`` is a copy of the tree's
+    size histogram ``comp_sizes``, singletons included, and
+    ``max_queue_len`` is ``width - 1``. Neither counts the queues the
+    search opened: a DAG reports ``{1: n - 1}`` and 1 with no queue
+    opened. For the single-queue engine, ``max_queue_len`` is the node
+    count, not the heap's peak size with the stale entries lazy deletion
+    leaves, and ``component_sizes`` is empty.
     """
 
     __slots__ = ("pops", "key_decreases", "max_queue_len", "component_sizes")
@@ -92,6 +93,7 @@ def dijkstra(g: Graph) -> ShortestPathResult:
     naming a node whose every path sums past the largest float. Ties on
     distance break by node id.
     """
+    _check_arg(g, Graph, "g")
     n = g.node_count
     s = g.source
     off, heads, weights = g.offsets, g.heads, g.weights
@@ -128,27 +130,27 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     """Dijkstra driven by the A-C tree: one queue per component.
 
     The search walks the tree's plan (``tree.plan``), segment by segment:
-    it starts in the source's segment, and a node taken from a queue that
-    owns a segment (one byte of ``tree.plan_owns`` read per pop, bounds in
-    ``tree.plan_offsets``) is finalised and then has its segment walked
-    before the queue goes on; a stack of ``(position, end, queue)`` holds
-    the walks a descent interrupted. So each owner's
-    components are drained in topological order, and the finalisation
-    order is the tree's. A plan entry that is a node is a singleton
-    component: the node is finalised at once, with no queue, and its own
-    components follow inline. A marker ``~c`` opens the queue of component
-    ``c``, heapified from its members' finite tentative distances, and
-    points each member at it; before that an improvement is a plain
-    distance write. Every queue serves one component C, so it serves at
-    most ``width - 1`` nodes and holds at most |C| + (arcs into C)
-    entries, and a heap operation costs the logarithm of that rather than
-    of n. When the source's segment holds all ``n - 1`` other nodes, which
-    a built tree has exactly when every component is one node (every DAG
-    and some cyclic graphs), the search is :func:`_walk_singletons`: the
-    source, then that segment in order, with no queue list, no stack and
-    no queue-or-plan choice per node. Any other tree goes through
-    :func:`_drain_components`. Both give the same distances, parents and
-    counts.
+    it starts in the source's segment, ``tree.plan[s]``, and a node ``u``
+    taken from a queue is finalised and, when ``tree.plan[u]`` is a
+    segment (one read per pop), has that segment walked before the queue
+    goes on; a stack of ``(segment, position, end, queue)`` holds the walks
+    a descent interrupted. So each owner's components are drained in
+    topological order, and the finalisation order is the tree's. A plan
+    entry that is a node is a singleton component: the node is finalised
+    at once, with no queue, and its own components follow inline. A marker
+    ``~c`` opens the queue of component ``c``, heapified from its members'
+    finite tentative distances, and points each member at it; before that
+    an improvement is a plain distance write. Every queue serves one
+    component C, so it serves at most ``width - 1`` nodes and holds at
+    most |C| + (arcs into C) entries, and a heap operation costs the
+    logarithm of that rather than of n. When the source's segment holds
+    all ``n - 1`` other nodes (a ``None`` segment is empty, as on a
+    one-node graph), which a built tree has exactly when every component
+    is one node (every DAG and some cyclic graphs), the search is
+    :func:`_walk_singletons`: the source, then that segment in order, with
+    no queue list, no stack and no queue-or-plan choice per node. Any
+    other tree goes through :func:`_drain_components`. Both give the same
+    distances, parents and counts.
 
     ``tree`` serves ``g`` exactly when they share the topology and the
     source: ``g.offsets`` and ``g.heads`` equal the tuples the tree was
@@ -165,6 +167,8 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     spots it, and only a sum of ``inf`` sends the search to look for the
     node.
     """
+    _check_arg(g, Graph, "g")
+    _check_arg(tree, AcTree, "tree", TreeMismatchError)
     n = g.node_count
     s = g.source
     off, heads, weights = g.offsets, g.heads, g.weights
@@ -191,7 +195,7 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     dist = [INF] * n
     dist[s] = 0.0
     parent = [None] * n
-    if tree.plan_offsets[s + 1] - tree.plan_offsets[s] == n - 1:
+    if len(tree.plan[s] or ()) == n - 1:
         pops, decreases = _walk_singletons(g, tree, dist, parent)
     else:
         pops, decreases = _drain_components(g, tree, dist, parent)
@@ -224,10 +228,9 @@ def _walk_singletons(
     """
     off, heads, weights = g.offsets, g.heads, g.weights
     s = g.source
-    first = tree.plan_offsets[s]
-    last = tree.plan_offsets[s + 1]
+    segment = tree.plan[s] or ()
     decreases = 0
-    for u in chain((s,), islice(tree.plan, first, last)):
+    for u in chain((s,), segment):
         du = dist[u]
         for i in range(off[u], off[u + 1]):
             w = heads[i]
@@ -236,7 +239,7 @@ def _walk_singletons(
                 dist[w] = nd
                 parent[w] = u
                 decreases += 1
-    return last - first + 1, decreases
+    return len(segment) + 1, decreases
 
 
 def _drain_components(
@@ -254,17 +257,16 @@ def _drain_components(
     start = tree.comp_start
     nodes = tree.comp_nodes
     plan = tree.plan
-    bounds = tree.plan_offsets
-    owns = tree.plan_owns
     queue: list[list[tuple[float, int]] | None] = [None] * n  # its component's heap
     pops = 0
     decreases = 0
-    # the segment being walked, its end and the open heap; segments
-    # interrupted by a descent wait in ``suspended``
-    pos = bounds[s]
-    end = bounds[s + 1]
+    # the segment being walked, the position in it, its end and the open
+    # heap; segments interrupted by a descent wait in ``suspended``
+    segment = plan[s] or ()
+    pos = 0
+    end = len(segment)
     heap: list[tuple[float, int]] | None = None
-    suspended: list[tuple[int, int, list[tuple[float, int]] | None]] = []
+    suspended: list[tuple[tuple[int, ...], int, int, list[tuple[float, int]] | None]] = []
     u = s
     while u >= 0:
         pops += 1
@@ -285,19 +287,20 @@ def _drain_components(
                 d, u = heappop(heap)
                 if d > dist[u]:
                     continue  # stale entry left by an improvement
-                if owns[u]:  # u's own segment comes before the rest of the heap
-                    suspended.append((pos, end, heap))
-                    pos = bounds[u]
-                    end = bounds[u + 1]
+                if plan[u] is not None:  # u's segment comes before the rest of the heap
+                    suspended.append((segment, pos, end, heap))
+                    segment = plan[u]
+                    pos = 0
+                    end = len(segment)
                     heap = None
                 break
             if pos == end:
                 if not suspended:
                     u = -1
                     break
-                pos, end, heap = suspended.pop()
+                segment, pos, end, heap = suspended.pop()
                 continue
-            u = plan[pos]
+            u = segment[pos]
             pos += 1
             if u >= 0:
                 break  # a singleton component: its segment follows inline
@@ -394,6 +397,8 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
     :func:`_spt_violations`, the specification, which names every violation
     in its order.
     """
+    _check_arg(g, Graph, "g")
+    _check_arg(r, ShortestPathResult, "r")
     try:
         if _spt_holds(g, r.dist, r.parent):
             return SptCheck(True, ())

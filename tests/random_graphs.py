@@ -134,6 +134,19 @@ def ladder(k: int) -> Graph:
     return Graph.from_arcs(2 * k + 1, 0, arcs)
 
 
+def nested_chain(n: int) -> Graph:
+    """Blocks of 8 consecutive nodes (``n`` a multiple of 8): an 8-node ring
+    through each hub ``h``, the chords ``h + 1 -> h + 3`` and
+    ``h + 4 -> h + 2``, and ``h + 7 -> h + 8`` into the next hub. Each block's
+    ``{h + 2, h + 3}`` is a two-node component (width 3) and ``h + 3``
+    dominates the rest of the chain, so a search holds one heap per block
+    suspended at once. Arc ``u -> v`` weighs ``1 + (7u + v) % 10``."""
+    arcs = [(h + i, h + (i + 1) % 8) for h in range(0, n, 8) for i in range(8)]
+    arcs += [(h + x, h + y) for h in range(0, n, 8) for x, y in ((1, 3), (4, 2), (7, 8))
+             if h + y < n]
+    return Graph.from_arcs(n, 0, [(u, v, 1 + (7 * u + v) % 10) for u, v in arcs])
+
+
 def random_arcs_with_loops(
     n: int, m: int, rng: random.Random, acyclic: bool = False
 ) -> list[tuple[int, int]]:

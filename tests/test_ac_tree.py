@@ -167,15 +167,27 @@ def test_actree_is_deterministic():
     assert build_ac_tree(g) == build_ac_tree(g)
 
 
-@pytest.mark.parametrize("field, mutable", [("plan", list), ("plan_owns", bytearray)])
-def test_actree_rejects_a_plan_that_can_change_in_place(field, mutable):
+# each a plan ``AcTree`` rejects, for the tree of 0 -> 1 -> 2, whose plan is
+# ((1, 2), None, None)
+WRONG_PLANS = {
+    "plan-list": [(1, 2), None, None],
+    "plan-list-segment": ([1, 2], None, None),
+    "plan-short": ((1, 2), None),
+    "plan-long": ((1, 2), None, None, None),
+    "plan-int-entry": ((1, 2), 0, None),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_PLANS.values(), ids=WRONG_PLANS)
+def test_actree_rejects_a_plan_that_can_change_in_place(wrong):
     tree = build_ac_tree(Graph.from_arcs(3, 0, [(0, 1), (1, 2)]))
+    assert tree.plan == ((1, 2), None, None)
     values = [getattr(tree, name) for name in AcTree.__slots__]
-    i = AcTree.__slots__.index(field)
-    values[i] = mutable(values[i])
-    with pytest.raises(GraphError, match=f"^{field} is not "):
+    i = AcTree.__slots__.index("plan")
+    values[i] = wrong
+    with pytest.raises(GraphError, match="^plan is not a tuple of 3 segments, each a tuple"):
         AcTree(*values)
-    values[i] = getattr(tree, field)
+    values[i] = tree.plan
     assert AcTree(*values) == tree
 
 
@@ -318,14 +330,8 @@ def test_search_plan_lists_each_owners_components_with_singletons_inline():
         tree = build_ac_tree(g)
         n, s = g.node_count, g.source
         start, nodes, off = tree.comp_start, tree.comp_nodes, tree.comp_offsets
-        plan, bounds = tree.plan, tree.plan_offsets
-        assert type(plan) is tuple and bounds.typecode == "i"
-        assert len(bounds) == n + 1 and bounds[0] == 0 and bounds[n] == len(plan)
-        assert all(bounds[a] <= bounds[a + 1] for a in range(n))
-        # one flag per node says whether its segment is empty
-        owns = tree.plan_owns
-        assert type(owns) is bytes
-        assert list(owns) == [int(bounds[a] < bounds[a + 1]) for a in range(n)]
+        plan = tree.plan
+        assert type(plan) is tuple and len(plan) == n
         single = [start[c + 1] - start[c] == 1 for c in range(len(start) - 1)]
         owners = {s} | {v for c, one in enumerate(single) if not one
                         for v in nodes[start[c] : start[c + 1]]}
@@ -342,32 +348,38 @@ def test_search_plan_lists_each_owners_components_with_singletons_inline():
                     out.append(~c)
             return tuple(out)
 
+        # an owner with components has a segment of its own; every other
+        # node has None, never an empty tuple
         for a in range(n):
-            assert plan[bounds[a] : bounds[a + 1]] == (expand(a) if a in owners else ()), a
-        inline = [x for x in plan if x >= 0]
-        marked = [v for x in plan if x < 0 for v in nodes[start[~x] : start[~x + 1]]]
+            if a in owners and off[a] < off[a + 1]:
+                assert type(plan[a]) is tuple and plan[a] == expand(a), a
+            else:
+                assert plan[a] is None, a
+        entries = [x for segment in plan if segment is not None for x in segment]
+        inline = [x for x in entries if x >= 0]
+        marked = [v for x in entries if x < 0 for v in nodes[start[~x] : start[~x + 1]]]
         assert sorted(inline + marked) == sorted(set(range(n)) - {s})
         ids = component_ids(tree)
         assert all(x is nodes[start[ids[x]]] for x in inline)  # shared ints
     nested = build_ac_tree(gen_nested((3, 1, (4, 2, 3)), seed=5))
-    assert nested.plan == (~0, ~1, ~2)
-    assert list(nested.plan_offsets) == [0, 1, 1, 2, 2, 2, 3, 3, 3]
+    assert nested.plan == ((~0,), None, (~1,), None, None, (~2,), None, None)
     # 0 -> 1, 2 -> 3, 4: the source dominates all four, and the DFS finishes
     # 3, 4, 1, 2, so its children come in the reverse of that order
     layered = build_ac_tree(gen_layered(2, seed=0))
-    assert layered.plan == (2, 1, 4, 3) and list(layered.plan_offsets) == [0, 4, 4, 4, 4, 4]
+    assert layered.plan == ((2, 1, 4, 3), None, None, None, None)
 
 
-def test_plan_and_its_flags_cannot_be_changed_in_place():
+def test_plan_and_its_segments_cannot_be_changed_in_place():
     # finalising node 1 before node 2 would give dist[3] = 6.0, not 3.0
     g = Graph.from_arcs(4, 0, [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)])
     tree = build_ac_tree(g)
-    assert tree.plan == (2, 1, 3)
+    assert tree.plan == ((2, 1, 3), None, None, None)
+    segment = tree.plan[0]
     with pytest.raises(TypeError):
-        tree.plan[0], tree.plan[1] = tree.plan[1], tree.plan[0]
+        tree.plan[0] = (1, 2, 3)
     with pytest.raises(TypeError):
-        tree.plan_owns[0] = 0
-    assert tree.plan == (2, 1, 3) and tree.plan_owns == b"\x01\x00\x00\x00"
+        segment[0], segment[1] = segment[1], segment[0]
+    assert tree.plan == ((2, 1, 3), None, None, None)
     assert recursive_dijkstra(g, tree).dist == (0.0, 2.0, 1.0, 3.0)
 
 

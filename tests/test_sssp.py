@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from unittest import mock
 
 import pytest
@@ -29,7 +28,13 @@ from actree import (
 )
 from actree import sssp
 from actree.sssp import _spt_violations
-from random_graphs import gen_complete, gen_layered, gen_random_dag, gen_random_digraph
+from random_graphs import (
+    gen_complete,
+    gen_layered,
+    gen_random_dag,
+    gen_random_digraph,
+    nested_chain,
+)
 
 WEIGHTS = st.sampled_from((0.0, 1.0, 2.0))
 
@@ -190,7 +195,10 @@ def test_recursive_dag_queues_stay_singleton():
 # ---------------------------------------------------------------------------
 
 def _segment_len(tree: AcTree, s: int) -> int:
-    return tree.plan_offsets[s + 1] - tree.plan_offsets[s]
+    """The length of ``s``'s plan segment; ``None`` is an empty one."""
+    segment = tree.plan[s]
+    assert segment is None or type(segment) is tuple and segment
+    return len(segment or ())
 
 
 def _drained(g: Graph, tree: AcTree) -> tuple:
@@ -257,6 +265,34 @@ def test_the_acyclic_loop_runs_exactly_when_every_component_is_one_node(g):
         assert (r.dist, r.parent, r.stats) == _drained(g, tree)
 
 
+def _segment_depth(tree: AcTree, a: int) -> int:
+    """How many segments the search has open at most below ``a``'s: the
+    longest chain of owners, each a member of a marked component in the
+    segment of the one before."""
+    start, nodes, plan = tree.comp_start, tree.comp_nodes, tree.plan
+    deepest = 0
+    stack = [(a, 0)]
+    while stack:
+        a, depth = stack.pop()
+        deepest = max(deepest, depth)
+        for x in plan[a]:
+            if x < 0:
+                stack += [(v, depth + 1) for v in nodes[start[~x] : start[~x + 1]]
+                          if plan[v] is not None]
+    return deepest
+
+
+def test_recursive_drains_a_plan_that_nests_2048_segments_deep():
+    g = nested_chain(1 << 14)
+    tree = build_ac_tree(g)
+    assert tree.width == 3 and tree.comp_sizes == {1: 12287, 2: 2048}
+    # the search suspends one heap per block at once
+    assert _segment_depth(tree, g.source) == 2048
+    r = recursive_dijkstra(g, tree)
+    assert r.dist == dijkstra(g).dist
+    assert verify_spt(g, r)
+
+
 def test_recursive_rejects_mismatched_tree(diamond, cycle3):
     tree = build_ac_tree(diamond)
     with pytest.raises(ValueError):
@@ -282,21 +318,20 @@ def test_recursive_rejects_the_source_inside_a_component():
 def test_recursive_rejects_a_tree_that_leaves_nodes_unfinalised():
     g = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])
     tree = build_ac_tree(g)
-    assert tree.plan == (1, 2) and list(tree.plan_offsets) == [0, 2, 2, 2]
-    cut = AcTree(
-        tree.idom,
-        tree.comp_start,
-        tree.comp_nodes,
-        tree.comp_offsets,
-        tree.comp_sizes,
-        (1,),  # the plan without node 2
-        array("i", [0, 1, 1, 1]),
-        bytes([1, 0, 0]),
-        tree.offsets,
-        tree.heads,
-    )
-    with pytest.raises(TreeMismatchError, match="finalised 2 of 3"):
-        recursive_dijkstra(g, cut)
+    assert tree.plan == ((1, 2), None, None)
+    for plan in (((1,), None, None), (None, None, None)):  # node 2 cut, both cut
+        cut = AcTree(
+            tree.idom,
+            tree.comp_start,
+            tree.comp_nodes,
+            tree.comp_offsets,
+            tree.comp_sizes,
+            plan,
+            tree.offsets,
+            tree.heads,
+        )
+        with pytest.raises(TreeMismatchError, match=f"finalised {len(plan[0] or ()) + 1} of 3"):
+            recursive_dijkstra(g, cut)
 
 
 @pytest.mark.parametrize("k", [0, 7, 29])
