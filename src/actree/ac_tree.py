@@ -26,8 +26,10 @@ loop over the dominator tree's preorder collects the arcs of every
 dominance graph at once as transposed sibling arcs, with no per-node graph
 objects; then each grouped child not yet numbered opens a component of
 every unnumbered node it reaches over them. Last, one walk lays out the
-search plan, the order in which a search drains the components; it does
-not depend on weights either, so it is built once, with the tree. The
+search plan, the order in which a search drains the components, and a tree
+with a component of two or more nodes gets each node's arc range as a
+``range`` object; neither depends on weights, so both are built once, with
+the tree. The
 resulting :class:`AcTree` is the whole decomposition: the nesting family is
 expanded from it alone.
 """
@@ -70,38 +72,58 @@ class AcTree(_Record):
     component of two or more nodes and has components; every other entry
     is ``None``. A segment lists ``a``'s components in order, a singleton
     as its node followed inline by that node's own components, and a
-    larger component ``c`` as the marker ``~c``; on an acyclic graph the
+    larger component as the tuple of its members; on an acyclic graph the
     source's segment is the dominator tree's preorder. Its nodes are the
-    int objects of ``comp_nodes``.
+    int objects of ``comp_nodes``. ``rows`` lays out each node's arcs for
+    the search that drains component queues: on a tree of width 3 or more
+    ``rows[u]`` is ``range(offsets[u], offsets[u + 1])``, built once with
+    the tree; on a tree of width 2 or less, which every search walks with
+    no queue, it is ``None``.
     ``offsets`` and ``heads`` are the topology the tree was built from: the
     graph's own tuples, held by reference, not copied. The tree does not
     depend on weights, so it serves any graph with equal ``offsets``,
     ``heads`` and source, and :func:`~actree.recursive_dijkstra` rejects any
-    other. The plan and its segments are tuples, so none of them can be
-    changed in place: ``AcTree(...)`` raises :class:`GraphError` naming
-    ``plan`` unless it is a tuple of ``len(idom)`` entries, each a tuple or
-    ``None``. It checks nothing else, so the int arrays are read-only by
-    contract, and a hand-built tree's fields are whatever the caller passed.
-    The repr shows ``width`` and ``comp_sizes`` only, so printing a tree
-    costs the same at any size.
+    other. The plan, its segments and ``rows`` are tuples, so none of them
+    can be changed in place. ``AcTree(...)`` checks whole columns, in C,
+    and raises :class:`GraphError` naming the first field that fails:
+    ``idom`` unless it is a tuple; ``plan`` unless it is a tuple of
+    ``len(idom)`` entries, each a tuple or ``None``; ``comp_sizes`` unless
+    it is a dict keyed by ints; ``rows`` unless it is ``None`` at width 2
+    or less and a tuple of ``len(idom)`` ranges otherwise. It checks
+    nothing else, so the int arrays and what ``plan`` and ``rows`` hold are
+    right by contract only, and a hand-built tree's fields are whatever the
+    caller passed; a search that such a plan or row sends outside the
+    graph raises :class:`~actree.TreeMismatchError`. The repr shows
+    ``width`` and ``comp_sizes`` only, so printing a tree costs the same at
+    any size.
     """
 
     __slots__ = (
         "idom", "comp_start", "comp_nodes", "comp_offsets", "comp_sizes",
-        "plan", "offsets", "heads",
+        "plan", "rows", "offsets", "heads",
     )
     _shown = ("width", "comp_sizes")
 
     def __init__(self, *fields) -> None:
         super().__init__(*fields)
-        plan = self.plan
-        n = len(self.idom)
+        idom, plan, sizes, rows = self.idom, self.plan, self.comp_sizes, self.rows
+        if type(idom) is not tuple:
+            raise GraphError(f"idom must be a tuple, not {type(idom).__name__}")
+        n = len(idom)
         if not (
             type(plan) is tuple
             and len(plan) == n
             and set(map(type, plan)) <= {tuple, type(None)}
         ):
             raise GraphError(f"plan is not a tuple of {n} segments, each a tuple or None")
+        if not (type(sizes) is dict and set(map(type, sizes)) <= {int}):
+            raise GraphError("comp_sizes is not a dict keyed by component size")
+        width = self.width
+        if width <= 2:
+            if rows is not None:
+                raise GraphError(f"rows must be None on a tree of width {width}")
+        elif not (type(rows) is tuple and len(rows) == n and set(map(type, rows)) <= {range}):
+            raise GraphError(f"rows is not a tuple of {n} ranges, as width {width} needs")
 
     @property
     def width(self) -> int:
@@ -201,7 +223,8 @@ def build_ac_tree(g: Graph) -> AcTree:
     forward in that order, so every component is one node and the grouping
     lays the tree out. Any other graph goes through Kosaraju's second pass
     over the same grouping. Either way one walk then lays out the search
-    plan. Every stage is linear or near-linear in ``n + e`` on every input;
+    plan, and a tree of width 3 or more gets each node's arc range. Every
+    stage is linear or near-linear in ``n + e`` on every input;
     the dominator pass is O(e log n), since its semi-NCA climb switches to
     Lengauer and Tarjan's relative-dominator step once it has spent a step
     budget linear in ``n + e``. So the path-star DAG (a path
@@ -226,6 +249,7 @@ def build_ac_tree(g: Graph) -> AcTree:
         start,
         {1: n - 1} if n > 1 else {},
         _search_plan((g.source,), start.tolist(), nodes),
+        None,
         g.offsets,
         g.heads,
     )
@@ -244,7 +268,8 @@ def _kosaraju_tree(
     and the components come out in topological order, numbered as they
     come, each sorted ascending. The pass also records each component's
     plan entry and the members of components of two or more nodes, which
-    own plan segments.
+    own plan segments. A tree of width 3 or more also lays out every
+    node's arc range, its ``rows``.
     """
     n = g.node_count
     pred = _sibling_arcs(g, idom, start, kids)
@@ -252,7 +277,7 @@ def _kosaraju_tree(
     members: list[int] = []
     comp_start = array("i", [0])
     count = [0] * (n + 1)
-    entry: list[int] = []  # each component's plan entry
+    entry: list[int | tuple[int, ...]] = []  # each component's plan entry
     owners = [g.source]
     for root in kids:
         if comp_id[root] >= 0:
@@ -270,7 +295,7 @@ def _kosaraju_tree(
         comp_start.append(len(members))
         count[idom[root] + 1] += 1
         if len(comp) > 1:
-            entry.append(~c)
+            entry.append(tuple(comp))
             owners += comp
         else:
             entry.append(root)
@@ -279,26 +304,31 @@ def _kosaraju_tree(
     off = list(accumulate(count))
     plan = _search_plan(owners, off, entry)
     del entry, owners
+    offsets = g.offsets
+    rows = tuple(map(range, offsets, offsets[1:])) if max(sizes, default=0) > 1 else None
     return AcTree(
-        idom, comp_start, tuple(members), array("i", off), sizes, plan, g.offsets, g.heads
+        idom, comp_start, tuple(members), array("i", off), sizes, plan, rows, offsets, g.heads
     )
 
 
 def _search_plan(
-    owners: list[int] | tuple[int, ...], off: list[int], entry: list[int] | tuple[int, ...]
-) -> tuple[tuple[int, ...] | None, ...]:
+    owners: list[int] | tuple[int, ...],
+    off: list[int],
+    entry: list[int | tuple[int, ...]] | tuple[int, ...],
+) -> tuple[tuple[int | tuple[int, ...], ...] | None, ...]:
     """The weight-free order in which a search drains the components.
 
     ``off`` is ``comp_offsets`` as a list, and ``entry[c]`` names component
-    ``c`` in the plan: its one member if it is a singleton, else the marker
-    ``~c``. ``owners`` lists the source and every member of a component of
-    two or more nodes. Returns one entry per node: owner ``a``'s segment, a
-    tuple of ``a``'s components in order, each singleton followed by its own
+    ``c`` in the plan: its one member if it is a singleton, else the tuple
+    of its members, so a search opens a component with no lookup.
+    ``owners`` lists the source and every member of a component of two or
+    more nodes. Returns one entry per node: owner ``a``'s segment, a tuple
+    of ``a``'s components in order, each singleton followed by its own
     node's components, inline and recursively; ``None`` for a node that is
     no owner or has no components. On an acyclic graph the source's segment
     is the dominator tree's preorder, children in reverse postorder.
     """
-    plan: list[tuple[int, ...] | None] = [None] * (len(off) - 1)
+    plan: list[tuple[int | tuple[int, ...], ...] | None] = [None] * (len(off) - 1)
     for a in owners:
         c = off[a]
         end = off[a + 1]
@@ -311,7 +341,7 @@ def _search_plan(
                 x = entry[c]
                 c += 1
                 segment.append(x)
-                if x >= 0 and off[x] < off[x + 1]:  # x's components come next
+                if type(x) is int and off[x] < off[x + 1]:  # x's components come next
                     stack.append((c, end))
                     c = off[x]
                     end = off[x + 1]

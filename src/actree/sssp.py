@@ -12,17 +12,20 @@ improvement pushes a new entry, and an entry whose distance is no longer
 current is skipped when it surfaces. Ties on distance therefore break by
 node id. The recursive engine follows the tree's weight-free search plan,
 built with the tree: one tuple in which every singleton component is its
-node, inline, and a larger component is a marker at which its queue
-opens, filled with the members' finite distances, so it holds at most
-|C| + (arcs into C) entries for a component C. Each member then points at
-that queue, so an improvement finds its queue in one read. The recursive
-engine checks once, before it starts, that the tree was built from the
-graph's topology, so its loop carries no per-node guard. Both engines
-finalise every node exactly once and relax each arc exactly once from a
-finalised tail, so equal inputs give bit-equal distances. Both engines scan
-node ``u``'s arcs as the index range ``offsets[u]:offsets[u + 1]`` of the
-graph's ``heads`` and ``weights`` tuples. ``Graph`` guarantees in-range
-heads and finite non-negative weights, so no engine checks them again.
+node, inline, and a larger component is the tuple of its members, at which
+its queue opens, filled with the members' finite distances, so it holds at
+most |C| + (arcs into C) entries for a component C. Each member then
+points at that queue, so an improvement finds its queue in one read. The
+recursive engine checks once, before it starts, that the tree was built
+from the graph's topology, so its loop carries no per-node guard. Both
+engines finalise every node exactly once and relax each arc exactly once
+from a finalised tail, so equal inputs give bit-equal distances. Both
+engines scan node ``u``'s arcs as the index range
+``offsets[u]:offsets[u + 1]`` of the graph's ``heads`` and ``weights``
+tuples; the loop that drains component queues reads that range as the
+tree's ``rows[u]``, laid out once with the tree. ``Graph`` guarantees
+in-range heads and finite non-negative weights, so no engine checks them
+again.
 
 :func:`verify_spt` certifies a result on its own, in O(n + e) with exact
 comparisons: a right result passes one fast pass over the arcs, and any
@@ -133,24 +136,25 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     it starts in the source's segment, ``tree.plan[s]``, and a node ``u``
     taken from a queue is finalised and, when ``tree.plan[u]`` is a
     segment (one read per pop), has that segment walked before the queue
-    goes on; a stack of ``(segment, position, end, queue)`` holds the walks
-    a descent interrupted. So each owner's components are drained in
-    topological order, and the finalisation order is the tree's. A plan
-    entry that is a node is a singleton component: the node is finalised
-    at once, with no queue, and its own components follow inline. A marker
-    ``~c`` opens the queue of component ``c``, heapified from its members'
-    finite tentative distances, and points each member at it; before that
-    an improvement is a plain distance write. Every queue serves one
+    goes on; a stack of ``(walk, queue)`` pairs holds the walks a descent
+    interrupted. So each owner's components are drained in topological
+    order, and the finalisation order is the tree's. A plan entry that is
+    a node is a singleton component: the node is finalised at once, with
+    no queue, and its own components follow inline. A tuple of members
+    opens the queue of that component, heapified from the members' finite
+    tentative distances, and points each member at it; before that an
+    improvement is a plain distance write. Every queue serves one
     component C, so it serves at most ``width - 1`` nodes and holds at
     most |C| + (arcs into C) entries, and a heap operation costs the
-    logarithm of that rather than of n. When the source's segment holds
-    all ``n - 1`` other nodes (a ``None`` segment is empty, as on a
-    one-node graph), which a built tree has exactly when every component
-    is one node (every DAG and some cyclic graphs), the search is
+    logarithm of that rather than of n. A tree with no ``rows`` (width 2
+    or less, so every component is one node: every DAG and some cyclic
+    graphs) has every other node in the source's segment (a ``None``
+    segment is empty, as on a one-node graph), and the search is
     :func:`_walk_singletons`: the source, then that segment in order, with
-    no queue list, no stack and no queue-or-plan choice per node. Any
-    other tree goes through :func:`_drain_components`. Both give the same
-    distances, parents and counts.
+    no queue list and no stack. Any other tree goes through
+    :func:`_drain_components`, which walks each segment in one loop and
+    drains each queue in another, and reads each node's arcs as the
+    tree's ``rows[u]``. Both give the same distances, parents and counts.
 
     ``tree`` serves ``g`` exactly when they share the topology and the
     source: ``g.offsets`` and ``g.heads`` equal the tuples the tree was
@@ -161,17 +165,18 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     starts: a different node count, a source that is not the tree's root,
     or another topology, the same arcs reordered within a row included;
     for another topology the error names the first node whose out-arcs
-    differ. A tree altered after its build that leaves a node unfinalised
-    raises it at the end. A node whose every path sums past the largest
-    float raises :class:`DistanceOverflowError`: one ``sum(dist)`` in C
-    spots it, and only a sum of ``inf`` sends the search to look for the
-    node.
+    differ. A hand-built tree whose plan leaves a node unfinalised raises
+    it at the end, and one whose plan or rows name a node or arc outside
+    the graph raises it when the search meets that entry. A node whose
+    every path sums past the largest float raises
+    :class:`DistanceOverflowError`: one ``sum(dist)`` in C spots it, and
+    only a sum of ``inf`` sends the search to look for the node.
     """
     _check_arg(g, Graph, "g")
     _check_arg(tree, AcTree, "tree", TreeMismatchError)
     n = g.node_count
     s = g.source
-    off, heads, weights = g.offsets, g.heads, g.weights
+    off, heads = g.offsets, g.heads
     idom = tree.idom
     if len(idom) != n:
         raise TreeMismatchError(
@@ -195,10 +200,16 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     dist = [INF] * n
     dist[s] = 0.0
     parent = [None] * n
-    if len(tree.plan[s] or ()) == n - 1:
-        pops, decreases = _walk_singletons(g, tree, dist, parent)
-    else:
-        pops, decreases = _drain_components(g, tree, dist, parent)
+    try:
+        if tree.rows is None:
+            pops, decreases = _walk_singletons(g, tree, dist, parent)
+        else:
+            pops, decreases = _drain_components(g, tree, dist, parent)
+    except (IndexError, TypeError) as error:  # only a hand-built plan or row can
+        raise TreeMismatchError(
+            "the A-C tree's plan or rows send the search outside the graph"
+            f" ({type(error).__name__}: {error})"
+        ) from error
 
     if pops != n or sum(dist) == INF:  # an inf distance makes the sum inf
         error = _overflow(g, dist)
@@ -218,9 +229,10 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
 def _walk_singletons(
     g: Graph, tree: AcTree, dist: list[float], parent: list[int | None]
 ) -> tuple[int, int]:
-    """The search of :func:`recursive_dijkstra` when the source's plan
-    segment holds all ``n - 1`` other nodes, so every component is one node:
-    finalise the source, then every node of that segment in order.
+    """The search of :func:`recursive_dijkstra` on a tree of width 2 or
+    less, whose source's plan segment holds all ``n - 1`` other nodes, since
+    every component is one node: finalise the source, then every node of
+    that segment in order.
 
     ``dist`` and ``parent`` are filled in place; returns the pops and key
     decreases. No queue opens and no node owns a segment of its own, so
@@ -249,68 +261,70 @@ def _drain_components(
     queue per component of two or more nodes, in the plan's order.
 
     ``dist`` and ``parent`` are filled in place; returns the pops and key
-    decreases.
+    decreases. A segment is walked by one iterator: a node is finalised at
+    once, and a tuple of members opens that component's heap, which its own
+    loop then drains. A popped node with a segment suspends the walk and
+    the heap, and its segment is walked first. Node ``u``'s arcs are the
+    tree's ``rows[u]``, laid out with the tree.
     """
-    n = g.node_count
     s = g.source
-    off, heads, weights = g.offsets, g.heads, g.weights
-    start = tree.comp_start
-    nodes = tree.comp_nodes
+    heads, weights = g.heads, g.weights
+    rows = tree.rows
     plan = tree.plan
-    queue: list[list[tuple[float, int]] | None] = [None] * n  # its component's heap
+    queue: list[list[tuple[float, int]] | None] = [None] * len(dist)  # its component's heap
     pops = 0
     decreases = 0
-    # the segment being walked, the position in it, its end and the open
-    # heap; segments interrupted by a descent wait in ``suspended``
-    segment = plan[s] or ()
-    pos = 0
-    end = len(segment)
-    heap: list[tuple[float, int]] | None = None
-    suspended: list[tuple[tuple[int, ...], int, int, list[tuple[float, int]] | None]] = []
-    u = s
-    while u >= 0:
-        pops += 1
-        du = dist[u]
-        for i in range(off[u], off[u + 1]):
-            w = heads[i]
-            nd = du + weights[i]
-            if nd < dist[w]:
-                dist[w] = nd
-                parent[w] = u
-                decreases += 1
-                q = queue[w]
-                if q is not None:
-                    heappush(q, (nd, w))
-        # choose the next node to finalise; u < 0 when the plan is done
-        while True:
-            if heap:
-                d, u = heappop(heap)
-                if d > dist[u]:
-                    continue  # stale entry left by an improvement
-                if plan[u] is not None:  # u's segment comes before the rest of the heap
-                    suspended.append((segment, pos, end, heap))
-                    segment = plan[u]
-                    pos = 0
-                    end = len(segment)
-                    heap = None
+    # the walk of the current segment and its open heap; the walks and
+    # heaps a descent interrupted wait in ``suspended``
+    walk = chain((s,), plan[s] or ())
+    heap: list[tuple[float, int]] | tuple[()] = ()
+    suspended = []
+    while True:
+        while heap:
+            du, u = heappop(heap)
+            if du > dist[u]:
+                continue  # stale entry left by an improvement
+            pops += 1
+            for i in rows[u]:
+                w = heads[i]
+                nd = du + weights[i]
+                if nd < dist[w]:
+                    dist[w] = nd
+                    parent[w] = u
+                    decreases += 1
+                    q = queue[w]
+                    if q is not None:
+                        heappush(q, (nd, w))
+            if plan[u] is not None:  # u's segment comes before the rest of the heap
+                suspended.append((walk, heap))
+                walk = iter(plan[u])
+                heap = ()
                 break
-            if pos == end:
-                if not suspended:
-                    u = -1
-                    break
-                segment, pos, end, heap = suspended.pop()
-                continue
-            u = segment[pos]
-            pos += 1
-            if u >= 0:
-                break  # a singleton component: its segment follows inline
-            heap = []
-            for v in nodes[start[~u] : start[~u + 1]]:
-                queue[v] = heap
-                if (d := dist[v]) < INF:
-                    heap.append((d, v))
-            heapify(heap)
-    return pops, decreases
+        for u in walk:
+            if type(u) is tuple:  # a component of two or more nodes opens its heap
+                heap = []
+                for v in u:
+                    queue[v] = heap
+                    if (d := dist[v]) < INF:
+                        heap.append((d, v))
+                heapify(heap)
+                break
+            pops += 1  # a singleton component: its segment follows inline
+            du = dist[u]
+            for i in rows[u]:
+                w = heads[i]
+                nd = du + weights[i]
+                if nd < dist[w]:
+                    dist[w] = nd
+                    parent[w] = u
+                    decreases += 1
+                    q = queue[w]
+                    if q is not None:
+                        heappush(q, (nd, w))
+        else:
+            if not suspended:
+                return pops, decreases
+            walk, heap = suspended.pop()
 
 
 def _overflow(g: Graph, dist: list[float]) -> DistanceOverflowError | None:

@@ -147,6 +147,22 @@ def nested_chain(n: int) -> Graph:
     return Graph.from_arcs(n, 0, [(u, v, 1 + (7 * u + v) % 10) for u, v in arcs])
 
 
+def block_chain(n: int, seed) -> Graph:
+    """Blocks of 8 consecutive nodes (``n`` a multiple of 8), each an 8-node
+    ring through its first node, its hub, plus 15 random chords that never
+    enter the hub, and one arc from a random node of each block to the next
+    hub. A block is entered only at its hub, so the hub dominates the block
+    and the width is at most 8. Weights are uniform in [0, 1)."""
+    rng = random.Random(seed)
+    arcs = []
+    for h in range(0, n, 8):
+        arcs += [(h + i, h + (i + 1) % 8) for i in range(8)]
+        arcs += [(h + rng.randrange(8), h + 1 + rng.randrange(7)) for _ in range(15)]
+        if h + 8 < n:
+            arcs.append((h + rng.randrange(8), h + 8))
+    return Graph.from_arcs(n, 0, [(u, v, rng.random()) for u, v in arcs])
+
+
 def random_arcs_with_loops(
     n: int, m: int, rng: random.Random, acyclic: bool = False
 ) -> list[tuple[int, int]]:

@@ -189,6 +189,37 @@ def test_actree_rejects_a_plan_that_can_change_in_place(wrong):
         AcTree(*values)
     values[i] = tree.plan
     assert AcTree(*values) == tree
+    assert len(values) == 9 and tree.rows is None  # width 2 lays out no rows
+
+
+PATH = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])  # width 2
+IRREDUCIBLE = Graph.from_arcs(3, 0, [(0, 1), (0, 2), (1, 2), (2, 1)])  # width 3
+ROWS = (range(0, 2), range(2, 3), range(3, 4))  # IRREDUCIBLE's arc ranges
+# each a graph, one wrong field of its tree, and the start of the error
+WRONG_FIELDS = {
+    "idom-None": (PATH, "idom", None, "idom must be a tuple, not NoneType"),
+    "idom-list": (PATH, "idom", [0, 0, 1], "idom must be a tuple, not list"),
+    "comp_sizes-list": (PATH, "comp_sizes", [(1, 2)], "comp_sizes is not a dict"),
+    "comp_sizes-str-key": (PATH, "comp_sizes", {"1": 2}, "comp_sizes is not a dict"),
+    "rows-at-width-2": (PATH, "rows", ROWS, "rows must be None on a tree of width 2"),
+    "rows-None-at-width-3": (IRREDUCIBLE, "rows", None, "rows is not a tuple of 3 ranges"),
+    "rows-list": (IRREDUCIBLE, "rows", list(ROWS), "rows is not a tuple of 3 ranges"),
+    "rows-short": (IRREDUCIBLE, "rows", ROWS[:2], "rows is not a tuple of 3 ranges"),
+    "rows-tuple-entry": (IRREDUCIBLE, "rows", ((0, 2), *ROWS[1:]), "rows is not a tuple"),
+}
+
+
+@pytest.mark.parametrize("g, name, wrong, message", WRONG_FIELDS.values(), ids=WRONG_FIELDS)
+def test_actree_rejects_a_wrong_idom_comp_sizes_or_rows(g, name, wrong, message):
+    tree = build_ac_tree(g)
+    assert tree.rows == (ROWS if g is IRREDUCIBLE else None)
+    values = [getattr(tree, field) for field in AcTree.__slots__]
+    i = AcTree.__slots__.index(name)
+    values[i] = wrong
+    with pytest.raises(GraphError, match=f"^{message}"):
+        AcTree(*values)
+    values[i] = getattr(tree, name)
+    assert AcTree(*values) == tree
 
 
 def test_repr_leaves_out_the_columns():
@@ -336,16 +367,16 @@ def test_search_plan_lists_each_owners_components_with_singletons_inline():
         owners = {s} | {v for c, one in enumerate(single) if not one
                         for v in nodes[start[c] : start[c + 1]]}
 
-        def expand(a: int) -> tuple[int, ...]:
+        def expand(a: int) -> tuple:
             # a's components in order, a singleton as its node followed by
-            # that node's components, a larger component as its marker
+            # that node's components, a larger component as its members
             out = []
             for c in range(off[a], off[a + 1]):
                 if single[c]:
                     out.append(nodes[start[c]])
                     out += expand(nodes[start[c]])
                 else:
-                    out.append(~c)
+                    out.append(nodes[start[c] : start[c + 1]])
             return tuple(out)
 
         # an owner with components has a segment of its own; every other
@@ -356,13 +387,16 @@ def test_search_plan_lists_each_owners_components_with_singletons_inline():
             else:
                 assert plan[a] is None, a
         entries = [x for segment in plan if segment is not None for x in segment]
-        inline = [x for x in entries if x >= 0]
-        marked = [v for x in entries if x < 0 for v in nodes[start[~x] : start[~x + 1]]]
-        assert sorted(inline + marked) == sorted(set(range(n)) - {s})
+        inline = [x for x in entries if type(x) is int]
+        grouped = [v for x in entries if type(x) is tuple for v in x]
+        assert {type(x) for x in entries} <= {int, tuple}
+        assert sorted(inline + grouped) == sorted(set(range(n)) - {s})
         ids = component_ids(tree)
         assert all(x is nodes[start[ids[x]]] for x in inline)  # shared ints
+        assert all(v is nodes[start[ids[v]] + x.index(v)] for x in entries
+                   if type(x) is tuple for v in x)
     nested = build_ac_tree(gen_nested((3, 1, (4, 2, 3)), seed=5))
-    assert nested.plan == ((~0,), None, (~1,), None, None, (~2,), None, None)
+    assert nested.plan == (((1, 2),), None, ((3, 4, 5),), None, None, ((6, 7),), None, None)
     # 0 -> 1, 2 -> 3, 4: the source dominates all four, and the DFS finishes
     # 3, 4, 1, 2, so its children come in the reverse of that order
     layered = build_ac_tree(gen_layered(2, seed=0))

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
+from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -29,6 +33,7 @@ from actree import (
 from actree import sssp
 from actree.sssp import _spt_violations
 from random_graphs import (
+    block_chain,
     gen_complete,
     gen_layered,
     gen_random_dag,
@@ -202,12 +207,17 @@ def _segment_len(tree: AcTree, s: int) -> int:
 
 
 def _drained(g: Graph, tree: AcTree) -> tuple:
-    """``dist``, ``parent`` and stats from the component-queue loop alone."""
+    """``dist``, ``parent`` and stats from the component-queue loop alone,
+    on a stand-in for ``tree`` with its plan and every node's arc range
+    (a tree of width 2 or less has no ``rows``)."""
     n = g.node_count
     dist = [math.inf] * n
     dist[g.source] = 0.0
     parent = [None] * n
-    pops, decreases = sssp._drain_components(g, tree, dist, parent)
+    rows = tuple(map(range, g.offsets, g.offsets[1:]))
+    assert tree.rows in (None, rows)
+    laid_out = SimpleNamespace(plan=tree.plan, rows=rows)
+    pops, decreases = sssp._drain_components(g, laid_out, dist, parent)
     stats = sssp.SearchStats(pops, decreases, tree.width - 1, dict(tree.comp_sizes))
     return tuple(dist), tuple(parent), stats
 
@@ -267,18 +277,17 @@ def test_the_acyclic_loop_runs_exactly_when_every_component_is_one_node(g):
 
 def _segment_depth(tree: AcTree, a: int) -> int:
     """How many segments the search has open at most below ``a``'s: the
-    longest chain of owners, each a member of a marked component in the
-    segment of the one before."""
-    start, nodes, plan = tree.comp_start, tree.comp_nodes, tree.plan
+    longest chain of owners, each a member of a component of two or more
+    nodes in the segment of the one before."""
+    plan = tree.plan
     deepest = 0
     stack = [(a, 0)]
     while stack:
         a, depth = stack.pop()
         deepest = max(deepest, depth)
         for x in plan[a]:
-            if x < 0:
-                stack += [(v, depth + 1) for v in nodes[start[~x] : start[~x + 1]]
-                          if plan[v] is not None]
+            if type(x) is tuple:
+                stack += [(v, depth + 1) for v in x if plan[v] is not None]
     return deepest
 
 
@@ -318,7 +327,7 @@ def test_recursive_rejects_the_source_inside_a_component():
 def test_recursive_rejects_a_tree_that_leaves_nodes_unfinalised():
     g = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])
     tree = build_ac_tree(g)
-    assert tree.plan == ((1, 2), None, None)
+    assert tree.plan == ((1, 2), None, None) and tree.rows is None
     for plan in (((1,), None, None), (None, None, None)):  # node 2 cut, both cut
         cut = AcTree(
             tree.idom,
@@ -327,11 +336,102 @@ def test_recursive_rejects_a_tree_that_leaves_nodes_unfinalised():
             tree.comp_offsets,
             tree.comp_sizes,
             plan,
+            tree.rows,
             tree.offsets,
             tree.heads,
         )
         with pytest.raises(TreeMismatchError, match=f"finalised {len(plan[0] or ()) + 1} of 3"):
             recursive_dijkstra(g, cut)
+
+
+def _with(tree: AcTree, **fields) -> AcTree:
+    """``tree`` rebuilt through ``AcTree(...)`` with some fields replaced."""
+    return AcTree(*(fields.get(name, getattr(tree, name)) for name in AcTree.__slots__))
+
+
+PATH = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])  # width 2: the plain walk
+# width 3: {1, 2} is one component, drained from its queue
+IRREDUCIBLE = Graph.from_arcs(3, 0, [(0, 1), (0, 2), (1, 2), (2, 1)])
+# each a graph and tree fields that send the search outside the graph
+OUTSIDE = {
+    "walk-node": (PATH, {"plan": ((1, 5), None, None)}),
+    "walk-component": (PATH, {"plan": ((1, (5, 6)), None, None)}),
+    "drain-node": (IRREDUCIBLE, {"plan": ((5,), None, None)}),
+    "drain-component": (IRREDUCIBLE, {"plan": (((5, 6),), None, None)}),
+    "drain-row-past-heads": (IRREDUCIBLE, {"rows": (range(0, 2), range(2, 9), range(3, 4))}),
+}
+
+
+@pytest.mark.parametrize("g, fields", OUTSIDE.values(), ids=OUTSIDE)
+def test_recursive_rejects_a_plan_or_row_outside_the_graph(g, fields):
+    tree = build_ac_tree(g)
+    assert (tree.rows is None) == (g is PATH)
+    with pytest.raises(TreeMismatchError, match="^the A-C tree's plan or rows send the search"):
+        recursive_dijkstra(g, _with(tree, **fields))
+    assert verify_spt(g, recursive_dijkstra(g, tree))
+
+
+@pytest.mark.parametrize("log2n", [12, 15])
+def test_recursive_matches_dijkstra_on_a_block_chain(log2n):
+    g = block_chain(1 << log2n, seed=log2n)
+    tree = build_ac_tree(g)
+    assert 3 <= tree.width <= 9
+    off = g.offsets
+    assert tree.rows == tuple(range(off[u], off[u + 1]) for u in range(g.node_count))
+    r = recursive_dijkstra(g, tree)
+    assert list(map(float.hex, r.dist)) == list(map(float.hex, dijkstra(g).dist))
+    assert verify_spt(g, r)
+    for clone in (pickle.loads(pickle.dumps(tree)), copy.copy(tree), copy.deepcopy(tree)):
+        assert clone == tree and clone.rows == tree.rows
+        assert recursive_dijkstra(g, clone) == r
+
+
+@pytest.mark.parametrize("g", [PATH, IRREDUCIBLE], ids=["walk", "drain"])
+def test_a_negative_zero_source_arc_gives_distance_positive_zero(g):
+    g = Graph.from_arcs(3, 0, [(u, v, -0.0) for u, v, _ in g.arcs()])
+    assert all(float.hex(w) == "-0x0.0p+0" for w in g.weights)
+    for r in (dijkstra(g), recursive_dijkstra(g, build_ac_tree(g))):
+        # 0.0 + -0.0 is 0.0: every node is reached through dist[s] + w
+        assert [float.hex(d) for d in r.dist] == ["0x0.0p+0"] * 3
+
+
+def _count_heap_calls(monkeypatch) -> Counter:
+    """Wrap the heap functions the engines look up in ``actree.sssp``; the
+    counter gets each function's calls and, under ``"entries"``, the length
+    of every list heapified."""
+    calls: Counter = Counter()
+
+    def counting(name, f):
+        def counted(heap, *args):
+            calls[name] += 1
+            if name == "heapify":
+                calls["entries"] += len(heap)
+            return f(heap, *args)
+        return counted
+
+    for name in ("heappush", "heappop", "heapify"):
+        monkeypatch.setattr(sssp, name, counting(name, getattr(sssp, name)))
+    return calls
+
+
+def test_recursive_opens_one_heap_per_component_and_pushes_only_on_decreases(monkeypatch):
+    calls = _count_heap_calls(monkeypatch)
+    g = block_chain(1 << 12, seed=3)
+    tree = build_ac_tree(g)
+    r = recursive_dijkstra(g, tree)
+    assert r.dist == dijkstra(g).dist
+    calls.clear()
+    r = recursive_dijkstra(g, tree)
+    grouped = sum(count for size, count in tree.comp_sizes.items() if size > 1)
+    assert grouped > 0
+    assert calls["heapify"] == grouped
+    assert 0 < calls["heappush"] <= r.stats.key_decreases
+    # every heap is drained empty: each entry heapified or pushed is popped
+    assert calls["heappop"] == calls["entries"] + calls["heappush"]
+    calls.clear()
+    dag = gen_random_dag(1 << 10, 3 << 10, seed=3)
+    assert recursive_dijkstra(dag, build_ac_tree(dag)).stats.key_decreases > 0
+    assert not calls
 
 
 @pytest.mark.parametrize("k", [0, 7, 29])
