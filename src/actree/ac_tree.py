@@ -16,30 +16,31 @@ dominator subtree is a DFS descendant of ``c``, and a path that leaves owner
 while any child of ``a`` is. So, by the white-path theorem, when one
 component of ``a``'s dominance graph has an arc into another, the first
 member of the first in RPO precedes every member of the second. Each owner's
-components are numbered in the RPO of their first members, which is a
-topological order.
+components follow the RPO of their first members, which is a topological
+order.
 
 When the DFS meets no back arc (self-loops and arcs into the source aside),
 every sibling arc points forward in RPO, so every component is one node and
 the grouping is the tree. Any other graph takes Kosaraju's second pass. One
 loop over the dominator tree's preorder collects the arcs of every
 dominance graph at once as transposed sibling arcs, with no per-node graph
-objects; then each grouped child not yet numbered opens a component of
-every unnumbered node it reaches over them. Last, one walk lays out the
+objects; then each grouped child not yet reached opens a component of
+every unreached node it reaches over them. Last, one walk lays out the
 search plan, the order in which a search drains the components, and a tree
 with a component of two or more nodes gets each node's arc range as a
 ``range`` object; neither depends on weights, so both are built once, with
-the tree. The
-resulting :class:`AcTree` is the whole decomposition: the nesting family is
-expanded from it alone.
+the tree. The plan is the tree: it names every component once, in its
+owner's order, and the owner is the immediate dominator of its first
+member. So the resulting :class:`AcTree` keeps no second copy of the
+components, and the component sequences and the nesting family are read
+off it alone.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, pairwise
 
 from .dominators import DominatorTree, _check_node, _immediate_dominators
 from .graph import Graph, GraphError, TreeMismatchError, _check_arg, _Record
@@ -48,102 +49,114 @@ from .graph import Graph, GraphError, TreeMismatchError, _check_arg, _Record
 class AcTree(_Record):
     """The A-C tree in flat form, with the immediate dominators it refines.
 
-    Components are numbered densely, owner by owner in ascending node id,
-    and each owner's sequence in a topological order fixed by the graph,
-    arc order included: each owner's components follow the reverse
-    postorder of their first members in the dominators' DFS, which scans
-    arcs in stored order, so on an acyclic graph, where every component is
-    one node, each owner's children follow that reverse postorder.
     ``idom[v]`` is the immediate dominator of ``v`` (the source maps to
-    itself). The components are stored as compressed rows: the members of
-    component ``c`` are ``comp_nodes[comp_start[c] : comp_start[c + 1]]``,
-    in ascending id, so ``comp_nodes`` lists every node but the source
-    once, component by component. The components of owner ``a`` are
-    numbered ``comp_offsets[a]`` up to ``comp_offsets[a + 1] - 1``;
-    ``comp_sizes`` maps each component size to the number of components of
-    that size, in ascending size. The property ``width`` is one more than
-    the largest component (1 for a single-node graph). ``comp_sizes`` is
-    fixed by ``comp_start``, and kept because every search reads ``width``
-    and copies the sizes into its :class:`~actree.SearchStats`. ``plan`` is
-    the weight-free order in which :func:`~actree.recursive_dijkstra`
-    drains the components, a function of the components laid out once with
-    them: one tuple with an entry per node. ``plan[a]`` is owner ``a``'s
-    segment, a tuple of its own, when ``a`` is the source or a member of a
-    component of two or more nodes and has components; every other entry
-    is ``None``. A segment lists ``a``'s components in order, a singleton
-    as its node followed inline by that node's own components, and a
-    larger component as the tuple of its members; on an acyclic graph the
-    source's segment is the dominator tree's preorder. Its nodes are the
-    int objects of ``comp_nodes``. ``rows`` lays out each node's arcs for
-    the search that drains component queues: on a tree of width 3 or more
-    ``rows[u]`` is ``range(offsets[u], offsets[u + 1])``, built once with
-    the tree; on a tree of width 2 or less, which every search walks with
-    no queue, it is ``None``.
+    itself). ``plan`` is the tree itself, laid out as the weight-free order
+    in which :func:`~actree.recursive_dijkstra` drains the components: one
+    tuple with an entry per node. ``plan[a]`` is owner ``a``'s segment, a
+    tuple of its own, when ``a`` is the source or a member of a component
+    of two or more nodes and has components; every other entry is
+    ``None``. A segment lists ``a``'s components in order, a singleton as
+    its node followed inline by that node's own components, and a larger
+    component as the tuple of its members in ascending id; on an acyclic
+    graph the source's segment is the dominator tree's preorder. Each
+    owner's components come in a topological order fixed by the graph,
+    arc order included: the reverse postorder of their first members in
+    the dominators' DFS, which scans arcs in stored order. So every plan
+    entry names one component, and its owner is ``idom`` of its first
+    member; :attr:`components` reads them back that way.
+    ``comp_sizes`` is the size histogram: a tuple of ``(size, count)``
+    pairs in ascending size, singletons included, kept because every
+    search reads ``width`` and copies the sizes into its
+    :class:`~actree.SearchStats`. The property ``width`` is one more than
+    the largest component (1 for a single-node graph). ``rows`` lays out
+    each node's arcs for the search that drains component queues: on a
+    tree of width 3 or more ``rows[u]`` is
+    ``range(offsets[u], offsets[u + 1])``, built once with the tree; on a
+    tree of width 2 or less, which every search walks with no queue, it is
+    ``None``.
     ``offsets`` and ``heads`` are the topology the tree was built from: the
     graph's own tuples, held by reference, not copied. The tree does not
     depend on weights, so it serves any graph with equal ``offsets``,
     ``heads`` and source, and :func:`~actree.recursive_dijkstra` rejects any
-    other. The plan, its segments and ``rows`` are tuples, so none of them
-    can be changed in place. ``AcTree(...)`` checks whole columns, in C,
-    and raises :class:`GraphError` naming the first field that fails:
-    ``idom`` unless it is a tuple; ``plan`` unless it is a tuple of
-    ``len(idom)`` entries, each a tuple or ``None``; ``comp_sizes`` unless
-    it is a dict keyed by ints; ``rows`` unless it is ``None`` at width 2
-    or less and a tuple of ``len(idom)`` ranges otherwise. It checks
-    nothing else, so the int arrays and what ``plan`` and ``rows`` hold are
-    right by contract only, and a hand-built tree's fields are whatever the
-    caller passed; a search that such a plan or row sends outside the
-    graph raises :class:`~actree.TreeMismatchError`. The repr shows
-    ``width`` and ``comp_sizes`` only, so printing a tree costs the same at
-    any size.
+    other. Every field is a tuple or ``None``, so none can be changed in
+    place, and a tree hashes by its fields. ``AcTree(...)`` checks whole
+    columns, mostly in C, and raises :class:`GraphError` naming the first
+    field that fails: ``idom`` unless it is a tuple; ``comp_sizes`` unless
+    it is a tuple of int pairs, sizes strictly ascending from 1 and counts
+    at least 1; ``plan`` unless it is a tuple of ``len(idom)`` entries,
+    each a tuple or ``None``; ``offsets`` unless it is a tuple of
+    ``len(idom) + 1`` ints; ``rows`` unless it is ``None`` at width 2 or
+    less and ``tuple(map(range, offsets, offsets[1:]))`` otherwise. What the
+    plan's segments hold is right by contract only: a search that a
+    hand-built plan sends outside the graph raises
+    :class:`~actree.TreeMismatchError`. :func:`build_ac_tree` lays the
+    fields out right and skips these checks. The repr shows ``width`` and
+    ``comp_sizes`` only, so printing a tree costs the same at any size.
     """
 
-    __slots__ = (
-        "idom", "comp_start", "comp_nodes", "comp_offsets", "comp_sizes",
-        "plan", "rows", "offsets", "heads",
-    )
+    __slots__ = ("idom", "comp_sizes", "plan", "rows", "offsets", "heads")
     _shown = ("width", "comp_sizes")
 
     def __init__(self, *fields) -> None:
         super().__init__(*fields)
-        idom, plan, sizes, rows = self.idom, self.plan, self.comp_sizes, self.rows
+        idom, sizes, plan, rows, offsets = (
+            self.idom, self.comp_sizes, self.plan, self.rows, self.offsets
+        )
         if type(idom) is not tuple:
             raise GraphError(f"idom must be a tuple, not {type(idom).__name__}")
         n = len(idom)
+        if not (
+            type(sizes) is tuple
+            and all(type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int
+                    and p[1] >= 1 for p in sizes)
+            and all(a < b for (a, _), (b, _) in pairwise(((0, 0), *sizes)))
+        ):
+            raise GraphError(
+                "comp_sizes is not a tuple of (size, count) int pairs in ascending size"
+            )
         if not (
             type(plan) is tuple
             and len(plan) == n
             and set(map(type, plan)) <= {tuple, type(None)}
         ):
             raise GraphError(f"plan is not a tuple of {n} segments, each a tuple or None")
-        if not (type(sizes) is dict and set(map(type, sizes)) <= {int}):
-            raise GraphError("comp_sizes is not a dict keyed by component size")
+        if not (
+            type(offsets) is tuple and len(offsets) == n + 1 and set(map(type, offsets)) <= {int}
+        ):
+            raise GraphError(f"offsets is not a tuple of {n + 1} ints")
         width = self.width
         if width <= 2:
             if rows is not None:
                 raise GraphError(f"rows must be None on a tree of width {width}")
-        elif not (type(rows) is tuple and len(rows) == n and set(map(type, rows)) <= {range}):
-            raise GraphError(f"rows is not a tuple of {n} ranges, as width {width} needs")
+        elif rows != tuple(map(range, offsets, offsets[1:])):
+            raise GraphError(f"rows are not the arc ranges of offsets, as width {width} needs")
 
     @property
     def width(self) -> int:
         """The nesting width: one more than the largest component."""
-        return max(self.comp_sizes, default=0) + 1
+        sizes = self.comp_sizes
+        return sizes[-1][0] + 1 if sizes else 1
 
     @property
     def components(self) -> dict[int, tuple[frozenset[int], ...]]:
-        """Each node with dominator children mapped to its component sequence."""
-        off = self.comp_offsets
-        start = self.comp_start
-        nodes = self.comp_nodes
-        return {
-            a: tuple(
-                frozenset(nodes[start[c] : start[c + 1]])
-                for c in range(off[a], off[a + 1])
-            )
-            for a in range(len(off) - 1)
-            if off[a] < off[a + 1]
-        }
+        """Each node with dominator children mapped to its component
+        sequence, read off the plan in O(n): each entry, in order, filed
+        under ``idom`` of its first member."""
+        idom = self.idom
+        owned: list[list[frozenset[int]]] = [[] for _ in idom]
+        for segment in self.plan:
+            for x in segment or ():
+                members = (x,) if type(x) is int else x
+                owned[idom[members[0]]].append(frozenset(members))
+        return {a: tuple(comps) for a, comps in enumerate(owned) if comps}
+
+
+def _built_tree(*fields) -> AcTree:
+    """An A-C tree from fields that are not checked: only the build, which
+    lays every field out right, calls this."""
+    tree = AcTree.__new__(AcTree)
+    _Record.__init__(tree, *fields)
+    return tree
 
 
 def _sibling_arcs(
@@ -239,20 +252,9 @@ def build_ac_tree(g: Graph) -> AcTree:
     if back:
         return _kosaraju_tree(g, idom, start, kids)
     # one component per non-source node: each owner's children, in reverse
-    # postorder
-    nodes = tuple(kids)
-    del kids
-    return AcTree(
-        idom,
-        array("i", range(n)),
-        nodes,
-        start,
-        {1: n - 1} if n > 1 else {},
-        _search_plan((g.source,), start.tolist(), nodes),
-        None,
-        g.offsets,
-        g.heads,
-    )
+    # postorder, are its plan entries
+    plan = _search_plan((g.source,), start.tolist(), kids)
+    return _built_tree(idom, ((1, n - 1),) if n > 1 else (), plan, None, g.offsets, g.heads)
 
 
 def _kosaraju_tree(
@@ -262,65 +264,61 @@ def _kosaraju_tree(
 
     ``start`` and ``kids`` group each owner's children in the reverse
     postorder of the dominators' DFS. The sibling-arc pass collects the
-    transposed arcs; then, owner by owner, each child not yet numbered
-    opens a component of every unnumbered node it reaches over them. No
+    transposed arcs; then, owner by owner, each child not yet reached
+    opens a component of every unreached node it reaches over them. No
     sibling arc crosses owners, so that is the child's strong component,
-    and the components come out in topological order, numbered as they
-    come, each sorted ascending. The pass also records each component's
-    plan entry and the members of components of two or more nodes, which
-    own plan segments. A tree of width 3 or more also lays out every
-    node's arc range, its ``rows``.
+    and each owner's components come out in topological order. The pass
+    keeps only what :func:`_search_plan` reads: each component's plan
+    entry, the count of each owner's components and the members of
+    components of two or more nodes, which own plan segments. A tree of
+    width 3 or more also lays out every node's arc range, its ``rows``.
     """
     n = g.node_count
     pred = _sibling_arcs(g, idom, start, kids)
-    comp_id = [-1] * n
-    members: list[int] = []
-    comp_start = array("i", [0])
+    reached = [False] * n
     count = [0] * (n + 1)
     entry: list[int | tuple[int, ...]] = []  # each component's plan entry
     owners = [g.source]
+    large: Counter = Counter()  # the sizes of components of two or more nodes
     for root in kids:
-        if comp_id[root] >= 0:
+        if reached[root]:
             continue
-        c = len(comp_start) - 1
-        comp_id[root] = c
+        reached[root] = True
         comp = [root]
         for v in comp:  # the list grows as the search reaches new members
             for u in pred[v]:
-                if comp_id[u] < 0:
-                    comp_id[u] = c
+                if not reached[u]:
+                    reached[u] = True
                     comp.append(u)
-        comp.sort()
-        members += comp
-        comp_start.append(len(members))
         count[idom[root] + 1] += 1
         if len(comp) > 1:
+            comp.sort()
             entry.append(tuple(comp))
             owners += comp
+            large[len(comp)] += 1
         else:
             entry.append(root)
-    del pred, comp_id  # freed before the numbering allocates: a lower peak
-    sizes = dict(sorted(Counter(map(sub, comp_start[1:], comp_start)).items()))
-    off = list(accumulate(count))
-    plan = _search_plan(owners, off, entry)
+    del pred, reached  # freed before the plan allocates: a lower peak
+    plan = _search_plan(owners, list(accumulate(count)), entry)
+    singles = n - len(owners)  # every node but the source and the grouped ones
     del entry, owners
+    sizes = (((1, singles),) if singles else ()) + tuple(sorted(large.items()))
     offsets = g.offsets
-    rows = tuple(map(range, offsets, offsets[1:])) if max(sizes, default=0) > 1 else None
-    return AcTree(
-        idom, comp_start, tuple(members), array("i", off), sizes, plan, rows, offsets, g.heads
-    )
+    rows = tuple(map(range, offsets, offsets[1:])) if large else None
+    return _built_tree(idom, sizes, plan, rows, offsets, g.heads)
 
 
 def _search_plan(
     owners: list[int] | tuple[int, ...],
     off: list[int],
-    entry: list[int | tuple[int, ...]] | tuple[int, ...],
+    entry: list[int | tuple[int, ...]],
 ) -> tuple[tuple[int | tuple[int, ...], ...] | None, ...]:
     """The weight-free order in which a search drains the components.
 
-    ``off`` is ``comp_offsets`` as a list, and ``entry[c]`` names component
-    ``c`` in the plan: its one member if it is a singleton, else the tuple
-    of its members, so a search opens a component with no lookup.
+    Owner ``a``'s components, in order, are ``entry[off[a] : off[a + 1]]``,
+    each named as the plan names it: its one member if it is a singleton,
+    else the tuple of its members, so a search opens a component with no
+    lookup.
     ``owners`` lists the source and every member of a component of two or
     more nodes. Returns one entry per node: owner ``a``'s segment, a tuple
     of ``a``'s components in order, each singleton followed by its own
@@ -357,9 +355,10 @@ def ac_to_nesting_family(tree: AcTree) -> tuple[frozenset[int], ...]:
 
     For every node ``a`` the family holds each prefix of its component
     sequence, closed under dominator descendants and rooted at ``a``, plus
-    the trivial modules. Owner ``a``'s components partition its dominator
-    children, so a subtree is walked through the components alone. The
-    result, sorted by size and then by members, is laminar, and its width
+    the trivial modules. Owner ``a``'s components, read off the plan by
+    :attr:`AcTree.components`, partition its dominator children, so a
+    subtree is walked through the components alone. The result, sorted by
+    size and then by members, is laminar, and its width
     (:func:`~actree.family_width`) equals ``tree.width``.
 
     This is a test-scale certificate: every prefix is its own frozenset, so
@@ -367,21 +366,18 @@ def ac_to_nesting_family(tree: AcTree) -> tuple[frozenset[int], ...]:
     quadratic in n (about 8M at n = 4096 on a random DAG).
     """
     _check_arg(tree, AcTree, "tree", TreeMismatchError)
-    off = tree.comp_offsets
-    start = tree.comp_start
-    nodes = tree.comp_nodes
     n = len(tree.idom)
+    components = tree.components
+    kids = {a: [v for comp in comps for v in comp] for a, comps in components.items()}
     sets = {frozenset(range(n))}
     sets.update(frozenset((v,)) for v in range(n))
-    for a in range(n):
+    for a, comps in components.items():
         prefix = [a]
-        for c in range(off[a], off[a + 1]):
+        for comp in comps:
             i = len(prefix)
-            prefix.extend(nodes[start[c] : start[c + 1]])
+            prefix += comp
             while i < len(prefix):  # append the subtrees of the new members
-                v = prefix[i]
+                prefix += kids.get(prefix[i], ())
                 i += 1
-                # v's components are numbered contiguously: one slice
-                prefix.extend(nodes[start[off[v]] : start[off[v + 1]]])
             sets.add(frozenset(prefix))
     return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))

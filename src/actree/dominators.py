@@ -19,11 +19,11 @@ semidominator, one EVAL per node, one forward pass. The whole pass is
 O(e log n) on every input, and the common path pays only the step counter.
 Everything runs over flat arrays indexed by DFS number. The pass returns
 the tree grouped by owner, each owner's children in the reverse postorder
-of its DFS: the one grouping that both the A-C tree build and
-:func:`compute_dominator_tree` read. The latter sorts each owner's children
-and walks the tree once in preorder. The stored preorder makes dominance
-an O(1) interval test and every subtree a slice of it. A path-removal
-oracle is provided for testing.
+of its DFS, which the A-C tree build reads. :func:`compute_dominator_tree`
+reads the immediate dominators alone: one pass files each node under its
+immediate dominator in ascending id, and one walk lays out the preorder.
+The stored preorder makes dominance an O(1) interval test and every
+subtree a slice of it. A path-removal oracle is provided for testing.
 """
 
 from __future__ import annotations
@@ -72,16 +72,27 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     """Build the dominator tree of ``g`` rooted at its source.
 
     Requires every node to be reachable from the source (prune first).
-    The tree and its preorder do not depend on the arc order: each owner's
-    children, grouped by the dominator pass in reverse postorder, are
-    sorted into ascending id.
+    The tree and its preorder do not depend on the arc order.
     """
     _check_arg(g, Graph, "g")
-    idom, start, kids, _ = _immediate_dominators(g)
-    n = g.node_count
-    s = g.source
-    children = tuple(tuple(sorted(kids[start[a] : start[a + 1]])) for a in range(n))
-    del start, kids
+    return _dominator_tree(_immediate_dominators(g)[0], g.source)
+
+
+def _dominator_tree(idom: tuple[int, ...], s: int) -> DominatorTree:
+    """The dominator tree whose immediate dominators are ``idom``, rooted
+    at ``s``, as a built :class:`~actree.AcTree` holds them.
+
+    One pass over the nodes in ascending id files each under its immediate
+    dominator, so every owner's children come out in ascending id; then one
+    walk lays out the preorder.
+    """
+    n = len(idom)
+    grouped: list[list[int]] = [[] for _ in range(n)]
+    for v, p in enumerate(idom):
+        grouped[p].append(v)
+    grouped[s].remove(s)  # the root maps to itself and is no child
+    children = tuple(map(tuple, grouped))
+    del grouped
     order = []
     stack = [s]
     while stack:

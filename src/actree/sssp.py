@@ -35,7 +35,7 @@ other is named, violation by violation, by the specification loop.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, islice
 
 from .ac_tree import AcTree
 from .graph import (
@@ -55,11 +55,11 @@ class SearchStats(_Record):
 
     ``pops`` counts node finalisations (equals the node count on pruned
     input). ``key_decreases`` counts tentative-distance improvements.
-    For the recursive engine, ``component_sizes`` is a copy of the tree's
-    size histogram ``comp_sizes``, singletons included, and
-    ``max_queue_len`` is ``width - 1``. Neither counts the queues the
-    search opened: a DAG reports ``{1: n - 1}`` and 1 with no queue
-    opened. For the single-queue engine, ``max_queue_len`` is the node
+    For the recursive engine, ``component_sizes`` is
+    ``dict(tree.comp_sizes)``, the tree's size histogram as a dict from
+    component size to count, singletons included, and ``max_queue_len``
+    is ``width - 1``. Neither counts the queues the search opened: a DAG
+    reports ``{1: n - 1}`` and 1 with no queue opened. For the single-queue engine, ``max_queue_len`` is the node
     count, not the heap's peak size with the stale entries lazy deletion
     leaves, and ``component_sizes`` is empty.
     """
@@ -166,9 +166,9 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     or another topology, the same arcs reordered within a row included;
     for another topology the error names the first node whose out-arcs
     differ. A hand-built tree whose plan leaves a node unfinalised raises
-    it at the end, and one whose plan or rows name a node or arc outside
-    the graph raises it when the search meets that entry. A node whose
-    every path sums past the largest float raises
+    it at the end, and one whose plan names a node outside the graph
+    raises it when the search meets that entry. A node whose every path
+    sums past the largest float raises
     :class:`DistanceOverflowError`: one ``sum(dist)`` in C spots it, and
     only a sum of ``inf`` sends the search to look for the node.
     """
@@ -205,9 +205,9 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
             pops, decreases = _walk_singletons(g, tree, dist, parent)
         else:
             pops, decreases = _drain_components(g, tree, dist, parent)
-    except (IndexError, TypeError) as error:  # only a hand-built plan or row can
+    except (IndexError, TypeError) as error:  # only a hand-built plan can
         raise TreeMismatchError(
-            "the A-C tree's plan or rows send the search outside the graph"
+            "the A-C tree's plan sends the search outside the graph"
             f" ({type(error).__name__}: {error})"
         ) from error
 
@@ -428,9 +428,11 @@ def _spt_holds(g: Graph, dist, parent) -> bool:
     Every node column check runs in C: the sizes, the source's entries,
     one ``None`` in all of ``parent``, ``min(dist) >= 0``, and
     ``sum(dist) < inf``, which is false on a NaN or infinite distance. Then
-    one loop compares ``dist[u] + w`` with ``dist[v]`` on every arc
-    ``(u, v, w)`` and, only where the two are equal, marks ``v`` tight if
-    ``parent[v]`` is ``u``; every node but the source must end up tight.
+    one loop reads the arcs in storage order, through one iterator over
+    ``heads`` and ``weights`` sliced by each node's out-degree, compares
+    ``dist[u] + w`` with ``dist[v]`` on every arc ``(u, v, w)`` and, only
+    where the two are equal, marks ``v`` tight if ``parent[v]`` is ``u``;
+    every node but the source must end up tight.
 
     A tight arc never lowers a distance, so every arc of a cycle of tight
     parent arcs joins two nodes at one distance. A tight parent arc with
@@ -451,13 +453,13 @@ def _spt_holds(g: Graph, dist, parent) -> bool:
         and sum(dist) < INF
     ):
         return False
-    off, heads, weights = g.offsets, g.heads, g.weights
+    off = g.offsets
+    arcs = zip(g.heads, g.weights)  # every arc once, in storage order
     tight = [False] * n
     for u in range(n):
         du = dist[u]
-        for i in range(off[u], off[u + 1]):
-            v = heads[i]
-            d = du + weights[i]
+        for v, w in islice(arcs, off[u + 1] - off[u]):
+            d = du + w
             dv = dist[v]
             if d <= dv:
                 if d < dv:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,15 @@ import pytest
 
 import actree
 from actree import cli, serialize_edge_list
-from random_graphs import gen_complete, gen_layered
+from random_graphs import (
+    block_chain,
+    gen_complete,
+    gen_layered,
+    gen_random_dag,
+    gen_random_digraph,
+    ladder,
+    nested_chain,
+)
 
 DIAMOND = "4 4 0\n0 1 1\n0 2 4\n1 3 2\n2 3 1\n"
 
@@ -54,6 +63,44 @@ def test_decompose_includes_idom(tmp_path):
     assert doc["idom"] == [0, 0, 0, 0]
     # every output is JSON already, so there is no --json flag
     assert run_cli("decompose", str(path), "--json").returncode == 2
+
+
+# sha256 of ``actree decompose``'s output, recorded before components were
+# derived from the plan; the corpus is built lazily, one graph per case.
+DECOMPOSE_CORPUS = {
+    "irreducible": lambda: "3 4 0\n0 1\n0 2\n1 2\n2 1\n",
+    "nested_chain": lambda: nested_chain(1 << 10),
+    "block_chain": lambda: block_chain(1 << 10, 12),
+    "ladder": lambda: ladder(64),
+    **{f"digraph-{s}": lambda s=s: gen_random_digraph(64, 256, s) for s in range(5)},
+    **{f"dag-{s}": lambda s=s: gen_random_dag(64, 256, s) for s in range(5)},
+}
+DECOMPOSE_SHA256 = {
+    "irreducible": "f0851fc46e7ee6b8eb5409154bc99c77844a3f249dbb397489561d2ee38304ca",
+    "nested_chain": "3deedaca0dbfd9b530ddd642ab73eef190dbaefcacc39ce314637d6d27ee32c0",
+    "block_chain": "8bf3b763c7be161af53a100c3e8d3029ca7b9e735a68df15b291bcd6b1da20cf",
+    "ladder": "98431236dcfa01e758b63d669e2aadd5659b6cb6d041479136ab0dbfb1be2e15",
+    "digraph-0": "35b7646709a81c286288a1f91942d0d06e88c60c6464aa1a0e44685dd7a0c5ff",
+    "digraph-1": "f184d8e91d97c71135515b51e3f51bdb7641a7e1d7a2da1111d875b0bdc0d712",
+    "digraph-2": "0c0b9ac6eca034e1857e1c5f2342b5625c97f12173386f6f41a9ed8b64bd280d",
+    "digraph-3": "98bc19fba6e1c4afbb7be6a2a35cf959dc7ab77254198dcaae1a12d4a3a25cd9",
+    "digraph-4": "7d8e2f93b317764009f1f9148ae0b99ded8f343610b6e295b010cdeb62ca7452",
+    "dag-0": "95244a9ca64f0397333f9157c7a9cbda269b687271699a821189b413d949db83",
+    "dag-1": "be81d8827016b14b642790f321283da39a4eceaad515992a29806aedf9512bbd",
+    "dag-2": "c658d57464761aa7991b35b47c2613fd94ca0e918da836f7a28a0538646341fb",
+    "dag-3": "9de977feed8279bf7f5770896921f0a71294adfa34881456b5b2a945f4c18982",
+    "dag-4": "fa1e9e08925213fafba8f21c7f29c2d81ab1afbb6eeadede55951664d1239c52",
+}
+
+
+@pytest.mark.parametrize("name", DECOMPOSE_SHA256)
+def test_decompose_output_is_pinned(tmp_path, capsys, name):
+    g = DECOMPOSE_CORPUS[name]()
+    path = tmp_path / f"{name}.edges"
+    path.write_text(g if isinstance(g, str) else serialize_edge_list(g))
+    assert cli.main(["decompose", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_SHA256[name]
 
 
 def test_decompose_malformed_exits_2(tmp_path):

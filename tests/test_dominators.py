@@ -20,7 +20,7 @@ from actree import (
     naive_dominance_graph,
 )
 from actree import dominators
-from actree.dominators import _immediate_dominators
+from actree.dominators import _dominator_tree, _immediate_dominators
 from random_graphs import (
     gen_layered,
     gen_random_digraph,
@@ -325,3 +325,16 @@ def test_dominator_tree_matches_removal_oracle(g):
             p = t.idom[a]
             assert p in strict
             assert all(p in dominated[d] for d in strict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_a_built_trees_idom_gives_the_same_dominator_tree(g):
+    """``_dominator_tree`` reads ``idom`` alone; each owner's children are
+    the dominator pass's grouping, sorted."""
+    idom, start, kids, _ = _immediate_dominators(g)
+    t = _dominator_tree(build_ac_tree(g).idom, g.source)
+    assert t == compute_dominator_tree(g)
+    assert t.children == tuple(
+        tuple(sorted(kids[start[a] : start[a + 1]])) for a in range(g.node_count)
+    )

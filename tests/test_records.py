@@ -40,8 +40,8 @@ CLASSES = (
     ShortestPathResult,
     SptCheck,
 )
-# a dict or array field makes a record unhashable, as it made the dataclass
-UNHASHABLE = (AcTree, SearchStats, ShortestPathResult)
+# a dict field makes a record unhashable, as it made the dataclass
+UNHASHABLE = (SearchStats, ShortestPathResult)
 
 
 def records() -> dict[type, object]:

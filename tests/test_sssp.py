@@ -265,7 +265,7 @@ def test_the_acyclic_loop_serves_cycles_through_dominators(seed):
 @given(small_graphs())
 def test_the_acyclic_loop_runs_exactly_when_every_component_is_one_node(g):
     tree = build_ac_tree(g)
-    singletons = set(tree.comp_sizes) <= {1}
+    singletons = all(size == 1 for size, _ in tree.comp_sizes)
     assert (_segment_len(tree, g.source) == g.node_count - 1) == singletons
     if singletons:
         _assert_the_acyclic_loop_matches(g)
@@ -294,7 +294,7 @@ def _segment_depth(tree: AcTree, a: int) -> int:
 def test_recursive_drains_a_plan_that_nests_2048_segments_deep():
     g = nested_chain(1 << 14)
     tree = build_ac_tree(g)
-    assert tree.width == 3 and tree.comp_sizes == {1: 12287, 2: 2048}
+    assert tree.width == 3 and tree.comp_sizes == ((1, 12287), (2, 2048))
     # the search suspends one heap per block at once
     assert _segment_depth(tree, g.source) == 2048
     r = recursive_dijkstra(g, tree)
@@ -329,17 +329,7 @@ def test_recursive_rejects_a_tree_that_leaves_nodes_unfinalised():
     tree = build_ac_tree(g)
     assert tree.plan == ((1, 2), None, None) and tree.rows is None
     for plan in (((1,), None, None), (None, None, None)):  # node 2 cut, both cut
-        cut = AcTree(
-            tree.idom,
-            tree.comp_start,
-            tree.comp_nodes,
-            tree.comp_offsets,
-            tree.comp_sizes,
-            plan,
-            tree.rows,
-            tree.offsets,
-            tree.heads,
-        )
+        cut = AcTree(tree.idom, tree.comp_sizes, plan, tree.rows, tree.offsets, tree.heads)
         with pytest.raises(TreeMismatchError, match=f"finalised {len(plan[0] or ()) + 1} of 3"):
             recursive_dijkstra(g, cut)
 
@@ -352,21 +342,26 @@ def _with(tree: AcTree, **fields) -> AcTree:
 PATH = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])  # width 2: the plain walk
 # width 3: {1, 2} is one component, drained from its queue
 IRREDUCIBLE = Graph.from_arcs(3, 0, [(0, 1), (0, 2), (1, 2), (2, 1)])
-# each a graph and tree fields that send the search outside the graph
+OUTSIDE_PLAN = "^the A-C tree's plan sends the search outside the graph"
+# each a graph, tree fields that would send the search outside the graph,
+# and the error that stops it; the constructor rejects a row past ``heads``
 OUTSIDE = {
-    "walk-node": (PATH, {"plan": ((1, 5), None, None)}),
-    "walk-component": (PATH, {"plan": ((1, (5, 6)), None, None)}),
-    "drain-node": (IRREDUCIBLE, {"plan": ((5,), None, None)}),
-    "drain-component": (IRREDUCIBLE, {"plan": (((5, 6),), None, None)}),
-    "drain-row-past-heads": (IRREDUCIBLE, {"rows": (range(0, 2), range(2, 9), range(3, 4))}),
+    "walk-node": (PATH, {"plan": ((1, 5), None, None)}, TreeMismatchError, OUTSIDE_PLAN),
+    "walk-component": (PATH, {"plan": ((1, (5, 6)), None, None)}, TreeMismatchError,
+                       OUTSIDE_PLAN),
+    "drain-node": (IRREDUCIBLE, {"plan": ((5,), None, None)}, TreeMismatchError, OUTSIDE_PLAN),
+    "drain-component": (IRREDUCIBLE, {"plan": (((5, 6),), None, None)}, TreeMismatchError,
+                        OUTSIDE_PLAN),
+    "drain-row-past-heads": (IRREDUCIBLE, {"rows": (range(0, 2), range(2, 9), range(3, 4))},
+                             GraphError, "^rows are not the arc ranges of offsets"),
 }
 
 
-@pytest.mark.parametrize("g, fields", OUTSIDE.values(), ids=OUTSIDE)
-def test_recursive_rejects_a_plan_or_row_outside_the_graph(g, fields):
+@pytest.mark.parametrize("g, fields, error, message", OUTSIDE.values(), ids=OUTSIDE)
+def test_recursive_rejects_a_plan_or_row_outside_the_graph(g, fields, error, message):
     tree = build_ac_tree(g)
     assert (tree.rows is None) == (g is PATH)
-    with pytest.raises(TreeMismatchError, match="^the A-C tree's plan or rows send the search"):
+    with pytest.raises(error, match=message):
         recursive_dijkstra(g, _with(tree, **fields))
     assert verify_spt(g, recursive_dijkstra(g, tree))
 
@@ -382,7 +377,7 @@ def test_recursive_matches_dijkstra_on_a_block_chain(log2n):
     assert list(map(float.hex, r.dist)) == list(map(float.hex, dijkstra(g).dist))
     assert verify_spt(g, r)
     for clone in (pickle.loads(pickle.dumps(tree)), copy.copy(tree), copy.deepcopy(tree)):
-        assert clone == tree and clone.rows == tree.rows
+        assert clone == tree and clone.rows == tree.rows and hash(clone) == hash(tree)
         assert recursive_dijkstra(g, clone) == r
 
 
@@ -422,7 +417,7 @@ def test_recursive_opens_one_heap_per_component_and_pushes_only_on_decreases(mon
     assert r.dist == dijkstra(g).dist
     calls.clear()
     r = recursive_dijkstra(g, tree)
-    grouped = sum(count for size, count in tree.comp_sizes.items() if size > 1)
+    grouped = sum(count for size, count in tree.comp_sizes if size > 1)
     assert grouped > 0
     assert calls["heapify"] == grouped
     assert 0 < calls["heappush"] <= r.stats.key_decreases
