@@ -28,26 +28,44 @@ objects; then each grouped child not yet reached opens a component of
 every unreached node it reaches over them. Last, one walk lays out the
 search plan, the order in which a search drains the components, and a tree
 with a component of two or more nodes gets each node's arc range as a
-``range`` object; neither depends on weights, so both are built once, with
-the tree. The plan is the tree: it names every component once, in its
-owner's order, and the owner is the immediate dominator of its first
+``range`` object. The plan is the tree: it names every component once, in
+its owner's order, and the owner is the immediate dominator of its first
 member. So the resulting :class:`AcTree` keeps no second copy of the
 components, and the component sequences and the nesting family are read
 off it alone.
+
+No stage reads a weight, so a tree is its topology: ``AcTree(source,
+offsets, heads)`` takes those three fields only and derives every other
+one by the same build as :func:`build_ac_tree`, and no tree can hold a
+field that its topology does not imply.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from itertools import accumulate, pairwise
+from itertools import accumulate
 
 from .dominators import DominatorTree, _check_node, _immediate_dominators
 from .graph import Graph, GraphError, TreeMismatchError, _check_arg, _Record
 
 
 class AcTree(_Record):
-    """The A-C tree in flat form, with the immediate dominators it refines.
+    """The A-C tree of a topology in flat form, with the immediate
+    dominators it refines.
+
+    ``AcTree(source, offsets, heads)`` builds the tree of the pruned graph
+    with that source and those arc columns, whatever its weights. The three
+    are the tree's only fields, held by reference, not copied. They go
+    through the checks of :class:`Graph` first, so a malformed topology
+    raises :class:`GraphError` and a node the source does not reach raises
+    :class:`~actree.UnreachableNodeError`. :func:`build_ac_tree` builds the same
+    tree from a :class:`Graph`, whose topology is checked already. Every
+    other slot is derived by that one build and is read-only, so no tree
+    holds a plan, a histogram or rows that its topology does not imply.
+    Trees are equal, and hash alike, when their fields are; ``pickle`` and
+    ``copy`` keep the three fields only, so unpickling or copying a tree
+    rebuilds it, at about the cost of one build.
 
     ``idom[v]`` is the immediate dominator of ``v`` (the source maps to
     itself). ``plan`` is the tree itself, laid out as the weight-free order
@@ -71,65 +89,22 @@ class AcTree(_Record):
     the largest component (1 for a single-node graph). ``rows`` lays out
     each node's arcs for the search that drains component queues: on a
     tree of width 3 or more ``rows[u]`` is
-    ``range(offsets[u], offsets[u + 1])``, built once with the tree; on a
-    tree of width 2 or less, which every search walks with no queue, it is
-    ``None``.
-    ``offsets`` and ``heads`` are the topology the tree was built from: the
-    graph's own tuples, held by reference, not copied. The tree does not
-    depend on weights, so it serves any graph with equal ``offsets``,
-    ``heads`` and source, and :func:`~actree.recursive_dijkstra` rejects any
-    other. Every field is a tuple or ``None``, so none can be changed in
-    place, and a tree hashes by its fields. ``AcTree(...)`` checks whole
-    columns, mostly in C, and raises :class:`GraphError` naming the first
-    field that fails: ``idom`` unless it is a tuple; ``comp_sizes`` unless
-    it is a tuple of int pairs, sizes strictly ascending from 1 and counts
-    at least 1; ``plan`` unless it is a tuple of ``len(idom)`` entries,
-    each a tuple or ``None``; ``offsets`` unless it is a tuple of
-    ``len(idom) + 1`` ints; ``rows`` unless it is ``None`` at width 2 or
-    less and ``tuple(map(range, offsets, offsets[1:]))`` otherwise. What the
-    plan's segments hold is right by contract only: a search that a
-    hand-built plan sends outside the graph raises
-    :class:`~actree.TreeMismatchError`. :func:`build_ac_tree` lays the
-    fields out right and skips these checks. The repr shows ``width`` and
+    ``range(offsets[u], offsets[u + 1])``; on a tree of width 2 or less,
+    which every search walks with no queue, it is ``None``.
+    The tree does not depend on weights, so it serves any graph with equal
+    ``offsets``, ``heads`` and source, and :func:`~actree.recursive_dijkstra`
+    rejects any other. ``source`` is an int and every other slot a tuple or
+    ``None``, so none can be changed in place. The repr shows ``width`` and
     ``comp_sizes`` only, so printing a tree costs the same at any size.
     """
 
-    __slots__ = ("idom", "comp_sizes", "plan", "rows", "offsets", "heads")
+    __slots__ = ("source", "offsets", "heads", "idom", "comp_sizes", "plan", "rows")
+    _fields = ("source", "offsets", "heads")
     _shown = ("width", "comp_sizes")
 
-    def __init__(self, *fields) -> None:
-        super().__init__(*fields)
-        idom, sizes, plan, rows, offsets = (
-            self.idom, self.comp_sizes, self.plan, self.rows, self.offsets
-        )
-        if type(idom) is not tuple:
-            raise GraphError(f"idom must be a tuple, not {type(idom).__name__}")
-        n = len(idom)
-        if not (
-            type(sizes) is tuple
-            and all(type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int
-                    and p[1] >= 1 for p in sizes)
-            and all(a < b for (a, _), (b, _) in pairwise(((0, 0), *sizes)))
-        ):
-            raise GraphError(
-                "comp_sizes is not a tuple of (size, count) int pairs in ascending size"
-            )
-        if not (
-            type(plan) is tuple
-            and len(plan) == n
-            and set(map(type, plan)) <= {tuple, type(None)}
-        ):
-            raise GraphError(f"plan is not a tuple of {n} segments, each a tuple or None")
-        if not (
-            type(offsets) is tuple and len(offsets) == n + 1 and set(map(type, offsets)) <= {int}
-        ):
-            raise GraphError(f"offsets is not a tuple of {n + 1} ints")
-        width = self.width
-        if width <= 2:
-            if rows is not None:
-                raise GraphError(f"rows must be None on a tree of width {width}")
-        elif rows != tuple(map(range, offsets, offsets[1:])):
-            raise GraphError(f"rows are not the arc ranges of offsets, as width {width} needs")
+    def __init__(self, source: int, offsets: tuple[int, ...], heads: tuple[int, ...]) -> None:
+        zeros = (0.0,) * len(heads) if type(heads) is tuple else ()
+        _lay_out(self, Graph(source, offsets, heads, zeros))
 
     @property
     def width(self) -> int:
@@ -149,14 +124,6 @@ class AcTree(_Record):
                 members = (x,) if type(x) is int else x
                 owned[idom[members[0]]].append(frozenset(members))
         return {a: tuple(comps) for a, comps in enumerate(owned) if comps}
-
-
-def _built_tree(*fields) -> AcTree:
-    """An A-C tree from fields that are not checked: only the build, which
-    lays every field out right, calls this."""
-    tree = AcTree.__new__(AcTree)
-    _Record.__init__(tree, *fields)
-    return tree
 
 
 def _sibling_arcs(
@@ -228,7 +195,9 @@ def naive_dominance_graph(
 
 
 def build_ac_tree(g: Graph) -> AcTree:
-    """Construct the A-C tree of a pruned graph.
+    """The A-C tree of a pruned graph: ``AcTree(g.source, g.offsets,
+    g.heads)``, built without checking the topology again, since a
+    :class:`Graph` has checked it.
 
     Dominators first: the dominator pass returns every owner's children
     grouped in the reverse postorder of its DFS. When the DFS meets no back
@@ -247,20 +216,34 @@ def build_ac_tree(g: Graph) -> AcTree:
     on arc weights.
     """
     _check_arg(g, Graph, "g")
+    return _lay_out(AcTree.__new__(AcTree), g)
+
+
+def _lay_out(tree: AcTree, g: Graph) -> AcTree:
+    """Fill every slot of ``tree`` from the topology of the pruned graph
+    ``g``: the one build, as :func:`build_ac_tree` describes it, behind it
+    and ``AcTree(...)``."""
     n = g.node_count
     idom, start, kids, back = _immediate_dominators(g)
     if back:
-        return _kosaraju_tree(g, idom, start, kids)
-    # one component per non-source node: each owner's children, in reverse
-    # postorder, are its plan entries
-    plan = _search_plan((g.source,), start.tolist(), kids)
-    return _built_tree(idom, ((1, n - 1),) if n > 1 else (), plan, None, g.offsets, g.heads)
+        sizes, plan, rows = _kosaraju_layout(g, idom, start, kids)
+    else:
+        # one component per non-source node: each owner's children, in
+        # reverse postorder, are its plan entries
+        sizes = ((1, n - 1),) if n > 1 else ()
+        plan = _search_plan((g.source,), start.tolist(), kids)
+        rows = None
+    values = (g.source, g.offsets, g.heads, idom, sizes, plan, rows)
+    for name, value in zip(AcTree.__slots__, values):
+        object.__setattr__(tree, name, value)
+    return tree
 
 
-def _kosaraju_tree(
+def _kosaraju_layout(
     g: Graph, idom: tuple[int, ...], start: array, kids: list[int]
-) -> AcTree:
-    """The A-C tree of any pruned graph, by Kosaraju's second pass.
+) -> tuple:
+    """The size histogram, search plan and rows of any pruned graph's
+    A-C tree, by Kosaraju's second pass.
 
     ``start`` and ``kids`` group each owner's children in the reverse
     postorder of the dominators' DFS. The sibling-arc pass collects the
@@ -305,7 +288,7 @@ def _kosaraju_tree(
     sizes = (((1, singles),) if singles else ()) + tuple(sorted(large.items()))
     offsets = g.offsets
     rows = tuple(map(range, offsets, offsets[1:])) if large else None
-    return _built_tree(idom, sizes, plan, rows, offsets, g.heads)
+    return sizes, plan, rows
 
 
 def _search_plan(

@@ -50,7 +50,8 @@ class DominatorTree(_Record):
     __slots__ = ("idom", "children", "order", "dfs_in", "dfs_out")
 
     def dominates(self, a: int, b: int) -> bool:
-        """True when every source-to-``b`` path contains ``a`` (a >= b)."""
+        """True when every source-to-``b`` path contains ``a``: ``a`` is
+        ``b`` or an ancestor of ``b`` in the dominator tree."""
         n = len(self.idom)
         _check_node(a, n)
         _check_node(b, n)

@@ -96,18 +96,24 @@ class DistanceOverflowError(GraphError):
 class _Record:
     """Read-only record over ``__slots__``, built from its fields in order.
 
-    Records of one class are equal, and hash alike, when their fields are;
-    ``pickle`` and ``copy`` rebuild them through the constructor. The repr
+    ``_fields`` names the constructor's fields: every slot, unless a class
+    names fewer and derives the other slots from them. Records of one class
+    are equal, and hash alike, when their fields are; ``pickle`` and
+    ``copy`` rebuild them from the fields through the constructor. The repr
     shows the fields named in ``_shown``, or all of them.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
     _shown: tuple[str, ...] = ()
 
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+
     def __init__(self, *values) -> None:
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
-        for name, value in zip(self.__slots__, values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields")
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value=None) -> None:
@@ -116,7 +122,7 @@ class _Record:
     __delattr__ = __setattr__
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -130,7 +136,7 @@ class _Record:
         return type(self), self._values()
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._shown or self.__slots__)
+        shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._shown or self._fields)
         return f"{type(self).__name__}({shown})"
 
 

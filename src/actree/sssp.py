@@ -59,9 +59,10 @@ class SearchStats(_Record):
     ``dict(tree.comp_sizes)``, the tree's size histogram as a dict from
     component size to count, singletons included, and ``max_queue_len``
     is ``width - 1``. Neither counts the queues the search opened: a DAG
-    reports ``{1: n - 1}`` and 1 with no queue opened. For the single-queue engine, ``max_queue_len`` is the node
-    count, not the heap's peak size with the stale entries lazy deletion
-    leaves, and ``component_sizes`` is empty.
+    reports ``{1: n - 1}`` and 1 with no queue opened. For the
+    single-queue engine, ``max_queue_len`` is the node count, not the
+    heap's peak size with the stale entries lazy deletion leaves, and
+    ``component_sizes`` is empty.
     """
 
     __slots__ = ("pops", "key_decreases", "max_queue_len", "component_sizes")
@@ -158,17 +159,16 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
 
     ``tree`` serves ``g`` exactly when they share the topology and the
     source: ``g.offsets`` and ``g.heads`` equal the tuples the tree was
-    built from (an identity check first, then one O(e) compare), and the
-    source is the tree's root (``tree.idom[s] == s``). Weights may differ,
-    so one tree serves any reweighting of the same arcs in the same order.
-    Anything else raises :class:`TreeMismatchError` before the search
-    starts: a different node count, a source that is not the tree's root,
-    or another topology, the same arcs reordered within a row included;
-    for another topology the error names the first node whose out-arcs
-    differ. A hand-built tree whose plan leaves a node unfinalised raises
-    it at the end, and one whose plan names a node outside the graph
-    raises it when the search meets that entry. A node whose every path
-    sums past the largest float raises
+    built from (an identity check first, then one O(e) compare), and
+    ``tree.source`` is ``g``'s. Weights may differ, so one tree serves any
+    reweighting of the same arcs in the same order. Anything else raises
+    :class:`TreeMismatchError` before the search starts: a source that is
+    not the tree's root, or another topology, another node count or the
+    same arcs reordered within a row included; for another topology the
+    error names the first node whose out-arcs differ. A tree holds only
+    what its topology implies, so once both checks pass the search
+    finalises every node exactly once and needs no check of its own. A
+    node whose every path sums past the largest float raises
     :class:`DistanceOverflowError`: one ``sum(dist)`` in C spots it, and
     only a sum of ``inf`` sends the search to look for the node.
     """
@@ -177,15 +177,9 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     n = g.node_count
     s = g.source
     off, heads = g.offsets, g.heads
-    idom = tree.idom
-    if len(idom) != n:
+    if tree.source != s:
         raise TreeMismatchError(
-            f"A-C tree covers {len(idom)} nodes, the graph has {n}"
-        )
-    if idom[s] != s:
-        raise TreeMismatchError(
-            f"source {s} is not the root of the A-C tree: its immediate"
-            f" dominator there is {idom[s]}"
+            f"source {s} is not the root of the A-C tree, whose root is {tree.source}"
         )
     if not (
         (off is tree.offsets or off == tree.offsets)
@@ -200,26 +194,14 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     dist = [INF] * n
     dist[s] = 0.0
     parent = [None] * n
-    try:
-        if tree.rows is None:
-            pops, decreases = _walk_singletons(g, tree, dist, parent)
-        else:
-            pops, decreases = _drain_components(g, tree, dist, parent)
-    except (IndexError, TypeError) as error:  # only a hand-built plan can
-        raise TreeMismatchError(
-            "the A-C tree's plan sends the search outside the graph"
-            f" ({type(error).__name__}: {error})"
-        ) from error
-
-    if pops != n or sum(dist) == INF:  # an inf distance makes the sum inf
+    if tree.rows is None:
+        pops, decreases = _walk_singletons(g, tree, dist, parent)
+    else:
+        pops, decreases = _drain_components(g, tree, dist, parent)
+    if sum(dist) == INF:  # an inf distance makes the sum inf
         error = _overflow(g, dist)
         if error is not None:
             raise error
-        if pops != n:
-            raise TreeMismatchError(
-                f"the search finalised {pops} of {n} nodes:"
-                " the A-C tree was altered after its build"
-            )
     state = SearchStats(pops, decreases, tree.width - 1, dict(tree.comp_sizes))
     dist = tuple(dist)  # each list is freed as soon as its tuple exists
     parent = tuple(parent)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from collections import Counter
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from actree import (
     AcTree,
     Graph,
     GraphError,
+    UnreachableNodeError,
     ac_to_nesting_family,
     brute_force_nesting_width,
     build_ac_tree,
@@ -26,13 +30,16 @@ from actree import (
     recursive_dijkstra,
 )
 from actree import ac_tree
-from actree.ac_tree import _kosaraju_tree, _sibling_arcs
+from actree.ac_tree import _sibling_arcs
 from actree.dominators import _dominator_tree, _immediate_dominators
 from random_graphs import (
+    block_chain,
     chain_of_blocks,
     gen_layered,
     gen_random_dag,
     gen_random_digraph,
+    nested_chain,
+    path_star,
     random_arcs_with_loops,
     rows_read,
     small_graphs,
@@ -172,75 +179,56 @@ def test_actree_is_deterministic():
     assert build_ac_tree(g) == build_ac_tree(g)
 
 
-# each a plan ``AcTree`` rejects, for the tree of 0 -> 1 -> 2, whose plan is
-# ((1, 2), None, None)
-WRONG_PLANS = {
-    "plan-list": [(1, 2), None, None],
-    "plan-list-segment": ([1, 2], None, None),
-    "plan-short": ((1, 2), None),
-    "plan-long": ((1, 2), None, None, None),
-    "plan-int-entry": ((1, 2), 0, None),
-}
-
-
-@pytest.mark.parametrize("wrong", WRONG_PLANS.values(), ids=WRONG_PLANS)
-def test_actree_rejects_a_plan_that_can_change_in_place(wrong):
-    tree = build_ac_tree(Graph.from_arcs(3, 0, [(0, 1), (1, 2)]))
-    assert tree.plan == ((1, 2), None, None)
-    values = [getattr(tree, name) for name in AcTree.__slots__]
-    i = AcTree.__slots__.index("plan")
-    values[i] = wrong
-    with pytest.raises(GraphError, match="^plan is not a tuple of 3 segments, each a tuple"):
-        AcTree(*values)
-    values[i] = tree.plan
-    assert AcTree(*values) == tree
-    assert len(values) == 6 and tree.rows is None  # width 2 lays out no rows
-
-
-PATH = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])  # width 2
-# width 3: {1, 2} is one component; swapping the rows of 1 and 2 would
-# give dist[2] = 5.0, not 2.0
+# width 3: {1, 2} is one component
 IRREDUCIBLE = Graph.from_arcs(3, 0, [(0, 1, 1.0), (0, 2, 5.0), (1, 2, 1.0), (2, 1, 1.0)])
-ROWS = (range(0, 2), range(2, 3), range(3, 4))  # IRREDUCIBLE's arc ranges
-SIZES = "^comp_sizes is not a tuple of \\(size, count\\) int pairs in ascending size"
-ARC_RANGES = "^rows are not the arc ranges of offsets, as width 3 needs"
-# each a graph, one wrong field of its tree, and the start of the error
-WRONG_FIELDS = {
-    "idom-None": (PATH, "idom", None, "^idom must be a tuple, not NoneType"),
-    "idom-list": (PATH, "idom", [0, 0, 1], "^idom must be a tuple, not list"),
-    "comp_sizes-dict": (PATH, "comp_sizes", {1: 2}, SIZES),
-    "comp_sizes-list": (PATH, "comp_sizes", [(1, 2)], SIZES),
-    "comp_sizes-list-pair": (PATH, "comp_sizes", ([1, 2],), SIZES),
-    "comp_sizes-triple": (PATH, "comp_sizes", ((1, 2, 0),), SIZES),
-    "comp_sizes-str-size": (PATH, "comp_sizes", (("1", 2),), SIZES),
-    "comp_sizes-bool-count": (PATH, "comp_sizes", ((1, True),), SIZES),
-    "comp_sizes-zero-count": (PATH, "comp_sizes", ((1, 2), (5, 0)), SIZES),
-    "comp_sizes-zero-size": (PATH, "comp_sizes", ((0, 1), (1, 2)), SIZES),
-    "comp_sizes-repeated": (IRREDUCIBLE, "comp_sizes", ((2, 1), (2, 1)), SIZES),
-    "comp_sizes-descending": (IRREDUCIBLE, "comp_sizes", ((2, 1), (1, 1)), SIZES),
-    "offsets-list": (IRREDUCIBLE, "offsets", [0, 2, 3, 4], "^offsets is not a tuple of 4 ints"),
-    "offsets-short": (IRREDUCIBLE, "offsets", (0, 2, 3), "^offsets is not a tuple of 4 ints"),
-    "offsets-float": (IRREDUCIBLE, "offsets", (0, 2, 3, 4.0), "^offsets is not a tuple of 4"),
-    "rows-at-width-2": (PATH, "rows", ROWS, "^rows must be None on a tree of width 2"),
-    "rows-None-at-width-3": (IRREDUCIBLE, "rows", None, ARC_RANGES),
-    "rows-list": (IRREDUCIBLE, "rows", list(ROWS), ARC_RANGES),
-    "rows-short": (IRREDUCIBLE, "rows", ROWS[:2], ARC_RANGES),
-    "rows-tuple-entry": (IRREDUCIBLE, "rows", ((0, 2), *ROWS[1:]), ARC_RANGES),
-    "rows-swapped": (IRREDUCIBLE, "rows", (ROWS[0], ROWS[2], ROWS[1]), ARC_RANGES),
+OFF, HEADS = IRREDUCIBLE.offsets, IRREDUCIBLE.heads  # (0, 2, 3, 4), (1, 2, 2, 1)
+# each a malformed topology ``AcTree`` rejects, and the start of the error
+MALFORMED = {
+    "offsets-None": ((0, None, HEADS), GraphError, "^offsets is not a tuple"),
+    "offsets-list": ((0, list(OFF), HEADS), GraphError, "^offsets is not a tuple"),
+    "offsets-empty": ((0, (), ()), GraphError, "^a graph needs at least one node"),
+    "offsets-short": ((0, (0,), ()), GraphError, "^a graph needs at least one node"),
+    "offsets-from-1": ((0, (1, 2, 3, 4), HEADS), GraphError, "^offsets must be integers"),
+    "offsets-descending": ((0, (0, 2, 1, 4), HEADS), GraphError, "^offsets must be integers"),
+    "offsets-short-of-heads": ((0, (0, 2, 3, 3), HEADS), GraphError, "^offsets must be"),
+    "offsets-float": ((0, (0, 2, 3, 4.0), HEADS), GraphError, "^offsets must be integers"),
+    "offsets-bool": ((0, (False, 2, 3, 4), HEADS), GraphError, "^offsets must be integers"),
+    "heads-None": ((0, OFF, None), GraphError, "^heads is not a tuple"),
+    "heads-list": ((0, OFF, list(HEADS)), GraphError, "^heads is not a tuple"),
+    "heads-out-of-range": ((0, OFF, (1, 2, 2, 3)), GraphError, "^arc 2->3: target is not"),
+    "heads-negative": ((0, OFF, (1, -1, 2, 1)), GraphError, "^arc 0->-1: target is not"),
+    "heads-bool": ((0, OFF, (1, 2, True, 1)), GraphError, "^arc 1->True: target is not"),
+    "heads-float": ((0, OFF, (1, 2.0, 2, 1)), GraphError, "^arc 0->2.0: target is not"),
+    "source-out-of-range": ((3, OFF, HEADS), GraphError, "^source 3 out of range"),
+    "source-negative": ((-1, OFF, HEADS), GraphError, "^source -1 out of range"),
+    "source-bool": ((False, OFF, HEADS), GraphError, "^source False out of range"),
+    "source-float": ((0.0, OFF, HEADS), GraphError, "^source 0.0 out of range"),
+    "source-None": ((None, OFF, HEADS), GraphError, "^source None out of range"),
+    "unreachable-node": ((1, OFF, HEADS), UnreachableNodeError, "^1 nodes unreachable"),
 }
 
 
-@pytest.mark.parametrize("g, name, wrong, message", WRONG_FIELDS.values(), ids=WRONG_FIELDS)
-def test_actree_rejects_a_wrong_idom_comp_sizes_or_rows(g, name, wrong, message):
-    tree = build_ac_tree(g)
-    assert tree.rows == (ROWS if g is IRREDUCIBLE else None)
-    values = [getattr(tree, field) for field in AcTree.__slots__]
-    i = AcTree.__slots__.index(name)
-    values[i] = wrong
-    with pytest.raises(GraphError, match=message):
-        AcTree(*values)
-    values[i] = getattr(tree, name)
-    assert AcTree(*values) == tree
+@pytest.mark.parametrize("topology, error, message", MALFORMED.values(), ids=MALFORMED)
+def test_actree_rejects_a_malformed_topology(topology, error, message):
+    with pytest.raises(error, match=message):
+        AcTree(*topology)
+    assert AcTree(0, OFF, HEADS) == build_ac_tree(IRREDUCIBLE)
+
+
+def test_actree_builds_the_tree_of_its_topology_alone():
+    """This graph's plan reordered to ``((1, 2, 3), None, None, None)``
+    makes the search return ``dist[3] = 6.0``: a tree takes its topology
+    only, so it cannot hold that plan."""
+    g = Graph.from_arcs(4, 0, [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)])
+    built = build_ac_tree(g)
+    tree = AcTree(0, g.offsets, g.heads)
+    assert tree == built and hash(tree) == hash(built)
+    assert tree.plan == ((2, 1, 3), None, None, None)
+    assert recursive_dijkstra(g, tree).dist == (0.0, 2.0, 1.0, 3.0)
+    fields = (tree.idom, tree.comp_sizes, ((1, 2, 3), None, None, None), tree.rows,
+              tree.offsets, tree.heads)
+    with pytest.raises(TypeError):
+        AcTree(*fields)
 
 
 def test_a_built_trees_size_histogram_cannot_change_in_place():
@@ -254,16 +242,51 @@ def test_a_built_trees_size_histogram_cannot_change_in_place():
     assert recursive_dijkstra(IRREDUCIBLE, tree).stats.max_queue_len == 2
 
 
+LARGE = {
+    "random-digraph": lambda: gen_random_digraph(1 << 12, 3 << 12, seed=32),
+    "random-dag": lambda: gen_random_dag(1 << 12, 3 << 12, seed=32),
+    "layered": lambda: gen_layered(1 << 11, seed=32),
+    "block-chain": lambda: block_chain(1 << 12, seed=32),
+    "nested-chain": lambda: nested_chain(1 << 12),
+    "path-star": lambda: path_star(1 << 11),
+}
+
+
+@pytest.mark.parametrize("make", LARGE.values(), ids=LARGE)
+def test_actree_of_a_large_topology_is_its_built_tree(make):
+    g = make()
+    built = build_ac_tree(g)
+    tree = AcTree(g.source, g.offsets, g.heads)
+    for name in (*AcTree.__slots__, "width", "components"):
+        a, b = getattr(tree, name), getattr(built, name)
+        assert type(a) is type(b) and a == b, name
+    assert hash(tree) == hash(built)
+    assert recursive_dijkstra(g, tree) == recursive_dijkstra(g, built)
+
+
 @settings(max_examples=300, deadline=None)
-@given(small_graphs(), st.booleans())
-def test_built_trees_pass_the_full_constructor(g, acyclic):
-    """``build_ac_tree`` builds without the constructor's checks, having laid
-    every field out right; its trees pass those checks all the same."""
+@given(small_graphs(), st.booleans(), st.data())
+def test_actree_of_a_topology_is_its_built_tree(g, acyclic, data):
+    """``AcTree(...)`` runs the build that ``build_ac_tree`` runs, and a
+    pickled or copied tree, rebuilt from its topology, searches any
+    weights exactly as the original does."""
     if acyclic:
         g = _made_acyclic(g)
-    tree = build_ac_tree(g)
-    built = AcTree(*(getattr(tree, name) for name in AcTree.__slots__))
-    assert built == tree and hash(built) == hash(tree)
+    built = build_ac_tree(g)
+    tree = AcTree(g.source, g.offsets, g.heads)
+    assert tree == built and hash(tree) == hash(built)
+    for name in ("idom", "comp_sizes", "plan", "rows"):
+        assert getattr(tree, name) == getattr(built, name), name
+    weights = data.draw(st.lists(st.floats(0.0, 100.0), min_size=g.arc_count,
+                                 max_size=g.arc_count), label="weights")
+    reweighted = Graph(g.source, g.offsets, g.heads, tuple(weights))
+    r = recursive_dijkstra(reweighted, built)
+    for clone in (pickle.loads(pickle.dumps(tree)), copy.copy(tree), copy.deepcopy(tree)):
+        assert clone == built and hash(clone) == hash(built)
+        assert clone.plan == built.plan and clone.rows == built.rows
+        other = recursive_dijkstra(reweighted, clone)
+        assert list(map(float.hex, other.dist)) == list(map(float.hex, r.dist))
+        assert other == r
 
 
 def test_repr_leaves_out_the_columns():
@@ -656,10 +679,12 @@ def _naive_sibling_arcs(g: Graph) -> list[tuple[int, int]]:
 def _assert_both_paths_agree(g: Graph, sibling_arcs: list[tuple[int, int]]) -> None:
     """The layout of the dominator pass's grouping and Kosaraju's second
     pass give one tree."""
-    idom, start, kids, back = _immediate_dominators(g)
-    assert not back
+    dominators = _immediate_dominators(g)
+    assert not dominators[3]
     fast = build_ac_tree(g)
-    slow = _kosaraju_tree(g, idom, start, kids)
+    # the build as it runs on a graph whose DFS meets a back arc
+    with mock.patch.object(ac_tree, "_immediate_dominators", lambda g: (*dominators[:3], True)):
+        slow = build_ac_tree(g)
     for name in (*AcTree.__slots__, "width", "components"):
         a, b = getattr(fast, name), getattr(slow, name)
         assert type(a) is type(b), name

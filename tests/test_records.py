@@ -66,7 +66,7 @@ class _Twin(_Record):
 
 
 def fields(record) -> tuple:
-    return tuple(getattr(record, name) for name in type(record).__slots__)
+    return tuple(getattr(record, name) for name in type(record)._fields)
 
 
 def test_importing_the_package_loads_no_dataclasses_inspect_or_typing():
@@ -122,6 +122,35 @@ def test_records_are_read_only(cls):
         with pytest.raises(AttributeError, match="read-only"):
             delattr(record, name)
     assert fields(record) == before
+
+
+DERIVED = ("idom", "comp_sizes", "plan", "rows")
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_an_actrees_derived_slots_are_read_only(name):
+    tree = build_ac_tree(gen_nested((3, 1, (4, 2, 3)), seed=5))
+    before = getattr(tree, name)
+    with pytest.raises(AttributeError, match="read-only"):
+        setattr(tree, name, ())
+    with pytest.raises(AttributeError, match="read-only"):
+        delattr(tree, name)
+    assert getattr(tree, name) is before
+
+
+def test_an_actree_is_its_topology_and_derives_every_other_slot():
+    g = gen_random_digraph(200, 600, seed=4)
+    tree = build_ac_tree(g)
+    topology = (g.source, g.offsets, g.heads)
+    assert AcTree._fields == ("source", "offsets", "heads") and fields(tree) == topology
+    assert set(AcTree.__slots__) == {*AcTree._fields, *DERIVED}
+    # the pickle payload is the topology: the derived slots are rebuilt
+    assert tree.__reduce__() == (AcTree, topology)
+    assert len(pickle.dumps(tree)) < len(pickle.dumps(topology)) + 64
+    assert len(pickle.dumps(tree.plan)) > 64
+    twin = AcTree(g.source, tuple(list(g.offsets)), tuple(list(g.heads)))
+    assert twin.offsets is not g.offsets and twin.heads is not g.heads
+    assert twin == tree and hash(twin) == hash(tree) and twin.plan == tree.plan
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

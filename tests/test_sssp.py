@@ -324,48 +324,6 @@ def test_recursive_rejects_the_source_inside_a_component():
         recursive_dijkstra(g, tree)
 
 
-def test_recursive_rejects_a_tree_that_leaves_nodes_unfinalised():
-    g = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])
-    tree = build_ac_tree(g)
-    assert tree.plan == ((1, 2), None, None) and tree.rows is None
-    for plan in (((1,), None, None), (None, None, None)):  # node 2 cut, both cut
-        cut = AcTree(tree.idom, tree.comp_sizes, plan, tree.rows, tree.offsets, tree.heads)
-        with pytest.raises(TreeMismatchError, match=f"finalised {len(plan[0] or ()) + 1} of 3"):
-            recursive_dijkstra(g, cut)
-
-
-def _with(tree: AcTree, **fields) -> AcTree:
-    """``tree`` rebuilt through ``AcTree(...)`` with some fields replaced."""
-    return AcTree(*(fields.get(name, getattr(tree, name)) for name in AcTree.__slots__))
-
-
-PATH = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])  # width 2: the plain walk
-# width 3: {1, 2} is one component, drained from its queue
-IRREDUCIBLE = Graph.from_arcs(3, 0, [(0, 1), (0, 2), (1, 2), (2, 1)])
-OUTSIDE_PLAN = "^the A-C tree's plan sends the search outside the graph"
-# each a graph, tree fields that would send the search outside the graph,
-# and the error that stops it; the constructor rejects a row past ``heads``
-OUTSIDE = {
-    "walk-node": (PATH, {"plan": ((1, 5), None, None)}, TreeMismatchError, OUTSIDE_PLAN),
-    "walk-component": (PATH, {"plan": ((1, (5, 6)), None, None)}, TreeMismatchError,
-                       OUTSIDE_PLAN),
-    "drain-node": (IRREDUCIBLE, {"plan": ((5,), None, None)}, TreeMismatchError, OUTSIDE_PLAN),
-    "drain-component": (IRREDUCIBLE, {"plan": (((5, 6),), None, None)}, TreeMismatchError,
-                        OUTSIDE_PLAN),
-    "drain-row-past-heads": (IRREDUCIBLE, {"rows": (range(0, 2), range(2, 9), range(3, 4))},
-                             GraphError, "^rows are not the arc ranges of offsets"),
-}
-
-
-@pytest.mark.parametrize("g, fields, error, message", OUTSIDE.values(), ids=OUTSIDE)
-def test_recursive_rejects_a_plan_or_row_outside_the_graph(g, fields, error, message):
-    tree = build_ac_tree(g)
-    assert (tree.rows is None) == (g is PATH)
-    with pytest.raises(error, match=message):
-        recursive_dijkstra(g, _with(tree, **fields))
-    assert verify_spt(g, recursive_dijkstra(g, tree))
-
-
 @pytest.mark.parametrize("log2n", [12, 15])
 def test_recursive_matches_dijkstra_on_a_block_chain(log2n):
     g = block_chain(1 << log2n, seed=log2n)
@@ -379,6 +337,11 @@ def test_recursive_matches_dijkstra_on_a_block_chain(log2n):
     for clone in (pickle.loads(pickle.dumps(tree)), copy.copy(tree), copy.deepcopy(tree)):
         assert clone == tree and clone.rows == tree.rows and hash(clone) == hash(tree)
         assert recursive_dijkstra(g, clone) == r
+
+
+PATH = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])  # width 2: the plain walk
+# width 3: {1, 2} is one component, drained from its queue
+IRREDUCIBLE = Graph.from_arcs(3, 0, [(0, 1), (0, 2), (1, 2), (2, 1)])
 
 
 @pytest.mark.parametrize("g", [PATH, IRREDUCIBLE], ids=["walk", "drain"])
