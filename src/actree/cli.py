@@ -1,7 +1,9 @@
 """Command-line front end: decompose, sssp, width.
 
 Each command parses one graph file, prunes unreachable nodes and prints one
-result. The CLI does no timing: ``perfbench/run.py`` at the repository root
+result. Node ids in the output are the input's 0-based ids: the results on
+the pruned graph are mapped back, with ``null`` for each dropped node. The
+CLI does no timing: ``perfbench/run.py`` at the repository root
 measures the library end to end and layer by layer.
 
 Exit codes: 0 ok, 2 parse or usage error, 3 negative weight or a distance
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 
 from .ac_tree import build_ac_tree
 from .graph import (
@@ -54,17 +57,29 @@ def _load_graph(args) -> Graph:
     return parse_edge_list(text)
 
 
-def _load_pruned(args) -> Graph:
+def _load_pruned(args) -> tuple[Graph, Sequence[int | None], Sequence[int]]:
+    """The pruned graph, ``remap`` from input ids to pruned ids (``None``
+    for a dropped node), and each pruned node's input id."""
     g = _load_graph(args)
     pruned, remap = prune_unreachable(g)
-    if pruned.node_count < g.node_count:
-        dropped = [v for v, nv in enumerate(remap) if nv is None]
-        print(
-            f"warning: dropped {len(dropped)} unreachable nodes: "
-            + " ".join(map(str, dropped)),
-            file=sys.stderr,
-        )
-    return pruned
+    if pruned.node_count == g.node_count:
+        return pruned, remap, remap
+    dropped = [v for v, nv in enumerate(remap) if nv is None]
+    print(
+        f"warning: dropped {len(dropped)} unreachable nodes: "
+        + " ".join(map(str, dropped)),
+        file=sys.stderr,
+    )
+    return pruned, remap, [v for v, nv in enumerate(remap) if nv is not None]
+
+
+def _by_input_id(column, remap, ids=None) -> list:
+    """``column``, indexed by pruned id, indexed by input id instead, with
+    ``None`` for each dropped node; given ``ids``, each entry that is a
+    pruned node id becomes its input id too."""
+    if ids is not None:
+        column = [None if v is None else ids[v] for v in column]
+    return [None if v is None else column[v] for v in remap]
 
 
 def _dump(doc) -> None:
@@ -72,22 +87,23 @@ def _dump(doc) -> None:
 
 
 def cmd_decompose(args) -> int:
-    g = _load_pruned(args)
+    g, remap, ids = _load_pruned(args)
     tree = build_ac_tree(g)
     components = tree.components
     doc = {
         "components": {
-            str(a): [sorted(c) for c in components[a]] for a in sorted(components)
+            str(ids[a]): [sorted(map(ids.__getitem__, c)) for c in components[a]]
+            for a in sorted(components)
         },
         "width": tree.width,
-        "idom": list(tree.idom),
+        "idom": _by_input_id(tree.idom, remap, ids),
     }
     _dump(doc)
     return EXIT_OK
 
 
 def cmd_sssp(args) -> int:
-    g = _load_pruned(args)
+    g, remap, ids = _load_pruned(args)
     if args.algo == "dijkstra":
         result = dijkstra(g)
     else:
@@ -106,12 +122,15 @@ def cmd_sssp(args) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_INTERNAL
-    _dump(result.as_dict())
+    doc = result.as_dict()
+    doc["dist"] = _by_input_id(result.dist, remap)
+    doc["parent"] = _by_input_id(result.parent, remap, ids)
+    _dump(doc)
     return EXIT_OK
 
 
 def cmd_width(args) -> int:
-    g = _load_pruned(args)
+    g = _load_pruned(args)[0]
     tree = build_ac_tree(g)
     if args.exact:
         if g.node_count > EXACT_WIDTH_LIMIT:

@@ -19,11 +19,13 @@ semidominator, one EVAL per node, one forward pass. The whole pass is
 O(e log n) on every input, and the common path pays only the step counter.
 Everything runs over flat arrays indexed by DFS number. The pass returns
 the tree grouped by owner, each owner's children in the reverse postorder
-of its DFS, which the A-C tree build reads. :func:`compute_dominator_tree`
-reads the immediate dominators alone: one pass files each node under its
-immediate dominator in ascending id, and one walk lays out the preorder.
-The stored preorder makes dominance an O(1) interval test and every
-subtree a slice of it. A path-removal oracle is provided for testing.
+of its DFS, which the A-C tree build reads. A :class:`DominatorTree` is
+its immediate dominators and nothing else: ``DominatorTree(idom)`` checks
+them, files each node under its immediate dominator in ascending id, and
+lays out the preorder in one walk, and :func:`compute_dominator_tree` is
+that constructor on the pass's answer. The stored preorder makes dominance
+an O(1) interval test and every subtree a slice of it. A path-removal
+oracle is provided for testing.
 """
 
 from __future__ import annotations
@@ -39,15 +41,66 @@ _CLIMB_BUDGET = 4
 
 
 class DominatorTree(_Record):
-    """Immediate-dominator tree with its preorder.
+    """Immediate-dominator tree with its preorder, built from ``idom`` alone.
 
-    ``idom[v]`` is the parent of ``v`` (the source maps to itself).
-    ``order`` lists the nodes in preorder, children in ascending id;
-    ``dfs_in`` is its inverse and ``dfs_out[v]`` the largest preorder number
-    in ``v``'s subtree, so dominance is an O(1) interval test.
+    ``DominatorTree(idom)`` takes the tuple of immediate dominators, its only
+    field: ``idom[v]`` is the parent of ``v``, and the root is the one node
+    that maps to itself. Every other slot is derived from it and is
+    read-only. ``children[a]`` lists ``a``'s children in ascending id;
+    ``order`` lists the nodes in preorder, smallest child first;
+    ``dfs_in`` is its inverse and ``dfs_out[v]`` the largest preorder
+    number in ``v``'s subtree, so dominance is an O(1) interval test.
+    :class:`GraphError` is raised for an ``idom`` that is not a tuple, and,
+    naming the node, for an entry that is not an ``int`` node id (a
+    ``bool`` is none), for no root, and for a node whose chain of parents
+    never reaches the root (a cycle, or a second node that maps to
+    itself). Trees are equal, hash alike and pickle as their ``idom``.
     """
 
     __slots__ = ("idom", "children", "order", "dfs_in", "dfs_out")
+    _fields = ("idom",)
+
+    def __init__(self, idom: tuple[int, ...]) -> None:
+        """One pass over the nodes in ascending id files each under its
+        immediate dominator, so every owner's children come out in ascending
+        id; then one walk from the root lays out the preorder, and a node it
+        misses is not under the root."""
+        _check_arg(idom, tuple, "idom")
+        n = len(idom)
+        if not (set(map(type, idom)) <= {int} and min(idom, default=0) >= 0
+                and max(idom, default=-1) < n):
+            v = next(v for v, p in enumerate(idom) if type(p) is not int or not 0 <= p < n)
+            raise GraphError(f"idom[{v}] = {idom[v]!r} is not a node id of a {n}-node tree")
+        s = next((v for v, p in enumerate(idom) if v == p), None)
+        if s is None:
+            raise GraphError(f"idom has no root: none of its {n} nodes maps to itself")
+        grouped: list[list[int]] = [[] for _ in range(n)]
+        for v, p in enumerate(idom):
+            grouped[p].append(v)
+        grouped[s].remove(s)  # the root maps to itself and is no child
+        children = tuple(map(tuple, grouped))
+        del grouped
+        order = []
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack += reversed(children[v])  # the smallest child comes off first
+        order = tuple(order)
+        dfs_in = [-1] * n
+        for i, v in enumerate(order):
+            dfs_in[v] = i
+        if len(order) < n:  # the walk missed a node: the least one is named
+            raise GraphError(f"node {dfs_in.index(-1)} is not under the root {s}: its"
+                             " chain of idom parents ends in a cycle or at a second root")
+        # a subtree ends where its last child's does; children before parents
+        dfs_out = dfs_in[:]
+        for v in reversed(order):
+            if c := children[v]:
+                dfs_out[v] = dfs_out[c[-1]]
+        values = (idom, children, order, tuple(dfs_in), tuple(dfs_out))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def dominates(self, a: int, b: int) -> bool:
         """True when every source-to-``b`` path contains ``a``: ``a`` is
@@ -70,46 +123,15 @@ def _check_node(v: int, n: int) -> None:
 
 
 def compute_dominator_tree(g: Graph) -> DominatorTree:
-    """Build the dominator tree of ``g`` rooted at its source.
+    """Build the dominator tree of ``g`` rooted at its source:
+    ``DominatorTree`` of the immediate dominators that the semi-NCA pass
+    finds.
 
     Requires every node to be reachable from the source (prune first).
     The tree and its preorder do not depend on the arc order.
     """
     _check_arg(g, Graph, "g")
-    return _dominator_tree(_immediate_dominators(g)[0], g.source)
-
-
-def _dominator_tree(idom: tuple[int, ...], s: int) -> DominatorTree:
-    """The dominator tree whose immediate dominators are ``idom``, rooted
-    at ``s``, as a built :class:`~actree.AcTree` holds them.
-
-    One pass over the nodes in ascending id files each under its immediate
-    dominator, so every owner's children come out in ascending id; then one
-    walk lays out the preorder.
-    """
-    n = len(idom)
-    grouped: list[list[int]] = [[] for _ in range(n)]
-    for v, p in enumerate(idom):
-        grouped[p].append(v)
-    grouped[s].remove(s)  # the root maps to itself and is no child
-    children = tuple(map(tuple, grouped))
-    del grouped
-    order = []
-    stack = [s]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack += reversed(children[v])  # the smallest child comes off first
-    order = tuple(order)
-    dfs_in = [0] * n
-    for i, v in enumerate(order):
-        dfs_in[v] = i
-    # a subtree ends where its last child's does; children before parents
-    dfs_out = dfs_in[:]
-    for v in reversed(order):
-        if c := children[v]:
-            dfs_out[v] = dfs_out[c[-1]]
-    return DominatorTree(idom, children, order, tuple(dfs_in), tuple(dfs_out))
+    return DominatorTree(_immediate_dominators(g)[0])
 
 
 def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], array, list[int], bool]:

@@ -112,7 +112,7 @@ class _Record:
 
     def __init__(self, *values) -> None:
         if len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields")
+            raise TypeError(f"{type(self).__name__} takes the fields: {', '.join(self._fields)}")
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 

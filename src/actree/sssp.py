@@ -29,13 +29,16 @@ again.
 
 :func:`verify_spt` certifies a result on its own, in O(n + e) with exact
 comparisons: a right result passes one fast pass over the arcs, and any
-other is named, violation by violation, by the specification loop.
+other is named, violation by violation, by the specification loop. Its
+answer, an :class:`SptCheck`, is that tuple of violations and nothing
+else, so it is truthy exactly when the tuple is empty.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
+from types import NoneType
 
 from .ac_tree import AcTree
 from .graph import (
@@ -366,9 +369,16 @@ def _unreadable(dist, parent, n: int) -> tuple[str, ...]:
 
 
 class SptCheck(_Record):
-    """Outcome of a shortest-path-tree verification; falsy when violated."""
+    """Outcome of a shortest-path-tree verification: the tuple of its
+    violations, its only field. ``ok`` is true when there are none, and the
+    check is truthy exactly then."""
 
-    __slots__ = ("ok", "violations")
+    __slots__ = ("violations",)
+    _shown = ("ok", "violations")
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def __bool__(self) -> bool:
         return self.ok
@@ -378,7 +388,8 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
     """Certify a result against the Bellman criteria in O(n + e).
 
     Checks that the source sits at distance 0 with no parent, every other
-    node has a parent whose arc exists and is tight, no arc of the graph
+    node has a parent, an ``int`` node id (``True`` or ``0.0`` is none,
+    and is named), whose arc exists and is tight, no arc of the graph
     improves any distance, and no parent arcs close a cycle, so every
     node's parents lead back to the source. Comparisons are exact. When a
     distance breaks them (``None``), each one that is not an ``int`` or
@@ -397,7 +408,7 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
     _check_arg(r, ShortestPathResult, "r")
     try:
         if _spt_holds(g, r.dist, r.parent):
-            return SptCheck(True, ())
+            return SptCheck(())
     except Exception:  # the specification reads what this pass could not
         pass
     return _spt_violations(g, r)
@@ -408,13 +419,14 @@ def _spt_holds(g: Graph, dist, parent) -> bool:
     :func:`_spt_violations`; False means only "not shown here".
 
     Every node column check runs in C: the sizes, the source's entries,
-    one ``None`` in all of ``parent``, ``min(dist) >= 0``, and
+    every parent an ``int`` or ``None``, ``min(dist) >= 0``, and
     ``sum(dist) < inf``, which is false on a NaN or infinite distance. Then
     one loop reads the arcs in storage order, through one iterator over
     ``heads`` and ``weights`` sliced by each node's out-degree, compares
     ``dist[u] + w`` with ``dist[v]`` on every arc ``(u, v, w)`` and, only
     where the two are equal, marks ``v`` tight if ``parent[v]`` is ``u``;
-    every node but the source must end up tight.
+    every node but the source must end up tight, so no other parent is
+    ``None``.
 
     A tight arc never lowers a distance, so every arc of a cycle of tight
     parent arcs joins two nodes at one distance. A tight parent arc with
@@ -430,7 +442,7 @@ def _spt_holds(g: Graph, dist, parent) -> bool:
         and len(parent) == n
         and dist[s] == 0
         and parent[s] is None
-        and parent.count(None) == 1
+        and set(map(type, parent)) <= {int, NoneType}
         and min(dist) >= 0
         and sum(dist) < INF
     ):
@@ -465,7 +477,7 @@ def _spt_violations(g: Graph, r: ShortestPathResult) -> SptCheck:
     except TypeError:  # a column with no length
         sized = False
     if not sized:
-        return SptCheck(False, ("result arrays do not match the graph size",))
+        return SptCheck(("result arrays do not match the graph size",))
     off, heads, weights = g.offsets, g.heads, g.weights
     # the tail of v's tight parent arc: None until a parent arc is seen, -1
     # while none of them is tight
@@ -476,8 +488,11 @@ def _spt_violations(g: Graph, r: ShortestPathResult) -> SptCheck:
         if parent[s] is not None:
             bad.append(f"source has parent {parent[s]}")
         for v in range(n):
-            if v != s and parent[v] is None:
+            p = parent[v]
+            if v != s and p is None:
                 bad.append(f"node {v} has no parent")
+            elif p is not None and type(p) is not int:
+                bad.append(f"parent[{v}]={p!r} is not a node id")
             if not dist[v] >= 0 or dist[v] == INF:
                 bad.append(f"dist[{v}]={dist[v]!r} is not a finite non-negative value")
         for u in range(n):
@@ -493,7 +508,7 @@ def _spt_violations(g: Graph, r: ShortestPathResult) -> SptCheck:
                 if parent[v] == u and (up[v] is None or up[v] < 0):
                     up[v] = u if du + w == dist[v] else -1
     except (TypeError, LookupError):  # a column or a distance it cannot read
-        return SptCheck(False, _unreadable(dist, parent, n))
+        return SptCheck(_unreadable(dist, parent, n))
     for v in range(n):
         if v == s or parent[v] is None:
             continue
@@ -502,7 +517,7 @@ def _spt_violations(g: Graph, r: ShortestPathResult) -> SptCheck:
         elif up[v] < 0:
             bad.append(f"parent arc {parent[v]}->{v} is not tight for dist {dist[v]!r}")
     bad += _parent_cycles(up, s)
-    return SptCheck(not bad, tuple(bad))
+    return SptCheck(tuple(bad))
 
 
 def _parent_cycles(up: list[int | None], s: int) -> list[str]:

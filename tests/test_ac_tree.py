@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from actree import (
     AcTree,
+    DominatorTree,
     Graph,
     GraphError,
     UnreachableNodeError,
@@ -31,7 +32,7 @@ from actree import (
 )
 from actree import ac_tree
 from actree.ac_tree import _sibling_arcs
-from actree.dominators import _dominator_tree, _immediate_dominators
+from actree.dominators import _immediate_dominators
 from random_graphs import (
     block_chain,
     chain_of_blocks,
@@ -131,7 +132,7 @@ def test_scc_order_is_topological():
         n = 2 + (i * 7) % 40
         g = gen_random_digraph(n, n + (i * 3) % (3 * n), seed=600 + i)
         tree = build_ac_tree(g)
-        t = _dominator_tree(tree.idom, g.source)
+        t = DominatorTree(tree.idom)
         components = tree.components
         for a, arcs in arcs_by_owner(g, t).items():
             comps = components.get(a, ())
@@ -304,7 +305,7 @@ def test_components_partition_children_and_are_strongly_connected():
         n = 2 + (i * 9) % 35
         g = gen_random_digraph(n, n + (i * 7) % (3 * n), seed=800 + i)
         tree = build_ac_tree(g)
-        t = _dominator_tree(tree.idom, g.source)
+        t = DominatorTree(tree.idom)
         graphs = arcs_by_owner(g, t)
         components = tree.components
         for a in range(n):  # an owner with no components has no children
@@ -335,7 +336,7 @@ def test_components_partition_children_and_are_strongly_connected():
 def test_each_owners_components_hold_exactly_its_dominator_children(g):
     tree = build_ac_tree(g)
     components = tree.components
-    t = _dominator_tree(tree.idom, g.source)
+    t = DominatorTree(tree.idom)
     for a in range(g.node_count):
         members = sorted(v for comp in components.get(a, ()) for v in comp)
         assert tuple(members) == t.children[a], a
@@ -637,7 +638,7 @@ def test_reordering_a_rows_arcs_keeps_each_owners_components(g, data):
         moved += data.draw(st.permutations(arcs[off[u] : off[u + 1]]))
     h = Graph.from_arcs(n, g.source, moved)
     trees = build_ac_tree(g), build_ac_tree(h)
-    t = _dominator_tree(trees[0].idom, g.source)
+    t = DominatorTree(trees[0].idom)
     for tree in trees:
         assert tree.idom == t.idom  # the dominator tree ignores the arc order
         components = tree.components

@@ -12,6 +12,7 @@ import time
 from itertools import accumulate
 
 from actree import (
+    DominatorTree,
     Graph,
     InvalidFamilyError,
     ac_to_nesting_family,
@@ -28,7 +29,6 @@ from actree import (
     verify_spt,
 )
 from actree.ac_tree import _sibling_arcs
-from actree.dominators import _dominator_tree
 from random_graphs import (
     gen_complete,
     gen_layered,
@@ -152,7 +152,7 @@ def test_criterion_4_dominance_graphs():
         n = 2 + i % 29
         g = gen_random_digraph(n, (n - 1) + i % (3 * n), seed=40_000 + i)
         tree = build_ac_tree(g)
-        t = _dominator_tree(tree.idom, g.source)
+        t = DominatorTree(tree.idom)
         start = list(accumulate(map(len, t.children), initial=0))
         pred = _sibling_arcs(g, t.idom, start, [v for c in t.children for v in c])
         fast = {a: set() for a in range(n)}
@@ -268,7 +268,7 @@ def test_criterion_8_scaling_report():
         build_times.append(time.perf_counter() - t0)
         assert tree.width >= 2
         if n <= sizes[1]:
-            t = _dominator_tree(tree.idom, g.source)
+            t = DominatorTree(tree.idom)
             start = list(accumulate(map(len, t.children), initial=0))
             kids = [v for c in t.children for v in c]
             reads = rows_read(g, lambda stand_in: _sibling_arcs(stand_in, t.idom, start, kids))

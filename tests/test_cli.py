@@ -120,6 +120,32 @@ def test_decompose_prunes_with_warning(tmp_path):
     assert json.loads(proc.stdout)["width"] == 2
 
 
+# node 1 is unreachable: the output keeps the input's ids, with null for it
+PRUNED = {"pruned.edges": "4 2 0\n0 2 1\n2 3 1\n", "pruned.gr": "p sp 4 2\na 1 3 1\na 3 4 1\n"}
+
+
+@pytest.mark.parametrize("name", PRUNED)
+def test_decompose_prints_input_ids_after_pruning(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_text(PRUNED[name])
+    assert cli.main(["decompose", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "warning: dropped 1 unreachable nodes: 1\n"
+    assert out == '{"components":{"0":[[2]],"2":[[3]]},"width":2,"idom":[0,null,0,2]}\n'
+
+
+@pytest.mark.parametrize("algo", ["dijkstra", "recursive"])
+@pytest.mark.parametrize("name", PRUNED)
+def test_sssp_prints_input_ids_after_pruning(tmp_path, capsys, name, algo):
+    path = tmp_path / name
+    path.write_text(PRUNED[name])
+    assert cli.main(["sssp", str(path), "--algo", algo, "--verify"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dist"] == [0.0, None, 1.0, 2.0]
+    assert doc["parent"] == [None, None, 0, 2]
+    assert doc["stats"]["pops"] == 3
+
+
 def test_missing_file_exits_2():
     proc = run_cli("decompose", "/no/such/file.edges")
     assert proc.returncode == 2

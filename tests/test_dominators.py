@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import time
 from itertools import accumulate
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from actree import (
+    DominatorTree,
     Graph,
     GraphError,
     UnreachableNodeError,
@@ -20,7 +23,7 @@ from actree import (
     naive_dominance_graph,
 )
 from actree import dominators
-from actree.dominators import _dominator_tree, _immediate_dominators
+from actree.dominators import _immediate_dominators
 from random_graphs import (
     gen_layered,
     gen_random_digraph,
@@ -89,6 +92,44 @@ def test_dominance_queries_reject_ids_outside_the_graph(query, node):
     g = Graph.from_arcs(3, 0, [(0, 1), (1, 2)])
     with pytest.raises(GraphError, match=f"node {node} is not a node id"):
         query(g, compute_dominator_tree(g))
+
+
+@pytest.mark.parametrize(
+    "idom, match",
+    [
+        ([0, 0, 1], "idom must be a tuple, not list"),
+        (None, "idom must be a tuple, not NoneType"),
+        ((0, 0.0, 1), r"idom\[1\] = 0.0 is not a node id of a 3-node tree"),
+        ((0, True, 1), r"idom\[1\] = True is not a node id"),
+        ((0, 0, -1), r"idom\[2\] = -1 is not a node id"),
+        ((0, 0, 3), r"idom\[2\] = 3 is not a node id of a 3-node tree"),
+        ((), "idom has no root: none of its 0 nodes maps to itself"),
+        ((1, 2, 0), "idom has no root: none of its 3 nodes maps to itself"),
+        ((0, 1, 1), "node 1 is not under the root 0"),
+        ((0, 0, 3, 2), "node 2 is not under the root 0: its chain of idom parents ends in a cycle"),
+    ],
+    ids=[
+        "list", "none", "float", "bool", "negative", "out-of-range", "empty", "no-root",
+        "two-roots", "cycle-off-the-root",
+    ],
+)
+def test_dominator_tree_rejects_a_malformed_idom(idom, match):
+    with pytest.raises(GraphError, match=match):
+        DominatorTree(idom)
+
+
+def test_dominator_tree_derives_its_slots_from_idom_alone():
+    # five unchecked fields once let this tree deny that 0 dominates 2
+    t = DominatorTree((0, 0, 1))
+    assert t.children == ((1,), (2,), ()) and t.order == (0, 1, 2)
+    assert t.dfs_in == (0, 1, 2) and t.dfs_out == (2, 2, 2)
+    assert t.dominates(0, 2) and t.dominates(1, 2) and not t.dominates(2, 1)
+    with pytest.raises(TypeError):
+        DominatorTree((0, 0, 1), ((1,), (2,), ()), (0, 1, 2), (0, 1, 2), (0, 1, 2))
+    # any node may be the root, and children come in ascending id
+    t = DominatorTree((2, 2, 2, 1))
+    assert t.children == ((), (3,), (0, 1), ()) and t.order == (2, 0, 1, 3)
+    assert t.descendants(1) == (1, 3) and not t.dominates(0, 3)
 
 
 @pytest.mark.parametrize("tree_n, graph_n, a", [(2, 4, 3), (2, 4, 1), (2, 4, 0), (4, 2, 1)])
@@ -330,11 +371,33 @@ def test_dominator_tree_matches_removal_oracle(g):
 @settings(max_examples=200, deadline=None)
 @given(small_graphs())
 def test_a_built_trees_idom_gives_the_same_dominator_tree(g):
-    """``_dominator_tree`` reads ``idom`` alone; each owner's children are
+    """``DominatorTree`` reads ``idom`` alone; each owner's children are
     the dominator pass's grouping, sorted."""
     idom, start, kids, _ = _immediate_dominators(g)
-    t = _dominator_tree(build_ac_tree(g).idom, g.source)
+    t = DominatorTree(build_ac_tree(g).idom)
     assert t == compute_dominator_tree(g)
     assert t.children == tuple(
         tuple(sorted(kids[start[a] : start[a + 1]])) for a in range(g.node_count)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_a_dominator_tree_is_its_idom(g):
+    """A tree rebuilt from its ``idom``, or through ``pickle`` or ``copy``,
+    equals it, hashes alike and answers every dominance query alike."""
+    t = compute_dominator_tree(g)
+    nodes = range(g.node_count)
+    for clone in (
+        DominatorTree(t.idom),
+        pickle.loads(pickle.dumps(t)),
+        copy.copy(t),
+        copy.deepcopy(t),
+    ):
+        assert type(clone) is DominatorTree and clone == t and hash(clone) == hash(t)
+        assert [clone.dominates(a, b) for a in nodes for b in nodes] == [
+            t.dominates(a, b) for a in nodes for b in nodes
+        ]
+        assert (clone.children, clone.order, clone.dfs_in, clone.dfs_out) == (
+            t.children, t.order, t.dfs_in, t.dfs_out
+        )

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import inspect
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,14 @@ def test_all_is_sorted_resolves_and_lists_every_public_attribute():
     for name in fixtures:
         assert not hasattr(actree.graph, name), name
     assert len(names) == 30
+
+
+def test_the_readmes_python_examples_run():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
 
 
 # every public function that takes a record, with valid arguments by name

@@ -62,7 +62,7 @@ def records() -> dict[type, object]:
 class _Twin(_Record):
     """A record class with the same fields as ``SptCheck``."""
 
-    __slots__ = ("ok", "violations")
+    __slots__ = ("violations",)
 
 
 def fields(record) -> tuple:
@@ -103,8 +103,8 @@ def test_records_differ_across_classes_even_with_equal_fields():
             assert (record == other) == (cls is other_cls)
         assert record != fields(record)
         assert record.__eq__(fields(record)) is NotImplemented
-    twin = _Twin(True, ())
-    check = SptCheck(True, ())
+    twin = _Twin(())
+    check = SptCheck(())
     assert fields(twin) == fields(check) and twin != check and check != twin
     g = built[Graph]
     heavier = g.weights[:-1] + (g.weights[-1] + 1.0,)
@@ -115,7 +115,9 @@ def test_records_differ_across_classes_even_with_equal_fields():
 def test_records_are_read_only(cls):
     record = records()[cls]
     before = fields(record)
-    derived = {Graph: ("node_count", "arc_count"), AcTree: ("width",)}.get(cls, ())
+    derived = {
+        Graph: ("node_count", "arc_count"), AcTree: ("width",), SptCheck: ("ok",)
+    }.get(cls, ())
     for name in (*cls.__slots__, *derived, "extra"):
         with pytest.raises(AttributeError, match="read-only"):
             setattr(record, name, 0)
@@ -124,18 +126,24 @@ def test_records_are_read_only(cls):
     assert fields(record) == before
 
 
-DERIVED = ("idom", "comp_sizes", "plan", "rows")
+DERIVED = {
+    AcTree: ("idom", "comp_sizes", "plan", "rows"),
+    DominatorTree: ("children", "order", "dfs_in", "dfs_out"),
+}
 
 
-@pytest.mark.parametrize("name", DERIVED)
-def test_an_actrees_derived_slots_are_read_only(name):
-    tree = build_ac_tree(gen_nested((3, 1, (4, 2, 3)), seed=5))
-    before = getattr(tree, name)
+@pytest.mark.parametrize(
+    "cls, name", [(cls, name) for cls, names in DERIVED.items() for name in names],
+    ids=lambda x: x if isinstance(x, str) else x.__name__,
+)
+def test_derived_slots_are_read_only(cls, name):
+    record = records()[cls]
+    before = getattr(record, name)
     with pytest.raises(AttributeError, match="read-only"):
-        setattr(tree, name, ())
+        setattr(record, name, ())
     with pytest.raises(AttributeError, match="read-only"):
-        delattr(tree, name)
-    assert getattr(tree, name) is before
+        delattr(record, name)
+    assert getattr(record, name) is before
 
 
 def test_an_actree_is_its_topology_and_derives_every_other_slot():
@@ -143,7 +151,7 @@ def test_an_actree_is_its_topology_and_derives_every_other_slot():
     tree = build_ac_tree(g)
     topology = (g.source, g.offsets, g.heads)
     assert AcTree._fields == ("source", "offsets", "heads") and fields(tree) == topology
-    assert set(AcTree.__slots__) == {*AcTree._fields, *DERIVED}
+    assert set(AcTree.__slots__) == {*AcTree._fields, *DERIVED[AcTree]}
     # the pickle payload is the topology: the derived slots are rebuilt
     assert tree.__reduce__() == (AcTree, topology)
     assert len(pickle.dumps(tree)) < len(pickle.dumps(topology)) + 64
@@ -151,6 +159,21 @@ def test_an_actree_is_its_topology_and_derives_every_other_slot():
     twin = AcTree(g.source, tuple(list(g.offsets)), tuple(list(g.heads)))
     assert twin.offsets is not g.offsets and twin.heads is not g.heads
     assert twin == tree and hash(twin) == hash(tree) and twin.plan == tree.plan
+
+
+def test_a_dominator_tree_is_its_idom_and_derives_every_other_slot():
+    g = gen_random_digraph(200, 600, seed=4)
+    t = compute_dominator_tree(g)
+    assert DominatorTree._fields == ("idom",) and fields(t) == (t.idom,)
+    assert set(DominatorTree.__slots__) == {"idom", *DERIVED[DominatorTree]}
+    assert t.__reduce__() == (DominatorTree, (t.idom,))
+    twin = DominatorTree(tuple(list(t.idom)))
+    assert twin.idom is not t.idom
+    assert twin == t and hash(twin) == hash(t)
+    for name in DERIVED[DominatorTree]:
+        assert getattr(twin, name) == getattr(t, name)
+    with pytest.raises(TypeError):
+        DominatorTree(t.idom, t.children, t.order, t.dfs_in, t.dfs_out)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -165,8 +188,8 @@ def test_records_survive_pickle_and_copy(cls):
 
 
 def test_records_are_built_from_all_their_fields_in_order():
-    with pytest.raises(TypeError, match="SptCheck takes 2 fields"):
-        SptCheck(True)
+    with pytest.raises(TypeError, match="SptCheck takes the fields: violations"):
+        SptCheck(True, ())
     with pytest.raises(TypeError):
         SearchStats()
     stats = SearchStats(3, 2, 1, {1: 2})
@@ -174,7 +197,15 @@ def test_records_are_built_from_all_their_fields_in_order():
     assert repr(stats) == (
         "SearchStats(pops=3, key_decreases=2, max_queue_len=1, component_sizes={1: 2})"
     )
-    assert repr(SptCheck(True, ())) == "SptCheck(ok=True, violations=())"
+    assert repr(SptCheck(())) == "SptCheck(ok=True, violations=())"
+    assert repr(SptCheck(("x",))) == "SptCheck(ok=False, violations=('x',))"
+
+
+def test_an_sptcheck_is_its_violations():
+    assert SptCheck._fields == ("violations",)
+    assert SptCheck(()) and SptCheck(()).ok
+    assert not SptCheck(("x",)) and not SptCheck(("x",)).ok
+    assert SptCheck(()).__reduce__() == (SptCheck, ((),))
 
 
 def test_graph_repr_is_bounded():

@@ -31,7 +31,7 @@ from actree import (
     verify_spt,
 )
 from actree import sssp
-from actree.sssp import _spt_violations
+from actree.sssp import _spt_holds, _spt_violations
 from random_graphs import (
     block_chain,
     gen_complete,
@@ -536,6 +536,26 @@ def test_verify_spt_lists_violations_in_check_order():
     )
 
 
+@pytest.mark.parametrize(
+    "parent, named",
+    [
+        ((None, False, True), ("parent[1]=False", "parent[2]=True")),
+        ((None, 0.0, 1.0), ("parent[1]=0.0", "parent[2]=1.0")),
+        ((None, 0, 1 + 0j), ("parent[2]=(1+0j)",)),
+    ],
+    ids=["bool", "float", "complex"],
+)
+def test_verify_spt_names_parents_that_are_not_node_ids(parent, named):
+    # each entry equals the right node id, so every arc check alone holds
+    g = Graph.from_arcs(3, 0, [(0, 1, 1.0), (1, 2, 1.0)])
+    r = dijkstra(g)
+    assert r.parent == (None, 0, 1) and _spt_holds(g, r.dist, r.parent)
+    wrong = ShortestPathResult(r.dist, parent, r.stats)
+    assert not _spt_holds(g, wrong.dist, wrong.parent)
+    expected = SptCheck(tuple(f"{entry} is not a node id" for entry in named))
+    assert verify_spt(g, wrong) == _spt_violations(g, wrong) == expected
+
+
 MUTATIONS = (
     "none", "ulp up", "ulp down", "non-neighbour parent", "no parent",
     "out-of-range parent", "nan", "inf", "-inf", "-0.0", "not a number",
@@ -616,7 +636,7 @@ def test_verify_spt_rejects_parent_arcs_that_close_a_cycle():
         wrong = ShortestPathResult(dist, (None, 2, 1), stats)
         check = verify_spt(g, wrong)
         assert check == _spt_violations(g, wrong)
-        assert check == SptCheck(False, ("parent arcs close the cycle 1->2->1",))
+        assert check == SptCheck(("parent arcs close the cycle 1->2->1",))
     # a zero-weight self-loop as a node's parent arc is a cycle of one
     loop = Graph.from_arcs(2, 0, [(0, 1, 1.0), (1, 1, 0.0)])
     wrong = ShortestPathResult((0.0, 1.0), (None, 1), stats)
