@@ -47,7 +47,7 @@ from collections import Counter
 from itertools import accumulate
 
 from .dominators import DominatorTree, _check_node, _immediate_dominators
-from .graph import Graph, GraphError, TreeMismatchError, _check_arg, _Record
+from .graph import Graph, GraphError, TreeMismatchError, _check_arg, _gc_paused, _Record
 
 
 class AcTree(_Record):
@@ -65,7 +65,9 @@ class AcTree(_Record):
     holds a plan, a histogram or rows that its topology does not imply.
     Trees are equal, and hash alike, when their fields are; ``pickle`` and
     ``copy`` keep the three fields only, so unpickling or copying a tree
-    rebuilds it, at about the cost of one build.
+    rebuilds it, at about the cost of one build. Like every build, it runs
+    with the cyclic garbage collector paused, and leaves the caller's setting
+    as it found it.
 
     ``idom[v]`` is the immediate dominator of ``v`` (the source maps to
     itself). ``plan`` is the tree itself, laid out as the weight-free order
@@ -113,10 +115,12 @@ class AcTree(_Record):
         return sizes[-1][0] + 1 if sizes else 1
 
     @property
+    @_gc_paused
     def components(self) -> dict[int, tuple[frozenset[int], ...]]:
         """Each node with dominator children mapped to its component
         sequence, read off the plan in O(n): each entry, in order, filed
-        under ``idom`` of its first member."""
+        under ``idom`` of its first member, with the cyclic garbage
+        collector paused."""
         idom = self.idom
         owned: list[list[frozenset[int]]] = [[] for _ in idom]
         for segment in self.plan:
@@ -213,16 +217,20 @@ def build_ac_tree(g: Graph) -> AcTree:
     ``0 -> ... -> k`` plus arcs ``k -> w`` and ``0 -> w`` for ``k`` extra
     nodes ``w``), on which each ``w`` would climb the whole path, costs
     about what any DAG of its size does. The decomposition does not depend
-    on arc weights.
+    on arc weights. The build runs with the cyclic garbage collector
+    paused: it allocates a small container per node and makes no reference
+    cycle, so the collector would only rescan them. The caller's setting is
+    restored on return or error.
     """
     _check_arg(g, Graph, "g")
     return _lay_out(AcTree.__new__(AcTree), g)
 
 
+@_gc_paused
 def _lay_out(tree: AcTree, g: Graph) -> AcTree:
     """Fill every slot of ``tree`` from the topology of the pruned graph
     ``g``: the one build, as :func:`build_ac_tree` describes it, behind it
-    and ``AcTree(...)``."""
+    and ``AcTree(...)``, with the cyclic garbage collector paused."""
     n = g.node_count
     idom, start, kids, back = _immediate_dominators(g)
     if back:

@@ -3,8 +3,9 @@
 Each command parses one graph file, prunes unreachable nodes and prints one
 result. Node ids in the output are the input's 0-based ids: the results on
 the pruned graph are mapped back, with ``null`` for each dropped node. The
-CLI does no timing: ``perfbench/run.py`` at the repository root
-measures the library end to end and layer by layer.
+warning that lists the dropped nodes names them as the file does: 1-based
+for DIMACS. The CLI does no timing: ``perfbench/run.py`` at the repository
+root measures the library end to end and layer by layer.
 
 Exit codes: 0 ok, 2 parse or usage error, 3 negative weight or a distance
 that overflows, 4 internal failure (a failed --verify or a width
@@ -64,9 +65,12 @@ def _load_pruned(args) -> tuple[Graph, Sequence[int | None], Sequence[int]]:
     pruned, remap = prune_unreachable(g)
     if pruned.node_count == g.node_count:
         return pruned, remap, remap
-    dropped = [v for v, nv in enumerate(remap) if nv is None]
+    # the warning names each node as the file does: DIMACS ids count from 1
+    base = 1 if _detect_format(args.input, args.format) == "dimacs" else 0
+    dropped = [v + base for v, nv in enumerate(remap) if nv is None]
+    noun = "node" if len(dropped) == 1 else "nodes"
     print(
-        f"warning: dropped {len(dropped)} unreachable nodes: "
+        f"warning: dropped {len(dropped)} unreachable {noun}: "
         + " ".join(map(str, dropped)),
         file=sys.stderr,
     )

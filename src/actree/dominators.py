@@ -33,7 +33,7 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate
 
-from .graph import Graph, GraphError, UnreachableNodeError, _check_arg, _Record
+from .graph import Graph, GraphError, UnreachableNodeError, _check_arg, _gc_paused, _Record
 
 # The NCA climbs of one dominator pass may take this many steps per node and
 # arc in all; past that, the pass switches to the relative-dominator step.
@@ -54,17 +54,21 @@ class DominatorTree(_Record):
     naming the node, for an entry that is not an ``int`` node id (a
     ``bool`` is none), for no root, and for a node whose chain of parents
     never reaches the root (a cycle, or a second node that maps to
-    itself). Trees are equal, hash alike and pickle as their ``idom``.
+    itself). Trees are equal, hash alike and pickle as their ``idom``. The
+    repr shows the node count and the root only, so printing a tree costs
+    the same at any size.
     """
 
     __slots__ = ("idom", "children", "order", "dfs_in", "dfs_out")
     _fields = ("idom",)
 
+    @_gc_paused
     def __init__(self, idom: tuple[int, ...]) -> None:
         """One pass over the nodes in ascending id files each under its
         immediate dominator, so every owner's children come out in ascending
         id; then one walk from the root lays out the preorder, and a node it
-        misses is not under the root."""
+        misses is not under the root. The cyclic garbage collector is paused
+        meanwhile."""
         _check_arg(idom, tuple, "idom")
         n = len(idom)
         if not (set(map(type, idom)) <= {int} and min(idom, default=0) >= 0
@@ -102,6 +106,9 @@ class DominatorTree(_Record):
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
+    def __repr__(self) -> str:
+        return f"DominatorTree(node_count={len(self.idom)}, root={self.order[0]})"
+
     def dominates(self, a: int, b: int) -> bool:
         """True when every source-to-``b`` path contains ``a``: ``a`` is
         ``b`` or an ancestor of ``b`` in the dominator tree."""
@@ -122,13 +129,16 @@ def _check_node(v: int, n: int) -> None:
         raise GraphError(f"node {v!r} is not a node id of a {n}-node graph")
 
 
+@_gc_paused
 def compute_dominator_tree(g: Graph) -> DominatorTree:
     """Build the dominator tree of ``g`` rooted at its source:
     ``DominatorTree`` of the immediate dominators that the semi-NCA pass
     finds.
 
     Requires every node to be reachable from the source (prune first).
-    The tree and its preorder do not depend on the arc order.
+    The tree and its preorder do not depend on the arc order. The pass
+    and the tree run with the cyclic garbage collector paused, and the
+    caller's setting is restored on return or error.
     """
     _check_arg(g, Graph, "g")
     return DominatorTree(_immediate_dominators(g)[0])

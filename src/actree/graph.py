@@ -44,9 +44,11 @@ naming the line.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from collections.abc import Iterable, Iterator, Sequence
+from functools import wraps
 from itertools import accumulate
 from operator import index, itemgetter, le
 
@@ -145,6 +147,32 @@ def _check_arg(value, cls: type, name: str, error: type[GraphError] = GraphError
     ``value`` unless ``value`` is a ``cls``."""
     if not isinstance(value, cls):
         raise error(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+
+
+def _gc_paused(func):
+    """``func`` with the cyclic garbage collector paused while it runs.
+
+    The build, the searches and the dominator pass allocate one small
+    container per node or heap entry (lists, ``(dist, node)`` tuples, plan
+    segments), and CPython's collector would rescan the survivors every 700
+    of them. None of that data holds a reference cycle, so reference
+    counting alone frees it, and the pause changes no result.
+    When the collector is on, it is disabled for the call and enabled again
+    when the call returns or raises; when the caller has already disabled
+    it, the call runs as it is, so a nested call costs one check.
+    """
+
+    @wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class Graph(_Record):

@@ -47,6 +47,7 @@ from .graph import (
     TreeMismatchError,
     UnreachableNodeError,
     _check_arg,
+    _gc_paused,
     _Record,
 )
 
@@ -92,13 +93,15 @@ class ShortestPathResult(_Record):
         }
 
 
+@_gc_paused
 def dijkstra(g: Graph) -> ShortestPathResult:
     """Textbook Dijkstra over a single all-nodes queue; the baseline oracle.
 
     Requires a pruned graph: raises :class:`UnreachableNodeError` when the
     source does not reach every node, and :class:`DistanceOverflowError`
     naming a node whose every path sums past the largest float. Ties on
-    distance break by node id.
+    distance break by node id. The cyclic garbage collector is paused while
+    it runs, and the caller's setting is restored on return or error.
     """
     _check_arg(g, Graph, "g")
     n = g.node_count
@@ -133,6 +136,7 @@ def dijkstra(g: Graph) -> ShortestPathResult:
     return ShortestPathResult(dist, parent, stats)
 
 
+@_gc_paused
 def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     """Dijkstra driven by the A-C tree: one queue per component.
 
@@ -174,6 +178,11 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     node whose every path sums past the largest float raises
     :class:`DistanceOverflowError`: one ``sum(dist)`` in C spots it, and
     only a sum of ``inf`` sends the search to look for the node.
+
+    The search runs with the cyclic garbage collector paused: every heap,
+    heap entry and suspended walk is a small container, none of them in a
+    reference cycle, so the collector would only rescan them. The caller's
+    setting is restored on return or error.
     """
     _check_arg(g, Graph, "g")
     _check_arg(tree, AcTree, "tree", TreeMismatchError)

@@ -1,10 +1,23 @@
-"""Shared fixture graphs for the test suite."""
+"""Shared fixture graphs for the test suite, and a guard on the collector."""
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
 from actree import Graph
+
+
+@pytest.fixture(autouse=True)
+def _collector_left_on():
+    """Fail any test that leaves the cyclic garbage collector disabled: the
+    build and the searches pause it and must turn it back on, whether they
+    return or raise. It is turned on again, so the next test starts clean."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture

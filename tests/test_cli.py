@@ -122,6 +122,8 @@ def test_decompose_prunes_with_warning(tmp_path):
 
 # node 1 is unreachable: the output keeps the input's ids, with null for it
 PRUNED = {"pruned.edges": "4 2 0\n0 2 1\n2 3 1\n", "pruned.gr": "p sp 4 2\na 1 3 1\na 3 4 1\n"}
+# the warning names the dropped node as the file does: DIMACS ids count from 1
+DROPPED = {"pruned.edges": "1", "pruned.gr": "2"}
 
 
 @pytest.mark.parametrize("name", PRUNED)
@@ -130,7 +132,7 @@ def test_decompose_prints_input_ids_after_pruning(tmp_path, capsys, name):
     path.write_text(PRUNED[name])
     assert cli.main(["decompose", str(path)]) == 0
     out, err = capsys.readouterr()
-    assert err == "warning: dropped 1 unreachable nodes: 1\n"
+    assert err == f"warning: dropped 1 unreachable node: {DROPPED[name]}\n"
     assert out == '{"components":{"0":[[2]],"2":[[3]]},"width":2,"idom":[0,null,0,2]}\n'
 
 
@@ -144,6 +146,20 @@ def test_sssp_prints_input_ids_after_pruning(tmp_path, capsys, name, algo):
     assert doc["dist"] == [0.0, None, 1.0, 2.0]
     assert doc["parent"] == [None, None, 0, 2]
     assert doc["stats"]["pops"] == 3
+
+
+@pytest.mark.parametrize("name, text, source, warning", [
+    ("two.edges", "5 2 0\n0 2 1\n2 4 1\n", [], "dropped 2 unreachable nodes: 1 3"),
+    ("two.gr", "p sp 5 2\na 1 3 1\na 3 5 1\n", [], "dropped 2 unreachable nodes: 2 4"),
+    ("source.gr", "p sp 3 1\na 2 3 1\n", ["--source", "2"], "dropped 1 unreachable node: 1"),
+])
+def test_prune_warning_names_dropped_nodes_by_the_files_ids(
+    tmp_path, capsys, name, text, source, warning
+):
+    path = tmp_path / name
+    path.write_text(text)
+    assert cli.main(["sssp", str(path), *source]) == 0
+    assert capsys.readouterr().err == f"warning: {warning}\n"
 
 
 def test_missing_file_exits_2():

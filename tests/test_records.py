@@ -214,3 +214,15 @@ def test_graph_repr_is_bounded():
     text = repr(g)
     assert text == "Graph(node_count=16384, source=0, arc_count=32768)"
     assert len(text) < 200
+
+
+def test_dominator_tree_repr_is_bounded():
+    lengths = []
+    for log2n in (4, 14):
+        n = 1 << log2n
+        t = compute_dominator_tree(gen_random_digraph(n, 4 * n, seed=log2n))
+        text = repr(t)
+        assert text == f"DominatorTree(node_count={n}, root=0)"
+        lengths.append(len(text))
+    assert lengths[1] - lengths[0] == 3  # the node count's digits alone
+    assert repr(DominatorTree((1, 1, 0))) == "DominatorTree(node_count=3, root=1)"

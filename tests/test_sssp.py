@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import math
 import pickle
 import random
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from actree import (
     AcTree,
     DistanceOverflowError,
+    DominatorTree,
     Graph,
     GraphError,
     ShortestPathResult,
@@ -24,6 +26,7 @@ from actree import (
     TreeMismatchError,
     UnreachableNodeError,
     build_ac_tree,
+    compute_dominator_tree,
     dijkstra,
     gen_nested,
     prune_unreachable,
@@ -656,3 +659,86 @@ def test_verify_spt_confirms_right_results_without_its_specification(monkeypatch
     for g in cases:
         assert verify_spt(g, recursive_dijkstra(g, build_ac_tree(g)))
         assert verify_spt(g, dijkstra(g))
+
+
+def collections_inside(call, *args) -> int:
+    """The cyclic-GC passes that start while ``call(*args)`` runs. The flag
+    is set and cleared with no allocation between it and the call, so a
+    pass that the first allocation after the call starts is not counted."""
+    starts = []
+    inside = [False]
+
+    def seen(phase, info):
+        if phase == "start" and inside[0]:
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(seen)
+    try:
+        inside[0] = True
+        call(*args)
+        inside[0] = False
+    finally:
+        inside[0] = False
+        gc.callbacks.remove(seen)
+    return len(starts)
+
+
+def _gc_paused_calls():
+    """Every entry point that pauses the collector, as (name, call, args),
+    on a 2^14-node block chain, with every input built beforehand."""
+    g = block_chain(1 << 14, 12)
+    tree = build_ac_tree(g)
+    return [
+        ("build_ac_tree", build_ac_tree, (g,)),
+        ("AcTree(...)", AcTree, (g.source, g.offsets, g.heads)),
+        ("pickle", pickle.loads, (pickle.dumps(tree),)),
+        ("recursive_dijkstra", recursive_dijkstra, (g, tree)),
+        ("dijkstra", dijkstra, (g,)),
+        ("compute_dominator_tree", compute_dominator_tree, (g,)),
+        ("DominatorTree(idom)", DominatorTree, (tree.idom,)),
+        ("AcTree.components", lambda t: t.components, (tree,)),
+    ]
+
+
+def test_no_cyclic_gc_pass_starts_inside_a_build_or_a_search():
+    """Each call allocates tens of thousands of small containers: without
+    the pause the collector runs dozens of times in the build and a dozen
+    in the search."""
+    for name, call, args in _gc_paused_calls():
+        assert collections_inside(call, *args) == 0, name
+        assert gc.isenabled(), name
+
+
+def test_the_collector_stays_off_for_a_caller_that_turned_it_off():
+    gc.disable()
+    try:
+        for name, call, args in _gc_paused_calls():
+            call(*args)
+            assert not gc.isenabled(), name
+    finally:
+        gc.enable()
+
+
+UNPRUNED = Graph.from_arcs(3, 0, [(0, 1)])
+OVERFLOWING = Graph.from_arcs(3, 0, OVERFLOWS[0][1])
+RAISING = {
+    "build": (UnreachableNodeError, lambda: build_ac_tree(UNPRUNED)),
+    "AcTree": (UnreachableNodeError, lambda: AcTree(0, UNPRUNED.offsets, UNPRUNED.heads)),
+    "dominators": (UnreachableNodeError, lambda: compute_dominator_tree(UNPRUNED)),
+    "DominatorTree": (GraphError, lambda: DominatorTree((1, 0))),
+    "dijkstra": (UnreachableNodeError, lambda: dijkstra(UNPRUNED)),
+    "mismatch": (TreeMismatchError, lambda: recursive_dijkstra(
+        Graph.from_arcs(2, 0, [(0, 1)]), build_ac_tree(Graph.from_arcs(2, 1, [(1, 0)])))),
+    "overflow-dijkstra": (DistanceOverflowError, lambda: dijkstra(OVERFLOWING)),
+    "overflow-recursive": (DistanceOverflowError,
+                           lambda: recursive_dijkstra(OVERFLOWING, build_ac_tree(OVERFLOWING))),
+}
+
+
+@pytest.mark.parametrize("name", RAISING)
+def test_a_raising_call_turns_the_collector_back_on(name):
+    error, fail = RAISING[name]
+    with pytest.raises(error):
+        fail()
+    assert gc.isenabled()
