@@ -348,7 +348,8 @@ def ac_to_nesting_family(tree: AcTree) -> tuple[frozenset[int], ...]:
     sequence, closed under dominator descendants and rooted at ``a``, plus
     the trivial modules. Owner ``a``'s components, read off the plan by
     :attr:`AcTree.components`, partition its dominator children, so a
-    subtree is walked through the components alone. The result, sorted by
+    prefix is ``a`` plus each member's dominator subtree, a slice of the
+    preorder of ``DominatorTree(tree.idom)``. The result, sorted by
     size and then by members, is laminar, and its width
     (:func:`~actree.family_width`) equals ``tree.width``.
 
@@ -358,17 +359,13 @@ def ac_to_nesting_family(tree: AcTree) -> tuple[frozenset[int], ...]:
     """
     _check_arg(tree, AcTree, "tree", TreeMismatchError)
     n = len(tree.idom)
-    components = tree.components
-    kids = {a: [v for comp in comps for v in comp] for a, comps in components.items()}
+    dominators = DominatorTree(tree.idom)
     sets = {frozenset(range(n))}
     sets.update(frozenset((v,)) for v in range(n))
-    for a, comps in components.items():
+    for a, comps in tree.components.items():
         prefix = [a]
         for comp in comps:
-            i = len(prefix)
-            prefix += comp
-            while i < len(prefix):  # append the subtrees of the new members
-                prefix += kids.get(prefix[i], ())
-                i += 1
+            for v in comp:  # its dominator subtree, a slice of the preorder
+                prefix += dominators.descendants(v)
             sets.add(frozenset(prefix))
     return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))

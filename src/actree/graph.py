@@ -269,24 +269,19 @@ class Graph(_Record):
         cannot read, goes to the per-arc loop, :func:`_from_arcs_loop`: the
         specification, which builds the same graph or raises the same error.
         The two passes' columns are checked whole and in C and the graph
-        built unchecked; when a check fails they go to :class:`Graph`, which
-        names the offending arc.
+        built unchecked; when a check fails (a bad head, weight or source)
+        the arcs go to the per-arc loop too, which names the fault.
         """
         if type(node_count) is not int:
             raise GraphError(f"node_count {node_count!r} is not an integer")
         if node_count < 1:
             raise GraphError("a graph needs at least one node")
+        degree = _zeros(node_count)  # fails before the first arc is read
         if type(arcs) is list or type(arcs) is tuple:
-            # the zeros are handed over, not kept here: pass 1 counts into them
-            columns = _two_pass(_zeros(node_count), arcs)
-            if columns is not None:
-                source_ok = type(source) is int and 0 <= source < node_count
-                if source_ok and _columns_ok(node_count, columns[1], columns[2]):
-                    return _built(source, *columns)
-                # names the fault, or passes finite weights whose sum overflows
-                return Graph(source, *columns)
-        else:
-            _zeros(node_count)  # fails before the first arc is read
+            columns = _two_pass(degree, arcs)  # pass 1 counts into the zeros
+            source_ok = type(source) is int and 0 <= source < node_count
+            if columns and source_ok and _columns_ok(node_count, *columns[1:]):
+                return _built(source, *columns)
         return _from_arcs_loop(node_count, source, arcs)
 
     def arcs(self) -> Iterator[tuple[int, int, float]]:
@@ -488,7 +483,7 @@ def _parse_edge_list_lines(text: str) -> Graph:
     tails: list[int] = []
     heads: list[int] = []
     weights: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -523,7 +518,7 @@ def _parse_edge_list_lines(text: str) -> Graph:
         n = header[0]
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"arc {u}->{v}: node id out of range", lineno)
-        tails.append(u)
+        tails.append(ids[u])
         heads.append(ids[v])
         weights.append(w)
     if header is None:
@@ -541,6 +536,19 @@ def _node_ids(n: int, lineno: int) -> list[int]:
         return list(range(n))
     except (OverflowError, MemoryError):
         raise FormatError(f"node count {n} is too large to allocate", lineno) from None
+
+
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, one slice of about ``_CHUNK`` characters at a
+    time, so a line parser holds the lines of one slice only. Each slice
+    ends just after the first newline at least ``_CHUNK`` characters on (or
+    at the end of the text), so no carriage return is parted from the line
+    feed after it and no line is cut in two or lost."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield from text[start:cut].splitlines()
+        start = cut
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -577,7 +585,7 @@ def _parse_dimacs_lines(text: str, source: int) -> Graph:
     tails: list[int] = []
     heads: list[int] = []
     weights: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -596,6 +604,8 @@ def _parse_dimacs_lines(text: str, source: int) -> Graph:
                 raise FormatError("expected problem line 'p sp <n> <m>'", lineno) from None
             if n < 1:
                 raise FormatError("node count must be positive", lineno)
+            if m < 0:
+                raise FormatError("arc count must be non-negative", lineno)
             header = (n, m)
             ids = _node_ids(n, lineno)
         elif tag == "a":
@@ -615,7 +625,7 @@ def _parse_dimacs_lines(text: str, source: int) -> Graph:
                 raise FormatError(f"weight {fields[3]} is not finite", lineno)
             if w < 0:
                 raise NegativeWeightError(f"negative weight {w}", lineno)
-            tails.append(u - 1)
+            tails.append(ids[u - 1])
             heads.append(ids[v - 1])
             weights.append(w)
         else:

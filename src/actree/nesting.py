@@ -4,9 +4,11 @@ A *module* is a node set whose external in-arcs all target one member (its
 source). A *nesting family* is a laminar collection of modules containing
 the whole node set and every singleton. The family's width is the largest
 maximal-partition size of any member; the nesting width of a graph is the
-minimum width over all such families. ``brute_force_nesting_width`` computes
-that minimum exactly by exponential search and exists to certify the
-linear-time decomposition at desk scale.
+minimum width over all such families. ``family_width`` validates a family
+and reads its width in one pass over the sets after the per-set module
+checks. ``brute_force_nesting_width`` computes that minimum exactly by
+exponential search and exists to certify the linear-time decomposition at
+desk scale.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ class InvalidFamilyError(GraphError):
 def is_module(g: Graph, nodes: Iterable[int]) -> int | None:
     """Return the module source of ``nodes``, or None if it is not a module.
 
-    All arcs entering the set from outside must target a single member. A
-    set containing the graph source is a module only with that source (think
-    of a virtual external arc into it). Sets other than the whole node set
-    must have at least one external in-arc to nominate a source. An id
+    One scan of the arcs collects the members that an arc from outside the
+    set enters, counting the graph source as entered when it is a member
+    (think of a virtual external arc into it). The set is a module when
+    exactly one member is entered, and that member is its source; the scan
+    stops at a second one. So a set holding the source is a module only
+    with that source, and any other set needs an external in-arc. An id
     that is not a node of ``g`` raises :class:`GraphError` naming it, and
     an empty set, or a ``nodes`` that is not iterable, raises
     :class:`InvalidFamilyError`.
@@ -50,20 +54,14 @@ def is_module(g: Graph, nodes: Iterable[int]) -> int | None:
     members = frozenset(ids)
     if not members:
         raise InvalidFamilyError("is_module: the node set [] is empty")
-    if g.source in members:
-        for u, v, _ in g.arcs():
-            if u not in members and v in members and v != g.source:
-                return None
-        return g.source
-    heads = set()
+    # the members an arc from outside enters; a virtual one enters the source
+    entered = {g.source} & members
     for u, v, _ in g.arcs():
-        if u not in members and v in members:
-            heads.add(v)
-            if len(heads) > 1:
+        if v in members and u not in members:
+            entered.add(v)
+            if len(entered) > 1:
                 return None
-    if len(heads) == 1:
-        return next(iter(heads))
-    return None  # no external in-arc: no unique source to nominate
+    return next(iter(entered), None)
 
 
 def family_width(g: Graph, family: Iterable[Iterable[int]]) -> int:
@@ -74,6 +72,12 @@ def family_width(g: Graph, family: Iterable[Iterable[int]]) -> int:
     module is missing, or two members overlap. Width is the largest count
     of inclusion-maximal members strictly inside any non-singleton member
     (1 for a single-node graph).
+
+    After the per-set checks, one pass takes the sets largest first with an
+    ``owner`` array, the index of the smallest set seen so far that holds
+    each node. A set's parent is the owner of its members; a member with
+    another owner names an overlapping pair. So the check is linear in the
+    family's total size, where a pairwise check is quadratic in its count.
     """
     _check_arg(g, Graph, "g")
     try:
@@ -95,37 +99,28 @@ def family_width(g: Graph, family: Iterable[Iterable[int]]) -> int:
     sets = sorted(distinct, key=lambda s: (-len(s), sorted(s)))
     n = g.node_count
     everything = frozenset(range(n))
-    as_set = set(sets)
-    if everything not in as_set:
+    if everything not in distinct:
         raise InvalidFamilyError("family is missing the whole node set")
     for v in range(n):
-        if frozenset((v,)) not in as_set:
+        if frozenset((v,)) not in distinct:
             raise InvalidFamilyError(f"family is missing singleton {{{v}}}")
     for s in sets:
         if not s <= everything:
             raise InvalidFamilyError(f"set {sorted(s)} has out-of-range nodes")
         if is_module(g, s) is None:
             raise InvalidFamilyError(f"set {sorted(s)} is not a module")
-    for i, a in enumerate(sets):
-        for b in sets[i + 1:]:
-            if a & b and not (a <= b or b <= a):
-                raise InvalidFamilyError(
-                    f"sets {sorted(a)} and {sorted(b)} overlap"
-                )
-
-    # sets are in decreasing size order: the parent of each set is the
-    # smallest strict superset seen so far, and children counts give the
-    # maximal module partition sizes.
+    # largest first, so sets[0] is the whole node set and owns every node
+    owner = [0] * n
     child_count = [0] * len(sets)
-    for i, s in enumerate(sets):
-        parent = None
-        for j in range(i - 1, -1, -1):
-            if s < sets[j] and (parent is None or sets[j] < sets[parent]):
-                parent = j
-        if parent is not None:
-            child_count[parent] += 1
-    widths = [c for s, c in zip(sets, child_count) if len(s) >= 2]
-    return max(widths, default=1)
+    for i, s in enumerate(sets[1:], 1):
+        owners = {owner[v] for v in s}
+        if len(owners) > 1:  # an owner that does not hold s overlaps it
+            a = sets[min(j for j in owners if not s <= sets[j])]
+            raise InvalidFamilyError(f"sets {sorted(a)} and {sorted(s)} overlap")
+        child_count[owners.pop()] += 1
+        for v in s:
+            owner[v] = i
+    return max((c for s, c in zip(sets, child_count) if len(s) >= 2), default=1)
 
 
 def brute_force_nesting_width(g: Graph) -> int:
@@ -147,10 +142,10 @@ def brute_force_nesting_width(g: Graph) -> int:
     if n == 1:
         return 1
 
-    modules = []
-    for mask in range(1, 1 << n):
-        if is_module(g, _bits(mask)) is not None:
-            modules.append(mask)
+    modules = [
+        mask for mask in range(1, 1 << n)
+        if is_module(g, [v for v in range(n) if mask >> v & 1]) is not None
+    ]
     full = (1 << n) - 1
 
     def parts_by_lowbit(m: int, cap: int, f: dict[int, int]) -> dict[int, list[int]]:
@@ -191,13 +186,3 @@ def brute_force_nesting_width(g: Graph) -> int:
             f[m] = size  # partition into singletons
     return max(f[full], 1)
 
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out

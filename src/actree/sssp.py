@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
+from sys import float_info
 from types import NoneType
 
 from .ac_tree import AcTree
@@ -402,9 +403,11 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
     improves any distance, and no parent arcs close a cycle, so every
     node's parents lead back to the source. Comparisons are exact. When a
     distance breaks them (``None``), each one that is not an ``int`` or
-    ``float`` is named and no arc is checked. A column with no length, or the wrong one,
-    is reported as a size mismatch; a column that some node id does not
-    index (a ``set``, or a ``dict`` with a missing key) is named on its own.
+    ``float`` is named and no arc is checked. A distance larger than any
+    float (a huge ``int``) is named, and no arc through it is checked. A
+    column with no length, or the wrong one, is reported as a size
+    mismatch; a column that some node id does not index (a ``set``, or a
+    ``dict`` with a missing key) is named on its own.
 
     A result that passes, and whose parent arcs all join nodes at different
     distances, comes through one fast pass: the node columns are checked
@@ -489,8 +492,9 @@ def _spt_violations(g: Graph, r: ShortestPathResult) -> SptCheck:
         return SptCheck(("result arrays do not match the graph size",))
     off, heads, weights = g.offsets, g.heads, g.weights
     # the tail of v's tight parent arc: None until a parent arc is seen, -1
-    # while none of them is tight
+    # while none of them is tight, -2 if it has an end in far and is not summed
     up: list[int | None] = [None] * n
+    far = set()  # the nodes whose distance is past every float
     try:
         if dist[s] != 0:
             bad.append(f"dist[source]={dist[s]!r}, expected 0")
@@ -504,10 +508,17 @@ def _spt_violations(g: Graph, r: ShortestPathResult) -> SptCheck:
                 bad.append(f"parent[{v}]={p!r} is not a node id")
             if not dist[v] >= 0 or dist[v] == INF:
                 bad.append(f"dist[{v}]={dist[v]!r} is not a finite non-negative value")
+            elif dist[v] > float_info.max:  # such as an int too large for a float
+                bad.append(f"dist[{v}] is larger than any float")
+                far.add(v)
         for u in range(n):
             du = dist[u]
             for i in range(off[u], off[u + 1]):
                 v = heads[i]
+                if u in far or v in far:  # no sum through it, so it is seen only
+                    if parent[v] == u and up[v] is None:
+                        up[v] = -2
+                    continue
                 w = weights[i]
                 if du + w < dist[v]:
                     bad.append(
@@ -523,7 +534,7 @@ def _spt_violations(g: Graph, r: ShortestPathResult) -> SptCheck:
             continue
         if up[v] is None:
             bad.append(f"parent arc {parent[v]}->{v} does not exist")
-        elif up[v] < 0:
+        elif up[v] == -1:
             bad.append(f"parent arc {parent[v]}->{v} is not tight for dist {dist[v]!r}")
     bad += _parent_cycles(up, s)
     return SptCheck(tuple(bad))

@@ -150,6 +150,7 @@ def test_parse_dimacs_errors():
     (parse_edge_list, "2 -1 0\n", "arc count must be non-negative", 1),
     (parse_dimacs_sp, "p sp x 1\n", "expected problem line 'p sp <n> <m>'", 1),
     (parse_dimacs_sp, "p sp 0 0\n", "node count must be positive", 1),
+    (parse_dimacs_sp, "p sp 2 -1\n", "arc count must be non-negative", 1),
     (parse_dimacs_sp, "p sp 1 0\nx 1\n", "unknown line tag 'x'", 2),
     (parse_dimacs_sp, "c only\n", "missing problem line 'p sp <n> <m>'", None),
 ])
@@ -248,12 +249,15 @@ def test_ingest_peaks_within_a_small_multiple_of_the_graph_it_returns():
     their id table first, so a parse peaks at under twice the graph it
     returns (about 1.6 times); ``from_arcs`` reads a list of arcs twice and
     holds no column list of them, so it too peaks at under twice (about
-    1.6 times)."""
+    1.6 times). A comment line sends a text to the line parser, which
+    holds the lines of one slice at a time and takes tails and heads from
+    one id table, so it too peaks at about 1.65 times."""
     g = gen_random_digraph(1 << 14, 4 << 14, seed=18)
-    for parse, text in ((parse_edge_list, serialize_edge_list(g)),
-                        (parse_dimacs_sp, serialize_dimacs_sp(g))):
+    edges, dimacs = serialize_edge_list(g), serialize_dimacs_sp(g)
+    for parse, text in ((parse_edge_list, edges), (parse_edge_list, "# a comment\n" + edges),
+                        (parse_dimacs_sp, dimacs), (parse_dimacs_sp, "c a comment\n" + dimacs)):
         peak, held = _peak_and_held(lambda: parse(text))
-        assert peak <= 2.0 * held, (parse.__name__, peak / held)
+        assert peak <= 2.0 * held, (parse.__name__, text[:12], peak / held)
     arcs = list(g.arcs())
     peak, held = _peak_and_held(lambda: Graph.from_arcs(g.node_count, g.source, arcs))
     assert peak <= 2.0 * held, peak / held
@@ -347,19 +351,18 @@ class _LoopCalled(Exception):
     pass
 
 
-def test_a_list_or_tuple_of_three_tuples_never_reaches_the_per_arc_loop():
+def test_only_a_valid_list_or_tuple_of_three_tuples_skips_the_per_arc_loop():
     g = gen_random_digraph(300, 900, seed=20)
     arcs = list(g.arcs())
-    bad = arcs[:5] + [(1, 2, math.nan)]  # the graph check names it, not the loop
+    bad = arcs[:5] + [(1, 2, math.nan)]  # the two passes read it, the C check fails it
     with mock.patch.object(actree.graph, "_from_arcs_loop", side_effect=_LoopCalled):
         assert Graph.from_arcs(g.node_count, g.source, arcs) == g
         assert Graph.from_arcs(g.node_count, g.source, tuple(arcs)) == g
-        with pytest.raises(GraphError, match="arc 1->2 has non-finite weight nan"):
-            Graph.from_arcs(g.node_count, g.source, bad)
-        with pytest.raises(_LoopCalled):
-            Graph.from_arcs(g.node_count, g.source, iter(arcs))
-        with pytest.raises(_LoopCalled):
-            Graph.from_arcs(g.node_count, g.source, arcs + [(0, 1)])
+        for fallback in (bad, iter(arcs), arcs + [(0, 1)]):
+            with pytest.raises(_LoopCalled):
+                Graph.from_arcs(g.node_count, g.source, fallback)
+    with pytest.raises(GraphError, match="arc 1->2 has non-finite weight nan"):
+        Graph.from_arcs(g.node_count, g.source, bad)
 
 
 def test_non_text_and_non_family_arguments_raise_typed_errors():
@@ -667,6 +670,21 @@ def test_a_last_slice_of_one_line(dimacs, last, last_dimacs, taken):
     args = (text, source) if dimacs else (text,)
     assert (columns(*args) is not None) == taken
     _assert_paths_agree(parse, columns, spec, *args)
+
+
+_SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_SEPARATORS), st.text("ab \t", max_size=6))),
+       st.integers(1, 8))
+def test_line_slices_split_as_splitlines_does(parts, chunk):
+    """The line parsers' lines, read one slice at a time, are the text's
+    ``splitlines()`` whatever separators it mixes and wherever the slices
+    end, a slice of a few characters included."""
+    text = "".join(parts)
+    with mock.patch.object(actree.graph, "_CHUNK", chunk):
+        assert list(actree.graph._lines(text)) == text.splitlines()
 
 
 def test_column_path_spans_many_slices():

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actree import (
+    Graph,
     GraphError,
     InvalidFamilyError,
     brute_force_nesting_width,
@@ -144,6 +149,48 @@ def test_family_width_reports_violations(cycle3, diamond):
             frozenset({0, 1}),
             frozenset({1, 2}),
         ])
+
+
+@st.composite
+def _interval_families(draw):
+    """A path ``0 -> 1 -> ... -> n-1`` and a family of its intervals, which
+    are exactly its modules, holding the whole node set and every singleton:
+    so only laminarity decides whether the family is valid."""
+    n = draw(st.integers(1, 8))
+    intervals = [frozenset(range(i, j)) for i in range(n) for j in range(i + 1, n + 1)]
+    family = draw(st.lists(st.sampled_from(intervals), max_size=8))
+    family += [frozenset(range(n))] + [frozenset((v,)) for v in range(n)]
+    g = Graph.from_arcs(n, 0, [(v, v + 1) for v in range(n - 1)])
+    return g, draw(st.permutations(family))
+
+
+def _overlap(a, b):
+    return bool(a & b) and not (a <= b or b <= a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_interval_families())
+def test_family_width_accepts_exactly_the_pairwise_laminar_families(case):
+    """The owner pass against the definition: every pair of sets nested or
+    disjoint, and each set's width the count of its largest strict subsets
+    in the family."""
+    g, family = case
+    sets = set(family)
+    laminar = not any(_overlap(a, b) for a in sets for b in sets)
+    try:
+        width = family_width(g, family)
+    except InvalidFamilyError as e:
+        assert not laminar
+        named = re.fullmatch(r"sets (\[.*\]) and (\[.*\]) overlap", str(e))
+        a, b = (frozenset(map(int, re.findall(r"\d+", x))) for x in named.groups())
+        assert a in sets and b in sets and _overlap(a, b)
+        return
+    assert laminar
+    maximal = [
+        sum(1 for c in sets if c < s and not any(c < d < s for d in sets))
+        for s in sets if len(s) >= 2
+    ]
+    assert width == max(maximal, default=1)
 
 
 def test_brute_force_width_fixtures(complete3, single):

@@ -522,6 +522,16 @@ def test_verify_spt_names_a_distance_that_is_not_a_number(odd):
     assert check.violations == (f"dist[1]={odd!r} is not an int or float",)
 
 
+@pytest.mark.parametrize("dist", [(0, 1, 10**400), (0.0, 1.0, 10**400)], ids=["int", "float"])
+def test_verify_spt_names_a_distance_larger_than_any_float(dist):
+    """No arc through such a distance can be summed with a float weight:
+    it is named, its arcs are left unchecked, and the result is never ok."""
+    g = Graph.from_arcs(3, 0, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+    check = verify_spt(g, ShortestPathResult(dist, (None, 0, 1), None))
+    assert check.violations == ("dist[2] is larger than any float",)
+    assert not check
+
+
 def test_verify_spt_lists_violations_in_check_order():
     # three parallel arcs 0 -> 1, the middle one tight
     arcs = [(0, 1, 2.0), (0, 1, 1.0), (0, 1, 3.0), (1, 2, 1.0), (0, 2, 5.0), (2, 3, 1.0)]
