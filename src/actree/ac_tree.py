@@ -63,11 +63,11 @@ class AcTree(_Record):
     tree from a :class:`Graph`, whose topology is checked already. Every
     other slot is derived by that one build and is read-only, so no tree
     holds a plan, a histogram or rows that its topology does not imply.
-    Trees are equal, and hash alike, when their fields are; ``pickle`` and
-    ``copy`` keep the three fields only, so unpickling or copying a tree
-    rebuilds it, at about the cost of one build. Like every build, it runs
-    with the cyclic garbage collector paused, and leaves the caller's setting
-    as it found it.
+    Trees are equal, and hash alike, when their fields are; ``pickle``
+    keeps the three fields only, so unpickling a tree rebuilds it, at about
+    the cost of one build, and ``copy.copy`` and ``copy.deepcopy`` return
+    the tree itself. Like every build, it runs with the cyclic garbage
+    collector paused, and leaves the caller's setting as it found it.
 
     ``idom[v]`` is the immediate dominator of ``v`` (the source maps to
     itself). ``plan`` is the tree itself, laid out as the weight-free order

@@ -15,7 +15,7 @@ per-arc loop collect.
 A graph is made in one of two ways. ``Graph(...)`` checks every field,
 whole columns at a time, and names the offending arc or field when a check
 fails. ``_built`` checks nothing, and only code that has made every check
-itself calls it: the line parsers (line by line), the column parser (its
+itself calls it: the line parser (line by line), the column parser (its
 table of node ids and its own weight check), ``prune_unreachable``
 (columns derived from a valid graph) and ``Graph.from_arcs`` on a list,
 after checking its columns in C.
@@ -28,9 +28,15 @@ cannot read (a 2-tuple, a tail out of range or not an ``int``, a weight
 builds the same graph or raises the same error naming the arc. A node
 count too large to allocate fails before the first arc is read.
 
-Both parsers convert a text laid out as the serializers write it a column
-at a time: the body is cut into slices of about 64K characters, each slice
-is checked to hold one fixed number of single-spaced fields per line and
+Both formats go through one front end, ``_parse``, and one line parser,
+``_parse_lines``, and what sets them apart is one table per format,
+``_EDGE_LIST`` and ``_DIMACS``: the header's tag and fields, the comment
+rule, the arc line's tag and field counts, the id base, which fault of a
+line with a bad id and a bad weight is named first, and the wording of
+each message. The front end checks the text's type, reads the header and
+converts a text laid out as the serializers write it a column at a time:
+the body is cut into slices of about 64K characters, each slice is
+checked to hold one fixed number of single-spaced fields per line and
 split once, and its tail, head and weight columns are converted whole,
 each id column by one ``itemgetter`` call over a dict of the ids' decimal
 strings and the weights by ``map(float)``. Any
@@ -51,6 +57,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import wraps
 from itertools import accumulate
 from operator import index, itemgetter, le
+from types import SimpleNamespace
 
 
 class GraphError(ValueError):
@@ -100,9 +107,13 @@ class _Record:
 
     ``_fields`` names the constructor's fields: every slot, unless a class
     names fewer and derives the other slots from them. Records of one class
-    are equal, and hash alike, when their fields are; ``pickle`` and
-    ``copy`` rebuild them from the fields through the constructor. The repr
-    shows the fields named in ``_shown``, or all of them.
+    are equal, and hash alike, when their fields are; ``pickle`` rebuilds
+    them from the fields through the constructor. A record cannot change,
+    so ``copy.copy`` returns it. ``copy.deepcopy`` returns it too when it
+    hashes (as built, its fields are then tuples, numbers and strings), and
+    otherwise, as for a record that holds a ``list`` or a ``dict``, rebuilds
+    it from deep copies of its fields. The repr shows the fields named in
+    ``_shown``, or all of them.
     """
 
     __slots__ = ()
@@ -136,6 +147,18 @@ class _Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo: dict):
+        try:
+            hash(self)
+        except TypeError:
+            from copy import deepcopy  # loaded already: deepcopy called this
+
+            return type(self)(*deepcopy(self._values(), memo))
+        return self
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._shown or self._fields)
@@ -449,6 +472,45 @@ def _built(
 # File formats
 # ---------------------------------------------------------------------------
 
+# What sets one text format apart from the other. The one front end,
+# _parse, and the one line parser, _parse_lines, read both through it:
+#   prefix       the header's fields before its integers, as written
+#   header       how many integers the header holds: n, m, and the source
+#                when the format names it there
+#   comment      a line is a comment when its first field, cut to
+#   comment_cut  comment_cut characters (None: not cut), is comment: "#"
+#                starts one in an edge list, "c" is one in DIMACS
+#   tag          the first field of every arc line, or "" for none
+#   arc_fields   the field counts an arc line may have; with two, the
+#                weight is left out and is 1.0
+#   base         the file's first node id
+#   ids_first    on an arc with a bad id and a bad weight, name the id
+#   tags         a tagged format's error for a line whose first field is
+#                out of place; any other tag is unknown
+# and the wording of each message that a format words its own way.
+_EDGE_LIST = SimpleNamespace(
+    prefix="", header=3, comment="#", comment_cut=1, tag="", arc_fields=(2, 3),
+    base=0, ids_first=False, tags={},
+    bad_header="expected header 'n m s'",
+    bad_integers="expected integer header 'n m s'",
+    missing="missing header line 'n m s'",
+    declares="header declares {} arcs, file has {}",
+    bad_arc="expected arc 'u v [w]'",
+    malformed="malformed arc line",
+)
+_DIMACS = SimpleNamespace(
+    prefix="p sp ", header=2, comment="c", comment_cut=None, tag="a", arc_fields=(4,),
+    base=1, ids_first=True,
+    tags={"a": "arc descriptor before problem line", "p": "duplicate problem line"},
+    bad_header="expected problem line 'p sp <n> <m>'",
+    bad_integers="expected problem line 'p sp <n> <m>'",
+    missing="missing problem line 'p sp <n> <m>'",
+    declares="problem line declares {} arcs, file has {}",
+    bad_arc="expected arc 'a u v w'",
+    malformed="malformed arc descriptor",
+)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
@@ -459,83 +521,108 @@ def parse_edge_list(text: str) -> Graph:
     any other text, and every malformed one, goes through the line parser,
     whose errors name the offending line.
     """
-    _check_text(text)
-    header = _header(text, "", 3)
-    if header is not None:
-        n, m, s = header
-        if 0 <= s < n:
-            g = _parse_columns(text, n, m, s, "")
-            if g is not None:
-                return g
-    return _parse_edge_list_lines(text)
+    return _parse(text, _EDGE_LIST, None)
 
 
-def _check_text(text) -> None:
-    """Raise a :class:`GraphError` naming the type of a ``text`` that is not a ``str``."""
+def parse_dimacs_sp(text: str, source: int = 1) -> Graph:
+    """Parse the DIMACS shortest-path format (``c`` / ``p sp n m`` / ``a u v w``).
+
+    DIMACS ids are 1-based and are shifted to 0-based. The format carries no
+    source node, so the caller supplies one in the file's 1-based id space
+    (default: node 1). A text laid out as :func:`serialize_dimacs_sp`
+    writes it is converted column by column, like :func:`parse_edge_list`.
+    """
+    return _parse(text, _DIMACS, source)
+
+
+def _parse(text: str, fmt: SimpleNamespace, source: int | None) -> Graph:
+    """The graph that ``text`` holds in the format ``fmt``: by columns when
+    the text is laid out as the format's serializer writes it, and by lines
+    otherwise. ``source`` is in the file's id space, or ``None`` when the
+    header names it."""
     if not isinstance(text, str):
         raise GraphError(f"text must be a str, not {type(text).__name__}")
+    header = _header(text, fmt.prefix, fmt.header)
+    if header is not None:
+        n, m, *named = header
+        s = (named or [source])[0]
+        if type(s) is int and 0 <= s - fmt.base < n:
+            g = _parse_columns(text, n, m, s - fmt.base, fmt.tag)
+            if g is not None:
+                return g
+    return _parse_lines(text, fmt, source)
 
 
-def _parse_edge_list_lines(text: str) -> Graph:
-    """:func:`parse_edge_list` one line at a time: the format's specification."""
-    header: tuple[int, int, int] | None = None
-    ids: list[int] = []  # one int object per node id, shared by its arcs
+def _parse_lines(text: str, fmt: SimpleNamespace, source: int | None) -> Graph:
+    """:func:`_parse` one line at a time: the specification of both formats.
+
+    One loop reads the lines up to the header, and a second loop reads the
+    arcs from the same lines, with what the format sets read into locals
+    before it starts, so an arc line is never tested for being a header.
+    ``ids`` is indexed by the file's own id, so no arc shifts its ids.
+    """
+    numbered = enumerate(_lines(text), start=1)
+    comment, cut, base = fmt.comment, fmt.comment_cut, fmt.base
+    lead = fmt.prefix.split()
+    for lineno, raw in numbered:
+        fields = raw.split()
+        if not fields or fields[0][:cut] == comment:
+            continue
+        if lead and fields[0] != lead[0]:
+            raise FormatError(fmt.tags.get(fields[0], f"unknown line tag {fields[0]!r}"), lineno)
+        if fields[: len(lead)] != lead or len(fields) != len(lead) + fmt.header:
+            raise FormatError(fmt.bad_header, lineno)
+        try:
+            n, m, *named = map(int, fields[len(lead) :])
+        except ValueError:
+            raise FormatError(fmt.bad_integers, lineno) from None
+        break
+    else:
+        raise FormatError(fmt.missing)
+    if n < 1:
+        raise FormatError("node count must be positive", lineno)
+    if m < 0:
+        raise FormatError("arc count must be non-negative", lineno)
+    source = (named or [source])[0]
+    if named and not 0 <= source < n:
+        raise FormatError(f"source {source} out of range", lineno)
+    try:  # one int per node, indexed by the file's id and shared by its arcs
+        ids = list(range(-base, n))
+    except (OverflowError, MemoryError):
+        raise FormatError(f"node count {n} is too large to allocate", lineno) from None
+    tag, counts, t = fmt.tag, fmt.arc_fields, len(fmt.tag)  # the tail is field t
+    h, wt = t + 1, t + 2  # the head's field and the weight's
+    hi, inf = n + base, math.inf
     tails: list[int] = []
     heads: list[int] = []
     weights: list[float] = []
-    for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, raw in numbered:
+        fields = raw.split()
+        if not fields or fields[0][:cut] == comment:
             continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 3:
-                raise FormatError("expected header 'n m s'", lineno)
-            try:
-                n, m, s = (int(f) for f in fields)
-            except ValueError:
-                raise FormatError("expected integer header 'n m s'", lineno) from None
-            if n < 1:
-                raise FormatError("node count must be positive", lineno)
-            if m < 0:
-                raise FormatError("arc count must be non-negative", lineno)
-            if not 0 <= s < n:
-                raise FormatError(f"source {s} out of range", lineno)
-            header = (n, m, s)
-            ids = _node_ids(n, lineno)
-            continue
-        if len(fields) not in (2, 3):
-            raise FormatError("expected arc 'u v [w]'", lineno)
+        if t and fields[0] != tag:
+            raise FormatError(fmt.tags.get(fields[0], f"unknown line tag {fields[0]!r}"), lineno)
+        if len(fields) not in counts:
+            raise FormatError(fmt.bad_arc, lineno)
         try:
-            u, v = int(fields[0]), int(fields[1])
-            w = float(fields[2]) if len(fields) == 3 else 1.0
+            u, v = int(fields[t]), int(fields[h])
+            w = float(fields[wt]) if len(fields) > wt else 1.0
         except ValueError:
-            raise FormatError("malformed arc line", lineno) from None
-        if not math.isfinite(w):
-            raise FormatError(f"weight {fields[2]} is not finite", lineno)
-        if w < 0:
+            raise FormatError(fmt.malformed, lineno) from None
+        if not (base <= u < hi and base <= v < hi and 0 <= w < inf):
+            if not (base <= u < hi and base <= v < hi) and (fmt.ids_first or 0 <= w < inf):
+                raise FormatError(f"arc {u}->{v}: node id out of range", lineno)
+            if not math.isfinite(w):
+                raise FormatError(f"weight {fields[wt]} is not finite", lineno)
             raise NegativeWeightError(f"negative weight {w}", lineno)
-        n = header[0]
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"arc {u}->{v}: node id out of range", lineno)
         tails.append(ids[u])
         heads.append(ids[v])
         weights.append(w)
-    if header is None:
-        raise FormatError("missing header line 'n m s'")
-    n, m, s = header
     if len(tails) != m:
-        raise FormatError(f"header declares {m} arcs, file has {len(tails)}")
-    return _built(s, *_csr(n, tails, heads, weights))
-
-
-def _node_ids(n: int, lineno: int) -> list[int]:
-    """One shared int per node id, for the header on line ``lineno``; a node
-    count too large to allocate is a format error."""
-    try:
-        return list(range(n))
-    except (OverflowError, MemoryError):
-        raise FormatError(f"node count {n} is too large to allocate", lineno) from None
+        raise FormatError(fmt.declares.format(m, len(tails)))
+    if not named and (type(source) is not int or not base <= source < hi):
+        raise FormatError(f"source {source!r} out of range ({base}..{hi - 1})")
+    return _built(source - base, *_csr(n, tails, heads, weights))
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -557,87 +644,6 @@ def serialize_edge_list(g: Graph) -> str:
     lines = [f"{g.node_count} {g.arc_count} {g.source}"]
     lines.extend(f"{u} {v} {w!r}" for u, v, w in g.arcs())
     return "\n".join(lines) + "\n"
-
-
-def parse_dimacs_sp(text: str, source: int = 1) -> Graph:
-    """Parse the DIMACS shortest-path format (``c`` / ``p sp n m`` / ``a u v w``).
-
-    DIMACS ids are 1-based and are shifted to 0-based. The format carries no
-    source node, so the caller supplies one in the file's 1-based id space
-    (default: node 1). A text laid out as :func:`serialize_dimacs_sp`
-    writes it is converted column by column, like :func:`parse_edge_list`.
-    """
-    _check_text(text)
-    header = _header(text, "p sp ", 2)
-    if header is not None and type(source) is int:
-        n, m = header
-        if 1 <= source <= n:
-            g = _parse_columns(text, n, m, source - 1, "a")
-            if g is not None:
-                return g
-    return _parse_dimacs_lines(text, source)
-
-
-def _parse_dimacs_lines(text: str, source: int) -> Graph:
-    """:func:`parse_dimacs_sp` one line at a time: the format's specification."""
-    header: tuple[int, int] | None = None
-    ids: list[int] = []  # one int object per node id, shared by its arcs
-    tails: list[int] = []
-    heads: list[int] = []
-    weights: list[float] = []
-    for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        tag = fields[0]
-        if tag == "c":
-            continue
-        if tag == "p":
-            if header is not None:
-                raise FormatError("duplicate problem line", lineno)
-            if len(fields) != 4 or fields[1] != "sp":
-                raise FormatError("expected problem line 'p sp <n> <m>'", lineno)
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise FormatError("expected problem line 'p sp <n> <m>'", lineno) from None
-            if n < 1:
-                raise FormatError("node count must be positive", lineno)
-            if m < 0:
-                raise FormatError("arc count must be non-negative", lineno)
-            header = (n, m)
-            ids = _node_ids(n, lineno)
-        elif tag == "a":
-            if header is None:
-                raise FormatError("arc descriptor before problem line", lineno)
-            if len(fields) != 4:
-                raise FormatError("expected arc 'a u v w'", lineno)
-            try:
-                u, v = int(fields[1]), int(fields[2])
-                w = float(fields[3])
-            except ValueError:
-                raise FormatError("malformed arc descriptor", lineno) from None
-            n = header[0]
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise FormatError(f"arc {u}->{v}: node id out of range", lineno)
-            if not math.isfinite(w):
-                raise FormatError(f"weight {fields[3]} is not finite", lineno)
-            if w < 0:
-                raise NegativeWeightError(f"negative weight {w}", lineno)
-            tails.append(ids[u - 1])
-            heads.append(ids[v - 1])
-            weights.append(w)
-        else:
-            raise FormatError(f"unknown line tag {tag!r}", lineno)
-    if header is None:
-        raise FormatError("missing problem line 'p sp <n> <m>'")
-    n, m = header
-    if len(tails) != m:
-        raise FormatError(f"problem line declares {m} arcs, file has {len(tails)}")
-    if type(source) is not int or not 1 <= source <= n:
-        raise FormatError(f"source {source!r} out of range (1..{n})")
-    return _built(source - 1, *_csr(n, tails, heads, weights))
 
 
 def serialize_dimacs_sp(g: Graph) -> str:

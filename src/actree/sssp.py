@@ -403,11 +403,12 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
     improves any distance, and no parent arcs close a cycle, so every
     node's parents lead back to the source. Comparisons are exact. When a
     distance breaks them (``None``), each one that is not an ``int`` or
-    ``float`` is named and no arc is checked. A distance larger than any
-    float (a huge ``int``) is named, and no arc through it is checked. A
-    column with no length, or the wrong one, is reported as a size
-    mismatch; a column that some node id does not index (a ``set``, or a
-    ``dict`` with a missing key) is named on its own.
+    ``float`` is named and no arc is checked. A distance past every float,
+    either way (a huge ``int``), is named, and no arc through it is checked;
+    an ``int`` with more digits than ``str`` converts is named by its size
+    in bits. A column with no length, or the wrong one, is reported as a
+    size mismatch; a column that some node id does not index (a ``set``,
+    or a ``dict`` with a missing key) is named on its own.
 
     A result that passes, and whose parent arcs all join nodes at different
     distances, comes through one fast pass: the node columns are checked
@@ -497,19 +498,20 @@ def _spt_violations(g: Graph, r: ShortestPathResult) -> SptCheck:
     far = set()  # the nodes whose distance is past every float
     try:
         if dist[s] != 0:
-            bad.append(f"dist[source]={dist[s]!r}, expected 0")
+            bad.append(f"dist[source]={_shown(dist[s])}, expected 0")
         if parent[s] is not None:
-            bad.append(f"source has parent {parent[s]}")
+            bad.append(f"source has parent {_shown(parent[s], str)}")
         for v in range(n):
             p = parent[v]
             if v != s and p is None:
                 bad.append(f"node {v} has no parent")
             elif p is not None and type(p) is not int:
-                bad.append(f"parent[{v}]={p!r} is not a node id")
+                bad.append(f"parent[{v}]={_shown(p)} is not a node id")
             if not dist[v] >= 0 or dist[v] == INF:
-                bad.append(f"dist[{v}]={dist[v]!r} is not a finite non-negative value")
+                bad.append(f"dist[{v}]={_shown(dist[v])} is not a finite non-negative value")
             elif dist[v] > float_info.max:  # such as an int too large for a float
                 bad.append(f"dist[{v}] is larger than any float")
+            if float_info.max < abs(dist[v]) < INF:  # an int past every float
                 far.add(v)
         for u in range(n):
             du = dist[u]
@@ -533,11 +535,20 @@ def _spt_violations(g: Graph, r: ShortestPathResult) -> SptCheck:
         if v == s or parent[v] is None:
             continue
         if up[v] is None:
-            bad.append(f"parent arc {parent[v]}->{v} does not exist")
+            bad.append(f"parent arc {_shown(parent[v], str)}->{v} does not exist")
         elif up[v] == -1:
             bad.append(f"parent arc {parent[v]}->{v} is not tight for dist {dist[v]!r}")
     bad += _parent_cycles(up, s)
     return SptCheck(tuple(bad))
+
+
+def _shown(x, show=repr) -> str:
+    """``show(x)``, or, for an int with more digits than ``str`` converts,
+    its sign and size in bits, so a violation can name any value."""
+    try:
+        return show(x)
+    except ValueError:
+        return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
 
 
 def _parent_cycles(up: list[int | None], s: int) -> list[str]:

@@ -269,7 +269,7 @@ def test_actree_of_a_large_topology_is_its_built_tree(make):
 @given(small_graphs(), st.booleans(), st.data())
 def test_actree_of_a_topology_is_its_built_tree(g, acyclic, data):
     """``AcTree(...)`` runs the build that ``build_ac_tree`` runs, and a
-    pickled or copied tree, rebuilt from its topology, searches any
+    pickled tree, rebuilt from its topology, and a copied one search any
     weights exactly as the original does."""
     if acyclic:
         g = _made_acyclic(g)

@@ -32,7 +32,7 @@ from actree import (
     serialize_dimacs_sp,
     serialize_edge_list,
 )
-from actree.graph import _parse_columns, _parse_dimacs_lines, _parse_edge_list_lines
+from actree.graph import _DIMACS, _EDGE_LIST, _parse_columns, _parse_lines
 from random_graphs import (
     gen_complete,
     gen_layered,
@@ -401,7 +401,7 @@ def test_parsers_report_non_finite_weights_by_line():
 
 
 # ---------------------------------------------------------------------------
-# Column-at-a-time parsing against the line parsers
+# Column-at-a-time parsing against the line parser
 # ---------------------------------------------------------------------------
 
 class _LineParserCalled(Exception):
@@ -418,11 +418,19 @@ def _column_path(parse, line_parser: str, *args):
 
 
 def _edge_list_columns(text: str):
-    return _column_path(parse_edge_list, "_parse_edge_list_lines", text)
+    return _column_path(parse_edge_list, "_parse_lines", text)
 
 
 def _dimacs_columns(text: str, source: int):
-    return _column_path(parse_dimacs_sp, "_parse_dimacs_lines", text, source)
+    return _column_path(parse_dimacs_sp, "_parse_lines", text, source)
+
+
+def _edge_list_lines(text: str):
+    return _parse_lines(text, _EDGE_LIST, None)
+
+
+def _dimacs_lines(text: str, source: int):
+    return _parse_lines(text, _DIMACS, source)
 
 
 def _outcome(parse, *args):
@@ -516,7 +524,7 @@ def _graph_texts(draw, dimacs: bool):
 def test_column_and_line_parsers_agree_on_edge_lists(case):
     text, _ = case
     _assert_paths_agree(
-        parse_edge_list, _edge_list_columns, _parse_edge_list_lines, text
+        parse_edge_list, _edge_list_columns, _edge_list_lines, text
     )
 
 
@@ -547,7 +555,7 @@ def test_column_and_line_parsers_agree_on_edge_lists(case):
 def test_column_and_line_parsers_agree_on_dimacs(case):
     text, source = case
     _assert_paths_agree(
-        parse_dimacs_sp, _dimacs_columns, _parse_dimacs_lines, text, source
+        parse_dimacs_sp, _dimacs_columns, _dimacs_lines, text, source
     )
 
 
@@ -611,10 +619,10 @@ def test_parsed_graphs_pass_the_full_constructor(data):
     dimacs = data.draw(st.booleans())
     text, source = data.draw(_graph_texts(dimacs))
     if dimacs:
-        parsers = (parse_dimacs_sp, _dimacs_columns, _parse_dimacs_lines)
+        parsers = (parse_dimacs_sp, _dimacs_columns, _dimacs_lines)
         args = (text, source)
     else:
-        parsers = (parse_edge_list, _edge_list_columns, _parse_edge_list_lines)
+        parsers = (parse_edge_list, _edge_list_columns, _edge_list_lines)
         args = (text,)
     builds = [(parse, *args) for parse in parsers]
     n, s, arcs = data.draw(_arc_lists())
@@ -663,9 +671,9 @@ def test_a_last_slice_of_one_line(dimacs, last, last_dimacs, taken):
     """One-token columns at the end of a text many slices long."""
     if dimacs:
         last = last_dimacs
-        parse, columns, spec = parse_dimacs_sp, _dimacs_columns, _parse_dimacs_lines
+        parse, columns, spec = parse_dimacs_sp, _dimacs_columns, _dimacs_lines
     else:
-        parse, columns, spec = parse_edge_list, _edge_list_columns, _parse_edge_list_lines
+        parse, columns, spec = parse_edge_list, _edge_list_columns, _edge_list_lines
     text, source = _one_line_last_slice(dimacs, last)
     args = (text, source) if dimacs else (text,)
     assert (columns(*args) is not None) == taken
@@ -679,7 +687,7 @@ _SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "
 @given(st.lists(st.one_of(st.sampled_from(_SEPARATORS), st.text("ab \t", max_size=6))),
        st.integers(1, 8))
 def test_line_slices_split_as_splitlines_does(parts, chunk):
-    """The line parsers' lines, read one slice at a time, are the text's
+    """The line parser's lines, read one slice at a time, are the text's
     ``splitlines()`` whatever separators it mixes and wherever the slices
     end, a slice of a few characters included."""
     text = "".join(parts)
@@ -949,7 +957,7 @@ def _csr_corpus() -> list[Graph]:
     graphs += [gen_complete(6, seed=1), gen_complete(4), gen_layered(9, seed=3)]
     graphs += [parse_edge_list(serialize_edge_list(g)) for g in graphs[:9]]
     graphs += [parse_dimacs_sp(serialize_dimacs_sp(g), g.source + 1) for g in graphs[:9]]
-    graphs += [_parse_edge_list_lines("3 2 1\n# a comment\n1 0\n1 2 0.5\n")]
+    graphs += [_edge_list_lines("3 2 1\n# a comment\n1 0\n1 2 0.5\n")]
     return graphs
 
 
@@ -996,9 +1004,9 @@ def test_parsers_hand_a_bad_head_or_weight_to_the_line_parser(line, error, messa
     the bad arc; the line parser then raises its error naming the line."""
     u, v, w = line.split()
     texts = [
-        (f"3 2 0\n0 1 1.0\n{line}\n", parse_edge_list, _parse_edge_list_lines, ""),
+        (f"3 2 0\n0 1 1.0\n{line}\n", parse_edge_list, _edge_list_lines, ""),
         (f"p sp 3 2\na 1 2 1.0\na {int(u) + 1} {int(v) + 1} {w}\n", parse_dimacs_sp,
-         lambda text: _parse_dimacs_lines(text, 1), "a"),
+         lambda text: _dimacs_lines(text, 1), "a"),
     ]
     for text, parse, by_lines, tag in texts:
         assert _parse_columns(text, 3, 2, 0, tag) is None
@@ -1009,3 +1017,27 @@ def test_parsers_hand_a_bad_head_or_weight_to_the_line_parser(line, error, messa
             if tag:  # DIMACS ids are 1-based
                 message = message.replace("arc 1->3", "arc 2->4")
             assert str(raised.value) == message
+
+
+TWO_FAULT_LINES = [
+    ("3 2 0\n0 1 1.0\n0 5 -1.0\n", parse_edge_list, _edge_list_lines, "",
+     NegativeWeightError, "line 3: negative weight -1.0"),
+    ("p sp 3 2\na 1 2 1.0\na 1 9 -1.0\n", parse_dimacs_sp,
+     lambda text: _dimacs_lines(text, 1), "a",
+     FormatError, "line 3: arc 1->9: node id out of range"),
+]
+
+
+@pytest.mark.parametrize("text, parse, by_lines, tag, error, message", TWO_FAULT_LINES,
+                         ids=["edge-list", "dimacs"])
+def test_a_line_with_a_bad_id_and_a_bad_weight_names_the_formats_first(
+    text, parse, by_lines, tag, error, message
+):
+    """An edge list names the weight before the id out of range, and DIMACS
+    names the id first: each format keeps its own order of checks."""
+    assert _parse_columns(text, 3, 2, 0, tag) is None
+    for read in (parse, by_lines):
+        with pytest.raises(GraphError) as raised:
+            read(text)
+        assert type(raised.value) is error and str(raised.value) == message
+        assert raised.value.line == 3

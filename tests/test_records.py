@@ -187,6 +187,29 @@ def test_records_survive_pickle_and_copy(cls):
         assert type(clone) is cls and clone == record
 
 
+@pytest.mark.parametrize("cls", (Graph, AcTree, DominatorTree, SptCheck),
+                         ids=lambda c: c.__name__)
+def test_a_record_that_hashes_is_its_own_copy(cls):
+    """A record cannot change, and neither can a field that hashes, so a
+    copy, shallow or deep, is the record itself: a tree is not rebuilt."""
+    record = records()[cls]
+    assert copy.copy(record) is record
+    assert copy.deepcopy(record) is record
+
+
+def test_a_deep_copy_rebuilds_a_record_that_holds_a_dict():
+    stats = records()[SearchStats]
+    assert copy.copy(stats) is stats
+    clone = copy.deepcopy(stats)
+    assert type(clone) is SearchStats and clone == stats
+    assert clone.component_sizes == stats.component_sizes
+    assert clone.component_sizes is not stats.component_sizes
+    result = records()[ShortestPathResult]
+    clone = copy.deepcopy(result)
+    assert clone == result and clone.stats is not result.stats
+    assert clone.stats.component_sizes is not result.stats.component_sizes
+
+
 def test_records_are_built_from_all_their_fields_in_order():
     with pytest.raises(TypeError, match="SptCheck takes the fields: violations"):
         SptCheck(True, ())

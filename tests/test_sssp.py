@@ -7,6 +7,7 @@ import gc
 import math
 import pickle
 import random
+import sys
 from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
@@ -529,6 +530,50 @@ def test_verify_spt_names_a_distance_larger_than_any_float(dist):
     g = Graph.from_arcs(3, 0, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
     check = verify_spt(g, ShortestPathResult(dist, (None, 0, 1), None))
     assert check.violations == ("dist[2] is larger than any float",)
+    assert not check
+
+
+HUGE = 10**5000  # more digits than ``str`` converts under the default limit
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit on the digits ``str`` converts,
+    set for the test and restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length to text")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    "dist, parent, violations",
+    [
+        ((HUGE, 1, 2), (None, 0, 1), (
+            "dist[source]=<int of 16610 bits>, expected 0",
+            "dist[0] is larger than any float",
+        )),
+        ((0, -HUGE, 2), (None, 0, 1), (
+            "dist[1]=<negative int of 16610 bits> is not a finite non-negative value",
+        )),
+        ((0, 1, 2), (HUGE, 0, 1), ("source has parent <int of 16610 bits>",)),
+        ((0, 1, 2), (None, 0, HUGE), ("parent arc <int of 16610 bits>->2 does not exist",)),
+        # past every float but short enough to print: no arc through it is summed
+        ((0, -10**400, 2), (None, 0, 1), (
+            f"dist[1]={-10**400} is not a finite non-negative value",
+        )),
+    ],
+    ids=["source-dist", "negative-dist", "source-parent", "parent-id", "negative-past-float"],
+)
+@pytest.mark.usefixtures("default_digit_limit")
+def test_verify_spt_names_an_int_too_long_to_print(dist, parent, violations):
+    """An ``int`` whose digits ``str`` refuses, or one past every float
+    below zero, is a violation, never an exception."""
+    g = Graph.from_arcs(3, 0, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+    check = verify_spt(g, ShortestPathResult(dist, parent, None))
+    assert check.violations == violations
     assert not check
 
 
