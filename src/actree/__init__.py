@@ -4,7 +4,10 @@ The library decomposes a single-source directed graph into its A-C tree (a
 minimum-width nesting decomposition built from the dominator tree and per
 node strongly connected components), certifies the decomposition against
 brute-force oracles, and runs single-source shortest paths with one small
-priority queue per component in O(e + n log w) for nesting width w.
+priority queue per component. With ``heapq`` and a cap that compacts a
+queue past twice the width, no queue holds more than 2·w + 1 entries for
+nesting width w, so a search takes O((n + e) log w) time; the paper's
+O(e + n log w) needs a heap with O(1) amortised decrease-key.
 """
 
 from .ac_tree import (

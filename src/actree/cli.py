@@ -29,6 +29,8 @@ from .graph import (
     parse_dimacs_sp,
     parse_edge_list,
     prune_unreachable,
+    _DIMACS,
+    _EDGE_LIST,
 )
 from .nesting import EXACT_WIDTH_LIMIT, brute_force_nesting_width
 from .sssp import dijkstra, recursive_dijkstra, verify_spt
@@ -47,26 +49,26 @@ def _detect_format(path: str, fmt: str | None) -> str:
     return "dimacs" if path.lower().endswith(_DIMACS_EXTENSIONS) else "edgelist"
 
 
-def _load_graph(args) -> Graph:
+def _load_graph(args) -> tuple[Graph, int]:
+    """The input graph and the file's first node id."""
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError:
         raise FormatError(f"{args.input}: not UTF-8 text") from None
     if _detect_format(args.input, args.format) == "dimacs":
-        return parse_dimacs_sp(text, source=1 if args.source is None else args.source)
-    return parse_edge_list(text)
+        return parse_dimacs_sp(text, 1 if args.source is None else args.source), _DIMACS.base
+    return parse_edge_list(text), _EDGE_LIST.base
 
 
 def _load_pruned(args) -> tuple[Graph, Sequence[int | None], Sequence[int]]:
     """The pruned graph, ``remap`` from input ids to pruned ids (``None``
     for a dropped node), and each pruned node's input id."""
-    g = _load_graph(args)
+    g, base = _load_graph(args)
     pruned, remap = prune_unreachable(g)
     if pruned.node_count == g.node_count:
         return pruned, remap, remap
-    # the warning names each node as the file does: DIMACS ids count from 1
-    base = 1 if _detect_format(args.input, args.format) == "dimacs" else 0
+    # the warning names each node as the file does
     dropped = [v + base for v, nv in enumerate(remap) if nv is None]
     noun = "node" if len(dropped) == 1 else "nodes"
     print(
@@ -126,10 +128,11 @@ def cmd_sssp(args) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_INTERNAL
-    doc = result.as_dict()
-    doc["dist"] = _by_input_id(result.dist, remap)
-    doc["parent"] = _by_input_id(result.parent, remap, ids)
-    _dump(doc)
+    _dump({
+        "dist": _by_input_id(result.dist, remap),
+        "parent": _by_input_id(result.parent, remap, ids),
+        "stats": {name: getattr(result.stats, name) for name in result.stats.__slots__},
+    })
     return EXIT_OK
 
 

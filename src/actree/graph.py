@@ -28,21 +28,23 @@ cannot read (a 2-tuple, a tail out of range or not an ``int``, a weight
 builds the same graph or raises the same error naming the arc. A node
 count too large to allocate fails before the first arc is read.
 
-Both formats go through one front end, ``_parse``, and one line parser,
-``_parse_lines``, and what sets them apart is one table per format,
+Both formats go through one front end, ``_parse``, one line parser,
+``_parse_lines``, one column parser, ``_parse_columns``, and one writer,
+``_serialize``, and what sets them apart is one table per format,
 ``_EDGE_LIST`` and ``_DIMACS``: the header's tag and fields, the comment
 rule, the arc line's tag and field counts, the id base, which fault of a
 line with a bad id and a bad weight is named first, and the wording of
-each message. The front end checks the text's type, reads the header and
-converts a text laid out as the serializers write it a column at a time:
-the body is cut into slices of about 64K characters, each slice is
+each message. No reader or writer spells out a tag, a header or an id
+shift of its own. The front end checks the text's type, reads the header
+and converts a text laid out as the serializers write it a column at a
+time: the body is cut into slices of about 64K characters, each slice is
 checked to hold one fixed number of single-spaced fields per line and
 split once, and its tail, head and weight columns are converted whole,
-each id column by one ``itemgetter`` call over a dict of the ids' decimal
-strings and the weights by ``map(float)``. Any
-deviation (a comment or blank line, tabs, CR, doubled spaces, non-ASCII
-text, a missing or extra field, a bad token, a wrong arc count, an id out
-of range, or a weight ``Graph`` rejects) sends the whole text to the line
+each id column by one ``itemgetter`` call over a dict of the ids'
+decimal strings and the weights by ``map(float)``. Any deviation (a
+comment or blank line, tabs, CR, doubled spaces, non-ASCII text, a
+missing or extra field, a bad token, a wrong arc count, an id out of
+range, or a weight ``Graph`` rejects) sends the whole text to the line
 parser instead, which is the specification of both formats and the only
 code that raises :class:`FormatError` or :class:`NegativeWeightError`,
 naming the line.
@@ -473,7 +475,8 @@ def _built(
 # ---------------------------------------------------------------------------
 
 # What sets one text format apart from the other. The one front end,
-# _parse, and the one line parser, _parse_lines, read both through it:
+# _parse, the one line parser, _parse_lines, the column parser,
+# _parse_columns, and the one writer, _serialize, read both through it:
 #   prefix       the header's fields before its integers, as written
 #   header       how many integers the header holds: n, m, and the source
 #                when the format names it there
@@ -542,12 +545,12 @@ def _parse(text: str, fmt: SimpleNamespace, source: int | None) -> Graph:
     header names it."""
     if not isinstance(text, str):
         raise GraphError(f"text must be a str, not {type(text).__name__}")
-    header = _header(text, fmt.prefix, fmt.header)
+    header = _header(text, fmt)
     if header is not None:
         n, m, *named = header
         s = (named or [source])[0]
         if type(s) is int and 0 <= s - fmt.base < n:
-            g = _parse_columns(text, n, m, s - fmt.base, fmt.tag)
+            g = _parse_columns(text, n, m, s - fmt.base, fmt)
             if g is not None:
                 return g
     return _parse_lines(text, fmt, source)
@@ -640,17 +643,25 @@ def _lines(text: str) -> Iterator[str]:
 
 def serialize_edge_list(g: Graph) -> str:
     """Render ``g`` in the edge-list format; round-trips bit-exactly."""
-    _check_arg(g, Graph, "g")
-    lines = [f"{g.node_count} {g.arc_count} {g.source}"]
-    lines.extend(f"{u} {v} {w!r}" for u, v, w in g.arcs())
-    return "\n".join(lines) + "\n"
+    return _serialize(g, _EDGE_LIST)
 
 
 def serialize_dimacs_sp(g: Graph) -> str:
     """Render ``g`` in DIMACS ``p sp`` format (source is not part of the format)."""
+    return _serialize(g, _DIMACS)
+
+
+def _serialize(g: Graph, fmt: SimpleNamespace) -> str:
+    """``g`` written in the format ``fmt``: the header's prefix and its
+    first ``fmt.header`` integers of node count, arc count and source, then
+    one arc line per arc in storage order, tagged, with ids from
+    ``fmt.base`` and each weight's ``repr``, so the text reads back
+    bit-exactly."""
     _check_arg(g, Graph, "g")
-    lines = [f"p sp {g.node_count} {g.arc_count}"]
-    lines.extend(f"a {u + 1} {v + 1} {w!r}" for u, v, w in g.arcs())
+    counts = (g.node_count, g.arc_count, g.source)[: fmt.header]
+    tag, base = fmt.tag and fmt.tag + " ", fmt.base
+    lines = [fmt.prefix + " ".join(map(str, counts))]
+    lines += (f"{tag}{u + base} {v + base} {w!r}" for u, v, w in g.arcs())
     return "\n".join(lines) + "\n"
 
 
@@ -669,14 +680,14 @@ _CHUNK = 1 << 16
 _SPACES_ONLY = dict.fromkeys(c for c in range(128) if not chr(c).isspace())
 
 
-def _header(text: str, prefix: str, fields: int) -> list[int] | None:
-    """The integers of the first line ``prefix`` + ``fields`` single-spaced
-    integers, or ``None`` if the first line is anything else."""
+def _header(text: str, fmt: SimpleNamespace) -> list[int] | None:
+    """The integers of the first line, if it is ``fmt``'s header prefix and
+    ``fmt.header`` single-spaced integers, or else ``None``."""
     end = text.find("\n")
-    head = text[len(prefix) : end if end >= 0 else len(text)]
+    head = text[len(fmt.prefix) : end if end >= 0 else len(text)]
     if not (
-        text.startswith(prefix)
-        and head.translate(_SPACES_ONLY) == " " * (fields - 1)
+        text.startswith(fmt.prefix)
+        and head.translate(_SPACES_ONLY) == " " * (fmt.header - 1)
     ):
         return None
     try:
@@ -685,31 +696,31 @@ def _header(text: str, prefix: str, fields: int) -> list[int] | None:
         return None
 
 
-def _parse_columns(text: str, n: int, m: int, s: int, tag: str) -> Graph | None:
+def _parse_columns(text: str, n: int, m: int, s: int, fmt: SimpleNamespace) -> Graph | None:
     """The graph of a canonically laid out text, or ``None`` on any mismatch.
 
     After the first line (the header, already read as ``n``, ``m`` and the
-    0-based source ``s``) every line must be ``u v w``, or ``a u v w`` with
-    1-based ids when ``tag`` is ``"a"``, and there must be exactly ``m`` of
-    them. ``None`` sends the caller to its line parser, so this function
-    raises no format error of its own: a bad token, an id out of range, a
-    negative or non-finite weight, or finite weights whose sum overflows
-    all return ``None``. An id is looked up by its token among the ``n``
-    ids written in decimal, which range-checks and converts it at once;
-    any other spelling (``+3``, ``07``, ``1_0``) is left to the line
-    parser. The caller has checked the source.
+    0-based source ``s``) every line must be an arc line of ``fmt`` with a
+    weight, ``u v w`` or ``a u v w``, with ids from ``fmt.base``, and there
+    must be exactly ``m`` of them. ``None`` sends the caller to its line
+    parser, so this function raises no format error of its own: a bad
+    token, an id out of range, a negative or non-finite weight, or finite
+    weights whose sum overflows all return ``None``. An id is looked up by
+    its token among the ``n`` ids written in decimal, which range-checks and
+    converts it at once; any other spelling (``+3``, ``07``, ``1_0``) is
+    left to the line parser. The caller has checked the source.
     """
     if not n - 1 <= m <= len(text):
         # the dict of ids is built only for at least n - 1 arcs (fewer leave
         # a node unreachable), so it stays within a multiple of the text's
         # size whatever the header claims
         return None
-    width = 4 if tag else 3
-    base = 1 if tag else 0
+    base, tag, t = fmt.base, fmt.tag, len(fmt.tag)  # the tail is field t
+    h, wt = t + 1, t + 2  # the head's field and the weight's
+    width = wt + 1  # the fields of one line
     # each node's id as the serializers write it -> one shared int per node
     ids = {str(v + base): v for v in range(n)}
     layout = " " * (width - 1) + "\n"  # a line with all but whitespace deleted
-    first = width - 3  # the tail column
     tails: list[int] = []
     heads: list[int] = []
     weights: list[float] = []
@@ -730,16 +741,16 @@ def _parse_columns(text: str, n: int, m: int, s: int, tag: str) -> Graph | None:
             return None
         # width * lines tokens, an empty one where a field is empty
         tok = chunk[:-1].replace("\n", " ").split(" ")
-        if tag and tok[0::width].count(tag) != lines:
+        if t and tok[0::width].count(tag) != lines:
             return None
         try:
             if lines > 1:  # one C call looks up a whole column
-                tails += itemgetter(*tok[first::width])(ids)
-                heads += itemgetter(*tok[first + 1 :: width])(ids)
+                tails += itemgetter(*tok[t::width])(ids)
+                heads += itemgetter(*tok[h::width])(ids)
             else:  # an itemgetter of one key returns the value, not a tuple
-                tails.append(ids[tok[first]])
-                heads.append(ids[tok[first + 1]])
-            weights.extend(map(float, tok[first + 2 :: width]))
+                tails.append(ids[tok[t]])
+                heads.append(ids[tok[h]])
+            weights.extend(map(float, tok[wt::width]))
         except (KeyError, ValueError):
             return None
     # the id table and the last slice's tokens are freed before the counting

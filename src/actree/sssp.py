@@ -13,11 +13,15 @@ current is skipped when it surfaces. Ties on distance therefore break by
 node id. The recursive engine follows the tree's weight-free search plan,
 built with the tree: one tuple in which every singleton component is its
 node, inline, and a larger component is the tuple of its members, at which
-its queue opens, filled with the members' finite distances, so it holds at
-most |C| + (arcs into C) entries for a component C. Each member then
-points at that queue, so an improvement finds its queue in one read. The
-recursive engine checks once, before it starts, that the tree was built
-from the graph's topology, so its loop carries no per-node guard. Both
+its queue opens, filled with the members' finite distances. Each member
+then points at that queue, so an improvement finds its queue in one read.
+A push that leaves a queue longer than twice the width drops its stale
+entries, so no queue holds more than 2·width + 1 entries, and with
+``heapq`` a search takes O((n + e) log w) time on a graph of width w. The
+paper's O(e + n log w) needs a heap with O(1) amortised decrease-key,
+such as Fredman and Tarjan's Fibonacci heap. The recursive engine checks
+once, before it starts, that the tree was built from the graph's
+topology, so its loop carries no per-node guard. Both
 engines finalise every node exactly once and relax each arc exactly once
 from a finalised tail, so equal inputs give bit-equal distances. Both
 engines scan node ``u``'s arcs as the index range
@@ -72,26 +76,11 @@ class SearchStats(_Record):
 
     __slots__ = ("pops", "key_decreases", "max_queue_len", "component_sizes")
 
-    def as_dict(self) -> dict:
-        return {
-            "pops": self.pops,
-            "key_decreases": self.key_decreases,
-            "max_queue_len": self.max_queue_len,
-            "component_sizes": dict(self.component_sizes),
-        }
-
 
 class ShortestPathResult(_Record):
     """Distances, parent tree, and search statistics."""
 
     __slots__ = ("dist", "parent", "stats")
-
-    def as_dict(self) -> dict:
-        return {
-            "dist": list(self.dist),
-            "parent": list(self.parent),
-            "stats": self.stats.as_dict(),
-        }
 
 
 @_gc_paused
@@ -153,9 +142,12 @@ def recursive_dijkstra(g: Graph, tree: AcTree) -> ShortestPathResult:
     opens the queue of that component, heapified from the members' finite
     tentative distances, and points each member at it; before that an
     improvement is a plain distance write. Every queue serves one
-    component C, so it serves at most ``width - 1`` nodes and holds at
-    most |C| + (arcs into C) entries, and a heap operation costs the
-    logarithm of that rather than of n. A tree with no ``rows`` (width 2
+    component C, so it serves at most ``width - 1`` nodes, and a push
+    that leaves it longer than ``2 * width`` drops its stale entries, so it
+    never holds more than ``2 * width + 1``. A heap operation costs the
+    logarithm of that rather than of n, and the search takes
+    O((n + e) log w) time with ``heapq``; the paper's O(e + n log w) needs
+    a heap with O(1) amortised decrease-key. A tree with no ``rows`` (width 2
     or less, so every component is one node: every DAG and some cyclic
     graphs) has every other node in the source's segment (a ``None``
     segment is empty, as on a one-node graph), and the search is
@@ -261,11 +253,23 @@ def _drain_components(
     loop then drains. A popped node with a segment suspends the walk and
     the heap, and its segment is walked first. Node ``u``'s arcs are the
     tree's ``rows[u]``, laid out with the tree.
+
+    A push that leaves a heap longer than ``2 * tree.width`` compacts it to
+    its live entries, those whose key is their node's current distance, and
+    heapifies it. A push follows only a strict decrease and a popped entry
+    leaves the heap, so one live entry remains per unfinalised member with
+    a finite distance, at most ``width - 1``, and no heap ever holds more
+    than ``2 * width + 1`` entries. A compaction drops more entries than it
+    keeps, so it costs O(1) per push, amortised. It filters the list in
+    place, since the members' ``queue`` slots and a suspended walk share
+    it. The live entries, and so the pops, decreases, distances and
+    parents, are those of a heap with no cap.
     """
     s = g.source
     heads, weights = g.heads, g.weights
     rows = tree.rows
     plan = tree.plan
+    limit = 2 * tree.width
     queue: list[list[tuple[float, int]] | None] = [None] * len(dist)  # its component's heap
     pops = 0
     decreases = 0
@@ -290,6 +294,9 @@ def _drain_components(
                     q = queue[w]
                     if q is not None:
                         heappush(q, (nd, w))
+                        if len(q) > limit:
+                            q[:] = [e for e in q if e[0] == dist[e[1]]]
+                            heapify(q)
             if plan[u] is not None:  # u's segment comes before the rest of the heap
                 suspended.append((walk, heap))
                 walk = iter(plan[u])
@@ -316,6 +323,9 @@ def _drain_components(
                     q = queue[w]
                     if q is not None:
                         heappush(q, (nd, w))
+                        if len(q) > limit:
+                            q[:] = [e for e in q if e[0] == dist[e[1]]]
+                            heapify(q)
         else:
             if not suspended:
                 return pops, decreases

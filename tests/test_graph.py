@@ -177,6 +177,14 @@ def test_round_trip_both_formats():
     assert parse_edge_list(serialize_edge_list(lay)) == lay
 
 
+def test_serializers_write_each_formats_header_tag_and_ids():
+    """Arcs in storage order, so ``0 2`` before ``1 2``, and each weight's
+    ``repr``; DIMACS drops the source and counts ids from 1."""
+    g = Graph.from_arcs(3, 0, [(0, 1, 0.1), (1, 2, 1e-05), (0, 2, 1e+20)])
+    assert serialize_edge_list(g) == "3 3 0\n0 1 0.1\n0 2 1e+20\n1 2 1e-05\n"
+    assert serialize_dimacs_sp(g) == "p sp 3 3\na 1 2 0.1\na 1 3 1e+20\na 2 3 1e-05\n"
+
+
 def test_graph_invariants_enforced():
     with pytest.raises(GraphError):
         Graph.from_arcs(2, 0, [(0, 5)])
@@ -1004,38 +1012,38 @@ def test_parsers_hand_a_bad_head_or_weight_to_the_line_parser(line, error, messa
     the bad arc; the line parser then raises its error naming the line."""
     u, v, w = line.split()
     texts = [
-        (f"3 2 0\n0 1 1.0\n{line}\n", parse_edge_list, _edge_list_lines, ""),
+        (f"3 2 0\n0 1 1.0\n{line}\n", parse_edge_list, _edge_list_lines, _EDGE_LIST),
         (f"p sp 3 2\na 1 2 1.0\na {int(u) + 1} {int(v) + 1} {w}\n", parse_dimacs_sp,
-         lambda text: _dimacs_lines(text, 1), "a"),
+         lambda text: _dimacs_lines(text, 1), _DIMACS),
     ]
-    for text, parse, by_lines, tag in texts:
-        assert _parse_columns(text, 3, 2, 0, tag) is None
+    for text, parse, by_lines, fmt in texts:
+        assert _parse_columns(text, 3, 2, 0, fmt) is None
         for read in (parse, by_lines):
             with pytest.raises(GraphError) as raised:
                 read(text)
             assert type(raised.value) is error
-            if tag:  # DIMACS ids are 1-based
+            if fmt.base:  # DIMACS ids are 1-based
                 message = message.replace("arc 1->3", "arc 2->4")
             assert str(raised.value) == message
 
 
 TWO_FAULT_LINES = [
-    ("3 2 0\n0 1 1.0\n0 5 -1.0\n", parse_edge_list, _edge_list_lines, "",
+    ("3 2 0\n0 1 1.0\n0 5 -1.0\n", parse_edge_list, _edge_list_lines, _EDGE_LIST,
      NegativeWeightError, "line 3: negative weight -1.0"),
     ("p sp 3 2\na 1 2 1.0\na 1 9 -1.0\n", parse_dimacs_sp,
-     lambda text: _dimacs_lines(text, 1), "a",
+     lambda text: _dimacs_lines(text, 1), _DIMACS,
      FormatError, "line 3: arc 1->9: node id out of range"),
 ]
 
 
-@pytest.mark.parametrize("text, parse, by_lines, tag, error, message", TWO_FAULT_LINES,
+@pytest.mark.parametrize("text, parse, by_lines, fmt, error, message", TWO_FAULT_LINES,
                          ids=["edge-list", "dimacs"])
 def test_a_line_with_a_bad_id_and_a_bad_weight_names_the_formats_first(
-    text, parse, by_lines, tag, error, message
+    text, parse, by_lines, fmt, error, message
 ):
     """An edge list names the weight before the id out of range, and DIMACS
     names the id first: each format keeps its own order of checks."""
-    assert _parse_columns(text, 3, 2, 0, tag) is None
+    assert _parse_columns(text, 3, 2, 0, fmt) is None
     for read in (parse, by_lines):
         with pytest.raises(GraphError) as raised:
             read(text)

@@ -220,7 +220,7 @@ def _drained(g: Graph, tree: AcTree) -> tuple:
     parent = [None] * n
     rows = tuple(map(range, g.offsets, g.offsets[1:]))
     assert tree.rows in (None, rows)
-    laid_out = SimpleNamespace(plan=tree.plan, rows=rows)
+    laid_out = SimpleNamespace(plan=tree.plan, rows=rows, width=tree.width)
     pops, decreases = sssp._drain_components(g, laid_out, dist, parent)
     stats = sssp.SearchStats(pops, decreases, tree.width - 1, dict(tree.comp_sizes))
     return tuple(dist), tuple(parent), stats
@@ -394,6 +394,76 @@ def test_recursive_opens_one_heap_per_component_and_pushes_only_on_decreases(mon
     dag = gen_random_dag(1 << 10, 3 << 10, seed=3)
     assert recursive_dijkstra(dag, build_ac_tree(dag)).stats.key_decreases > 0
     assert not calls
+
+
+def stale_entries_family(k: int) -> Graph:
+    """Width 3, with ``k`` stale entries for one two-member heap: source 0
+    with arcs ``0->1 (1)`` and ``0->2 (10k)``, the component ``{1, 2}``
+    (``1->2 (10k)``, ``2->1 (1)``), and ``k`` nodes ``x_i = 3 + i`` with
+    ``1->x_i (1)`` and ``x_i->2 (4k + i)``. Node 1's segment meets the
+    ``x_i`` last first, so each one lowers ``dist[2]`` again and pushes onto
+    the suspended heap of ``{1, 2}``."""
+    arcs = [(0, 1, 1), (0, 2, 10 * k), (1, 2, 10 * k), (2, 1, 1)]
+    arcs += [(1, 3 + i, 1) for i in range(k)]
+    arcs += [(3 + i, 2, 4 * k + i) for i in range(k)]
+    return Graph.from_arcs(k + 3, 0, arcs)
+
+
+@pytest.mark.parametrize("log2n", [10, 12, 14, 16])
+def test_a_component_heap_never_holds_more_than_twice_the_width_plus_one(monkeypatch, log2n):
+    """Lazy deletion leaves a stale entry per improvement; a push that
+    leaves a heap past ``2 * width`` compacts it, so the peak stays at
+    ``2 * width + 1`` where the stale entries alone would reach n - 2."""
+    g = stale_entries_family((1 << log2n) - 3)
+    tree = build_ac_tree(g)
+    assert tree.width == 3 and tree.components[0] == (frozenset({1, 2}),)
+    peak = 0
+
+    def push(heap, entry):
+        nonlocal peak
+        sssp_heappush(heap, entry)
+        peak = max(peak, len(heap))
+
+    sssp_heappush = sssp.heappush
+    monkeypatch.setattr(sssp, "heappush", push)
+    r = recursive_dijkstra(g, tree)
+    assert 0 < peak <= 2 * tree.width + 1
+    assert r.dist == dijkstra(g).dist
+
+
+def test_a_reweighting_on_the_graphs_own_tuples_searches_with_its_tree():
+    """The reweight idiom: ``Graph(g.source, g.offsets, g.heads, ws)`` with
+    ``ws`` in storage order shares the topology with ``g``'s tree, and
+    searches as the same arcs built by ``from_arcs`` do."""
+    g = block_chain(1 << 10, seed=11)
+    tree = build_ac_tree(g)
+    rng = random.Random(11)
+    ws = tuple(rng.random() for _ in g.heads)
+    reweighted = Graph(g.source, g.offsets, g.heads, ws)
+    assert reweighted.offsets is tree.offsets and reweighted.heads is tree.heads
+    arcs = [(u, v, w) for (u, v, _), w in zip(g.arcs(), ws)]
+    built = Graph.from_arcs(g.node_count, g.source, arcs)
+    assert reweighted == built
+    assert recursive_dijkstra(reweighted, tree) == recursive_dijkstra(built, build_ac_tree(built))
+
+
+@pytest.mark.parametrize("log2n", [10, 12, 14])
+@pytest.mark.parametrize("family", ["dag", "digraph", "block_chain"])
+def test_distances_equal_networkx_above_desk_scale(family, log2n):
+    """An independent Dijkstra gives the same floats: a result that passes
+    ``verify_spt`` is the one float fixpoint of the Bellman criteria."""
+    nx = pytest.importorskip("networkx")
+    n = 1 << log2n
+    g = {
+        "dag": lambda: gen_random_dag(n, 4 * n, seed=log2n),
+        "digraph": lambda: gen_random_digraph(n, 4 * n, seed=log2n),
+        "block_chain": lambda: block_chain(n, seed=log2n),
+    }[family]()
+    ref = nx.MultiDiGraph()  # keeps parallel arcs; the search takes the lightest
+    ref.add_nodes_from(range(n))
+    ref.add_weighted_edges_from(g.arcs())
+    expected = nx.single_source_dijkstra_path_length(ref, g.source)
+    assert recursive_dijkstra(g, build_ac_tree(g)).dist == tuple(map(expected.__getitem__, range(n)))
 
 
 @pytest.mark.parametrize("k", [0, 7, 29])
