@@ -8,31 +8,34 @@ the nesting width of the graph, which makes it the decomposition that
 drives the recursive shortest-path search.
 
 One order serves every graph: the reverse postorder (RPO) of the dominators'
-DFS, in which the dominator pass itself groups each owner's children. It is
-a valid first pass of Kosaraju-Sharir's strong-components algorithm (Sharir
-1981) for every dominance graph at once. Every node of a child ``c``'s
-dominator subtree is a DFS descendant of ``c``, and a path that leaves owner
-``a``'s subtree comes back only through ``a``, which is on the DFS stack
-while any child of ``a`` is. So, by the white-path theorem, when one
-component of ``a``'s dominance graph has an arc into another, the first
-member of the first in RPO precedes every member of the second. Each owner's
-components follow the RPO of their first members, which is a topological
-order.
+DFS, in which the dominator pass itself groups each owner's children. A
+preorder of the dominator tree that takes each owner's children in that
+order keeps every owner's RPO, so one preorder is a valid first pass of
+Kosaraju-Sharir's strong-components algorithm (Sharir 1981) for every
+dominance graph at once. Every node of a child ``c``'s dominator subtree
+is a DFS descendant of ``c``, and a path that leaves owner ``a``'s subtree
+comes back only through ``a``, which is on the DFS stack while any child
+of ``a`` is. So, by the white-path theorem, when one component of ``a``'s
+dominance graph has an arc into another, the first member of the first in
+RPO precedes every member of the second. Each owner's components follow
+the RPO of their first members, which is a topological order.
 
-When the DFS meets no back arc (self-loops and arcs into the source aside),
-every sibling arc points forward in RPO, so every component is one node and
-the grouping is the tree. Any other graph takes Kosaraju's second pass. One
-loop over the dominator tree's preorder collects the arcs of every
-dominance graph at once as transposed sibling arcs, with no per-node graph
-objects; then each grouped child not yet reached opens a component of
-every unreached node it reaches over them. Last, one walk lays out the
-search plan, the order in which a search drains the components, and a tree
-with a component of two or more nodes gets each node's arc range as a
-``range`` object. The plan is the tree: it names every component once, in
-its owner's order, and the owner is the immediate dominator of its first
-member. So the resulting :class:`AcTree` keeps no second copy of the
-components, and the component sequences and the nesting family are read
-off it alone.
+The build walks the grouping once into that preorder, and everything else
+reads it, the search plan included: the order in which a search drains the
+components, read off the preorder with each component named once. When the
+DFS meets no back arc (self-loops and arcs into the source aside), every
+sibling arc points forward in RPO, so every component is one node, and the
+preorder, less the source, is the source's plan segment. Any other graph
+takes Kosaraju's second pass over the preorder. One loop collects the arcs
+of every dominance graph at once as transposed sibling arcs, with no
+per-node graph objects; a second lets each node not yet reached open a
+component of every unreached node it reaches over them and appends it
+straight to its plan segment. A tree with a component of two or more nodes
+also gets each node's arc range as a ``range`` object. The plan is the
+tree: it names every component once, in its owner's order, and the owner
+is the immediate dominator of its first member. So the resulting
+:class:`AcTree` keeps no second copy of the components, and the component
+sequences and the nesting family are read off it alone.
 
 No stage reads a weight, so a tree is its topology: ``AcTree(source,
 offsets, heads)`` takes those three fields only and derives every other
@@ -42,9 +45,7 @@ field that its topology does not imply.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
-from itertools import accumulate
 
 from .dominators import DominatorTree, _check_node, _immediate_dominators
 from .graph import Graph, GraphError, TreeMismatchError, _check_arg, _gc_paused, _Record
@@ -130,34 +131,28 @@ class AcTree(_Record):
         return {a: tuple(comps) for a, comps in enumerate(owned) if comps}
 
 
-def _sibling_arcs(
-    g: Graph, idom: tuple[int, ...], start: array, kids: list[int]
-) -> list[list[int]]:
+def _sibling_arcs(g: Graph, idom: tuple[int, ...], order: list[int]) -> list[list[int]]:
     """Arcs of every dominance graph, transposed, as tail lists in scan order.
 
-    ``start`` and ``kids`` group every node's dominator children, in any
-    order, as :func:`~actree.dominators._immediate_dominators` returns them.
-    One walk of the dominator tree in preorder keeps, for each node, its
-    child whose subtree the walk is inside (``current``), then scans the
-    stored arcs of the visited node ``v``. For an arc ``(v, w)``,
-    ``idom(w)`` is ``v`` itself or a proper ancestor of ``v``, whose
-    ``current`` entry is already the child on the path to ``v``. So the arc
-    becomes the sibling arc ``(current[idom(w)], w)`` in O(1), filed under
-    its head: stored as ``current[idom(w)]`` in ``pred[w]``; both ends are
-    children of ``idom(w)``. Arcs onto the global source and arcs that
-    coincide with dominator-tree arcs contribute nothing and are skipped, as
-    are arcs from ``w``'s own subtree back to ``w``. A tail may repeat.
+    ``order`` is the dominator tree's preorder, children in any order. One
+    loop over it keeps, for each node, its child whose subtree the loop is
+    inside (``current``), then scans the stored arcs of the visited node
+    ``v``. For an arc ``(v, w)``, ``idom(w)`` is ``v`` itself or a proper
+    ancestor of ``v``, whose ``current`` entry is already the child on the
+    path to ``v``. So the arc becomes the sibling arc ``(current[idom(w)],
+    w)`` in O(1), filed under its head: stored as ``current[idom(w)]`` in
+    ``pred[w]``; both ends are children of ``idom(w)``. Arcs onto the global
+    source and arcs that coincide with dominator-tree arcs contribute
+    nothing and are skipped, as are arcs from ``w``'s own subtree back to
+    ``w``. A tail may repeat.
     """
     n = g.node_count
     off, heads = g.offsets, g.heads
     s = g.source
     current = [-1] * n
     pred: list[list[int]] = [[] for _ in range(n)]
-    stack = [s]
-    while stack:
-        v = stack.pop()
+    for v in order:
         current[idom[v]] = v
-        stack += kids[start[v] : start[v + 1]]
         for w in heads[off[v] : off[v + 1]]:
             if w == s or idom[w] == v:
                 continue
@@ -204,14 +199,16 @@ def build_ac_tree(g: Graph) -> AcTree:
     :class:`Graph` has checked it.
 
     Dominators first: the dominator pass returns every owner's children
-    grouped in the reverse postorder of its DFS. When the DFS meets no back
-    arc but self-loops and arcs into the source, every sibling arc points
-    forward in that order, so every component is one node and the grouping
-    lays the tree out. Any other graph goes through Kosaraju's second pass
-    over the same grouping. Either way one walk then lays out the search
-    plan, and a tree of width 3 or more gets each node's arc range. Every
-    stage is linear or near-linear in ``n + e`` on every input;
-    the dominator pass is O(e log n), since its semi-NCA climb switches to
+    grouped in the reverse postorder of its DFS, and one walk lays them out
+    as one preorder of the dominator tree, each owner's children in that
+    order. When the DFS meets no back arc but self-loops and arcs into the
+    source, every sibling arc points forward in that order, so every
+    component is one node and the preorder is the search plan. Any other
+    graph goes through Kosaraju's second pass over the same preorder, which
+    writes the plan as it opens the components, and a tree of width 3 or
+    more gets each node's arc range. Every stage is linear or near-linear
+    in ``n + e`` on every input; the dominator pass is O(e log n), since
+    its semi-NCA climb switches to
     Lengauer and Tarjan's relative-dominator step once it has spent a step
     budget linear in ``n + e``. So the path-star DAG (a path
     ``0 -> ... -> k`` plus arcs ``k -> w`` and ``0 -> w`` for ``k`` extra
@@ -232,113 +229,92 @@ def _lay_out(tree: AcTree, g: Graph) -> AcTree:
     ``g``: the one build, as :func:`build_ac_tree` describes it, behind it
     and ``AcTree(...)``, with the cyclic garbage collector paused."""
     n = g.node_count
+    s = g.source
     idom, start, kids, back = _immediate_dominators(g)
+    start = start.tolist()  # a list is read faster than an array
+    order = []  # the dominator tree's preorder, each owner's children in RPO
+    stack = [s]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        b = start[v]
+        e = start[v + 1]
+        if b < e:  # most nodes are leaves: no empty slices for them
+            stack += kids[b:e][::-1]
+    del start, kids
     if back:
-        sizes, plan, rows = _kosaraju_layout(g, idom, start, kids)
+        sizes, plan, rows = _kosaraju_layout(g, idom, order)
     else:
-        # one component per non-source node: each owner's children, in
-        # reverse postorder, are its plan entries
+        # one component per non-source node: the preorder is the plan
         sizes = ((1, n - 1),) if n > 1 else ()
-        plan = _search_plan((g.source,), start.tolist(), kids)
+        plan = [None] * n
+        plan[s] = tuple(order[1:]) or None
+        plan = tuple(plan)
         rows = None
-    values = (g.source, g.offsets, g.heads, idom, sizes, plan, rows)
+    values = (s, g.offsets, g.heads, idom, sizes, plan, rows)
     for name, value in zip(AcTree.__slots__, values):
         object.__setattr__(tree, name, value)
     return tree
 
 
-def _kosaraju_layout(
-    g: Graph, idom: tuple[int, ...], start: array, kids: list[int]
-) -> tuple:
+def _kosaraju_layout(g: Graph, idom: tuple[int, ...], order: list[int]) -> tuple:
     """The size histogram, search plan and rows of any pruned graph's
-    A-C tree, by Kosaraju's second pass.
+    A-C tree, by Kosaraju's second pass over one preorder.
 
-    ``start`` and ``kids`` group each owner's children in the reverse
-    postorder of the dominators' DFS. The sibling-arc pass collects the
-    transposed arcs; then, owner by owner, each child not yet reached
-    opens a component of every unreached node it reaches over them. No
-    sibling arc crosses owners, so that is the child's strong component,
-    and each owner's components come out in topological order. The pass
-    keeps only what :func:`_search_plan` reads: each component's plan
-    entry, the count of each owner's components and the members of
-    components of two or more nodes, which own plan segments. A tree of
-    width 3 or more also lays out every node's arc range, its ``rows``.
+    ``order`` is the dominator tree's preorder, each owner's children in
+    the reverse postorder of the dominators' DFS, so it keeps every owner's
+    first pass of Kosaraju-Sharir. The sibling-arc pass collects the
+    transposed arcs; then one loop over ``order`` lets each node ``v`` not
+    yet reached open a component of every unreached node it reaches over
+    them. No sibling arc crosses owners, so that is ``v``'s strong
+    component, and each owner's components come out in topological order.
+    The loop appends each component it opens, named as the plan names it
+    (the node, or the tuple of its members in ascending id), to the segment
+    of ``home[idom[v]]``: ``home[v]`` is ``v`` for the source and each
+    member of a component of two or more nodes, which own segments, and
+    ``home[idom[v]]`` for a singleton ``v``, whose subtree the preorder
+    meets right after it, so its components fall inline; it is -1 for a
+    node not yet reached. A segment list is made when its first entry
+    comes. A tree of width 3 or more also lays out every node's arc range,
+    its ``rows``.
     """
     n = g.node_count
-    pred = _sibling_arcs(g, idom, start, kids)
-    reached = [False] * n
-    count = [0] * (n + 1)
-    entry: list[int | tuple[int, ...]] = []  # each component's plan entry
-    owners = [g.source]
+    pred = _sibling_arcs(g, idom, order)
+    home = [-1] * n  # -1 until the loop reaches the node
+    home[g.source] = g.source
+    segments: list[list[int | tuple[int, ...]] | None] = [None] * n
     large: Counter = Counter()  # the sizes of components of two or more nodes
-    for root in kids:
-        if reached[root]:
+    for v in order:
+        if home[v] >= 0:  # the source, or a member of a component met already
             continue
-        reached[root] = True
-        comp = [root]
-        for v in comp:  # the list grows as the search reaches new members
-            for u in pred[v]:
-                if not reached[u]:
-                    reached[u] = True
-                    comp.append(u)
-        count[idom[root] + 1] += 1
+        home[v] = v
+        comp = [v]
+        for u in comp:  # the list grows as the search reaches new members
+            for x in pred[u]:
+                if home[x] < 0:
+                    home[x] = x
+                    comp.append(x)
+        a = home[idom[v]]
         if len(comp) > 1:
             comp.sort()
-            entry.append(tuple(comp))
-            owners += comp
+            entry = tuple(comp)
             large[len(comp)] += 1
         else:
-            entry.append(root)
-    del pred, reached  # freed before the plan allocates: a lower peak
-    plan = _search_plan(owners, list(accumulate(count)), entry)
-    singles = n - len(owners)  # every node but the source and the grouped ones
-    del entry, owners
+            home[v] = a
+            entry = v
+        segment = segments[a]
+        if segment is None:
+            segments[a] = [entry]
+        else:
+            segment.append(entry)
+    del pred, home  # freed before the plan allocates: a lower peak
+    plan = tuple([None if x is None else tuple(x) for x in segments])
+    del segments
+    singles = n - 1 - sum(k * c for k, c in large.items())
     sizes = (((1, singles),) if singles else ()) + tuple(sorted(large.items()))
     offsets = g.offsets
     rows = tuple(map(range, offsets, offsets[1:])) if large else None
     return sizes, plan, rows
-
-
-def _search_plan(
-    owners: list[int] | tuple[int, ...],
-    off: list[int],
-    entry: list[int | tuple[int, ...]],
-) -> tuple[tuple[int | tuple[int, ...], ...] | None, ...]:
-    """The weight-free order in which a search drains the components.
-
-    Owner ``a``'s components, in order, are ``entry[off[a] : off[a + 1]]``,
-    each named as the plan names it: its one member if it is a singleton,
-    else the tuple of its members, so a search opens a component with no
-    lookup.
-    ``owners`` lists the source and every member of a component of two or
-    more nodes. Returns one entry per node: owner ``a``'s segment, a tuple
-    of ``a``'s components in order, each singleton followed by its own
-    node's components, inline and recursively; ``None`` for a node that is
-    no owner or has no components. On an acyclic graph the source's segment
-    is the dominator tree's preorder, children in reverse postorder.
-    """
-    plan: list[tuple[int | tuple[int, ...], ...] | None] = [None] * (len(off) - 1)
-    for a in owners:
-        c = off[a]
-        end = off[a + 1]
-        if c == end:
-            continue
-        segment = []
-        stack = []  # the ranges of components a descent interrupted
-        while True:
-            while c < end:
-                x = entry[c]
-                c += 1
-                segment.append(x)
-                if type(x) is int and off[x] < off[x + 1]:  # x's components come next
-                    stack.append((c, end))
-                    c = off[x]
-                    end = off[x + 1]
-            if not stack:
-                break
-            c, end = stack.pop()
-        plan[a] = tuple(segment)
-    return tuple(plan)
 
 
 def ac_to_nesting_family(tree: AcTree) -> tuple[frozenset[int], ...]:

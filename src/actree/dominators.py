@@ -175,8 +175,9 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], array, list[int], 
     loop that maps the answers back to node ids counts each owner's
     children, and one walk of the reverse postorder, linked from the source
     through each finished node's dead ``nxt`` entry, places them. No finish
-    order list is built; the A-C tree build reads the grouping as the first
-    pass of Kosaraju-Sharir.
+    order list is built; the A-C tree build walks the grouping into one
+    preorder, which keeps each owner's children in this order and so
+    serves as the first pass of Kosaraju-Sharir.
     """
     n = g.node_count
     s = g.source

@@ -629,15 +629,27 @@ def _parse_lines(text: str, fmt: SimpleNamespace, source: int | None) -> Graph:
 
 
 def _lines(text: str) -> Iterator[str]:
-    """``text.splitlines()``, one slice of about ``_CHUNK`` characters at a
-    time, so a line parser holds the lines of one slice only. Each slice
-    ends just after the first newline at least ``_CHUNK`` characters on (or
-    at the end of the text), so no carriage return is parted from the line
-    feed after it and no line is cut in two or lost."""
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + _CHUNK) + 1 or len(text)
-        yield from text[start:cut].splitlines()
+    """``text.splitlines()``, one slice of :func:`_slices` at a time, so a
+    line parser holds the lines of one slice only. A slice ends just after
+    a line feed or at the end of the text, so no carriage return is parted
+    from the line feed after it and no line is cut in two or lost."""
+    for piece in _slices(text, 0):
+        yield from piece.splitlines()
+
+
+def _slices(text: str, start: int) -> Iterator[str]:
+    """``text[start:]`` in slices of about ``_CHUNK`` characters: each ends
+    just after the last newline within ``_CHUNK`` characters of its start,
+    else just after the first newline past them, else at the end of the
+    text."""
+    end = len(text)
+    while start < end:
+        cut = (
+            text.rfind("\n", start, start + _CHUNK) + 1
+            or text.find("\n", start + _CHUNK) + 1
+            or end
+        )
+        yield text[start:cut]
         start = cut
 
 
@@ -724,16 +736,7 @@ def _parse_columns(text: str, n: int, m: int, s: int, fmt: SimpleNamespace) -> G
     tails: list[int] = []
     heads: list[int] = []
     weights: list[float] = []
-    start = text.find("\n") + 1 or len(text)
-    end = len(text)
-    while start < end:
-        cut = (
-            text.rfind("\n", start, start + _CHUNK) + 1
-            or text.find("\n", start + _CHUNK) + 1
-            or end
-        )
-        chunk = text[start:cut]
-        start = cut
+    for chunk in _slices(text, text.find("\n") + 1 or len(text)):
         if not chunk.endswith("\n"):
             chunk += "\n"
         lines = chunk.count("\n")

@@ -6,7 +6,6 @@ import copy
 import pickle
 import random
 from collections import Counter
-from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -62,9 +61,8 @@ def component_ids(tree: AcTree) -> list[int]:
 
 
 def sibling_arcs(g, t) -> list[list[int]]:
-    """``_sibling_arcs`` over the dominator tree ``t``, children in any order."""
-    start = list(accumulate(map(len, t.children), initial=0))
-    return _sibling_arcs(g, t.idom, start, [v for c in t.children for v in c])
+    """``_sibling_arcs`` over the preorder of the dominator tree ``t``."""
+    return _sibling_arcs(g, t.idom, list(t.order))
 
 
 def arcs_by_owner(g, t) -> dict[int, set[tuple[int, int]]]:
@@ -498,7 +496,10 @@ def test_plan_and_its_segments_cannot_be_changed_in_place():
 # the reverse postorder is 1, 2, 3, 4, 5. Owner 3 of the second has {0, 5},
 # {1, 4} and 2 unordered, 6 before 2; the reverse postorder is 4, 1, 5, 0,
 # 6, 2. Each graph's plan follows, the source's segment naming its
-# components in that order, each singleton followed by its own.
+# components in that order, each singleton followed by its own. In the last
+# graph the reverse postorder is 1, 2, 3, 4: node 2 falls between the
+# members 1 and 3 of {1, 3}, so the layout meets {1, 3} at 1, then {2}, then
+# 3's own component {4}, which goes to 3's segment, not to the source's.
 PINNED_NUMBERING = [
     (
         Graph.from_arcs(7, 0, [(0, 3), (0, 4), (3, 4), (4, 3), (0, 1), (0, 2),
@@ -516,6 +517,11 @@ PINNED_NUMBERING = [
         gen_nested((3, 1, (4, 2, 3)), seed=5),
         {0: ({1, 2},), 2: ({3, 4, 5},), 5: ({6, 7},)},
         (((1, 2),), None, ((3, 4, 5),), None, None, ((6, 7),), None, None),
+    ),
+    (
+        Graph.from_arcs(5, 0, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 2), (3, 1), (3, 4)]),
+        {0: ({1, 3}, {2}), 3: ({4},)},
+        (((1, 3), 2), None, None, (4,), None),
     ),
 ]
 
@@ -622,22 +628,49 @@ def _reverse_postorder_rank(g: Graph) -> list[int]:
     return rank
 
 
-@pytest.mark.parametrize("family", ["digraph", "chain"])
-@pytest.mark.parametrize("log2n", [10, 12, 14])
+def _small_wide_graphs(rng: random.Random, count: int) -> list[Graph]:
+    """``count`` random graphs of width 3 or more on at most 40 nodes, from
+    a random source, with self-loops, repeated arcs and arcs into the
+    source."""
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randrange(3, 41)
+        seq = rng.sample(range(n), n)  # seq[0] is the source
+        arcs = [(seq[rng.randrange(i)], seq[i]) for i in range(1, n)]
+        arcs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(n, 3 * n))]
+        arcs += [(v, v) for v in rng.sample(range(n), n // 4)]
+        arcs += [(rng.randrange(n), seq[0]) for _ in range(3)]
+        arcs += rng.sample(arcs, len(arcs) // 8)
+        rng.shuffle(arcs)
+        g = Graph.from_arcs(n, seq[0], arcs)
+        if build_ac_tree(g).width >= 3:
+            graphs.append(g)
+    return graphs
+
+
+@pytest.mark.parametrize(
+    "log2n, family",
+    [(k, f) for k in (10, 12, 14) for f in ("digraph", "chain")]
+    + [pytest.param(None, "small", id="small")],
+)
 def test_components_follow_their_first_members_in_reverse_postorder(log2n, family):
-    rng = random.Random(log2n + 100 * (family == "chain"))
-    n = 1 << log2n
-    if family == "chain":
-        arcs = chain_of_blocks(n, rng)
+    if family == "small":
+        graphs = _small_wide_graphs(random.Random(38), 300)
     else:
-        arcs = random_arcs_with_loops(n, 3 * n, rng)
-    g = Graph.from_arcs(n, 0, arcs)
-    tree = build_ac_tree(g)
-    assert tree.width > 2
-    rank = _reverse_postorder_rank(g)
-    for a, comps in tree.components.items():
-        first = [min(rank[v] for v in comp) for comp in comps]
-        assert first == sorted(first), a
+        rng = random.Random(log2n + 100 * (family == "chain"))
+        n = 1 << log2n
+        if family == "chain":
+            arcs = chain_of_blocks(n, rng)
+        else:
+            arcs = random_arcs_with_loops(n, 3 * n, rng)
+        graphs = [Graph.from_arcs(n, 0, arcs)]
+    for g in graphs:
+        tree = build_ac_tree(g)
+        assert tree.width > 2
+        rank = _reverse_postorder_rank(g)
+        for a, comps in tree.components.items():
+            first = [min(rank[v] for v in comp) for comp in comps]
+            assert first == sorted(first), (g, a)
 
 
 @settings(max_examples=300, deadline=None)
