@@ -208,13 +208,12 @@ def build_ac_tree(g: Graph) -> AcTree:
     writes the plan as it opens the components, and a tree of width 3 or
     more gets each node's arc range. Every stage is linear or near-linear
     in ``n + e`` on every input; the dominator pass is O(e log n), since
-    its semi-NCA climb switches to
-    Lengauer and Tarjan's relative-dominator step once it has spent a step
-    budget linear in ``n + e``. So the path-star DAG (a path
-    ``0 -> ... -> k`` plus arcs ``k -> w`` and ``0 -> w`` for ``k`` extra
-    nodes ``w``), on which each ``w`` would climb the whole path, costs
-    about what any DAG of its size does. The decomposition does not depend
-    on arc weights. The build runs with the cyclic garbage collector
+    its semi-NCA climb up the dominator tree takes skew-binary jump
+    pointers (Myers, IPL 1983), O(log n) steps per node. So the path-star
+    DAG (a path ``0 -> ... -> k`` plus arcs ``k -> w`` and ``0 -> w`` for
+    ``k`` extra nodes ``w``), on which each ``w`` climbs the whole path,
+    costs about what any DAG of its size does. The decomposition does not
+    depend on arc weights. The build runs with the cyclic garbage collector
     paused: it allocates a small container per node and makes no reference
     cycle, so the collector would only rescan them. The caller's setting is
     restored on return or error.

@@ -8,15 +8,15 @@ measured in practice: Lengauer-Tarjan's semidominator pass, its EVAL by
 path halving, no buckets, and each immediate dominator found by a walk up
 the dominator tree built so far. The DFS files no DFS-tree arc as a
 predecessor: each node's semidominator search starts at its DFS parent.
-The walk is short on most inputs but is bounded only by the tree's depth,
-which the path-star DAG reaches: a path ``0 -> 1 -> ... -> k`` plus arcs
-``k -> w`` and ``0 -> w`` for ``k`` extra nodes ``w``, where each ``w``
-walks from ``k`` back to the source, O(n^2) steps in all. So the walks
-share a budget of ``_CLIMB_BUDGET * (n + e)`` steps. Past it, the pass
-finishes with Lengauer and Tarjan's relative-dominator step ("A fast
-algorithm for finding dominators in a flowgraph", TOPLAS 1979): buckets by
-semidominator, one EVAL per node, one forward pass. The whole pass is
-O(e log n) on every input, and the common path pays only the step counter.
+One parent at a time, the walk is short on most inputs but bounded only by
+the tree's depth, which the path-star DAG reaches: a path
+``0 -> 1 -> ... -> k`` plus arcs ``k -> w`` and ``0 -> w`` for ``k`` extra
+nodes ``w``, where each ``w`` walks from ``k`` back to the source, O(n^2)
+steps in all. So each node also keeps a skew-binary jump pointer to an
+ancestor (Myers, "An applicative random-access stack", IPL 1983), set in
+O(1) as it joins the tree, and a walk takes a jump whenever it lands still
+above its target: O(log n) steps per walk, and O(e log n) for the whole
+pass on every input.
 Everything runs over flat arrays indexed by DFS number. The pass returns
 the tree grouped by owner, each owner's children in the reverse postorder
 of its DFS, which the A-C tree build reads. A :class:`DominatorTree` is
@@ -34,11 +34,6 @@ from array import array
 from itertools import accumulate
 
 from .graph import Graph, GraphError, UnreachableNodeError, _check_arg, _gc_paused, _Record
-
-# The NCA climbs of one dominator pass may take this many steps per node and
-# arc in all; past that, the pass switches to the relative-dominator step.
-_CLIMB_BUDGET = 4
-
 
 class DominatorTree(_Record):
     """Immediate-dominator tree with its preorder, built from ``idom`` alone.
@@ -167,13 +162,16 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], array, list[int], 
     the walk ends at ``v``'s nearest DFS ancestor numbered ``<= w``, which
     is ``w`` exactly when ``w`` is an ancestor of ``v``. Finally, in
     increasing number, ``idom[w]`` is the nearest ancestor of ``parent[w]``
-    in the dominator tree numbered ``<= semi[w]``, found by climbing one
-    step at a time. One ``w`` can climb O(n) steps, so the climbs share a
-    budget of ``_CLIMB_BUDGET * (n + e)`` steps; once it is spent, the pass
-    answers every node afresh with :func:`_relative_dominators`. The pass
-    is O(e log n) whatever the input. The grouping is a counting sort: the
-    loop that maps the answers back to node ids counts each owner's
-    children, and one walk of the reverse postorder, linked from the source
+    in the dominator tree numbered ``<= semi[w]``. Numbers fall going up
+    the tree, so the climb takes ``x``'s jump pointer ``jump[x]`` whenever
+    it is still numbered above ``semi[w]`` and steps to ``x``'s parent
+    otherwise. Each node ``w`` joins the tree under ``x`` with Myers'
+    skew-binary rule: ``jump[w]`` is ``jump[jump[x]]`` when ``x`` and
+    ``jump[x]`` jump equally many levels (``span``), and ``x`` otherwise,
+    so every climb takes O(log n) steps and the pass is O(e log n)
+    whatever the input. The climb loop also maps each answer back to node
+    ids and counts each owner's children, so the grouping is a counting
+    sort: one walk of the reverse postorder, linked from the source
     through each finished node's dead ``nxt`` entry, places them. No finish
     order list is built; the A-C tree build walks the grouping into one
     preorder, which keeps each owner's children in this order and so
@@ -263,25 +261,33 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], array, list[int], 
             if lx < sw:
                 sw = lx
         semi[w] = label[w] = sw
-    del pred, anc
+    del pred
 
-    # idom[w] = NCA(parent[w], semi[w]): climb from the parent.
+    # idom[w] = NCA(parent[w], semi[w]): climb the dominator tree from the
+    # parent to its first ancestor numbered <= semi[w]. Numbers fall going
+    # up, so a jump to an ancestor still above semi[w] skips nothing; the
+    # skew-binary jumps bound each climb by O(log n) steps.
     inum = label  # reused: the climb reads inum[x] only for x < w
-    left = _CLIMB_BUDGET * (n + len(heads))
+    jump = anc  # jump[0] = parent[0] = 0, the root's own
+    span = [0] * n  # levels from w up to jump[w]
+    idom = [s] * n
+    count = [0] * n  # each owner's number of children
     for w in range(1, n):
         x = parent[w]
         sw = semi[w]
         while x > sw:
-            x = inum[x]
-            left -= 1
+            j = jump[x]
+            x = j if j > sw else inum[x]
         inum[w] = x
-        if left <= 0:
-            inum = _relative_dominators(parent, semi)
-            break
-    idom = [s] * n
-    count = [0] * n  # each owner's number of children
-    for w in range(1, n):
-        p = vertex[inum[w]]
+        j = jump[x]
+        k = span[x]
+        if k == span[j]:
+            jump[w] = jump[j]
+            span[w] = 2 * k + 1
+        else:
+            jump[w] = x
+            span[w] = 1
+        p = vertex[x]
         idom[vertex[w]] = p
         count[p] += 1
 
@@ -298,53 +304,6 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], array, list[int], 
         fill[p] = k + 1
         kids[k] = v
     return tuple(idom), start, kids, back
-
-
-def _relative_dominators(parent: list[int], semi: list[int]) -> list[int]:
-    """Immediate dominators by DFS number, from the DFS parents and the
-    semidominators, in O(n log n) whatever the dominator tree's depth.
-
-    Lengauer and Tarjan's relative-dominator step ("A fast algorithm for
-    finding dominators in a flowgraph", TOPLAS 1979). Each ``v`` waits in
-    the bucket of ``p = semi[v]`` (one sort by semidominator), and the
-    buckets are answered in decreasing ``p``, when the numbers above ``p``
-    are linked into the forest: an EVAL by path halving finds the vertex
-    ``u`` of least semidominator between ``v`` and the child of ``p``
-    above it, with ``label`` holding a segment's least vertex. ``idom[v]``
-    is ``p`` when ``semi[u] == p``, and otherwise ``idom[u]``, which one
-    forward pass fills in, since ``u < v``.
-    """
-    n = len(parent)
-    anc = parent[:]
-    label = list(range(n))
-    idom = semi[:]  # then u for each v whose answer is idom[u]
-    for v in sorted(range(1, n), key=semi.__getitem__, reverse=True):
-        p = semi[v]
-        u = label[v]
-        su = semi[u]
-        a = anc[v]
-        x = v
-        while a > p:  # x and its forest parent a are linked
-            la = label[a]
-            sa = semi[la]
-            if sa < semi[label[x]]:
-                label[x] = la
-                if sa < su:  # su <= semi[label[x]] already
-                    u, su = la, sa
-            a = anc[a]
-            anc[x] = a
-            if a > p:  # the walk goes on from the grandparent
-                x = a
-                lx = label[x]
-                if semi[lx] < su:
-                    u, su = lx, semi[lx]
-                a = anc[x]
-        if su < p:
-            idom[v] = u
-    for w in range(1, n):
-        if idom[w] != semi[w]:
-            idom[w] = idom[idom[w]]
-    return idom
 
 
 def brute_force_dominated_set(g: Graph, a: int) -> frozenset[int]:

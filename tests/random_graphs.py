@@ -96,6 +96,19 @@ def path_star(k: int) -> Graph:
     return Graph.from_arcs(2 * k + 1, 0, arcs)
 
 
+def path_fan(k: int, seed) -> Graph:
+    """The path ``0 -> 1 -> ... -> k`` plus, for each of ``k`` extra nodes
+    ``w_j = k + j``, the arcs ``k -> w_j`` and ``r -> w_j`` from a uniform
+    path node ``r``, listed after the path. Each ``w_j``'s DFS parent is
+    ``k`` and its immediate dominator is its ``r``, so its NCA climb stops
+    part-way up the path. Unit weights."""
+    rng = random.Random(seed)
+    arcs = [(v, v + 1) for v in range(k)]
+    for w in range(k + 1, 2 * k + 1):
+        arcs += [(k, w), (rng.randint(0, k), w)]
+    return Graph.from_arcs(2 * k + 1, 0, arcs)
+
+
 def path_back_arcs(k: int) -> Graph:
     """The path ``0 -> 1 -> ... -> k`` plus an arc from its end ``k`` back to
     every node, the source included. Unit weights."""

@@ -36,6 +36,7 @@ from random_graphs import (
     ladder,
     nested_loops,
     path_back_arcs,
+    path_fan,
     path_star,
     rows_read,
     star_back_arcs,
@@ -313,13 +314,13 @@ def test_criterion_8_scaling_report():
     )
     # adversarial families at about 2^12, 2^14 and 2^16 nodes: a stage that
     # turns superlinear on one of them shows as a per-doubling ratio near 4
-    for family, nodes_per_k in (
+    for family, nodes_per_k, *seed in (
         (path_star, 2), (path_back_arcs, 1), (nested_loops, 2),
-        (star_back_arcs, 1), (ladder, 2),
+        (star_back_arcs, 1), (ladder, 2), (path_fan, 2, 8),
     ):
         times = []
         for log2n in (12, 14, 16):
-            g = family((1 << log2n) // nodes_per_k)
+            g = family((1 << log2n) // nodes_per_k, *seed)
             t0 = time.perf_counter()
             build_ac_tree(g)
             times.append(time.perf_counter() - t0)

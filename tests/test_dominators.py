@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import sys
 from itertools import accumulate
 
 import pytest
@@ -20,14 +21,18 @@ from actree import (
     compute_dominator_tree,
     naive_dominance_graph,
 )
-from actree import dominators
 from actree.dominators import _immediate_dominators
 from random_graphs import (
     gen_layered,
     gen_random_digraph,
+    ladder,
+    nested_loops,
+    path_back_arcs,
+    path_fan,
     path_star,
     random_arcs_with_loops,
     small_graphs,
+    star_back_arcs,
 )
 
 
@@ -215,7 +220,7 @@ def test_idom_matches_networkx(log2n):
 
 # On the path-star DAG each extra node's DFS parent is the far end of the
 # path, while only the source dominates it: semi-NCA climbs the whole path
-# for each one. These pin the answer for any faster climb.
+# for each one, by jump pointers. These pin the answer for any climb.
 def test_path_star_idom_matches_networkx():
     nx = pytest.importorskip("networkx")
     g = path_star(1 << 9)  # 2^10 + 1 nodes
@@ -241,26 +246,42 @@ def test_path_star_idom_is_the_minimal_strict_dominator():
             assert all(idom[v] in dominated[d] for d in strict), (k, v)
 
 
-def test_path_star_build_hands_the_climb_to_relative_dominators(monkeypatch):
-    """What keeps the path-star build linear, counted rather than timed:
-    each extra node's NCA climb would walk the whole path, about k^2 steps
-    in all, so the pass spends its step budget and answers every node with
-    the relative-dominator step, once, with the same ``idom``. A pass that
-    climbed to the end (a budget of about k / 5 per node and arc) would
-    make no call here."""
-    k = 1 << 14
-    calls = []
-    step = dominators._relative_dominators
+def _climb_lines(g: Graph) -> int:
+    """Line events of one ``_immediate_dominators(g)`` call, its own frame
+    only: a clock-free count of the pass's steps."""
+    code = _immediate_dominators.__code__
+    lines = 0
 
-    def counted(parent, semi):
-        calls.append(len(parent))
-        return step(parent, semi)
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return local
 
-    monkeypatch.setattr(dominators, "_relative_dominators", counted)
-    idom = build_ac_tree(path_star(k)).idom
-    assert calls == [2 * k + 1]
+    def calls(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    before = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        _immediate_dominators(g)
+    finally:
+        sys.settrace(before)
+    return lines
+
+
+def test_path_star_climb_steps_grow_near_linearly():
+    """What keeps the path-star build near-linear, counted rather than
+    timed: each extra node's NCA climb starts at the far end of the path
+    and ends at the source, about k^2 steps in all one parent at a time;
+    the jump pointers take O(log k) each. Four times the nodes cost at most
+    six times the lines here, where a one-parent climb costs about 15."""
+    small = _climb_lines(path_star(1 << 9))
+    large = _climb_lines(path_star(1 << 11))
+    assert large <= 6 * small, (small, large)
+    k = 1 << 11
     # the path nodes are dominated by their predecessors, each w by the source
-    assert idom == (0,) + tuple(range(k)) + (0,) * k
+    assert build_ac_tree(path_star(k)).idom == (0,) + tuple(range(k)) + (0,) * k
 
 
 def _dfs_reference(g: Graph) -> tuple[list[int], bool]:
@@ -291,10 +312,10 @@ def _dfs_reference(g: Graph) -> tuple[list[int], bool]:
     return post, back
 
 
-def _dominator_corpus() -> list[Graph]:
+def _random_corpus() -> list[Graph]:
     """Random cyclic and acyclic graphs with self-loops, parallel arcs and
     arcs into the source, relabelled so that the source and the DFS order
-    are not the node order, then a few path-star DAGs."""
+    are not the node order."""
     rng = random.Random(27)
     graphs = []
     for i in range(400):
@@ -303,32 +324,26 @@ def _dominator_corpus() -> list[Graph]:
         arcs += [(rng.randrange(n), 0) for _ in range(i % 3)]
         label = rng.sample(range(n), n)
         graphs.append(Graph.from_arcs(n, label[0], [(label[u], label[v]) for u, v in arcs]))
-    return graphs + [path_star(k) for k in (1, 2, 5, 9, 1 << 7)]
+    return graphs
 
 
-@pytest.mark.parametrize("budget", [None, 0], ids=["budget-as-is", "budget-0"])
-def test_immediate_dominators_match_independent_references(budget, monkeypatch):
+def _adversarial_corpus() -> list[Graph]:
+    """Path-star DAGs, whose climbs reach the source, path-fans, whose
+    climbs stop part-way up, and the cyclic families at 2^10."""
+    graphs = [path_star(k) for k in (1, 2, 5, 9, 1 << 7)]
+    graphs += [path_fan(k, k) for k in (1 << 6, 1 << 10)]
+    return graphs + [f(1 << 10) for f in (ladder, nested_loops, star_back_arcs, path_back_arcs)]
+
+
+@pytest.mark.parametrize("corpus", [_random_corpus, _adversarial_corpus],
+                         ids=["random", "adversarial"])
+def test_immediate_dominators_match_independent_references(corpus):
     """``idom`` against networkx; the grouping and the back-arc flag against
-    a plain DFS, whose finish order, reversed, orders each owner's children;
-    with a budget of 0 every graph takes the relative-dominator step."""
+    a plain DFS, whose finish order, reversed, orders each owner's children."""
     nx = pytest.importorskip("networkx")
-    if budget is not None:
-        monkeypatch.setattr(dominators, "_CLIMB_BUDGET", budget)
-    fallbacks = []
-    step = dominators._relative_dominators
-
-    def counted(parent, semi):
-        fallbacks.append(len(parent))
-        return step(parent, semi)
-
-    monkeypatch.setattr(dominators, "_relative_dominators", counted)
-    corpus = _dominator_corpus()
-    took = []
-    for i, g in enumerate(corpus):
+    for i, g in enumerate(corpus()):
         n, s = g.node_count, g.source
-        before = len(fallbacks)
         idom, start, kids, back = _immediate_dominators(g)
-        took.append(len(fallbacks) > before)
         ref = nx.DiGraph()
         ref.add_nodes_from(range(n))
         ref.add_edges_from((u, v) for u, v, _ in g.arcs())
@@ -341,10 +356,6 @@ def test_immediate_dominators_match_independent_references(budget, monkeypatch):
             children[expected[v]].append(v)
         assert start.tolist() == list(accumulate(map(len, children), initial=0)), i
         assert (kids, back) == ([v for c in children for v in c], ref_back), i
-    if budget == 0:
-        assert all(took[i] for i, g in enumerate(corpus) if g.node_count > 1)
-    else:  # only the largest path-star DAG spends the budget
-        assert took == [False] * (len(corpus) - 1) + [True]
 
 
 @settings(max_examples=300, deadline=None)
