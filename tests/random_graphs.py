@@ -96,7 +96,7 @@ def path_star(k: int) -> Graph:
     return Graph.from_arcs(2 * k + 1, 0, arcs)
 
 
-def path_fan(k: int, seed) -> Graph:
+def path_fan(k: int, seed=0) -> Graph:
     """The path ``0 -> 1 -> ... -> k`` plus, for each of ``k`` extra nodes
     ``w_j = k + j``, the arcs ``k -> w_j`` and ``r -> w_j`` from a uniform
     path node ``r``, listed after the path. Each ``w_j``'s DFS parent is

@@ -279,7 +279,7 @@ def test_path_star_climb_steps_grow_near_linearly():
     small = _climb_lines(path_star(1 << 9))
     large = _climb_lines(path_star(1 << 11))
     assert large <= 6 * small, (small, large)
-    k = 1 << 11
+    k = 1 << 14
     # the path nodes are dominated by their predecessors, each w by the source
     assert build_ac_tree(path_star(k)).idom == (0,) + tuple(range(k)) + (0,) * k
 
