@@ -7,28 +7,29 @@ components of its dominance graph in topological order; its width equals
 the nesting width of the graph, which makes it the decomposition that
 drives the recursive shortest-path search.
 
-One order serves every graph: the reverse postorder (RPO) of the dominators'
-DFS, in which the dominator pass itself groups each owner's children. A
-preorder of the dominator tree that takes each owner's children in that
-order keeps every owner's RPO, so one preorder is a valid first pass of
-Kosaraju-Sharir's strong-components algorithm (Sharir 1981) for every
-dominance graph at once. Every node of a child ``c``'s dominator subtree
-is a DFS descendant of ``c``, and a path that leaves owner ``a``'s subtree
-comes back only through ``a``, which is on the DFS stack while any child
-of ``a`` is. So, by the white-path theorem, when one component of ``a``'s
-dominance graph has an arc into another, the first member of the first in
-RPO precedes every member of the second. Each owner's components follow
-the RPO of their first members, which is a topological order.
+One order serves every graph: the reverse postorder (RPO) of the
+dominators' DFS. The dominator pass itself returns a preorder of the
+dominator tree that takes each owner's children in that order, placing
+each node by subtree sizes. It keeps every owner's RPO, so one preorder is
+a valid first pass of Kosaraju-Sharir's strong-components algorithm
+(Sharir 1981) for every dominance graph at once. Every node of a child
+``c``'s dominator subtree is a DFS descendant of ``c``, and a path that
+leaves owner ``a``'s subtree comes back only through ``a``, which is on
+the DFS stack while any child of ``a`` is. So, by the white-path theorem,
+when one component of ``a``'s dominance graph has an arc into another, the
+first member of the first in RPO precedes every member of the second. Each
+owner's components follow the RPO of their first members, which is a
+topological order.
 
-The build walks the grouping once into that preorder, and everything else
-reads it, the search plan included: the order in which a search drains the
-components, read off the preorder with each component named once. When the
-DFS meets no back arc (self-loops and arcs into the source aside), every
-sibling arc points forward in RPO, so every component is one node, and the
-preorder, less the source, is the source's plan segment. Any other graph
-takes Kosaraju's second pass over the preorder. One loop collects the arcs
-of every dominance graph at once as transposed sibling arcs, with no
-per-node graph objects; a second lets each node not yet reached open a
+The build reads that preorder as the pass returns it, and so does every
+later stage, the search plan included: the order in which a search drains
+the components, read off the preorder with each component named once. When
+the DFS meets no back arc (self-loops and arcs into the source aside),
+every sibling arc points forward in RPO, so every component is one node,
+and the preorder, less the source, is the source's plan segment. Any other
+graph takes Kosaraju's second pass over the preorder. One loop collects
+the arcs of every dominance graph at once as transposed sibling arcs, with
+no per-node graph objects; a second lets each node not yet reached open a
 component of every unreached node it reaches over them and appends it
 straight to its plan segment. A tree with a component of two or more nodes
 also gets each node's arc range as a ``range`` object. The plan is the
@@ -198,10 +199,10 @@ def build_ac_tree(g: Graph) -> AcTree:
     g.heads)``, built without checking the topology again, since a
     :class:`Graph` has checked it.
 
-    Dominators first: the dominator pass returns every owner's children
-    grouped in the reverse postorder of its DFS, and one walk lays them out
-    as one preorder of the dominator tree, each owner's children in that
-    order. When the DFS meets no back arc but self-loops and arcs into the
+    Dominators first: the dominator pass returns one preorder of the
+    dominator tree, each owner's children in the reverse postorder of its
+    DFS, every node placed by its owner's next free slot and its subtree's
+    size. When the DFS meets no back arc but self-loops and arcs into the
     source, every sibling arc points forward in that order, so every
     component is one node and the preorder is the search plan. Any other
     graph goes through Kosaraju's second pass over the same preorder, which
@@ -226,21 +227,11 @@ def build_ac_tree(g: Graph) -> AcTree:
 def _lay_out(tree: AcTree, g: Graph) -> AcTree:
     """Fill every slot of ``tree`` from the topology of the pruned graph
     ``g``: the one build, as :func:`build_ac_tree` describes it, behind it
-    and ``AcTree(...)``, with the cyclic garbage collector paused."""
+    and ``AcTree(...)``, with the cyclic garbage collector paused. The
+    dominator pass's preorder is read as it comes."""
     n = g.node_count
     s = g.source
-    idom, start, kids, back = _immediate_dominators(g)
-    start = start.tolist()  # a list is read faster than an array
-    order = []  # the dominator tree's preorder, each owner's children in RPO
-    stack = [s]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        b = start[v]
-        e = start[v + 1]
-        if b < e:  # most nodes are leaves: no empty slices for them
-            stack += kids[b:e][::-1]
-    del start, kids
+    idom, order, back = _immediate_dominators(g)
     if back:
         sizes, plan, rows = _kosaraju_layout(g, idom, order)
     else:

@@ -218,15 +218,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--source applies to DIMACS input only")
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NegativeWeightError, DistanceOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -18,20 +18,18 @@ O(1) as it joins the tree, and a walk takes a jump whenever it lands still
 above its target: O(log n) steps per walk, and O(e log n) for the whole
 pass on every input.
 Everything runs over flat arrays indexed by DFS number. The pass returns
-the tree grouped by owner, each owner's children in the reverse postorder
-of its DFS, which the A-C tree build reads. A :class:`DominatorTree` is
-its immediate dominators and nothing else: ``DominatorTree(idom)`` checks
-them, files each node under its immediate dominator in ascending id, and
-lays out the preorder in one walk, and :func:`compute_dominator_tree` is
-that constructor on the pass's answer. The stored preorder makes dominance
-an O(1) interval test and every subtree a slice of it. A path-removal
-oracle is provided for testing.
+the preorder that the A-C tree build reads, each owner's children in the
+reverse postorder of its DFS, placed by subtree sizes with no grouping of
+the children by owner. A :class:`DominatorTree` is its immediate
+dominators and nothing else: ``DominatorTree(idom)`` checks them, files
+each node under its immediate dominator in ascending id, and lays out the
+preorder in one walk, and :func:`compute_dominator_tree` is that
+constructor on the pass's answer. The stored preorder makes dominance an
+O(1) interval test and every subtree a slice of it. A path-removal oracle
+is provided for testing.
 """
 
 from __future__ import annotations
-
-from array import array
-from itertools import accumulate
 
 from .graph import Graph, GraphError, UnreachableNodeError, _check_arg, _gc_paused, _Record
 
@@ -139,15 +137,14 @@ def compute_dominator_tree(g: Graph) -> DominatorTree:
     return DominatorTree(_immediate_dominators(g)[0])
 
 
-def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], array, list[int], bool]:
-    """Immediate dominators of ``g``, its dominator tree grouped by owner,
-    and whether the DFS met a back arc other than a self-loop or an arc
-    into the source.
+def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], list[int], bool]:
+    """Immediate dominators of ``g``, a preorder of its dominator tree, and
+    whether the DFS met a back arc other than a self-loop or an arc into
+    the source.
 
-    Returns ``(idom, start, kids, back)``: owner ``a``'s children are
-    ``kids[start[a] : start[a + 1]]``, owners in ascending id, each owner's
-    children in the reverse postorder of the DFS; ``start`` is an int array
-    and ``kids`` a list of the graph's own int objects.
+    Returns ``(idom, order, back)``: ``order`` lists every node, the source
+    first, each owner's children in the reverse postorder of the DFS, as a
+    list of the graph's own int objects.
 
     Semi-NCA over DFS numbers. A DFS in stored arc order numbers the nodes
     and records, by number, each node's predecessors over the arcs that are
@@ -170,12 +167,15 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], array, list[int], 
     ``jump[x]`` jump equally many levels (``span``), and ``x`` otherwise,
     so every climb takes O(log n) steps and the pass is O(e log n)
     whatever the input. The climb loop also maps each answer back to node
-    ids and counts each owner's children, so the grouping is a counting
-    sort: one walk of the reverse postorder, linked from the source
-    through each finished node's dead ``nxt`` entry, places them. No finish
-    order list is built; the A-C tree build walks the grouping into one
-    preorder, which keeps each owner's children in this order and so
-    serves as the first pass of Kosaraju-Sharir.
+    ids. Then each node's dominator-subtree size is summed in decreasing
+    number, since an idom is numbered below its node, and one walk of the
+    reverse postorder, linked from the source through each finished node's
+    dead ``nxt`` entry, places every node: an idom comes before its
+    children in that order, so each child takes the next free slot of its
+    owner's block and moves the slot on by its subtree's size. No finish
+    order list is built and no child is grouped by owner. The preorder keeps
+    each owner's children in reverse postorder, so the A-C tree build reads
+    it as the first pass of Kosaraju-Sharir.
     """
     n = g.node_count
     s = g.source
@@ -271,7 +271,6 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], array, list[int], 
     jump = anc  # jump[0] = parent[0] = 0, the root's own
     span = [0] * n  # levels from w up to jump[w]
     idom = [s] * n
-    count = [0] * n  # each owner's number of children
     for w in range(1, n):
         x = parent[w]
         sw = semi[w]
@@ -287,23 +286,26 @@ def _immediate_dominators(g: Graph) -> tuple[tuple[int, ...], array, list[int], 
         else:
             jump[w] = x
             span[w] = 1
-        p = vertex[x]
-        idom[vertex[w]] = p
-        count[p] += 1
+        idom[vertex[w]] = vertex[x]
 
-    # Group the children by owner, each owner's in reverse postorder: nxt
-    # walks it from the source.
-    fill = list(accumulate(count, initial=0))
-    start = array("i", fill)  # no int object per entry: a lower peak
-    kids = [s] * (n - 1)
+    # The preorder. Subtree sizes first, in decreasing number, so children
+    # before their idom; then nxt walks the RPO from the source, in which an
+    # idom comes before its children, and each node takes the next free slot
+    # of its owner's block. Once a node is placed, size[] holds that slot.
+    size = [1] * n
+    for v in vertex[:0:-1]:
+        size[idom[v]] += size[v]
+    size[s] = 1
+    order = [s] * n
     v = s
     for _ in range(n - 1):
         v = nxt[v]
         p = idom[v]
-        k = fill[p]
-        fill[p] = k + 1
-        kids[k] = v
-    return tuple(idom), start, kids, back
+        k = size[p]
+        size[p] = k + size[v]
+        size[v] = k + 1
+        order[k] = v
+    return tuple(idom), order, back
 
 
 def brute_force_dominated_set(g: Graph, a: int) -> frozenset[int]:

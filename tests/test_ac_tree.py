@@ -724,13 +724,13 @@ def _naive_sibling_arcs(g: Graph) -> list[tuple[int, int]]:
 
 
 def _assert_both_paths_agree(g: Graph, sibling_arcs: list[tuple[int, int]]) -> None:
-    """The layout of the dominator pass's grouping and Kosaraju's second
+    """The dominator pass's preorder as the plan and Kosaraju's second
     pass give one tree."""
     dominators = _immediate_dominators(g)
-    assert not dominators[3]
+    assert not dominators[2]
     fast = build_ac_tree(g)
     # the build as it runs on a graph whose DFS meets a back arc
-    with mock.patch.object(ac_tree, "_immediate_dominators", lambda g: (*dominators[:3], True)):
+    with mock.patch.object(ac_tree, "_immediate_dominators", lambda g: (*dominators[:2], True)):
         slow = build_ac_tree(g)
     for name in (*AcTree.__slots__, "width", "components"):
         a, b = getattr(fast, name), getattr(slow, name)

@@ -6,7 +6,6 @@ import copy
 import pickle
 import random
 import sys
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -338,12 +337,13 @@ def _adversarial_corpus() -> list[Graph]:
 @pytest.mark.parametrize("corpus", [_random_corpus, _adversarial_corpus],
                          ids=["random", "adversarial"])
 def test_immediate_dominators_match_independent_references(corpus):
-    """``idom`` against networkx; the grouping and the back-arc flag against
-    a plain DFS, whose finish order, reversed, orders each owner's children."""
+    """``idom`` against networkx; the preorder and the back-arc flag against
+    a plain DFS, whose finish order, reversed, orders each owner's children
+    in a preorder walk of networkx's tree."""
     nx = pytest.importorskip("networkx")
     for i, g in enumerate(corpus()):
         n, s = g.node_count, g.source
-        idom, start, kids, back = _immediate_dominators(g)
+        idom, order, back = _immediate_dominators(g)
         ref = nx.DiGraph()
         ref.add_nodes_from(range(n))
         ref.add_edges_from((u, v) for u, v, _ in g.arcs())
@@ -354,8 +354,13 @@ def test_immediate_dominators_match_independent_references(corpus):
         children = [[] for _ in range(n)]
         for v in reversed(post):
             children[expected[v]].append(v)
-        assert start.tolist() == list(accumulate(map(len, children), initial=0)), i
-        assert (kids, back) == ([v for c in children for v in c], ref_back), i
+        preorder = []
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            preorder.append(v)
+            stack += reversed(children[v])
+        assert (order, back) == (preorder, ref_back), i
 
 
 @settings(max_examples=300, deadline=None)
@@ -381,13 +386,14 @@ def test_dominator_tree_matches_removal_oracle(g):
 @given(small_graphs())
 def test_a_built_trees_idom_gives_the_same_dominator_tree(g):
     """``DominatorTree`` reads ``idom`` alone; each owner's children are
-    the dominator pass's grouping, sorted."""
-    idom, start, kids, _ = _immediate_dominators(g)
+    those of the dominator pass's preorder, sorted."""
+    idom, order, _ = _immediate_dominators(g)
     t = DominatorTree(build_ac_tree(g).idom)
     assert t == compute_dominator_tree(g)
-    assert t.children == tuple(
-        tuple(sorted(kids[start[a] : start[a + 1]])) for a in range(g.node_count)
-    )
+    children = [[] for _ in idom]
+    for v in order[1:]:
+        children[idom[v]].append(v)
+    assert t.children == tuple(tuple(sorted(c)) for c in children)
 
 
 @settings(max_examples=200, deadline=None)

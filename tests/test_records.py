@@ -69,7 +69,7 @@ def fields(record) -> tuple:
     return tuple(getattr(record, name) for name in type(record)._fields)
 
 
-def test_importing_the_package_loads_no_dataclasses_inspect_or_typing():
+def test_importing_the_package_loads_no_array_dataclasses_inspect_or_typing():
     src = str(Path(actree.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
@@ -80,7 +80,7 @@ def test_importing_the_package_loads_no_dataclasses_inspect_or_typing():
     )
     added = set(out.stdout.split())
     assert "actree.sssp" in added
-    assert not added & {"dataclasses", "inspect", "typing"}, sorted(added)
+    assert not added & {"array", "dataclasses", "inspect", "typing"}, sorted(added)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
