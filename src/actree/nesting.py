@@ -179,10 +179,9 @@ def brute_force_nesting_width(g: Graph) -> int:
         size = m.bit_count()
         for cap in range(2, size + 1):
             table = parts_by_lowbit(m, cap, f)
+            # true at cap = size at the latest: the singleton cover has size parts
             if min_parts(m, table, {}) <= cap:
                 f[m] = cap
                 break
-        else:
-            f[m] = size  # partition into singletons
     return max(f[full], 1)
 

@@ -418,7 +418,11 @@ def verify_spt(g: Graph, r: ShortestPathResult) -> SptCheck:
     an ``int`` with more digits than ``str`` converts is named by its size
     in bits. A column with no length, or the wrong one, is reported as a
     size mismatch; a column that some node id does not index (a ``set``,
-    or a ``dict`` with a missing key) is named on its own.
+    or a ``dict`` with a missing key) is named on its own. Two results that
+    pass have bit-identical distances: a float sum never rounds below its
+    operand when the weight is not negative, so a node whose distances
+    differ, at the least such distance, has a tight parent that differs at
+    it too, and so on back to the source, whose distance is 0 in both.
 
     A result that passes, and whose parent arcs all join nodes at different
     distances, comes through one fast pass: the node columns are checked

@@ -27,6 +27,7 @@ from actree import (
     recursive_dijkstra,
     verify_spt,
 )
+from actree import sssp
 from actree.ac_tree import _sibling_arcs
 from random_graphs import (
     gen_complete,
@@ -217,25 +218,43 @@ def test_criterion_5_sssp_equivalence():
     _report("5 sssp equivalence", True, f"{runs} graphs, exact dist equality")
 
 
-def test_criterion_6_queue_bound():
-    """max_queue_len <= width - 1; = n - 1 on complete; <= 1 on DAGs."""
+def test_criterion_6_queue_bound(monkeypatch):
+    """max_queue_len <= width - 1; = n - 1 on complete; <= 1 on DAGs. The
+    queues are measured too: each heap's length as it is heapified, when its
+    component opens and after each compaction."""
+    lengths: list[int] = []
+
+    def measured(heap):
+        lengths.append(len(heap))
+        heapify(heap)
+
+    heapify = sssp.heapify
+    monkeypatch.setattr(sssp, "heapify", measured)
     for i in range(300):
         n = 2 + i % 99
         g = gen_random_digraph(n, n + i % (3 * n), seed=60_000 + i)
         tree = build_ac_tree(g)
+        lengths.clear()
         r = recursive_dijkstra(g, tree)
-        if r.stats.max_queue_len > tree.width - 1:
+        # a heap opens exactly when some component has two or more nodes
+        if (
+            r.stats.max_queue_len > tree.width - 1
+            or max(lengths, default=0) > tree.width - 1
+            or bool(lengths) != (tree.width >= 3)
+        ):
             _report("6 queue bound", False, f"seed={60_000 + i}")
     for n in range(2, 31):
         g = gen_complete(n, seed=n)
+        lengths.clear()
         r = recursive_dijkstra(g, build_ac_tree(g))
-        if r.stats.max_queue_len != n - 1:
+        if r.stats.max_queue_len != n - 1 or (n >= 3 and max(lengths, default=0) != n - 1):
             _report("6 queue bound", False, f"complete n={n}")
     for i in range(30):
         n = 2 + (i * 37) % 400
         g = gen_random_dag(n, 4 * n, seed=61_000 + i)
+        lengths.clear()
         r = recursive_dijkstra(g, build_ac_tree(g))
-        if r.stats.max_queue_len > 1:
+        if r.stats.max_queue_len > 1 or lengths:
             _report("6 queue bound", False, f"dag seed={61_000 + i}")
     _report("6 queue bound", True, "random + complete + dag families")
 

@@ -275,6 +275,20 @@ def test_width_exact_guard(tmp_path):
     assert proc.returncode == 2
 
 
+def test_width_exact_refuses_a_large_graph_before_building_its_tree(
+    tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "big.edges"
+    path.write_text(serialize_edge_list(gen_complete(13)))
+
+    def fail(g):
+        raise RuntimeError("the tree was built")
+
+    monkeypatch.setattr(cli, "build_ac_tree", fail)
+    assert cli.main(["width", str(path), "--exact"]) == 2
+    assert capsys.readouterr().err == "error: --exact is limited to 12 nodes (graph has 13)\n"
+
+
 def test_dimacs_autodetect(tmp_path):
     path = tmp_path / "g.gr"
     path.write_text("c tiny\np sp 2 1\na 1 2 7\n")

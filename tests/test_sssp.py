@@ -481,6 +481,13 @@ def test_topology_mismatch_names_the_first_differing_node(k):
         recursive_dijkstra(other, build_ac_tree(g))
 
 
+def test_topology_mismatch_past_every_common_row_names_the_first_extra_node():
+    # rows 0 and 1 agree; node 2 exists in the graph only
+    tree = build_ac_tree(Graph.from_arcs(2, 0, [(0, 1)]))
+    with pytest.raises(TreeMismatchError, match="the arcs out of node 2 differ"):
+        recursive_dijkstra(Graph.from_arcs(3, 0, [(0, 1)]), tree)
+
+
 def test_mismatched_trees_give_right_answers_or_typed_errors():
     # a tree serves a graph iff their offsets, heads and source are equal
     accepted = 0
@@ -687,7 +694,7 @@ def test_verify_spt_names_parents_that_are_not_node_ids(parent, named):
 MUTATIONS = (
     "none", "ulp up", "ulp down", "non-neighbour parent", "no parent",
     "out-of-range parent", "nan", "inf", "-inf", "-0.0", "not a number",
-    "parent for the source", "parallel arcs", "parent cycle",
+    "parent for the source", "parallel arcs", "parent cycle", "longer parent",
 )
 
 
@@ -745,6 +752,17 @@ def test_verify_spt_returns_exactly_what_its_specification_returns(g, mutation, 
             u, b = data.draw(st.sampled_from(closing or arcs), label="arc")
             parent[b] = u
             closes_cycle = bool(closing)
+    lengthened = False
+    if mutation == "longer parent":
+        # a leaf of the tree re-parented over a longer in-arc, at that arc's
+        # sum: every node stays tight, and its old parent arc improves
+        leaves = set(range(n)) - set(parent) - {s}
+        longer = [(a, b, dist[a] + w) for a, b, w in g.arcs()
+                  if b in leaves and a != b and dist[a] + w > dist[b]]
+        if longer:
+            u, b, d = data.draw(st.sampled_from(longer), label="arc")
+            parent[b], dist[b] = u, d
+            lengthened = True
     result = ShortestPathResult(tuple(dist), tuple(parent), r.stats)
     check = verify_spt(g, result)
     assert check == _spt_violations(g, result)
@@ -752,6 +770,38 @@ def test_verify_spt_returns_exactly_what_its_specification_returns(g, mutation, 
         assert check.ok
     if mutation == "parent cycle":
         assert check.ok != closes_cycle
+    if mutation == "longer parent":
+        assert check.ok != lengthened
+
+
+def test_verify_spt_rejects_a_tight_tree_beside_an_improving_arc():
+    # every node is tight to its parent, but the non-parent arc 1->2 improves
+    g = Graph.from_arcs(3, 0, [(0, 1, 1.0), (0, 2, 5.0), (1, 2, 1.0)])
+    wrong = ShortestPathResult((0.0, 1.0, 5.0), (None, 0, 0), None)
+    assert not _spt_holds(g, wrong.dist, wrong.parent)
+    assert verify_spt(g, wrong).violations == ("improving arc 1->2 (w=1.0): 1.0 + 1.0 < 5.0",)
+
+
+TIE_WEIGHTS = (0.0, 0.1, 0.2, 0.3, 1.0)  # float sums that tie or nearly tie
+
+
+def test_certified_distances_are_unique_bit_for_bit():
+    """Whatever the engine and the arc order, every result that passes
+    verify_spt has the same distances, to the bit: the criteria fix them."""
+    rng = random.Random(41)
+    for i in range(300):
+        n = rng.randint(1, 40)
+        arcs = [(0, v, rng.choice(TIE_WEIGHTS)) for v in range(1, n)]
+        arcs += [(rng.randrange(n), rng.randrange(n), rng.choice(TIE_WEIGHTS))
+                 for _ in range(rng.randint(0, 3 * n))]
+        seen = set()
+        for _ in range(4):
+            rng.shuffle(arcs)
+            g = Graph.from_arcs(n, 0, arcs)
+            for r in (dijkstra(g), recursive_dijkstra(g, build_ac_tree(g))):
+                assert verify_spt(g, r), i
+                seen.add(tuple(map(float.hex, r.dist)))
+        assert len(seen) == 1, i
 
 
 def test_verify_spt_rejects_parent_arcs_that_close_a_cycle():
